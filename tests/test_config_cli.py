@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,24 @@ class TestSimulateCommand:
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "step,s,q_1,p_1,v_1"
         assert "simulate" in capsys.readouterr().out
+
+    def test_reference_csv_bytes_are_pinned(self, tmp_path):
+        # Golden sha256 of the README reference pendulum run at seed 1; any
+        # change in rounding or in the noise stream shows up here.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(REFERENCE_TEXT, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("trajectory.csv",
+                                "trajectory_deterministic.csv")}
+        assert digests == {
+            "trajectory.csv": "f1c3e0762f8c48f5dc21946791c312d4"
+                              "7b0d9e3f76129790eab64bd3f3b93933",
+            "trajectory_deterministic.csv": "3107e0380aef759351a926ebe7ae8077"
+                                            "25a6ea92566201ac7b50be0e54701ced",
+        }
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path, _ = small_config(tmp_path)
