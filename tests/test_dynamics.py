@@ -9,7 +9,8 @@ from frachp.dynamics import (HamiltonianSystem, LagrangianSystem,
                              central_gradient, christoffel,
                              hamiltonian_from_lagrangian, invert_legendre,
                              legendre_transform, pendulum_lagrangian_system,
-                             pendulum_system, polar_metric_system)
+                             pendulum_system, polar_metric_system,
+                             system_lagrangian)
 from frachp.errors import NotPositiveDefinite, SingularHessian
 from frachp.specfun import gamma, hp_noise_coefficient
 
@@ -156,6 +157,44 @@ class TestGradientChecks:
         q, p = np.array([1.1]), np.array([0.4])
         assert sys.grad_q(q, p)[0] == pytest.approx(-math.sin(1.1), rel=1e-6)
         assert sys.grad_p(q, p)[0] == pytest.approx(0.4, rel=1e-6)
+
+    def test_v_hessian_fallback(self):
+        # L = v1^4/4 + v1 v2 + v2^2 with analytic grad_v; the Hessian
+        # [[3 v1^2, 1], [1, 2]] comes from central differences of grad_v.
+        sys = LagrangianSystem(
+            2, lambda q, v: v[0] ** 4 / 4 + v[0] * v[1] + v[1] ** 2,
+            NoiseCoupling.constant([1.0], 2),
+            grad_q=lambda q, v: np.zeros(2),
+            grad_v=lambda q, v: np.array([v[0] ** 3 + v[1],
+                                          v[0] + 2.0 * v[1]]))
+        hess = sys.v_hessian(np.zeros(2), np.array([0.7, -1.2]))
+        assert np.allclose(hess, [[3 * 0.49, 1.0], [1.0, 2.0]],
+                           rtol=1e-6, atol=1e-8)
+
+    def test_metric_grad_fallback_polar(self):
+        builtin = polar_metric_system()
+        sys = MetricSystem(2, builtin.metric, builtin.noise)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            q = np.array([rng.uniform(0.5, 3.0), rng.uniform(-3, 3)])
+            exact = np.zeros((2, 2, 2))
+            exact[1, 1, 0] = 2.0 * q[0]
+            assert np.allclose(sys.metric_grad(q), exact,
+                               rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("mass", [1.0, 2.0])
+    def test_system_lagrangian_legendre_fallback(self, mass):
+        # Pendulum H = p^2/(2m) + cos q without an analytic Lagrangian;
+        # for m != 1 the Newton solve for p needs the Jacobian of grad_p.
+        sys = HamiltonianSystem(
+            1, lambda q, p: float(p[0]) ** 2 / (2 * mass) + math.cos(q[0]),
+            NoiseCoupling.cos_q(),
+            grad_q=lambda q, p: np.array([-math.sin(q[0])]),
+            grad_p=lambda q, p: np.array([float(p[0]) / mass]))
+        q, v = np.array([0.4]), np.array([-0.9])
+        exact = 0.5 * mass * 0.81 - math.cos(0.4)
+        assert system_lagrangian(sys, q, v) == pytest.approx(exact,
+                                                             rel=1e-9)
 
 
 class TestAssembly:

@@ -7,7 +7,8 @@ from frachp.core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
                          make_grid)
 from frachp.dynamics import (NoiseCoupling, SdeFields, assemble_hp_fields,
                              pendulum_lagrangian_system, pendulum_system)
-from frachp.errors import (BoundaryViolation, GridMismatch, NotApplicable,
+from frachp.errors import (BoundaryViolation, GridMismatch,
+                           GridReachesSingularity, NotApplicable,
                            NumericalBlowup)
 from frachp.integrator import (EulerRun, action_derivative, euler_step,
                                evaluate_action, initial_state, integrate,
@@ -125,6 +126,16 @@ class TestIntegrate:
         with pytest.raises(NumericalBlowup) as exc:
             integrate(run)
         assert exc.value.step == 1
+
+    def test_raw_grid_reaching_t_eval_rejected(self):
+        # A TimeGrid built directly skips make_grid; EulerRun still guards.
+        params = FractionalParams(0.6, 0.3, 1.0)
+        sys = pendulum_system()
+        grid = TimeGrid(0.0, 0.1, 10)
+        with pytest.raises(GridReachesSingularity):
+            EulerRun(assemble_hp_fields(sys, params), grid,
+                     zero_path(0.1, 10, 1),
+                     initial_state(sys, [1.0], p0=[0.0]), params)
 
     def test_mismatched_path_rejected(self):
         sys = pendulum_system()
