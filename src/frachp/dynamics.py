@@ -23,22 +23,27 @@ from .specfun import hp_noise_coefficient
 _FD_BASE_STEP = 1e-6
 
 
-def central_gradient(f: Callable[[np.ndarray], float],
+def central_gradient(f: Callable[[np.ndarray], np.ndarray],
                      x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient with step 1e-6 * (1 + |x_i|)."""
+    """Central-difference derivative with step 1e-6 * (1 + |x_i|).
+
+    f may be scalar- or array-valued; the derivative axis is last, so f
+    with values of shape S gives a result of shape S + (x.size,).
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    cols = []
     for i in range(x.size):
         step = _FD_BASE_STEP * (1.0 + abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += step
         xm[i] -= step
-        out[i] = (f(xp) - f(xm)) / (2.0 * step)
-    return out
+        cols.append((np.asarray(f(xp), dtype=float)
+                     - np.asarray(f(xm), dtype=float)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
 
 
 def _fd_partial(f, which: int):
-    """Gradient of f(x0, x1) in argument `which` by central differences."""
+    """Derivative of f(x0, x1) in argument `which` by central differences."""
 
     def grad(a, b):
         a = np.asarray(a, dtype=float)
@@ -142,21 +147,8 @@ class LagrangianSystem:
             object.__setattr__(self, "grad_v",
                                _fd_partial(self.lagrangian, 1))
         if self.v_hessian is None:
-            grad_v = self.grad_v
-
-            def hess(q, v):
-                v = np.asarray(v, dtype=float)
-                cols = []
-                for i in range(v.size):
-                    step = _FD_BASE_STEP * (1.0 + abs(v[i]))
-                    vp, vm = v.copy(), v.copy()
-                    vp[i] += step
-                    vm[i] -= step
-                    cols.append((np.asarray(grad_v(q, vp))
-                                 - np.asarray(grad_v(q, vm))) / (2.0 * step))
-                return np.column_stack(cols)
-
-            object.__setattr__(self, "v_hessian", hess)
+            object.__setattr__(self, "v_hessian",
+                               _fd_partial(self.grad_v, 1))
 
 
 @dataclass(frozen=True)
@@ -174,21 +166,8 @@ class MetricSystem:
     def __post_init__(self):
         if self.metric_grad is None:
             metric = self.metric
-
-            def grad(q):
-                q = np.asarray(q, dtype=float)
-                n = q.size
-                dg = np.empty((n, n, n))
-                for k in range(n):
-                    step = _FD_BASE_STEP * (1.0 + abs(q[k]))
-                    qp, qm = q.copy(), q.copy()
-                    qp[k] += step
-                    qm[k] -= step
-                    dg[:, :, k] = (np.asarray(metric(qp))
-                                   - np.asarray(metric(qm))) / (2.0 * step)
-                return dg
-
-            object.__setattr__(self, "metric_grad", grad)
+            object.__setattr__(self, "metric_grad",
+                               lambda q: central_gradient(metric, q))
 
     def metric_at(self, q: np.ndarray) -> np.ndarray:
         g = np.asarray(self.metric(q), dtype=float)
@@ -286,15 +265,8 @@ def system_lagrangian(sys: SystemSpec, q, v) -> float:
         res = np.asarray(sys.grad_p(q, p), dtype=float) - v
         if np.max(np.abs(res)) <= 1e-10:
             break
-        cols = []
-        for i in range(p.size):
-            step = _FD_BASE_STEP * (1.0 + abs(p[i]))
-            pp, pm = p.copy(), p.copy()
-            pp[i] += step
-            pm[i] -= step
-            cols.append((np.asarray(sys.grad_p(q, pp))
-                         - np.asarray(sys.grad_p(q, pm))) / (2.0 * step))
-        p = p - np.linalg.solve(np.column_stack(cols), res)
+        jac = central_gradient(lambda x: sys.grad_p(q, x), p)
+        p = p - np.linalg.solve(jac, res)
     else:
         raise NoConvergence("could not invert grad_p H")
     return float(p @ v) - float(sys.hamiltonian(q, p))
