@@ -91,9 +91,9 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
         + [f"v_{i + 1}" for i in range(n)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for k, state in enumerate(traj.states):
-            vals = [f"{x:.17g}" for x in
-                    (*state.q, *state.p, *state.v)]
+        rows = np.hstack([traj.q, traj.p, traj.v]).tolist()
+        for k, row in enumerate(rows):
+            vals = [f"{x:.17g}" for x in row]
             fh.write(f"{k},{traj.grid.point(k):.17g}," + ",".join(vals) + "\n")
 
 
@@ -121,8 +121,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.plot:
         steps = np.arange(cfg.n_steps + 1)
         for traj, suffix in ((det, ""), (noisy, "_noisy")):
-            p = traj.component("p")[:, 0]
-            q = traj.component("q")[:, 0]
+            p = traj.p[:, 0]
+            q = traj.q[:, 0]
             write_orbit(outdir / f"p_vs_n{suffix}.svg", steps, p,
                         f"orbit (n, p(nh)){suffix.replace('_', ' ')}")
             write_orbit(outdir / f"phase_qp{suffix}.svg", q, p,
@@ -197,8 +197,7 @@ def cmd_action_check(cfg: RunConfig, _trajectory_override=None) -> int:
 
 def cmd_volterra(cfg: RunConfig) -> int:
     grid = TimeGrid(0.0, cfg.h, cfg.n_steps)
-    coeffs = VolterraCoefficients(mu=cfg.mu, sigma=cfg.sigma, x0=cfg.x0,
-                                  rate=cfg.rate)
+    coeffs = VolterraCoefficients(mu=cfg.mu, sigma=cfg.sigma, x0=cfg.x0)
     inc = np.empty((cfg.n_paths, cfg.n_steps))
     for i in range(cfg.n_paths):
         inc[i] = generate_path(spawn_substream(cfg.seed, i), cfg.h,

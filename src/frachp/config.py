@@ -50,7 +50,6 @@ class RunConfig:
     mu: float = 0.1
     sigma: float = 0.0
     x0: float = 1.0
-    rate: float = 0.0
     dim: int = 1
     hamiltonian_expr: str = ""
     metric_expr: str = ""
@@ -75,8 +74,6 @@ class RunConfig:
             raise ParseError(f"sigma={self.sigma} must be nonnegative")
         if self.mu < 0.0:
             raise ParseError(f"mu={self.mu} must be nonnegative")
-        if self.rate < 0.0:
-            raise ParseError(f"rate={self.rate} must be nonnegative")
         if self.x0 <= 0.0:
             raise ParseError(f"x0={self.x0} must be positive")
         if self.gamma not in ("cos", "const"):
@@ -103,7 +100,6 @@ _CONVERTERS = {
     "mu": float,
     "sigma": float,
     "x0": float,
-    "rate": float,
     "dim": int,
     "hamiltonian_expr": str,
     "metric_expr": str,

@@ -1,5 +1,5 @@
-"""Shared domain types: fractional parameters, the uniform time grid and
-phase-space samples.
+"""Shared domain types: fractional parameters, the uniform time grid,
+phase-space samples and sampled paths.
 
 All types are frozen dataclasses; array fields are made read-only so that
 instances can be shared freely between threads.
@@ -79,18 +79,20 @@ class TimeGrid:
         return p
 
 
-def make_grid(t_start: float, h: float, n_steps: int,
-              params: FractionalParams) -> TimeGrid:
-    """Build a grid and validate it against the kernel singularity guard.
-
-    The grid must end at least EPSILON_GUARD_STEPS * h before params.t_eval.
-    """
-    grid = TimeGrid(t_start, h, n_steps)
-    guard = EPSILON_GUARD_STEPS * h
+def check_singularity_guard(grid: TimeGrid, params: FractionalParams) -> None:
+    """Require the grid to end EPSILON_GUARD_STEPS * h before params.t_eval."""
+    guard = EPSILON_GUARD_STEPS * grid.h
     if grid.t_end > params.t_eval - guard:
         raise GridReachesSingularity(
             f"grid ends at {grid.t_end}, must stay below "
             f"t_eval - {EPSILON_GUARD_STEPS}h = {params.t_eval - guard}")
+
+
+def make_grid(t_start: float, h: float, n_steps: int,
+              params: FractionalParams) -> TimeGrid:
+    """Build a grid and validate it against the kernel singularity guard."""
+    grid = TimeGrid(t_start, h, n_steps)
+    check_singularity_guard(grid, params)
     return grid
 
 
@@ -125,23 +127,34 @@ class SeedRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """One sampled path: q, v and p as read-only (N+1, n) arrays."""
+
     grid: TimeGrid
-    states: tuple[PhaseState, ...]
+    q: np.ndarray
+    v: np.ndarray
+    p: np.ndarray
     seed_record: SeedRecord = field(default=SeedRecord(0, 0))
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(self.states) != self.grid.n_steps + 1:
+        for name in ("q", "v", "p"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        if self.q.ndim != 2 or self.q.shape[0] != self.grid.n_steps + 1:
             raise ValueError(
-                f"{len(self.states)} states for {self.grid.n_steps} steps")
-        dims = {s.dim for s in self.states}
-        if len(dims) != 1:
-            raise ValueError("state dimension changes along trajectory")
+                f"q of shape {self.q.shape} for {self.grid.n_steps} steps")
+        if self.v.shape != self.q.shape or self.p.shape != self.q.shape:
+            raise ValueError("q, v, p must share the same shape")
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.q.shape[1]
+
+    @property
+    def states(self) -> tuple[PhaseState, ...]:
+        """Per-step PhaseState view, built on demand."""
+        return tuple(map(PhaseState, self.q, self.v, self.p))
 
     def component(self, name: str) -> np.ndarray:
-        """Stack q, v or p samples into an (N+1, n) array."""
-        return np.array([getattr(s, name) for s in self.states])
+        """The (N+1, n) array of q, v or p."""
+        return {"q": self.q, "v": self.v, "p": self.p}[name]

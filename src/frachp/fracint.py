@@ -120,21 +120,16 @@ def bank_account(rate: Callable[[float], float], t: float, h: float) -> float:
 CoefficientLike = Callable[[float], float] | Sequence[float] | float
 
 
-def _as_rate_fn(c: CoefficientLike, grid: TimeGrid) -> Callable[[float], float]:
-    """Accept a callable, a constant, or grid samples (piecewise-constant left)."""
+def _grid_samples(c: CoefficientLike, grid: TimeGrid) -> np.ndarray:
+    """Values at the grid points of a callable, a constant, or grid samples."""
     if callable(c):
-        return c
+        return np.array([c(s) for s in grid.points])
     if np.isscalar(c):
-        return lambda s, _v=float(c): _v
+        return np.full(grid.n_steps + 1, float(c))
     vals = np.asarray(c, dtype=float)
     if vals.shape != (grid.n_steps + 1,):
         raise GridMismatch("coefficient samples do not match the grid")
-
-    def lookup(s: float) -> float:
-        k = min(int((s - grid.t_start) / grid.h), grid.n_steps)
-        return float(vals[max(k, 0)])
-
-    return lookup
+    return vals
 
 
 @dataclass(frozen=True)
@@ -144,18 +139,14 @@ class VolterraCoefficients:
     mu: CoefficientLike
     sigma: CoefficientLike
     x0: float
-    rate: CoefficientLike = 0.0
 
     def __post_init__(self):
         if not self.x0 > 0.0:
             raise ValueError(f"x0={self.x0} must be positive")
 
     def sampled(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        mu_fn = _as_rate_fn(self.mu, grid)
-        sg_fn = _as_rate_fn(self.sigma, grid)
-        s = grid.points
-        mu = np.array([mu_fn(x) for x in s])
-        sg = np.array([sg_fn(x) for x in s])
+        mu = _grid_samples(self.mu, grid)
+        sg = _grid_samples(self.sigma, grid)
         if np.any(mu < 0.0) or np.any(sg < 0.0):
             raise NegativeRate("mu and sigma must be nonnegative")
         return mu, sg

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EPSILON_GUARD_STEPS, FractionalParams, PhaseState,
-                   SeedRecord, TimeGrid, Trajectory, make_grid)
+from .core import (FractionalParams, PhaseState, SeedRecord, TimeGrid,
+                   Trajectory, check_singularity_guard, make_grid)
 from .dynamics import (HamiltonianSystem, LagrangianSystem, MetricSystem,
                        SdeFields, SystemSpec, invert_legendre,
                        system_lagrangian)
@@ -52,30 +52,25 @@ def initial_state(sys: SystemSpec, q0, p0=None, v0=None) -> PhaseState:
     raise TypeError(f"unsupported system {type(sys)!r}")
 
 
-def euler_step(fields: SdeFields, s: float, state: PhaseState, h: float,
-               increments: np.ndarray,
-               params: FractionalParams) -> PhaseState:
-    """One explicit Euler step with left-endpoint coefficients."""
+def euler_step(fields: SdeFields, s: float, q: np.ndarray, v: np.ndarray,
+               p: np.ndarray, h: float, increments: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One explicit Euler step with left-endpoint coefficients; new (q, v, p)."""
     g = np.asarray(increments, dtype=float)
     if fields.formulation == "Metric-velocity":
-        q, v = state.q, state.v
         q_new = q + h * fields.drift_q(s, q, v)
         v_new = (v + h * fields.drift_p(s, q, v)
                  + fields.diffusion_p(s, q) @ g)
-        p_new = fields.system.metric_at(q_new) @ v_new
-        return PhaseState(q_new, v_new, p_new)
+        return q_new, v_new, fields.system.metric_at(q_new) @ v_new
 
-    y = state.p
-    q, p = state.q, state.p
-    if fields.formulation == "HP-Lagrangian":
-        y = state.v
+    y = v if fields.formulation == "HP-Lagrangian" else p
     q_new = q + h * fields.drift_q(s, q, y)
     p_new = p + h * fields.drift_p(s, q, y) + fields.diffusion_p(s, q) @ g
     if fields.formulation == "HP-Lagrangian":
         v_new = invert_legendre(fields.system, q_new, p_new)
     else:
         v_new = fields.system.velocity(q_new, p_new)
-    return PhaseState(q_new, v_new, p_new)
+    return q_new, v_new, p_new
 
 
 @dataclass(frozen=True)
@@ -99,28 +94,24 @@ class EulerRun:
                 f"fields expect {self.fields.channels}")
         if self.initial.dim != self.fields.dim:
             raise GridMismatch("initial state dimension mismatch")
-        guard = EPSILON_GUARD_STEPS * self.grid.h
-        if self.grid.t_end > self.params.t_eval - guard:
-            from .errors import GridReachesSingularity
-            raise GridReachesSingularity(
-                f"grid end {self.grid.t_end} violates the singularity guard")
+        check_singularity_guard(self.grid, self.params)
 
 
 def integrate(run: EulerRun) -> Trajectory:
     """Iterate the Euler scheme over the grid; aborts on non-finite states."""
-    states = [run.initial]
-    state = run.initial
-    h = run.grid.h
-    for k in range(run.grid.n_steps):
-        s = run.grid.point(k)
-        state = euler_step(run.fields, s, state, h,
-                           run.path.increments[k], run.params)
-        if (not np.all(np.isfinite(state.q)) or not np.all(np.isfinite(state.p))
-                or np.max(np.abs(state.q)) > BLOWUP_LIMIT
-                or np.max(np.abs(state.p)) > BLOWUP_LIMIT):
+    n, h = run.grid.n_steps, run.grid.h
+    qs, vs, ps = (np.empty((n + 1, run.fields.dim)) for _ in range(3))
+    q, v, p = run.initial.q, run.initial.v, run.initial.p
+    qs[0], vs[0], ps[0] = q, v, p
+    for k in range(n):
+        q, v, p = euler_step(run.fields, run.grid.point(k), q, v, p, h,
+                             run.path.increments[k])
+        if (not np.all(np.isfinite(q)) or not np.all(np.isfinite(p))
+                or np.max(np.abs(q)) > BLOWUP_LIMIT
+                or np.max(np.abs(p)) > BLOWUP_LIMIT):
             raise NumericalBlowup(k + 1)
-        states.append(state)
-    return Trajectory(run.grid, tuple(states),
+        qs[k + 1], vs[k + 1], ps[k + 1] = q, v, p
+    return Trajectory(run.grid, qs, vs, ps,
                       SeedRecord(run.path.seed, run.path.channels))
 
 
@@ -151,14 +142,14 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
     for i in range(n_paths):
         fine = generate_path(spawn_substream(seed, i), base_h, n_fine,
                              fields.channels)
-        ref = integrate(EulerRun(fields, grids[0], fine, initial,
-                                 params)).states[-1]
+        ref = integrate(EulerRun(fields, grids[0], fine, initial, params))
         for l in range(1, levels):
             coarse = coarsen(fine, 2 ** l)
             term = integrate(EulerRun(fields, grids[l], coarse, initial,
-                                      params)).states[-1]
+                                      params))
             errors[l - 1] += np.linalg.norm(
-                np.concatenate([term.q - ref.q, term.p - ref.p]))
+                np.concatenate([term.q[-1] - ref.q[-1],
+                                term.p[-1] - ref.p[-1]]))
     errors /= n_paths
     if np.all(errors == 0.0):
         raise NotApplicable("all terminal errors are zero (degenerate fields)")
@@ -207,9 +198,7 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
     h = grid.h
     w_alpha = _alpha_step_weights(t, s, params.alpha)
 
-    qs = trajectory.component("q")
-    vs = trajectory.component("v")
-    ps = trajectory.component("p")
+    qs, vs, ps = trajectory.q, trajectory.v, trajectory.p
     qdot = (qs[1:] - qs[:-1]) / h
 
     det = 0.0
@@ -232,12 +221,9 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
 
 def _shift_trajectory(trajectory: Trajectory, dq, dv, dp,
                       eps: float) -> Trajectory:
-    qs = trajectory.component("q") + eps * dq
-    vs = trajectory.component("v") + eps * dv
-    ps = trajectory.component("p") + eps * dp
-    states = tuple(PhaseState(qs[k], vs[k], ps[k])
-                   for k in range(len(trajectory.states)))
-    return Trajectory(trajectory.grid, states, trajectory.seed_record)
+    return Trajectory(trajectory.grid, trajectory.q + eps * dq,
+                      trajectory.v + eps * dv, trajectory.p + eps * dp,
+                      trajectory.seed_record)
 
 
 def action_derivative(trajectory: Trajectory, sys: SystemSpec,

@@ -50,10 +50,17 @@ class TestParseConfig:
         with pytest.raises(MissingKey, match="system"):
             parse_config("")
 
-    def test_unknown_key_with_line_number(self):
-        text = REFERENCE_TEXT + "alfa = 0.6\n"
-        with pytest.raises(UnknownKey, match="line 9.*alfa"):
-            parse_config(text)
+    def test_unknown_key_with_line_number(self, tmp_path, capsys):
+        for key in ("alfa", "rate"):
+            text = REFERENCE_TEXT + f"{key} = 0.6\n"
+            with pytest.raises(UnknownKey, match=f"line 9.*{key}"):
+                parse_config(text)
+            cfg_path = tmp_path / "run.cfg"
+            cfg_path.write_text(text, encoding="utf-8")
+            assert main(["volterra", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+            assert "unknown key" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_malformed_line(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -200,7 +207,8 @@ class TestActionCheckCommand:
         grid = make_grid(0.0, 0.0005, 1400, params)
         init = initial_state(pendulum_system(gamma_coupling="const"),
                              [1.0], p0=[0.0])
-        frozen = Trajectory(grid, tuple([init] * 1401))
+        frozen = Trajectory(grid, *(np.tile(a, (1401, 1))
+                                    for a in (init.q, init.v, init.p)))
         assert cmd_action_check(cfg, _trajectory_override=frozen) == 1
         assert "FAIL" in capsys.readouterr().out
 

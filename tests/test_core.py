@@ -73,21 +73,19 @@ class TestPhaseState:
 class TestTrajectory:
     def test_length_invariant(self):
         grid = TimeGrid(0.0, 0.1, 2)
-        s = PhaseState([0.0], [0.0], [0.0])
-        Trajectory(grid, (s, s, s))
+        z = np.zeros((3, 1))
+        Trajectory(grid, z, z, z)
         with pytest.raises(ValueError):
-            Trajectory(grid, (s, s))
+            Trajectory(grid, z[:2], z[:2], z[:2])
 
     def test_dimension_constant(self):
         grid = TimeGrid(0.0, 0.1, 1)
-        a = PhaseState([0.0], [0.0], [0.0])
-        b = PhaseState([0.0, 1.0], [0.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
-            Trajectory(grid, (a, b))
+            Trajectory(grid, np.zeros((2, 1)), np.zeros((2, 2)),
+                       np.zeros((2, 1)))
 
     def test_component_stacking(self):
         grid = TimeGrid(0.0, 0.1, 1)
-        a = PhaseState([1.0], [2.0], [3.0])
-        b = PhaseState([4.0], [5.0], [6.0])
-        traj = Trajectory(grid, (a, b))
+        traj = Trajectory(grid, [[1.0], [4.0]], [[2.0], [5.0]],
+                          [[3.0], [6.0]])
         assert np.array_equal(traj.component("p"), [[3.0], [6.0]])

@@ -189,6 +189,15 @@ class TestVolterra:
         y = volterra_paths(const, 1.0, grid, np.zeros((1, 50)))
         assert np.allclose(x, y, rtol=1e-14)
 
+    def test_sampled_coefficients_round_trip(self):
+        # 7001 distinct samples on h = 1e-4 come back exactly, with no
+        # sample replaced by its left neighbour.
+        grid = TimeGrid(0.0, 1e-4, 7000)
+        mu_samples = 0.1 + np.arange(7001) * 1e-6
+        coeffs = VolterraCoefficients(mu=mu_samples, sigma=0.0, x0=1.0)
+        mu, _ = coeffs.sampled(grid)
+        assert np.array_equal(mu, mu_samples)
+
     def test_negative_coefficients_rejected(self):
         grid = TimeGrid(0.0, 0.01, 10)
         coeffs = VolterraCoefficients(mu=lambda s: -1.0, sigma=0.0, x0=1.0)

@@ -38,8 +38,9 @@ class TestEulerStep:
         # x' = 1, y' = 0.1 sin(1) - sin(1) * 0.05 = 0.0420735...
         sys = pendulum_system()
         fields = assemble_hp_fields(sys, CLASSICAL)
-        state = PhaseState([1.0], [0.0], [0.0])
-        out = euler_step(fields, 0.0, state, 0.1, np.array([0.05]), CLASSICAL)
+        q, v, p = np.array([1.0]), np.array([0.0]), np.array([0.0])
+        out = PhaseState(*euler_step(fields, 0.0, q, v, p, 0.1,
+                                     np.array([0.05])))
         assert out.q[0] == pytest.approx(1.0)
         assert out.p[0] == pytest.approx(0.1 * math.sin(1.0)
                                          - math.sin(1.0) * 0.05, rel=1e-12)
@@ -53,15 +54,17 @@ class TestEulerStep:
             diffusion_p=lambda s, q: np.zeros((n, 1)),
             formulation="Hamiltonian", dim=n, channels=1,
             system=pendulum_system(), params=CLASSICAL)
-        state = PhaseState([1.0], [0.5], [0.5])
-        out = euler_step(fields, 0.0, state, 0.1, np.array([0.3]), CLASSICAL)
+        q, v, p = np.array([1.0]), np.array([0.5]), np.array([0.5])
+        out = PhaseState(*euler_step(fields, 0.0, q, v, p, 0.1,
+                                     np.array([0.3])))
         assert out.q[0] == 1.0 and out.p[0] == 0.5
 
     def test_zero_increment_is_deterministic_euler(self):
         sys = pendulum_system()
         fields = assemble_hp_fields(sys, CLASSICAL)
-        state = PhaseState([1.0], [0.7], [0.7])
-        out = euler_step(fields, 0.0, state, 0.01, np.array([0.0]), CLASSICAL)
+        q, v, p = np.array([1.0]), np.array([0.7]), np.array([0.7])
+        out = PhaseState(*euler_step(fields, 0.0, q, v, p, 0.01,
+                                     np.array([0.0])))
         assert out.q[0] == pytest.approx(1.0 + 0.01 * 0.7)
         assert out.p[0] == pytest.approx(0.7 + 0.01 * math.sin(1.0))
 
@@ -70,10 +73,10 @@ class TestEulerStep:
         hsys = pendulum_system()
         fl = assemble_hp_fields(lsys, REFERENCE)
         fh = assemble_hp_fields(hsys, REFERENCE)
-        state = PhaseState([1.0], [0.4], [0.4])
+        q, v, p = np.array([1.0]), np.array([0.4]), np.array([0.4])
         g = np.array([0.02])
-        a = euler_step(fl, 0.1, state, 1e-3, g, REFERENCE)
-        b = euler_step(fh, 0.1, state, 1e-3, g, REFERENCE)
+        a = PhaseState(*euler_step(fl, 0.1, q, v, p, 1e-3, g))
+        b = PhaseState(*euler_step(fh, 0.1, q, v, p, 1e-3, g))
         assert np.allclose(a.q, b.q, rtol=1e-12)
         assert np.allclose(a.p, b.p, rtol=1e-12)
         assert np.allclose(a.v, b.v, atol=1e-10)
@@ -207,8 +210,8 @@ class TestAction:
             grad_v=lambda q, v: np.zeros(1),
             v_hessian=lambda q, v: np.eye(1))
         grid = make_grid(0.0, 0.01, 50, CLASSICAL)
-        zero = PhaseState([0.0], [0.0], [0.0])
-        traj = Trajectory(grid, tuple([zero] * 51))
+        zero = np.zeros((51, 1))
+        traj = Trajectory(grid, zero, zero, zero)
         path = generate_path(1, 0.01, 50, 1)
         assert evaluate_action(traj, sys, CLASSICAL, path).value == 0.0
 
@@ -222,8 +225,8 @@ class TestAction:
             grad_v=lambda q, v: np.zeros(1),
             v_hessian=lambda q, v: np.eye(1))
         grid = make_grid(0.0, 0.01, 50, CLASSICAL)
-        zero = PhaseState([0.0], [0.0], [0.0])
-        traj = Trajectory(grid, tuple([zero] * 51))
+        zero = np.zeros((51, 1))
+        traj = Trajectory(grid, zero, zero, zero)
         path = generate_path(4, 0.01, 50, 1)
         val = evaluate_action(traj, sys, CLASSICAL, path).value
         assert val == pytest.approx(c * float(np.sum(path.increments)),
@@ -239,8 +242,8 @@ class TestAction:
             v_hessian=lambda q, v: np.eye(1))
         grid = make_grid(0.0, 0.01, 50, CLASSICAL)
         # q constant (qdot = 0), v = 1, p = 1 -> integrand = -1
-        st = PhaseState([0.0], [1.0], [1.0])
-        traj = Trajectory(grid, tuple([st] * 51))
+        one = np.ones((51, 1))
+        traj = Trajectory(grid, np.zeros((51, 1)), one, one)
         path = zero_path(0.01, 50, 1)
         val = evaluate_action(traj, sys, CLASSICAL, path).value
         assert val == pytest.approx(-0.5, rel=1e-10)  # -(T = 0.5)
@@ -257,14 +260,14 @@ class TestAction:
             v_hessian=lambda q, v: np.eye(1))
         h, n = 1e-3, 1000
         grid = make_grid(0.0, h, n, CLASSICAL)
-        states = []
+        qs, vs = np.empty((n + 1, 1)), np.empty((n + 1, 1))
         for k in range(n + 1):
             s = k * h
             q = math.sin(s)
             # v matches the discrete forward difference of q
             v = (math.sin(min(s + h, n * h)) - q) / h if k < n else math.cos(s)
-            states.append(PhaseState([q], [v], [v]))
-        traj = Trajectory(grid, tuple(states))
+            qs[k], vs[k] = q, v
+        traj = Trajectory(grid, qs, vs, vs)
         val = evaluate_action(traj, sys, CLASSICAL, zero_path(h, n, 1)).value
         # exact: int_0^1 (cos^2 - sin^2)/2 ds = sin(2)/4
         assert val == pytest.approx(math.sin(2.0) / 4.0, abs=5e-3)
@@ -304,7 +307,8 @@ class TestStationarity:
         sys, _, run = pendulum_run(REFERENCE, h, n, gamma="const")
         grid = make_grid(0.0, h, n, REFERENCE)
         init = initial_state(sys, [1.0], p0=[0.0])
-        frozen = Trajectory(grid, tuple([init] * (n + 1)))
+        frozen = Trajectory(grid, *(np.tile(a, (n + 1, 1))
+                                    for a in (init.q, init.v, init.p)))
         ratio = stationarity_ratio(frozen, sys, REFERENCE, zero_path(h, n, 1),
                                    n_perturbations=10, seed=7)
         assert ratio > 0.05
