@@ -22,7 +22,7 @@ from .config import RunConfig, config_lines, parse_config
 from .core import FractionalParams, TimeGrid, Trajectory, make_grid
 from .dynamics import (assemble_hp_fields, pendulum_system,
                        polar_metric_system)
-from .errors import FracHPError, NotApplicable, ParseError
+from .errors import ConfigError, FracHPError, NotApplicable, ParseError
 from .fracint import VolterraCoefficients, volterra_paths
 from .integrator import (EulerRun, initial_state, integrate,
                          stationarity_ratio, strong_convergence_order)
@@ -38,7 +38,11 @@ def ensemble_map(fn, items):
     Results are returned in input order, so parallelism never changes
     output.
     """
-    workers = int(os.environ.get("FRACHP_THREADS", "1") or "0")
+    raw = os.environ.get("FRACHP_THREADS", "1")
+    try:
+        workers = int(raw or "0")
+    except ValueError:
+        raise ConfigError(f"FRACHP_THREADS={raw!r} is not an integer")
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers <= 1:
@@ -68,6 +72,16 @@ def build_system(cfg: RunConfig):
         gammas = list(cfg.gamma_expr) or ["cos(q1)"]
         return metric_from_expressions(rows, gammas, cfg.dim)
     raise ParseError(f"unknown system {cfg.system!r}")
+
+
+def _initial_state(cfg: RunConfig, system):
+    """initial_state from q0 and p0, each checked against the dimension."""
+    for key in ("q0", "p0"):
+        n = len(getattr(cfg, key))
+        if n != system.dim:
+            raise ConfigError(f"{key} has {n} entries, but system "
+                              f"{cfg.system!r} has dimension {system.dim}")
+    return initial_state(system, cfg.q0, p0=cfg.p0)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -104,7 +118,7 @@ def _integrate_pair(cfg: RunConfig):
     system = build_system(cfg)
     fields = assemble_hp_fields(system, params,
                                 eq15_literal=cfg.eq15_literal)
-    init = initial_state(system, cfg.q0, p0=cfg.p0)
+    init = _initial_state(cfg, system)
     m = system.noise.m
     noisy_path = generate_path(cfg.seed, cfg.h, cfg.n_steps, m)
     det_path = zero_path(cfg.h, cfg.n_steps, m)
@@ -138,7 +152,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     system = build_system(cfg)
     fields = assemble_hp_fields(system, params,
                                 eq15_literal=cfg.eq15_literal)
-    init = initial_state(system, cfg.q0, p0=cfg.p0)
+    init = _initial_state(cfg, system)
     slope, hs, errors = strong_convergence_order(
         fields, init, params, base_h=cfg.h, levels=cfg.levels,
         n_paths=cfg.n_paths, seed=cfg.seed, t_end=cfg.t_end,
@@ -156,7 +170,6 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
 def cmd_action_check(cfg: RunConfig, _trajectory_override=None) -> int:
     params, system, fields, noisy, det, noisy_path = _integrate_pair(cfg)
-    outdir = _outdir(cfg)
     deterministic = cfg.gamma == "const"
     m = system.noise.m
 
@@ -169,18 +182,19 @@ def cmd_action_check(cfg: RunConfig, _trajectory_override=None) -> int:
         verdict = "PASS" if ok else "FAIL"
         print(f"action-check: max |dA|/||w|| = {ratio:.3e} "
               f"(gate {STATIONARITY_GATE:g}) -> {verdict}")
-        _write_manifest(cfg, outdir, {"stationarity_ratio": f"{ratio:.6g}",
-                                      "verdict": verdict})
+        _write_manifest(cfg, _outdir(cfg),
+                        {"stationarity_ratio": f"{ratio:.6g}",
+                         "verdict": verdict})
         return 0 if ok else 1
 
     # Noisy case: expectation statistics, reported but not gated.
     n_paths = min(cfg.n_paths, 100)
+    grid = make_grid(0.0, cfg.h, cfg.n_steps, params)
+    init = _initial_state(cfg, system)
 
     def one(i: int) -> float:
         path = generate_path(spawn_substream(cfg.seed, i), cfg.h,
                              cfg.n_steps, m)
-        grid = make_grid(0.0, cfg.h, cfg.n_steps, params)
-        init = initial_state(system, cfg.q0, p0=cfg.p0)
         traj = _trajectory_override or integrate(
             EulerRun(fields, grid, path, init, params))
         return stationarity_ratio(traj, system, params, path,
@@ -190,8 +204,9 @@ def cmd_action_check(cfg: RunConfig, _trajectory_override=None) -> int:
     print(f"action-check (noisy, {n_paths} paths): "
           f"mean |dA|/||w|| = {ratios.mean():.3e}, "
           f"max = {ratios.max():.3e} (not gated)")
-    _write_manifest(cfg, outdir, {"mean_ratio": f"{ratios.mean():.6g}",
-                                  "max_ratio": f"{ratios.max():.6g}"})
+    _write_manifest(cfg, _outdir(cfg),
+                    {"mean_ratio": f"{ratios.mean():.6g}",
+                     "max_ratio": f"{ratios.max():.6g}"})
     return 0
 
 

@@ -56,26 +56,25 @@ class RunConfig:
     gamma_expr: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        # Every check is written so that NaN fails it.
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
                 raise ParseError(f"{name}={v} outside (0, 1]")
-        if self.t_eval <= 0.0:
-            raise ParseError(f"t_eval={self.t_eval} must be positive")
-        if self.h <= 0.0:
-            raise ParseError(f"h={self.h} must be positive")
+        for name in ("t_eval", "h", "t_end", "x0"):
+            v = getattr(self, name)
+            if not v > 0.0:
+                raise ParseError(f"{name}={v} must be positive")
+        for name in ("mu", "sigma"):
+            v = getattr(self, name)
+            if not v >= 0.0:
+                raise ParseError(f"{name}={v} must be nonnegative")
         if self.n_steps < 1:
             raise ParseError(f"n_steps={self.n_steps} must be >= 1")
         if self.n_paths < 1:
             raise ParseError(f"n_paths={self.n_paths} must be >= 1")
         if self.levels < 3:
             raise ParseError(f"levels={self.levels} must be >= 3")
-        if self.sigma < 0.0:
-            raise ParseError(f"sigma={self.sigma} must be nonnegative")
-        if self.mu < 0.0:
-            raise ParseError(f"mu={self.mu} must be nonnegative")
-        if self.x0 <= 0.0:
-            raise ParseError(f"x0={self.x0} must be positive")
         if self.gamma not in ("cos", "const"):
             raise ParseError(f"gamma={self.gamma!r} must be cos or const")
 
@@ -112,6 +111,7 @@ _REQUIRED = ("system", "alpha", "beta", "t_eval")
 def parse_config(text: str) -> RunConfig:
     """Parse key = value lines into a validated RunConfig."""
     values: dict = {}
+    seen: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,6 +123,10 @@ def parse_config(text: str) -> RunConfig:
         key, val = key.strip(), val.strip()
         if key not in _CONVERTERS:
             raise UnknownKey(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ParseError(f"duplicate key {key!r} on line {seen[key]} "
+                             f"and line {lineno}")
+        seen[key] = lineno
         try:
             values[key] = _CONVERTERS[key](val)
         except (ValueError, TypeError) as exc:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from frachp.cli import ensemble_map, main
 from frachp.config import RunConfig, config_lines, parse_config
 from frachp.core import Trajectory, make_grid
-from frachp.errors import MissingKey, ParseError, UnknownKey
+from frachp.errors import ConfigError, MissingKey, ParseError, UnknownKey
 from frachp.integrator import initial_state
 
 REFERENCE_TEXT = """\
@@ -19,6 +20,17 @@ h = 0.0001
 n_steps = 7000
 seed = 1
 """
+
+
+def assert_cli_rejects(tmp_path, capsys, command, text, match):
+    """`frachp <command>` on text exits 1 with a one-line error, no outputs."""
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "bad_out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(match, err) and "Traceback" not in err
+    assert not out.exists()
 
 
 def small_config(tmp_path, name="run.cfg", **overrides):
@@ -61,6 +73,21 @@ class TestParseConfig:
                          "--out", str(tmp_path / "out")]) == 1
             assert "unknown key" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    def test_duplicate_key_names_both_lines(self, tmp_path, capsys):
+        text = REFERENCE_TEXT + "h = 0.001\n"
+        with pytest.raises(ParseError, match=r"'h'.*line 6.*line 9"):
+            parse_config(text)
+        assert_cli_rejects(tmp_path, capsys, "simulate", text,
+                           r"duplicate key 'h'")
+
+    @pytest.mark.parametrize("key, line", [("h", "h = 0.0001"),
+                                           ("t_eval", "t_eval = 0.8")])
+    def test_nan_rejected_with_key(self, tmp_path, capsys, key, line):
+        text = REFERENCE_TEXT.replace(line, f"{key} = nan")
+        with pytest.raises(ParseError, match=key):
+            parse_config(text)
+        assert_cli_rejects(tmp_path, capsys, "simulate", text, key)
 
     def test_malformed_line(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -169,6 +196,20 @@ class TestSimulateCommand:
             .splitlines()[0]
         assert header == "step,s,q_1,q_2,p_1,p_2,v_1,v_2"
 
+    @pytest.mark.parametrize("command", ["simulate", "convergence",
+                                         "action-check"])
+    @pytest.mark.parametrize("system, key, vectors", [
+        ("pendulum", "q0", "q0 = 1.0, 2.0\n"),
+        ("pendulum", "p0", "p0 = 0.0, 0.5\n"),
+        ("metric:polar", "p0", "q0 = 1.0, 0.2\np0 = 0.1\n"),
+    ], ids=["pendulum-q0", "pendulum-p0", "polar-p0"])
+    def test_initial_vector_length_checked(self, tmp_path, capsys, command,
+                                           system, key, vectors):
+        text = (REFERENCE_TEXT.replace("system = pendulum",
+                                       f"system = {system}") + vectors)
+        assert_cli_rejects(tmp_path, capsys, command, text,
+                           rf"{key} has \d entries.* dimension \d")
+
 
 class TestConvergenceCommand:
     def test_slope_and_csv(self, tmp_path, capsys):
@@ -262,6 +303,15 @@ class TestEnsembleMap:
         assert ensemble_map(fn, items) == serial
         monkeypatch.setenv("FRACHP_THREADS", "0")  # auto worker count
         assert ensemble_map(fn, items) == serial
+
+    def test_non_integer_thread_count(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("FRACHP_THREADS", "two")
+        with pytest.raises(ConfigError, match="FRACHP_THREADS"):
+            ensemble_map(abs, [1, 2])
+        cfg_path, _ = small_config(tmp_path, gamma="cos", n_paths=2,
+                                   n_steps=200)
+        assert_cli_rejects(tmp_path, capsys, "action-check",
+                           cfg_path.read_text(), "FRACHP_THREADS")
 
 
 def test_missing_config_file_is_an_error(tmp_path, capsys):
