@@ -5,6 +5,16 @@ equations.
 
 All dynamics run in global coordinates on flat space; angle variables are
 plain reals and are never wrapped.
+
+Batch contract.  A system's Lagrangian L(q, v) and every noise coupling
+gamma_a(q) accept leading batch axes: arrays of shape (..., n) map to
+values of shape (...).  A scalar () return is broadcast over the batch, so
+constants such as `lambda q, v: 0.0` keep working; any other shape raises
+BatchShapeError naming the callable.  `system_lagrangian` and
+`NoiseCoupling.values` evaluate through this contract, which is what lets
+the discrete action take one call per grid instead of one per step.  The
+per-step callables the integrator uses (gradients, `metric`, `metric_at`,
+Hessians) see one sample of shape (n,) at a time.
 """
 
 from __future__ import annotations
@@ -16,9 +26,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import FractionalParams
-from .errors import (NoConvergence, NoiseShapeUnsupported, NotPositiveDefinite,
-                     SingularHessian)
-from .specfun import hp_noise_coefficient
+from .errors import (BatchShapeError, NoConvergence, NoiseShapeUnsupported,
+                     NotPositiveDefinite, SingularHessian)
+from .specfun import gamma, hp_noise_coefficient, power_kernel
 
 _FD_BASE_STEP = 1e-6
 
@@ -40,6 +50,19 @@ def central_gradient(f: Callable[[np.ndarray], np.ndarray],
         cols.append((np.asarray(f(xp), dtype=float)
                      - np.asarray(f(xm), dtype=float)) / (2.0 * step))
     return np.stack(cols, axis=-1)
+
+
+def _call_batched(fn, role: str, batch: tuple, *args) -> np.ndarray:
+    """fn(*args) under the batch contract: shape `batch`, or a broadcast ()."""
+    out = np.asarray(fn(*args), dtype=float)
+    if out.shape == ():
+        return np.broadcast_to(out, batch)
+    if out.shape != batch:
+        name = getattr(fn, "__qualname__", repr(fn))
+        raise BatchShapeError(
+            f"{role} {name} returned shape {out.shape} for a batch of shape "
+            f"{batch}; expected {batch} or a scalar")
+    return out
 
 
 def _fd_partial(f, which: int):
@@ -82,6 +105,12 @@ class NoiseCoupling:
     def m(self) -> int:
         return len(self.gamma)
 
+    def values(self, q) -> np.ndarray:
+        """All m couplings on configurations of shape (..., n), as (..., m)."""
+        q = np.asarray(q, dtype=float)
+        return np.stack([_call_batched(g, f"gamma[{a}]", q.shape[:-1], q)
+                         for a, g in enumerate(self.gamma)], axis=-1)
+
     def grad_matrix(self, q: np.ndarray) -> np.ndarray:
         """n x m matrix whose column a is the gradient of gamma_a at q."""
         return np.column_stack([g(q) for g in self.gamma_grad])
@@ -97,7 +126,7 @@ class NoiseCoupling:
     @classmethod
     def cos_q(cls) -> "NoiseCoupling":
         """The pendulum coupling gamma(q) = cos q on a 1-d configuration."""
-        return cls((lambda q: math.cos(q[0]),),
+        return cls((lambda q: np.cos(q[..., 0]),),
                    (lambda q: np.array([-math.sin(q[0])]),))
 
 
@@ -182,8 +211,15 @@ class MetricSystem:
         return g
 
     def lagrangian(self, q, v):
+        """(1/2) g(q)(v, v) on samples of shape (..., n).
+
+        metric_at validates the metric of every sample.
+        """
+        q = np.asarray(q, dtype=float)
         v = np.asarray(v, dtype=float)
-        return 0.5 * float(v @ self.metric_at(q) @ v)
+        g = np.array([self.metric_at(x) for x in q.reshape(-1, self.dim)])
+        g = g.reshape(q.shape + (self.dim,))
+        return 0.5 * np.einsum("...i,...ij,...j->...", v, g, v)
 
 
 SystemSpec = Union[HamiltonianSystem, LagrangianSystem, MetricSystem]
@@ -251,15 +287,26 @@ def hamiltonian_from_lagrangian(sys: LagrangianSystem) -> HamiltonianSystem:
                              lagrangian=sys.lagrangian)
 
 
-def system_lagrangian(sys: SystemSpec, q, v) -> float:
-    """L(q, v) for any variant (Hamiltonian variant via Legendre inverse)."""
-    if isinstance(sys, (LagrangianSystem, MetricSystem)):
-        return float(sys.lagrangian(q, v))
-    if sys.lagrangian is not None:
-        return float(sys.lagrangian(q, v))
-    # Solve grad_p H(q, p) = v for p (Newton, FD Jacobian), then L = <p,v> - H.
+def system_lagrangian(sys: SystemSpec, q, v):
+    """L(q, v) for any variant (Hamiltonian variant via Legendre inverse).
+
+    q and v have shape (..., n); the result has shape (...), and is a float
+    for a single sample.
+    """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
+    if sys.lagrangian is not None:
+        out = _call_batched(sys.lagrangian, "lagrangian", q.shape[:-1], q, v)
+    else:
+        out = np.array([_legendre_lagrangian(sys, x, y) for x, y in
+                        zip(q.reshape(-1, sys.dim), v.reshape(-1, sys.dim))])
+        out = out.reshape(q.shape[:-1])
+    return float(out) if out.ndim == 0 else out
+
+
+def _legendre_lagrangian(sys: HamiltonianSystem, q, v) -> float:
+    """L = <p, v> - H(q, p) at one sample, solving grad_p H(q, p) = v for p
+    by Newton iteration with a finite-difference Jacobian."""
     p = v.copy()
     for _ in range(50):
         res = np.asarray(sys.grad_p(q, p), dtype=float) - v
@@ -297,26 +344,48 @@ def christoffel(sys: MetricSystem, q) -> np.ndarray:
 class SdeFields:
     """Assembled Ito-form right-hand sides for one system and parameter set.
 
-    drift_q/drift_p take (s, q, y) where y is p for the Hamiltonian and
-    HP-Lagrangian formulations and v for the metric-velocity formulation.
-    diffusion_p(s, q) is the n x m noise matrix of the momentum (or
-    velocity) equation; the q-equation never carries noise.
+    y is p for the Hamiltonian and HP-Lagrangian formulations and v for the
+    metric-velocity formulation.  The momentum (or velocity) equation reads
+
+        dy = momentum_drift(q, y, damping(s)) ds
+             + noise_scale(s) * noise_matrix(q) dW,
+
+    so the fractional coefficients damping and noise_scale depend on s
+    alone and can be taken once over a whole grid; the q-equation
+    dq = drift_q(s, q, y) ds never carries noise.  noise_matrix(q) is
+    n x m.  eq15_literal selects the printed metric-velocity noise
+    coefficient Gamma(beta)/Gamma(alpha) (t-s)^(beta-1).
     """
 
     drift_q: Callable
-    drift_p: Callable
-    diffusion_p: Callable
+    momentum_drift: Callable
+    noise_matrix: Callable
     formulation: str
     dim: int
     channels: int
     system: SystemSpec = field(repr=False, default=None)
     params: FractionalParams = None
+    eq15_literal: bool = False
 
+    def damping(self, s):
+        """Memory-drift factor (alpha - 1)/(t_eval - s); s may be an array."""
+        if self.params.alpha == 1.0:
+            return 0.0
+        return (self.params.alpha - 1.0) / (self.params.t_eval - s)
 
-def _alpha_drift_factor(params: FractionalParams, s: float) -> float:
-    if params.alpha == 1.0:
-        return 0.0
-    return (params.alpha - 1.0) / (params.t_eval - s)
+    def noise_scale(self, s):
+        """Kernel coefficient of the noise at s; s may be an array."""
+        pr = self.params
+        if self.eq15_literal:
+            return (gamma(pr.beta) / gamma(pr.alpha)
+                    * power_kernel(pr.t_eval, s, pr.beta - 1.0))
+        return hp_noise_coefficient(pr, s)
+
+    def drift_p(self, s, q, y):
+        return self.momentum_drift(q, y, self.damping(s))
+
+    def diffusion_p(self, s, q):
+        return self.noise_scale(s) * self.noise_matrix(q)
 
 
 def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
@@ -325,7 +394,8 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
 
     eq15_literal switches the metric-velocity noise coefficient to the
     printed variant Gamma(beta)/Gamma(alpha) (t-s)^(beta-1) instead of the
-    one obtained from the Hamiltonian form through the Legendre map.
+    one obtained from the Hamiltonian form through the Legendre map; the
+    other formulations ignore it.
     """
     noise = sys.noise
     if noise.m < 1:
@@ -335,78 +405,91 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
         def drift_q(s, q, p):
             return np.asarray(sys.grad_p(q, p), dtype=float)
 
-        def drift_p(s, q, p):
+        def momentum_drift(q, p, damp):
             base = -np.asarray(sys.grad_q(q, p), dtype=float)
-            return base + _alpha_drift_factor(params, s) * np.asarray(p)
+            return base + damp * np.asarray(p)
 
-        def diffusion_p(s, q):
-            return hp_noise_coefficient(params, s) * noise.grad_matrix(q)
-
+        noise_matrix = noise.grad_matrix
         tag = "Hamiltonian"
 
     elif isinstance(sys, LagrangianSystem):
         def drift_q(s, q, v):
             return np.asarray(v, dtype=float)
 
-        def drift_p(s, q, v):
+        def momentum_drift(q, v, damp):
             base = np.asarray(sys.grad_q(q, v), dtype=float)
-            return base + _alpha_drift_factor(params, s) * np.asarray(
-                sys.grad_v(q, v), dtype=float)
+            return base + damp * np.asarray(sys.grad_v(q, v), dtype=float)
 
-        def diffusion_p(s, q):
-            return hp_noise_coefficient(params, s) * noise.grad_matrix(q)
-
+        noise_matrix = noise.grad_matrix
         tag = "HP-Lagrangian"
 
     elif isinstance(sys, MetricSystem):
         def drift_q(s, q, v):
             return np.asarray(v, dtype=float)
 
-        def drift_p(s, q, v):
+        def momentum_drift(q, v, damp):
             v = np.asarray(v, dtype=float)
             gam = christoffel(sys, q)
             geo = -np.einsum("ijk,j,k->i", gam, v, v)
-            return geo - _alpha_drift_factor(params, s) * v
+            return geo - damp * v
 
-        if eq15_literal:
-            from .specfun import gamma as _gamma, power_kernel
-
-            def diffusion_p(s, q):
-                coef = (_gamma(params.beta) / _gamma(params.alpha)
-                        * power_kernel(params.t_eval, s, params.beta - 1.0))
-                g_inv = np.linalg.inv(sys.metric_at(np.asarray(q, dtype=float)))
-                return coef * (g_inv @ noise.grad_matrix(q))
-        else:
-            def diffusion_p(s, q):
-                coef = hp_noise_coefficient(params, s)
-                g_inv = np.linalg.inv(sys.metric_at(np.asarray(q, dtype=float)))
-                return coef * (g_inv @ noise.grad_matrix(q))
+        def noise_matrix(q):
+            g_inv = np.linalg.inv(sys.metric_at(np.asarray(q, dtype=float)))
+            return g_inv @ noise.grad_matrix(q)
 
         tag = "Metric-velocity"
 
     else:
         raise TypeError(f"unsupported system type {type(sys)!r}")
 
-    return SdeFields(drift_q, drift_p, diffusion_p, tag,
-                     sys.dim, noise.m, system=sys, params=params)
+    return SdeFields(drift_q, momentum_drift, noise_matrix, tag,
+                     sys.dim, noise.m, system=sys, params=params,
+                     eq15_literal=eq15_literal and tag == "Metric-velocity")
 
 
 # ---------------------------------------------------------------------------
 # Built-in systems
 # ---------------------------------------------------------------------------
 
+def _builtin_coupling(name: str, cos: NoiseCoupling,
+                      dim: int) -> NoiseCoupling:
+    """The "cos" coupling given, or the noise-free "const" one."""
+    if name == "cos":
+        return cos
+    if name == "const":
+        return NoiseCoupling.constant([1.0], dim)
+    raise ValueError(f"unknown gamma coupling {name!r}")
+
+
+def _pendulum_parts(potential, gamma_coupling: str):
+    """(U, U', L, coupling) shared by both pendulum builders.
+
+    U and U' serve the per-step callables on floats; L(q, v) = v^2/2 - U(q)
+    follows the batch contract, so a custom U must also accept arrays.
+    """
+    if potential == "cos":
+        u, du, u_batch = math.cos, (lambda x: -math.sin(x)), np.cos
+    else:
+        u, du = potential
+        u_batch = u
+
+    def lagrangian(q, v):
+        return 0.5 * v[..., 0] ** 2 - u_batch(q[..., 0])
+
+    return u, du, lagrangian, _builtin_coupling(gamma_coupling,
+                                                NoiseCoupling.cos_q(), 1)
+
+
 def pendulum_system(potential: str | tuple = "cos",
                     gamma_coupling: str = "cos") -> HamiltonianSystem:
     """Noisy pendulum: H = p^2/2 + U(q) on the line, gamma(q) = cos q.
 
-    potential: "cos" for U(q) = cos q, or a (U, U') pair of callables on
-    floats.  gamma_coupling: "cos" or "const" (constant coupling turns the
-    noise off).
+    potential: "cos" for U(q) = cos q, or a (U, U') pair of numpy-callable
+    functions (U is evaluated on floats and on arrays of samples).
+    gamma_coupling: "cos" or "const" (constant coupling turns the noise
+    off).
     """
-    if potential == "cos":
-        u, du = math.cos, lambda q: -math.sin(q)
-    else:
-        u, du = potential
+    u, du, lagrangian, noise = _pendulum_parts(potential, gamma_coupling)
 
     def h_fn(q, p):
         return 0.5 * float(p[0]) ** 2 + u(float(q[0]))
@@ -417,30 +500,15 @@ def pendulum_system(potential: str | tuple = "cos",
     def grad_p(q, p):
         return np.array([float(p[0])])
 
-    def lagrangian(q, v):
-        return 0.5 * float(v[0]) ** 2 - u(float(q[0]))
-
-    if gamma_coupling == "cos":
-        noise = NoiseCoupling.cos_q()
-    elif gamma_coupling == "const":
-        noise = NoiseCoupling.constant([1.0], 1)
-    else:
-        raise ValueError(f"unknown gamma coupling {gamma_coupling!r}")
-
     return HamiltonianSystem(1, h_fn, noise, grad_q=grad_q, grad_p=grad_p,
                              lagrangian=lagrangian)
 
 
 def pendulum_lagrangian_system(potential: str | tuple = "cos",
                                gamma_coupling: str = "cos") -> LagrangianSystem:
-    """The pendulum as a Lagrangian system, L = v^2/2 - U(q)."""
-    if potential == "cos":
-        u, du = math.cos, lambda q: -math.sin(q)
-    else:
-        u, du = potential
-
-    def lagrangian(q, v):
-        return 0.5 * float(v[0]) ** 2 - u(float(q[0]))
+    """The pendulum as a Lagrangian system, L = v^2/2 - U(q); arguments as
+    for `pendulum_system`."""
+    _, du, lagrangian, noise = _pendulum_parts(potential, gamma_coupling)
 
     def grad_q(q, v):
         return np.array([-du(float(q[0]))])
@@ -450,13 +518,6 @@ def pendulum_lagrangian_system(potential: str | tuple = "cos",
 
     def v_hessian(q, v):
         return np.eye(1)
-
-    if gamma_coupling == "cos":
-        noise = NoiseCoupling.cos_q()
-    elif gamma_coupling == "const":
-        noise = NoiseCoupling.constant([1.0], 1)
-    else:
-        raise ValueError(f"unknown gamma coupling {gamma_coupling!r}")
 
     return LagrangianSystem(1, lagrangian, noise, grad_q=grad_q,
                             grad_v=grad_v, v_hessian=v_hessian)
@@ -475,13 +536,8 @@ def polar_metric_system(gamma_coupling: str = "cos") -> MetricSystem:
         dg[1, 1, 0] = 2.0 * r
         return dg
 
-    if gamma_coupling == "cos":
-        noise = NoiseCoupling(
-            (lambda q: math.cos(q[1]),),
-            (lambda q: np.array([0.0, -math.sin(q[1])]),))
-    elif gamma_coupling == "const":
-        noise = NoiseCoupling.constant([1.0], 2)
-    else:
-        raise ValueError(f"unknown gamma coupling {gamma_coupling!r}")
-
-    return MetricSystem(2, metric, noise, metric_grad=metric_grad)
+    cos_theta = NoiseCoupling((lambda q: np.cos(q[..., 1]),),
+                              (lambda q: np.array([0.0, -math.sin(q[1])]),))
+    return MetricSystem(2, metric, _builtin_coupling(gamma_coupling,
+                                                     cos_theta, 2),
+                        metric_grad=metric_grad)

@@ -67,6 +67,10 @@ class NoiseShapeUnsupported(FracHPError):
     """Noise coupling does not have the q-only, momentum-equation-only shape."""
 
 
+class BatchShapeError(FracHPError):
+    """A batched Lagrangian or coupling returned neither (...) nor ()."""
+
+
 # -- integrator --------------------------------------------------------------
 
 class NumericalBlowup(FracHPError):

@@ -29,15 +29,20 @@ def _lambdify_vec(args, exprs):
 
 
 def noise_from_expressions(exprs: list[str], dim: int) -> NoiseCoupling:
-    """Couplings gamma_a(q1..qn) from expression strings."""
+    """Couplings gamma_a(q1..qn) from expression strings.
+
+    The values follow the batch contract of `frachp.dynamics` (samples of
+    shape (..., n)); the gradients take one sample at a time.
+    """
     import sympy
     qs = _symbols("q", dim)
     gammas, grads = [], []
     for text in exprs:
         e = sympy.sympify(text)
-        fn = sympy.lambdify(qs, e, modules="math")
+        fn = sympy.lambdify(qs, e, modules="numpy")
         grad = _lambdify_vec(qs, [sympy.diff(e, q) for q in qs])
-        gammas.append(lambda q, _f=fn: float(_f(*np.atleast_1d(q))))
+        gammas.append(lambda q, _f=fn: _f(*np.moveaxis(
+            np.asarray(q, dtype=float), -1, 0)))
         grads.append(lambda q, _g=grad: _g(q))
     return NoiseCoupling(tuple(gammas), tuple(grads))
 

@@ -56,16 +56,25 @@ def euler_step(fields: SdeFields, s: float, q: np.ndarray, v: np.ndarray,
                p: np.ndarray, h: float, increments: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One explicit Euler step with left-endpoint coefficients; new (q, v, p)."""
+    return _step(fields, s, fields.damping(s), fields.noise_scale(s),
+                 q, v, p, h, increments)
+
+
+def _step(fields: SdeFields, s: float, damp: float, coef: float,
+          q: np.ndarray, v: np.ndarray, p: np.ndarray, h: float,
+          increments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """euler_step with the fractional coefficients at s already taken."""
     g = np.asarray(increments, dtype=float)
     if fields.formulation == "Metric-velocity":
         q_new = q + h * fields.drift_q(s, q, v)
-        v_new = (v + h * fields.drift_p(s, q, v)
-                 + fields.diffusion_p(s, q) @ g)
+        v_new = (v + h * fields.momentum_drift(q, v, damp)
+                 + (coef * fields.noise_matrix(q)) @ g)
         return q_new, v_new, fields.system.metric_at(q_new) @ v_new
 
     y = v if fields.formulation == "HP-Lagrangian" else p
     q_new = q + h * fields.drift_q(s, q, y)
-    p_new = p + h * fields.drift_p(s, q, y) + fields.diffusion_p(s, q) @ g
+    p_new = (p + h * fields.momentum_drift(q, y, damp)
+             + (coef * fields.noise_matrix(q)) @ g)
     if fields.formulation == "HP-Lagrangian":
         v_new = invert_legendre(fields.system, q_new, p_new)
     else:
@@ -98,14 +107,21 @@ class EulerRun:
 
 
 def integrate(run: EulerRun) -> Trajectory:
-    """Iterate the Euler scheme over the grid; aborts on non-finite states."""
-    n, h = run.grid.n_steps, run.grid.h
-    qs, vs, ps = (np.empty((n + 1, run.fields.dim)) for _ in range(3))
+    """Iterate the Euler scheme over the grid; aborts on non-finite states.
+
+    The fractional coefficients are taken once over the left endpoints of
+    all steps and then read per step.
+    """
+    fields, n, h = run.fields, run.grid.n_steps, run.grid.h
+    s = run.grid.points[:-1]
+    damp = np.broadcast_to(fields.damping(s), s.shape)
+    coef = np.broadcast_to(fields.noise_scale(s), s.shape)
+    qs, vs, ps = (np.empty((n + 1, fields.dim)) for _ in range(3))
     q, v, p = run.initial.q, run.initial.v, run.initial.p
     qs[0], vs[0], ps[0] = q, v, p
     for k in range(n):
-        q, v, p = euler_step(run.fields, run.grid.point(k), q, v, p, h,
-                             run.path.increments[k])
+        q, v, p = _step(fields, run.grid.point(k), damp[k], coef[k], q, v, p,
+                        h, run.path.increments[k])
         if (not np.all(np.isfinite(q)) or not np.all(np.isfinite(p))
                 or np.max(np.abs(q)) > BLOWUP_LIMIT
                 or np.max(np.abs(p)) > BLOWUP_LIMIT):
@@ -187,7 +203,9 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
     Deterministic part: left-endpoint integrand against the exact per-step
     integral of (t - s)^(alpha-1); qdot by forward differences.  Stochastic
     part: midpoint (Stratonovich) evaluation of gamma_a against the Wiener
-    increments, kernel (t - s)^(beta-1) at the step midpoint.
+    increments, kernel (t - s)^(beta-1) at the step midpoint.  Both parts
+    are evaluated on whole-grid arrays: one call of the Lagrangian and one
+    of each coupling, under the batch contract of `frachp.dynamics`.
     """
     grid = trajectory.grid
     if path.n_steps != grid.n_steps or not math.isclose(
@@ -198,23 +216,21 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
     h = grid.h
     w_alpha = _alpha_step_weights(t, s, params.alpha)
 
-    qs, vs, ps = trajectory.q, trajectory.v, trajectory.p
-    qdot = (qs[1:] - qs[:-1]) / h
+    q, v, p = trajectory.q[:-1], trajectory.v[:-1], trajectory.p[:-1]
+    q_next = trajectory.q[1:]
+    qdot = (q_next - q) / h
 
-    det = 0.0
-    for k in range(grid.n_steps):
-        lag = system_lagrangian(sys, qs[k], vs[k])
-        det += (lag + float(ps[k] @ (qdot[k] - vs[k]))) * w_alpha[k]
-    det /= gamma(params.alpha)
+    # Both sums run over the steps in grid order (a cumulative sum), so the
+    # result does not depend on how numpy or BLAS blocks a reduction.
+    integrand = (system_lagrangian(sys, q, v)
+                 + np.einsum("ki,ki->k", p, qdot - v))
+    det = float(np.cumsum(integrand * w_alpha)[-1]) / gamma(params.alpha)
 
     s_mid = s[:-1] + 0.5 * h
     kernel = (t - s_mid) ** (params.beta - 1.0)
-    q_mid = 0.5 * (qs[:-1] + qs[1:])
-    stoch = 0.0
-    for a, gamma_a in enumerate(sys.noise.gamma):
-        vals = np.array([gamma_a(q_mid[k]) for k in range(grid.n_steps)])
-        stoch += float(np.dot(vals * kernel, path.increments[:, a]))
-    stoch /= gamma(params.beta)
+    terms = (sys.noise.values(0.5 * (q + q_next)) * kernel[:, None]
+             * path.increments)
+    stoch = float(np.cumsum(terms.sum(axis=1))[-1]) / gamma(params.beta)
 
     return ActionEvaluation(det + stoch, trajectory, params)
 

@@ -60,10 +60,11 @@ def power_kernel(t: float, s: float, exponent: float):
     return float(out) if out.ndim == 0 else out
 
 
-def hp_noise_coefficient(params: FractionalParams, s) -> float:
+def hp_noise_coefficient(params: FractionalParams, s):
     """Noise coefficient (Gamma(alpha)/Gamma(beta)) (t_eval - s)^(beta - alpha).
 
-    Short-circuits to exactly 1.0 when alpha == beta bitwise, so the
+    s may be a float or an array of times.  Short-circuits to exactly 1.0
+    (a float, whatever s is) when alpha == beta bitwise, so the
     alpha = beta specialization of the momentum equation is exact rather
     than a rounding artifact.
     """

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from frachp.dynamics import system_lagrangian
+from frachp.specfun import gamma
+
 
 def rk4_terminal(fields, q0, p0, t_start, t_end, n_steps):
     """Classical RK4 on the drift-only (q, p) system; noise must be off.
@@ -28,6 +31,35 @@ def rk4_terminal(fields, q0, p0, t_start, t_end, n_steps):
         q = q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
         p = p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
     return q, p
+
+
+def action_reference(trajectory, sys, params, path) -> float:
+    """The discrete HP action by a direct loop over steps.
+
+    One Lagrangian call, one constraint dot product and one call of each
+    coupling per step: the quadrature of `evaluate_action`, written
+    sample by sample.
+    """
+    grid = trajectory.grid
+    t, h, s = params.t_eval, grid.h, grid.points
+    w_alpha = ((t - s[:-1]) ** params.alpha
+               - (t - s[1:]) ** params.alpha) / params.alpha
+    qs, vs, ps = trajectory.q, trajectory.v, trajectory.p
+    qdot = (qs[1:] - qs[:-1]) / h
+
+    det = 0.0
+    for k in range(grid.n_steps):
+        lag = system_lagrangian(sys, qs[k], vs[k])
+        det += (lag + float(ps[k] @ (qdot[k] - vs[k]))) * w_alpha[k]
+    det /= gamma(params.alpha)
+
+    kernel = (t - (s[:-1] + 0.5 * h)) ** (params.beta - 1.0)
+    q_mid = 0.5 * (qs[:-1] + qs[1:])
+    stoch = 0.0
+    for a, gamma_a in enumerate(sys.noise.gamma):
+        vals = np.array([gamma_a(q_mid[k]) for k in range(grid.n_steps)])
+        stoch += float(np.dot(vals * kernel, path.increments[:, a]))
+    return det + stoch / gamma(params.beta)
 
 
 def normal_cdf(x):

@@ -5,18 +5,21 @@ import pytest
 
 from frachp.core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
                          make_grid)
-from frachp.dynamics import (NoiseCoupling, SdeFields, assemble_hp_fields,
-                             pendulum_lagrangian_system, pendulum_system)
-from frachp.errors import (BoundaryViolation, GridMismatch,
+from frachp.dynamics import (LagrangianSystem, NoiseCoupling, SdeFields,
+                             assemble_hp_fields, pendulum_lagrangian_system,
+                             pendulum_system, polar_metric_system)
+from frachp.errors import (BatchShapeError, BoundaryViolation, GridMismatch,
                            GridReachesSingularity, NotApplicable,
                            NumericalBlowup)
+from frachp.exprsys import (hamiltonian_from_expression,
+                            metric_from_expressions)
 from frachp.integrator import (EulerRun, action_derivative, euler_step,
                                evaluate_action, initial_state, integrate,
                                random_admissible_perturbation,
                                stationarity_ratio, strong_convergence_order)
 from frachp.noise import generate_path, zero_path
 
-from ._reference import rk4_terminal
+from ._reference import action_reference, rk4_terminal
 
 CLASSICAL = FractionalParams(1.0, 1.0, 10.0)
 REFERENCE = FractionalParams(0.6, 0.3, 0.8)
@@ -50,8 +53,8 @@ class TestEulerStep:
         n = 1
         fields = SdeFields(
             drift_q=lambda s, q, y: np.zeros(n),
-            drift_p=lambda s, q, y: np.zeros(n),
-            diffusion_p=lambda s, q: np.zeros((n, 1)),
+            momentum_drift=lambda q, y, damp: np.zeros(n),
+            noise_matrix=lambda q: np.zeros((n, 1)),
             formulation="Hamiltonian", dim=n, channels=1,
             system=pendulum_system(), params=CLASSICAL)
         q, v, p = np.array([1.0]), np.array([0.5]), np.array([0.5])
@@ -119,8 +122,8 @@ class TestIntegrate:
         n = 1
         fields = SdeFields(
             drift_q=lambda s, q, y: np.zeros(n),
-            drift_p=lambda s, q, y: np.full(n, 1e15),
-            diffusion_p=lambda s, q: np.zeros((n, 1)),
+            momentum_drift=lambda q, y, damp: np.full(n, 1e15),
+            noise_matrix=lambda q: np.zeros((n, 1)),
             formulation="Hamiltonian", dim=n, channels=1,
             system=pendulum_system(), params=CLASSICAL)
         grid = make_grid(0.0, 0.1, 5, CLASSICAL)
@@ -166,8 +169,8 @@ class TestStrongConvergence:
         n = 1
         fields = SdeFields(
             drift_q=lambda s, q, y: np.zeros(n),
-            drift_p=lambda s, q, y: np.zeros(n),
-            diffusion_p=lambda s, q: np.zeros((n, 1)),
+            momentum_drift=lambda q, y, damp: np.zeros(n),
+            noise_matrix=lambda q: np.zeros((n, 1)),
             formulation="Hamiltonian", dim=n, channels=1,
             system=pendulum_system(), params=CLASSICAL)
         with pytest.raises(NotApplicable):
@@ -253,7 +256,7 @@ class TestAction:
         # L = v^2/2 - q^2/2 along q = sin(s) over [0, 1]
         import frachp.dynamics as dyn
         sys = dyn.LagrangianSystem(
-            1, lambda q, v: 0.5 * float(v[0]) ** 2 - 0.5 * float(q[0]) ** 2,
+            1, lambda q, v: 0.5 * v[..., 0] ** 2 - 0.5 * q[..., 0] ** 2,
             NoiseCoupling.constant([0.0], 1),
             grad_q=lambda q, v: np.array([-float(q[0])]),
             grad_v=lambda q, v: np.array([float(v[0])]),
@@ -288,6 +291,58 @@ class TestAction:
         bad = (np.ones((n1, 1)), np.zeros((n1, 1)), np.zeros((n1, 1)))
         with pytest.raises(BoundaryViolation):
             action_derivative(traj, sys, REFERENCE, path, bad)
+
+
+ACTION_SYSTEMS = {
+    "pendulum-cos": lambda: pendulum_system(gamma_coupling="cos"),
+    "pendulum-const": lambda: pendulum_system(gamma_coupling="const"),
+    "pendulum-lagrangian": pendulum_lagrangian_system,
+    "metric-polar": polar_metric_system,
+    "metric-custom": lambda: metric_from_expressions(
+        [["1", "0"], ["0", "q1**2"]], ["cos(q2)"], 2),
+    "hamiltonian-custom": lambda: hamiltonian_from_expression(
+        "p1**2/2 + cos(q1)", ["cos(q1)"], 1),
+}
+
+
+class TestActionOnArrays:
+    """evaluate_action against the step-by-step loop of the reference."""
+
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "zero"])
+    @pytest.mark.parametrize("name", list(ACTION_SYSTEMS))
+    def test_matches_step_loop(self, name, noisy):
+        sys = ACTION_SYSTEMS[name]()
+        h, n = 1e-3, 200
+        q0, p0 = ([1.0], [0.3]) if sys.dim == 1 else ([1.0, 0.2], [0.1, 0.4])
+        grid = make_grid(0.0, h, n, REFERENCE)
+        path = (generate_path(3, h, n, sys.noise.m) if noisy
+                else zero_path(h, n, sys.noise.m))
+        traj = integrate(EulerRun(assemble_hp_fields(sys, REFERENCE), grid,
+                                  path, initial_state(sys, q0, p0=p0),
+                                  REFERENCE))
+        # Perturb off the solution so that v != qdot and every term counts.
+        dq, dv, dp = random_admissible_perturbation(grid, sys.dim, seed=9)
+        traj = Trajectory(grid, traj.q + 0.05 * dq, traj.v + 0.05 * dv,
+                          traj.p + 0.05 * dp)
+        want = action_reference(traj, sys, REFERENCE, path)
+        got = evaluate_action(traj, sys, REFERENCE, path).value
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("lagrangian, gamma, role", [
+        (lambda q, v: v[0], lambda q: 1.0, "lagrangian"),
+        (lambda q, v: 0.0, lambda q: q[0], r"gamma\[0\]"),
+    ], ids=["lagrangian", "coupling"])
+    def test_per_sample_callable_rejected(self, lagrangian, gamma, role):
+        sys = LagrangianSystem(
+            1, lagrangian, NoiseCoupling((gamma,), (lambda q: np.zeros(1),)),
+            grad_q=lambda q, v: np.zeros(1), grad_v=lambda q, v: v,
+            v_hessian=lambda q, v: np.eye(1))
+        grid = make_grid(0.0, 0.01, 50, CLASSICAL)
+        ones = np.ones((51, 1))
+        with pytest.raises(BatchShapeError,
+                           match=rf"{role} .*<lambda>.*\(1,\)"):
+            evaluate_action(Trajectory(grid, ones, ones, ones), sys,
+                            CLASSICAL, zero_path(0.01, 50, 1))
 
 
 class TestStationarity:
