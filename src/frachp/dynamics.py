@@ -476,8 +476,8 @@ def _pendulum_parts(potential, gamma_coupling: str):
     def lagrangian(q, v):
         return 0.5 * v[..., 0] ** 2 - u_batch(q[..., 0])
 
-    return u, du, lagrangian, _builtin_coupling(gamma_coupling,
-                                                NoiseCoupling.cos_q(), 1)
+    noise = _builtin_coupling(gamma_coupling, NoiseCoupling.cos_q(), 1)
+    return u, du, lagrangian, noise
 
 
 def pendulum_system(potential: str | tuple = "cos",
@@ -538,6 +538,5 @@ def polar_metric_system(gamma_coupling: str = "cos") -> MetricSystem:
 
     cos_theta = NoiseCoupling((lambda q: np.cos(q[..., 1]),),
                               (lambda q: np.array([0.0, -math.sin(q[1])]),))
-    return MetricSystem(2, metric, _builtin_coupling(gamma_coupling,
-                                                     cos_theta, 2),
-                        metric_grad=metric_grad)
+    noise = _builtin_coupling(gamma_coupling, cos_theta, 2)
+    return MetricSystem(2, metric, noise, metric_grad=metric_grad)
