@@ -9,12 +9,14 @@ plain reals and are never wrapped.
 Batch contract.  A system's Lagrangian L(q, v) and every noise coupling
 gamma_a(q) accept leading batch axes: arrays of shape (..., n) map to
 values of shape (...).  A scalar () return is broadcast over the batch, so
-constants such as `lambda q, v: 0.0` keep working; any other shape raises
-BatchShapeError naming the callable.  `system_lagrangian` and
-`NoiseCoupling.values` evaluate through this contract, which is what lets
-the discrete action take one call per grid instead of one per step.  The
-per-step callables the integrator uses (gradients, `metric`, `metric_at`,
-Hessians) see one sample of shape (n,) at a time.
+constants such as `lambda q, v: 0.0` keep working; it must equal the
+callable's value on the last sample.  Any other shape, a scalar that does
+not, or a TypeError from the batched call raises BatchShapeError naming
+the callable.  `system_lagrangian` and `NoiseCoupling.values` evaluate
+through this contract, which is what lets the discrete action take one
+call per grid instead of one per step.  The per-step callables the
+integrator uses (gradients, `metric`, `metric_at`, Hessians) see one
+sample of shape (n,) at a time.
 """
 
 from __future__ import annotations
@@ -53,12 +55,31 @@ def central_gradient(f: Callable[[np.ndarray], np.ndarray],
 
 
 def _call_batched(fn, role: str, batch: tuple, *args) -> np.ndarray:
-    """fn(*args) under the batch contract: shape `batch`, or a broadcast ()."""
-    out = np.asarray(fn(*args), dtype=float)
+    """fn(*args) under the batch contract: shape `batch`, or a broadcast ().
+
+    A scalar for more than one sample must equal fn on the last sample.
+    That catches a per-sample callable reading row 0 of the batch, as
+    `float(v[0])` does without error under numpy < 2.4; under later numpy
+    that conversion raises TypeError, reported the same way.
+    """
+    name = getattr(fn, "__qualname__", repr(fn))
+    try:
+        out = np.asarray(fn(*args), dtype=float)
+        if out.shape == () and math.prod(batch) > 1:
+            last = (-1,) * len(batch)
+            probe = np.asarray(fn(*(a[last] for a in args)), dtype=float)
+            if not np.array_equal(out, probe, equal_nan=True):
+                raise BatchShapeError(
+                    f"{role} {name} returned one scalar for a batch of shape "
+                    f"{batch}, but {probe} on its last sample; it must map "
+                    f"(..., n) to (...)")
+    except TypeError as exc:
+        raise BatchShapeError(
+            f"{role} {name} failed on a batch of shape {batch} ({exc}); it "
+            f"must map (..., n) to (...)") from exc
     if out.shape == ():
         return np.broadcast_to(out, batch)
     if out.shape != batch:
-        name = getattr(fn, "__qualname__", repr(fn))
         raise BatchShapeError(
             f"{role} {name} returned shape {out.shape} for a batch of shape "
             f"{batch}; expected {batch} or a scalar")
@@ -344,48 +365,36 @@ def christoffel(sys: MetricSystem, q) -> np.ndarray:
 class SdeFields:
     """Assembled Ito-form right-hand sides for one system and parameter set.
 
-    y is p for the Hamiltonian and HP-Lagrangian formulations and v for the
-    metric-velocity formulation.  The momentum (or velocity) equation reads
+    drift_q/drift_p take (s, q, y) where y is p for the Hamiltonian and
+    HP-Lagrangian formulations and v for the metric-velocity formulation.
+    diffusion_p(s, q) is the n x m noise matrix of the momentum (or
+    velocity) equation; the q-equation never carries noise.
 
-        dy = momentum_drift(q, y, damping(s)) ds
-             + noise_scale(s) * noise_matrix(q) dW,
-
-    so the fractional coefficients damping and noise_scale depend on s
-    alone and can be taken once over a whole grid; the q-equation
-    dq = drift_q(s, q, y) ds never carries noise.  noise_matrix(q) is
-    n x m.  eq15_literal selects the printed metric-velocity noise
-    coefficient Gamma(beta)/Gamma(alpha) (t-s)^(beta-1).
+    The fractional coefficients depend on s alone: damping(s) is the
+    memory-drift factor of drift_p and noise_scale(s) the kernel
+    coefficient of diffusion_p, and both also take arrays of s.  drift_p
+    and diffusion_p accept that coefficient as an optional last argument,
+    so a caller that has taken it once over a whole grid passes it in
+    instead of having it recomputed per step.
     """
 
     drift_q: Callable
-    momentum_drift: Callable
-    noise_matrix: Callable
+    drift_p: Callable
+    diffusion_p: Callable
+    damping: Callable
+    noise_scale: Callable
     formulation: str
     dim: int
     channels: int
     system: SystemSpec = field(repr=False, default=None)
     params: FractionalParams = None
-    eq15_literal: bool = False
 
-    def damping(self, s):
-        """Memory-drift factor (alpha - 1)/(t_eval - s); s may be an array."""
-        if self.params.alpha == 1.0:
-            return 0.0
-        return (self.params.alpha - 1.0) / (self.params.t_eval - s)
 
-    def noise_scale(self, s):
-        """Kernel coefficient of the noise at s; s may be an array."""
-        pr = self.params
-        if self.eq15_literal:
-            return (gamma(pr.beta) / gamma(pr.alpha)
-                    * power_kernel(pr.t_eval, s, pr.beta - 1.0))
-        return hp_noise_coefficient(pr, s)
-
-    def drift_p(self, s, q, y):
-        return self.momentum_drift(q, y, self.damping(s))
-
-    def diffusion_p(self, s, q):
-        return self.noise_scale(s) * self.noise_matrix(q)
+def _alpha_drift_factor(params: FractionalParams, s):
+    """(alpha - 1)/(t_eval - s); s may be a float or an array of times."""
+    if params.alpha == 1.0:
+        return 0.0
+    return (params.alpha - 1.0) / (params.t_eval - s)
 
 
 def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
@@ -400,6 +409,17 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
     noise = sys.noise
     if noise.m < 1:
         raise NoiseShapeUnsupported("at least one noise channel required")
+
+    def damping(s):
+        return _alpha_drift_factor(params, s)
+
+    if eq15_literal and isinstance(sys, MetricSystem):
+        def noise_scale(s):
+            return (gamma(params.beta) / gamma(params.alpha)
+                    * power_kernel(params.t_eval, s, params.beta - 1.0))
+    else:
+        def noise_scale(s):
+            return hp_noise_coefficient(params, s)
 
     if isinstance(sys, HamiltonianSystem):
         def drift_q(s, q, p):
@@ -442,9 +462,14 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
     else:
         raise TypeError(f"unsupported system type {type(sys)!r}")
 
-    return SdeFields(drift_q, momentum_drift, noise_matrix, tag,
-                     sys.dim, noise.m, system=sys, params=params,
-                     eq15_literal=eq15_literal and tag == "Metric-velocity")
+    def drift_p(s, q, y, damp=None):
+        return momentum_drift(q, y, damping(s) if damp is None else damp)
+
+    def diffusion_p(s, q, coef=None):
+        return (noise_scale(s) if coef is None else coef) * noise_matrix(q)
+
+    return SdeFields(drift_q, drift_p, diffusion_p, damping, noise_scale,
+                     tag, sys.dim, noise.m, system=sys, params=params)
 
 
 # ---------------------------------------------------------------------------

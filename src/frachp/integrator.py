@@ -53,28 +53,25 @@ def initial_state(sys: SystemSpec, q0, p0=None, v0=None) -> PhaseState:
 
 
 def euler_step(fields: SdeFields, s: float, q: np.ndarray, v: np.ndarray,
-               p: np.ndarray, h: float, increments: np.ndarray
+               p: np.ndarray, h: float, increments: np.ndarray,
+               damp: float | None = None, coef: float | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One explicit Euler step with left-endpoint coefficients; new (q, v, p)."""
-    return _step(fields, s, fields.damping(s), fields.noise_scale(s),
-                 q, v, p, h, increments)
+    """One explicit Euler step with left-endpoint coefficients; new (q, v, p).
 
-
-def _step(fields: SdeFields, s: float, damp: float, coef: float,
-          q: np.ndarray, v: np.ndarray, p: np.ndarray, h: float,
-          increments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """euler_step with the fractional coefficients at s already taken."""
+    damp and coef are fields.damping(s) and fields.noise_scale(s); the
+    fields take them at s when they are not given.
+    """
     g = np.asarray(increments, dtype=float)
     if fields.formulation == "Metric-velocity":
         q_new = q + h * fields.drift_q(s, q, v)
-        v_new = (v + h * fields.momentum_drift(q, v, damp)
-                 + (coef * fields.noise_matrix(q)) @ g)
+        v_new = (v + h * fields.drift_p(s, q, v, damp)
+                 + fields.diffusion_p(s, q, coef) @ g)
         return q_new, v_new, fields.system.metric_at(q_new) @ v_new
 
     y = v if fields.formulation == "HP-Lagrangian" else p
     q_new = q + h * fields.drift_q(s, q, y)
-    p_new = (p + h * fields.momentum_drift(q, y, damp)
-             + (coef * fields.noise_matrix(q)) @ g)
+    p_new = (p + h * fields.drift_p(s, q, y, damp)
+             + fields.diffusion_p(s, q, coef) @ g)
     if fields.formulation == "HP-Lagrangian":
         v_new = invert_legendre(fields.system, q_new, p_new)
     else:
@@ -120,8 +117,8 @@ def integrate(run: EulerRun) -> Trajectory:
     q, v, p = run.initial.q, run.initial.v, run.initial.p
     qs[0], vs[0], ps[0] = q, v, p
     for k in range(n):
-        q, v, p = _step(fields, run.grid.point(k), damp[k], coef[k], q, v, p,
-                        h, run.path.increments[k])
+        q, v, p = euler_step(fields, run.grid.point(k), q, v, p, h,
+                             run.path.increments[k], damp[k], coef[k])
         if (not np.all(np.isfinite(q)) or not np.all(np.isfinite(p))
                 or np.max(np.abs(q)) > BLOWUP_LIMIT
                 or np.max(np.abs(p)) > BLOWUP_LIMIT):

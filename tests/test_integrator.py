@@ -53,8 +53,9 @@ class TestEulerStep:
         n = 1
         fields = SdeFields(
             drift_q=lambda s, q, y: np.zeros(n),
-            momentum_drift=lambda q, y, damp: np.zeros(n),
-            noise_matrix=lambda q: np.zeros((n, 1)),
+            drift_p=lambda s, q, y, damp=None: np.zeros(n),
+            diffusion_p=lambda s, q, coef=None: np.zeros((n, 1)),
+            damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
             formulation="Hamiltonian", dim=n, channels=1,
             system=pendulum_system(), params=CLASSICAL)
         q, v, p = np.array([1.0]), np.array([0.5]), np.array([0.5])
@@ -122,8 +123,9 @@ class TestIntegrate:
         n = 1
         fields = SdeFields(
             drift_q=lambda s, q, y: np.zeros(n),
-            momentum_drift=lambda q, y, damp: np.full(n, 1e15),
-            noise_matrix=lambda q: np.zeros((n, 1)),
+            drift_p=lambda s, q, y, damp=None: np.full(n, 1e15),
+            diffusion_p=lambda s, q, coef=None: np.zeros((n, 1)),
+            damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
             formulation="Hamiltonian", dim=n, channels=1,
             system=pendulum_system(), params=CLASSICAL)
         grid = make_grid(0.0, 0.1, 5, CLASSICAL)
@@ -169,8 +171,9 @@ class TestStrongConvergence:
         n = 1
         fields = SdeFields(
             drift_q=lambda s, q, y: np.zeros(n),
-            momentum_drift=lambda q, y, damp: np.zeros(n),
-            noise_matrix=lambda q: np.zeros((n, 1)),
+            drift_p=lambda s, q, y, damp=None: np.zeros(n),
+            diffusion_p=lambda s, q, coef=None: np.zeros((n, 1)),
+            damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
             formulation="Hamiltonian", dim=n, channels=1,
             system=pendulum_system(), params=CLASSICAL)
         with pytest.raises(NotApplicable):
@@ -330,18 +333,22 @@ class TestActionOnArrays:
 
     @pytest.mark.parametrize("lagrangian, gamma, role", [
         (lambda q, v: v[0], lambda q: 1.0, "lagrangian"),
+        (lambda q, v: 0.5 * float(v[0]) ** 2, lambda q: 1.0, "lagrangian"),
+        (lambda q, v: 0.5 * v.flat[0] ** 2, lambda q: 1.0, "lagrangian"),
         (lambda q, v: 0.0, lambda q: q[0], r"gamma\[0\]"),
-    ], ids=["lagrangian", "coupling"])
+        (lambda q, v: 0.0, lambda q: math.cos(q[0]), r"gamma\[0\]"),
+    ], ids=["lagrangian", "lagrangian-float", "lagrangian-flat", "coupling",
+            "coupling-math"])
     def test_per_sample_callable_rejected(self, lagrangian, gamma, role):
         sys = LagrangianSystem(
             1, lagrangian, NoiseCoupling((gamma,), (lambda q: np.zeros(1),)),
             grad_q=lambda q, v: np.zeros(1), grad_v=lambda q, v: v,
             v_hessian=lambda q, v: np.eye(1))
         grid = make_grid(0.0, 0.01, 50, CLASSICAL)
-        ones = np.ones((51, 1))
+        x = np.linspace(0.5, 1.5, 51)[:, None]
         with pytest.raises(BatchShapeError,
-                           match=rf"{role} .*<lambda>.*\(1,\)"):
-            evaluate_action(Trajectory(grid, ones, ones, ones), sys,
+                           match=rf"{role} .*<lambda>.*\(50,\)"):
+            evaluate_action(Trajectory(grid, x, x, x), sys,
                             CLASSICAL, zero_path(0.01, 50, 1))
 
 
