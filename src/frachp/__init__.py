@@ -19,6 +19,7 @@ from .integrator import (ActionEvaluation, EulerRun, action_derivative,
                          stationarity_ratio, strong_convergence_order)
 from .noise import (WienerPath, coarsen, generate_path, spawn_substream,
                     zero_path)
-from .specfun import KernelSpec, gamma, hp_noise_coefficient, power_kernel
+from .specfun import (gamma, hp_noise_coefficient, power_kernel,
+                      step_weights)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,25 +28,6 @@ from .noise import generate_path, spawn_substream, zero_path
 from .svgplot import write_orbit
 
 STATIONARITY_GATE = 1e-3
-
-
-def ensemble_map(fn, items):
-    """Map over an ensemble, optionally threaded (FRACHP_THREADS, 0 = auto).
-
-    Results are returned in input order, so parallelism never changes
-    output.
-    """
-    raw = os.environ.get("FRACHP_THREADS", "1")
-    try:
-        workers = int(raw or "0")
-    except ValueError:
-        raise ConfigError(f"FRACHP_THREADS={raw!r} is not an integer")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def build_system(cfg: RunConfig):
@@ -111,24 +90,23 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
             fh.write(f"{k},{traj.grid.point(k):.17g}," + ",".join(vals) + "\n")
 
 
-def _integrate_pair(cfg: RunConfig):
-    """Noisy and zero-noise trajectories for the configured run."""
+def _hp_run(cfg: RunConfig):
+    """Params, grid, system, fields and initial state of the configured run."""
     params = FractionalParams(cfg.alpha, cfg.beta, cfg.t_eval)
     grid = make_grid(0.0, cfg.h, cfg.n_steps, params)
     system = build_system(cfg)
     fields = assemble_hp_fields(system, params,
                                 eq15_literal=cfg.eq15_literal)
-    init = _initial_state(cfg, system)
+    return params, grid, system, fields, _initial_state(cfg, system)
+
+
+def cmd_simulate(cfg: RunConfig) -> int:
+    params, grid, system, fields, init = _hp_run(cfg)
     m = system.noise.m
     noisy_path = generate_path(cfg.seed, cfg.h, cfg.n_steps, m)
     det_path = zero_path(cfg.h, cfg.n_steps, m)
     noisy = integrate(EulerRun(fields, grid, noisy_path, init, params))
     det = integrate(EulerRun(fields, grid, det_path, init, params))
-    return params, system, fields, noisy, det, noisy_path
-
-
-def cmd_simulate(cfg: RunConfig) -> int:
-    params, system, fields, noisy, det, _ = _integrate_pair(cfg)
     outdir = _outdir(cfg)
     write_trajectory_csv(outdir / "trajectory.csv", noisy)
     write_trajectory_csv(outdir / "trajectory_deterministic.csv", det)
@@ -169,14 +147,14 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
 
 def cmd_action_check(cfg: RunConfig, _trajectory_override=None) -> int:
-    params, system, fields, noisy, det, noisy_path = _integrate_pair(cfg)
-    deterministic = cfg.gamma == "const"
+    params, grid, system, fields, init = _hp_run(cfg)
     m = system.noise.m
 
-    if deterministic:
-        traj = _trajectory_override or det
-        ratio = stationarity_ratio(traj, system, params,
-                                   zero_path(cfg.h, cfg.n_steps, m),
+    if cfg.gamma == "const":
+        path = zero_path(cfg.h, cfg.n_steps, m)
+        traj = _trajectory_override or integrate(
+            EulerRun(fields, grid, path, init, params))
+        ratio = stationarity_ratio(traj, system, params, path,
                                    n_perturbations=20, seed=cfg.seed)
         ok = ratio <= STATIONARITY_GATE
         verdict = "PASS" if ok else "FAIL"
@@ -189,8 +167,6 @@ def cmd_action_check(cfg: RunConfig, _trajectory_override=None) -> int:
 
     # Noisy case: expectation statistics, reported but not gated.
     n_paths = min(cfg.n_paths, 100)
-    grid = make_grid(0.0, cfg.h, cfg.n_steps, params)
-    init = _initial_state(cfg, system)
 
     def one(i: int) -> float:
         path = generate_path(spawn_substream(cfg.seed, i), cfg.h,
@@ -200,7 +176,7 @@ def cmd_action_check(cfg: RunConfig, _trajectory_override=None) -> int:
         return stationarity_ratio(traj, system, params, path,
                                   n_perturbations=5, seed=cfg.seed + i)
 
-    ratios = np.array(ensemble_map(one, range(n_paths)))
+    ratios = np.array([one(i) for i in range(n_paths)])
     print(f"action-check (noisy, {n_paths} paths): "
           f"mean |dA|/||w|| = {ratios.mean():.3e}, "
           f"max = {ratios.max():.3e} (not gated)")

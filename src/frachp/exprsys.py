@@ -10,6 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import HamiltonianSystem, MetricSystem, NoiseCoupling
+from .errors import ParseError
+
+
+def _parse(text: str, key: str):
+    """sympify the text of config key `key`; ParseError if it is malformed."""
+    import sympy
+    try:
+        return sympy.sympify(text)
+    except sympy.SympifyError:
+        raise ParseError(f"{key}: cannot parse {text!r} as an expression"
+                         ) from None
 
 
 def _symbols(prefix: str, n: int):
@@ -38,7 +49,7 @@ def noise_from_expressions(exprs: list[str], dim: int) -> NoiseCoupling:
     qs = _symbols("q", dim)
     gammas, grads = [], []
     for text in exprs:
-        e = sympy.sympify(text)
+        e = _parse(text, "gamma_expr")
         fn = sympy.lambdify(qs, e, modules="numpy")
         grad = _lambdify_vec(qs, [sympy.diff(e, q) for q in qs])
         gammas.append(lambda q, _f=fn: _f(*np.moveaxis(
@@ -52,7 +63,7 @@ def hamiltonian_from_expression(h_expr: str, gamma_exprs: list[str],
     """HamiltonianSystem from H(q1..qn, p1..pn) expression text."""
     import sympy
     qs, ps = _symbols("q", dim), _symbols("p", dim)
-    h_sym = sympy.sympify(h_expr)
+    h_sym = _parse(h_expr, "hamiltonian_expr")
     h_fn = sympy.lambdify(qs + ps, h_sym, modules="math")
     grad_q = _lambdify_vec(qs + ps, [sympy.diff(h_sym, q) for q in qs])
     grad_p = _lambdify_vec(qs + ps, [sympy.diff(h_sym, p) for p in ps])
@@ -70,7 +81,8 @@ def metric_from_expressions(rows: list[list[str]], gamma_exprs: list[str],
     """MetricSystem from an n x n table of g_ij(q1..qn) expression strings."""
     import sympy
     qs = _symbols("q", dim)
-    g_sym = sympy.Matrix([[sympy.sympify(e) for e in row] for row in rows])
+    g_sym = sympy.Matrix([[_parse(e, "metric_expr") for e in row]
+                          for row in rows])
     if g_sym.shape != (dim, dim):
         raise ValueError(f"metric table shape {g_sym.shape} != ({dim}, {dim})")
     g_fn = sympy.lambdify(qs, g_sym, modules="numpy")

@@ -20,7 +20,7 @@ import numpy as np
 from .core import TimeGrid
 from .errors import (BadChannel, GridMismatch, InvalidOrder, NegativeRate)
 from .noise import WienerPath
-from .specfun import gamma
+from .specfun import gamma, step_weights
 
 _END_TOL = 1e-12
 
@@ -56,13 +56,6 @@ def _check_span(grid: TimeGrid, t: float) -> None:
         raise GridMismatch(f"grid end {grid.t_end} exceeds t = {t}")
 
 
-def _drift_step_weights(t: float, s: np.ndarray, beta: float) -> np.ndarray:
-    """Exact per-step integrals of (t - s)^(beta-1): one weight per step."""
-    left = np.maximum(t - s[:-1], 0.0)
-    right = np.maximum(t - s[1:], 0.0)
-    return (left ** beta - right ** beta) / beta
-
-
 def left_rectangle_integral(f: SampledFunction) -> float:
     """Plain left-endpoint rectangle integral over the sample's grid."""
     return float(np.sum(f.values[:-1]) * f.grid.h)
@@ -76,7 +69,7 @@ def rl_integral(f: SampledFunction, beta: float, t: float) -> float:
     """
     _check_order(beta)
     _check_span(f.grid, t)
-    w = _drift_step_weights(t, f.grid.points, beta)
+    w = step_weights(t, f.grid.points, beta)
     return float(np.dot(f.values[:-1], w) / gamma(beta))
 
 
@@ -93,12 +86,11 @@ def fractional_wiener_integral(g: SampledFunction, beta: float, t: float,
     _check_span(g.grid, t)
     if not (0 <= channel < path.channels):
         raise BadChannel(f"channel {channel} of {path.channels}")
-    if path.n_steps != g.grid.n_steps or abs(path.h - g.grid.h) > _END_TOL:
-        raise GridMismatch("sample grid and Wiener path are not aligned")
+    path.check_aligned(g.grid)
     s = g.grid.points
     if g.grid.t_end >= t - _END_TOL * max(1.0, abs(t)):
         # Endpoint touches t: RMS weight keeps sum_k kappa_k^2 h exact.
-        kappa = np.sqrt(_drift_step_weights(t, s, beta) / g.grid.h)
+        kappa = np.sqrt(step_weights(t, s, beta) / g.grid.h)
     else:
         kappa = (t - s[:-1]) ** ((beta - 1.0) / 2.0)
     total = np.dot(g.values[:-1] * kappa, path.increments[:, channel])
@@ -158,26 +150,30 @@ def volterra_paths(coeffs: VolterraCoefficients, beta: float, grid: TimeGrid,
 
     increments has shape (n_paths, N); returns X of shape (n_paths, N+1).
     The kernels' outer time is the current grid point, so each step
-    re-evaluates the full history sums (O(N^2)).
+    re-evaluates the full history sums (O(N^2)).  On the uniform grid a
+    kernel weight depends only on the lag between the outer time and the
+    step, so the weights are taken once, with outer time t_end: step k
+    reads the last k + 1 of them.
     """
     _check_order(beta)
     inc = np.atleast_2d(np.asarray(increments, dtype=float))
     if inc.shape[1] != grid.n_steps:
         raise GridMismatch("increment table does not match the grid")
     mu, sg = coeffs.sampled(grid)
-    s = grid.points
-    h = grid.h
+    n = grid.n_steps
+    w = step_weights(grid.t_end, grid.points, beta)
+    kappa = np.sqrt(w / grid.h)
     g_beta = gamma(beta)
     g_half = gamma((beta + 1.0) / 2.0)
 
-    x = np.empty((inc.shape[0], grid.n_steps + 1))
+    x = np.empty((inc.shape[0], n + 1))
+    x_inc = np.empty_like(inc)                  # X(s_j) dW_j, one per step
     x[:, 0] = coeffs.x0
-    for k in range(grid.n_steps):
-        t_next = s[k + 1]
-        w = _drift_step_weights(t_next, s[:k + 2], beta)        # (k+1,)
-        kappa = np.sqrt(w / h)
-        drift = x[:, :k + 1] @ (mu[:k + 1] * w)
-        stoch = (x[:, :k + 1] * inc[:, :k + 1]) @ (sg[:k + 1] * kappa)
+    for k in range(n):
+        lag = n - 1 - k
+        x_inc[:, k] = x[:, k] * inc[:, k]
+        drift = x[:, :k + 1] @ (mu[:k + 1] * w[lag:])
+        stoch = x_inc[:, :k + 1] @ (sg[:k + 1] * kappa[lag:])
         x[:, k + 1] = coeffs.x0 + drift / g_beta + stoch / g_half
     return x
 
@@ -186,7 +182,6 @@ def solve_fractional_black_scholes(coeffs: VolterraCoefficients, beta: float,
                                    grid: TimeGrid,
                                    path: WienerPath) -> SampledFunction:
     """Price path X on the grid for a single Wiener path (first channel)."""
-    if path.n_steps != grid.n_steps or abs(path.h - grid.h) > _END_TOL:
-        raise GridMismatch("grid and path are not aligned")
+    path.check_aligned(grid)
     x = volterra_paths(coeffs, beta, grid, path.increments[:, 0][None, :])
     return SampledFunction(grid, x[0])

@@ -19,11 +19,11 @@ from .core import (FractionalParams, PhaseState, SeedRecord, TimeGrid,
 from .dynamics import (HamiltonianSystem, LagrangianSystem, MetricSystem,
                        SdeFields, SystemSpec, invert_legendre,
                        system_lagrangian)
-from .errors import (BoundaryViolation, GridMismatch, NotApplicable,
-                     NumericalBlowup)
+from .errors import (BoundaryViolation, GridMismatch, IndivisibleFactor,
+                     NotApplicable, NumericalBlowup)
 from .noise import (WienerPath, _uniforms, coarsen, generate_path,
                     spawn_substream)
-from .specfun import gamma
+from .specfun import gamma, step_weights
 
 BLOWUP_LIMIT = 1e12
 
@@ -90,10 +90,7 @@ class EulerRun:
     params: FractionalParams
 
     def __post_init__(self):
-        if (self.grid.n_steps != self.path.n_steps
-                or not math.isclose(self.grid.h, self.path.h,
-                                    rel_tol=1e-12, abs_tol=0.0)):
-            raise GridMismatch("grid and Wiener path are not aligned")
+        self.path.check_aligned(self.grid)
         if self.path.channels != self.fields.channels:
             raise GridMismatch(
                 f"path has {self.path.channels} channels, "
@@ -145,9 +142,10 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
     n_fine = round((t_end - t_start) / base_h)
     top_factor = 2 ** (levels - 1)
     if n_fine % top_factor != 0 or n_fine < top_factor:
-        raise ValueError(
-            f"(t_end - t_start)/base_h = {n_fine} not divisible by "
-            f"2^(levels-1) = {top_factor}")
+        raise IndivisibleFactor(
+            f"(t_end - t_start)/h = {n_fine} steps (h = {base_h!r}, "
+            f"t_end = {t_end!r}) is not a multiple of "
+            f"2^(levels-1) = {top_factor} (levels = {levels})")
 
     grids = [make_grid(t_start, base_h * 2 ** l, n_fine // 2 ** l, params)
              for l in range(levels)]
@@ -188,10 +186,6 @@ class ActionEvaluation:
             raise ValueError("action value is not finite")
 
 
-def _alpha_step_weights(t: float, s: np.ndarray, alpha: float) -> np.ndarray:
-    return ((t - s[:-1]) ** alpha - (t - s[1:]) ** alpha) / alpha
-
-
 def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
                     params: FractionalParams,
                     path: WienerPath) -> ActionEvaluation:
@@ -205,13 +199,11 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
     of each coupling, under the batch contract of `frachp.dynamics`.
     """
     grid = trajectory.grid
-    if path.n_steps != grid.n_steps or not math.isclose(
-            path.h, grid.h, rel_tol=1e-12, abs_tol=0.0):
-        raise GridMismatch("trajectory and path are not aligned")
+    path.check_aligned(grid)
     t = params.t_eval
     s = grid.points
     h = grid.h
-    w_alpha = _alpha_step_weights(t, s, params.alpha)
+    w_alpha = step_weights(t, s, params.alpha)
 
     q, v, p = trajectory.q[:-1], trajectory.v[:-1], trajectory.p[:-1]
     q_next = trajectory.q[1:]

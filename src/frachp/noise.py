@@ -14,11 +14,13 @@ changing any of them is a format break.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndivisibleFactor, NonPositiveStep, ZeroSteps
+from .errors import (GridMismatch, IndivisibleFactor, NonPositiveStep,
+                     ZeroSteps)
 
 RNG_VERSION = "frachp-rng-v1"
 
@@ -106,6 +108,20 @@ class WienerPath:
         inc = inc.copy()
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
+
+    def check_aligned(self, grid) -> None:
+        """Raise GridMismatch unless the path has the grid's steps and h.
+
+        The steps must agree to a relative 1e-12, so the check does not
+        depend on the scale of h.
+        """
+        if (self.n_steps != grid.n_steps
+                or not math.isclose(self.h, grid.h, rel_tol=1e-12,
+                                    abs_tol=0.0)):
+            raise GridMismatch(
+                f"grid ({grid.n_steps} steps of h = {grid.h!r}) and Wiener "
+                f"path ({self.n_steps} steps of h = {self.h!r}) are not "
+                f"aligned")
 
     @property
     def terminal(self) -> np.ndarray:

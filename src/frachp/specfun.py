@@ -1,5 +1,5 @@
-"""Gamma function and the singular power kernels used by every fractional
-formula in the package.
+"""Gamma function, the singular power kernels used by every fractional
+formula in the package, and the kernels' exact per-step integrals.
 
 The gamma function is a Lanczos approximation (g = 7, 9 coefficients), good
 to about 15 significant digits for positive real arguments, so there is no
@@ -9,7 +9,8 @@ special-function dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .core import FractionalParams
 from .errors import KernelSingularity, NonPositiveArgument
@@ -51,8 +52,6 @@ def power_kernel(t: float, s: float, exponent: float):
 
     Raises KernelSingularity when any t - s <= 0.
     """
-    import numpy as np
-
     dt = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
     if np.any(dt <= 0.0):
         raise KernelSingularity(f"t - s = {dt} not positive")
@@ -74,29 +73,16 @@ def hp_noise_coefficient(params: FractionalParams, s):
     return ratio * power_kernel(params.t_eval, s, params.beta - params.alpha)
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """A power kernel prefactor * (t - s)^exponent."""
+def step_weights(t: float, s, order: float) -> np.ndarray:
+    """Exact integrals of (t - u)^(order - 1) over each step [s[j], s[j+1]].
 
-    exponent: float
-    prefactor: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.prefactor) and self.prefactor > 0.0):
-            raise ValueError(f"bad kernel prefactor {self.prefactor}")
-
-    def __call__(self, t: float, s) -> float:
-        return self.prefactor * power_kernel(t, s, self.exponent)
-
-    @classmethod
-    def momentum_noise(cls, params: FractionalParams) -> "KernelSpec":
-        return cls(params.beta - params.alpha,
-                   gamma(params.alpha) / gamma(params.beta))
-
-    @classmethod
-    def riemann_liouville(cls, beta: float) -> "KernelSpec":
-        return cls(beta - 1.0, 1.0 / gamma(beta))
-
-    @classmethod
-    def wiener(cls, beta: float) -> "KernelSpec":
-        return cls((beta - 1.0) / 2.0, 1.0 / gamma((beta + 1.0) / 2.0))
+    s holds the grid points, so there is one weight per step:
+    ((t - s[j])^order - (t - s[j+1])^order) / order.  t - s is clamped at 0,
+    so a step at or past t gets weight 0 rather than a NaN.  This is the
+    kernel half of the product rectangle rule behind every fractional
+    integral in the package.
+    """
+    s = np.asarray(s, dtype=float)
+    left = np.maximum(t - s[:-1], 0.0)
+    right = np.maximum(t - s[1:], 0.0)
+    return (left ** order - right ** order) / order

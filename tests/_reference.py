@@ -62,6 +62,35 @@ def action_reference(trajectory, sys, params, path) -> float:
     return det + stoch / gamma(params.beta)
 
 
+def volterra_reference(coeffs, beta, grid, increments):
+    """The Volterra-Euler recursion of `volterra_paths`, weights per step.
+
+    Each step k takes its drift weights, the exact integrals of
+    (t_{k+1} - u)^(beta-1) over the steps so far, and their RMS kernel
+    directly at the outer time t_{k+1}, instead of slicing one weight
+    vector taken at t_end.
+    """
+    inc = np.atleast_2d(np.asarray(increments, dtype=float))
+    mu, sg = coeffs.sampled(grid)
+    s = grid.points
+    h = grid.h
+    g_beta = gamma(beta)
+    g_half = gamma((beta + 1.0) / 2.0)
+
+    x = np.empty((inc.shape[0], grid.n_steps + 1))
+    x[:, 0] = coeffs.x0
+    for k in range(grid.n_steps):
+        t_next = s[k + 1]
+        left = np.maximum(t_next - s[:k + 1], 0.0)
+        right = np.maximum(t_next - s[1:k + 2], 0.0)
+        w = (left ** beta - right ** beta) / beta                # (k+1,)
+        kappa = np.sqrt(w / h)
+        drift = x[:, :k + 1] @ (mu[:k + 1] * w)
+        stoch = (x[:, :k + 1] * inc[:, :k + 1]) @ (sg[:k + 1] * kappa)
+        x[:, k + 1] = coeffs.x0 + drift / g_beta + stoch / g_half
+    return x
+
+
 def normal_cdf(x):
     from math import erf, sqrt
     x = np.asarray(x, dtype=float)

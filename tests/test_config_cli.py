@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from frachp.cli import ensemble_map, main
+from frachp.cli import main
 from frachp.config import RunConfig, config_lines, parse_config
 from frachp.core import Trajectory, make_grid
 from frachp.errors import ConfigError, MissingKey, ParseError, UnknownKey
@@ -30,6 +30,7 @@ def assert_cli_rejects(tmp_path, capsys, command, text, match):
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert re.search(match, err) and "Traceback" not in err
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -210,6 +211,21 @@ class TestSimulateCommand:
         assert_cli_rejects(tmp_path, capsys, command, text,
                            rf"{key} has \d entries.* dimension \d")
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("hamiltonian_expr", {"system": "hamiltonian:custom",
+                              "hamiltonian_expr": "p1**2/2 + cos(q1"}),
+        ("gamma_expr", {"system": "hamiltonian:custom",
+                        "hamiltonian_expr": "p1**2/2 + cos(q1)",
+                        "gamma_expr": "cos(q1"}),
+        ("metric_expr", {"system": "metric:custom", "dim": 2,
+                         "metric_expr": "1, 0; 0, q1**"}),
+    ], ids=["hamiltonian_expr", "gamma_expr", "metric_expr"])
+    def test_malformed_expression_names_key(self, tmp_path, capsys, key,
+                                            overrides):
+        cfg_path, _ = small_config(tmp_path, **overrides)
+        assert_cli_rejects(tmp_path, capsys, "simulate",
+                           cfg_path.read_text(), rf"{key}: cannot parse")
+
 
 class TestConvergenceCommand:
     def test_slope_and_csv(self, tmp_path, capsys):
@@ -225,6 +241,14 @@ class TestConvergenceCommand:
         assert "slope" in out
         man = (tmp_path / "out" / "run_manifest").read_text()
         assert "fitted_slope = " in man
+
+    def test_indivisible_grid_is_an_error(self, tmp_path, capsys):
+        # 0.4 / 0.0003 = 1333 steps, not a multiple of 2^(levels-1) = 8
+        cfg_path, _ = small_config(tmp_path, h=0.0003, t_end=0.4, levels=4,
+                                   n_paths=2)
+        assert_cli_rejects(tmp_path, capsys, "convergence",
+                           cfg_path.read_text(),
+                           r"h = 0\.0003.*t_end = 0\.4.*levels = 4")
 
 
 class TestActionCheckCommand:
@@ -291,27 +315,6 @@ class TestVolterraCommand:
         cfg_path, _ = small_config(tmp_path, beta=0.5, h=0.01,
                                    n_steps=100, t_eval=1.0, n_paths=2)
         assert main(["volterra", "--config", str(cfg_path)]) == 0
-
-
-class TestEnsembleMap:
-    def test_threaded_matches_serial(self, monkeypatch):
-        items = list(range(50))
-        fn = lambda x: x * x  # noqa: E731
-        monkeypatch.delenv("FRACHP_THREADS", raising=False)
-        serial = ensemble_map(fn, items)
-        monkeypatch.setenv("FRACHP_THREADS", "4")
-        assert ensemble_map(fn, items) == serial
-        monkeypatch.setenv("FRACHP_THREADS", "0")  # auto worker count
-        assert ensemble_map(fn, items) == serial
-
-    def test_non_integer_thread_count(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("FRACHP_THREADS", "two")
-        with pytest.raises(ConfigError, match="FRACHP_THREADS"):
-            ensemble_map(abs, [1, 2])
-        cfg_path, _ = small_config(tmp_path, gamma="cos", n_paths=2,
-                                   n_steps=200)
-        assert_cli_rejects(tmp_path, capsys, "action-check",
-                           cfg_path.read_text(), "FRACHP_THREADS")
 
 
 def test_missing_config_file_is_an_error(tmp_path, capsys):

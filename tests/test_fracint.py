@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frachp import fracint
 from frachp.core import TimeGrid
 from frachp.errors import (BadChannel, GridMismatch, InvalidOrder,
                            NegativeRate)
@@ -13,7 +14,9 @@ from frachp.fracint import (SampledFunction, VolterraCoefficients,
                             left_rectangle_integral, rl_integral,
                             solve_fractional_black_scholes, volterra_paths)
 from frachp.noise import generate_path, spawn_substream
-from frachp.specfun import gamma
+from frachp.specfun import gamma, step_weights
+
+from ._reference import volterra_reference
 
 
 def const_sample(value, h, n):
@@ -107,6 +110,13 @@ class TestFractionalWienerIntegral:
         with pytest.raises(GridMismatch):
             fractional_wiener_integral(g, 0.3, 0.8, path, 0)
 
+    def test_step_mismatch_is_relative(self):
+        # h differs by 1e-9 relative, far below an absolute 1e-12 at h = 1e-4
+        g = const_sample(1.0, 1e-4, 80)
+        path = generate_path(1, 1e-4 * (1 + 1e-9), 80, 1)
+        with pytest.raises(GridMismatch):
+            fractional_wiener_integral(g, 0.3, 0.8, path, 0)
+
     def test_linearity_in_g(self):
         grid = TimeGrid(0.0, 0.01, 60)
         path = generate_path(5, 0.01, 60, 1)
@@ -171,6 +181,35 @@ class TestVolterra:
         xt = volterra_paths(coeffs, 0.5, grid, inc)[:, -1]
         se = xt.std(ddof=1) / math.sqrt(len(xt))
         assert abs(xt.mean() - 1.0) <= 3.0 * se
+
+    @pytest.mark.parametrize("sampled", [False, True],
+                             ids=["constant", "sampled"])
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 1.0])
+    def test_matches_per_step_reference(self, beta, sampled, monkeypatch):
+        n, h = 2000, 5e-4
+        grid = TimeGrid(0.0, h, n)
+        if sampled:
+            s = grid.points
+            coeffs = VolterraCoefficients(mu=0.1 + 0.05 * np.sin(3.0 * s),
+                                          sigma=0.3 + 0.15 * np.cos(2.0 * s),
+                                          x0=1.0)
+        else:
+            coeffs = VolterraCoefficients(mu=0.05, sigma=0.3, x0=1.0)
+        inc = np.vstack([
+            generate_path(spawn_substream(21, i), h, n, 1).increments[:, 0]
+            for i in range(8)])
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return step_weights(*args)
+
+        monkeypatch.setattr(fracint, "step_weights", counted)
+        x = volterra_paths(coeffs, beta, grid, inc)
+        assert len(calls) == 1
+        x_ref = volterra_reference(coeffs, beta, grid, inc)
+        # Relative to the largest value, not pointwise: X passes near 0.
+        assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
     def test_single_path_wrapper(self):
         grid = TimeGrid(0.0, 0.01, 50)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from frachp.core import FractionalParams
 from frachp.errors import KernelSingularity, NonPositiveArgument
-from frachp.specfun import KernelSpec, gamma, hp_noise_coefficient, power_kernel
+from frachp.specfun import (gamma, hp_noise_coefficient, power_kernel,
+                            step_weights)
 
 
 def mp_gamma(x):
@@ -96,13 +97,13 @@ class TestNoiseCoefficient:
             0.53226112619256554, rel=1e-12)
 
 
-class TestKernelSpec:
-    def test_momentum_noise_matches_coefficient(self):
-        params = FractionalParams(0.6, 0.3, 0.8)
-        spec = KernelSpec.momentum_noise(params)
-        assert spec(0.8, 0.2) == pytest.approx(
-            hp_noise_coefficient(params, 0.2), rel=1e-13)
+class TestStepWeights:
+    def test_sum_is_the_kernel_integral(self):
+        s = np.linspace(0.0, 0.8, 81)
+        w = step_weights(0.8, s, 0.3)
+        assert w.shape == (80,)
+        assert np.sum(w) == pytest.approx(0.8 ** 0.3 / 0.3, rel=1e-13)
 
-    def test_prefactor_positive(self):
-        with pytest.raises(ValueError):
-            KernelSpec(0.5, -1.0)
+    def test_steps_past_t_weigh_zero(self):
+        w = step_weights(0.5, np.linspace(0.0, 1.0, 11), 0.3)
+        assert np.all(w[:5] > 0.0) and np.all(w[5:] == 0.0)
