@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .core import (FractionalParams, PhaseState, SeedRecord, TimeGrid,
-                   Trajectory, make_grid)
+from .core import FractionalParams, PhaseState, TimeGrid, Trajectory, make_grid
 from .dynamics import (HamiltonianSystem, LagrangianSystem, MetricSystem,
                        NoiseCoupling, SdeFields, assemble_hp_fields,
                        christoffel, hamiltonian_from_lagrangian,
@@ -13,10 +12,10 @@ from .dynamics import (HamiltonianSystem, LagrangianSystem, MetricSystem,
 from .fracint import (SampledFunction, VolterraCoefficients, bank_account,
                       fractional_wiener_integral, rl_integral,
                       solve_fractional_black_scholes, volterra_paths)
-from .integrator import (ActionEvaluation, EulerRun, action_derivative,
-                         euler_step, evaluate_action, initial_state,
-                         integrate, random_admissible_perturbation,
-                         stationarity_ratio, strong_convergence_order)
+from .integrator import (EulerRun, action_derivative, euler_step,
+                         evaluate_action, initial_state, integrate,
+                         random_admissible_perturbation, stationarity_ratio,
+                         strong_convergence_order)
 from .noise import (WienerPath, coarsen, generate_path, spawn_substream,
                     zero_path)
 from .specfun import (gamma, hp_noise_coefficient, power_kernel,

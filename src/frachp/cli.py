@@ -20,7 +20,7 @@ from .config import RunConfig, config_lines, parse_config
 from .core import FractionalParams, TimeGrid, Trajectory, make_grid
 from .dynamics import (assemble_hp_fields, pendulum_system,
                        polar_metric_system)
-from .errors import ConfigError, FracHPError, NotApplicable, ParseError
+from .errors import ConfigError, FracHPError, ParseError
 from .fracint import VolterraCoefficients, volterra_paths
 from .integrator import (EulerRun, initial_state, integrate,
                          stationarity_ratio, strong_convergence_order)
@@ -146,14 +146,13 @@ def cmd_convergence(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_action_check(cfg: RunConfig, _trajectory_override=None) -> int:
+def cmd_action_check(cfg: RunConfig) -> int:
     params, grid, system, fields, init = _hp_run(cfg)
     m = system.noise.m
 
     if cfg.gamma == "const":
         path = zero_path(cfg.h, cfg.n_steps, m)
-        traj = _trajectory_override or integrate(
-            EulerRun(fields, grid, path, init, params))
+        traj = integrate(EulerRun(fields, grid, path, init, params))
         ratio = stationarity_ratio(traj, system, params, path,
                                    n_perturbations=20, seed=cfg.seed)
         ok = ratio <= STATIONARITY_GATE
@@ -171,8 +170,7 @@ def cmd_action_check(cfg: RunConfig, _trajectory_override=None) -> int:
     def one(i: int) -> float:
         path = generate_path(spawn_substream(cfg.seed, i), cfg.h,
                              cfg.n_steps, m)
-        traj = _trajectory_override or integrate(
-            EulerRun(fields, grid, path, init, params))
+        traj = integrate(EulerRun(fields, grid, path, init, params))
         return stationarity_ratio(traj, system, params, path,
                                   n_perturbations=5, seed=cfg.seed + i)
 
@@ -256,7 +254,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out=args.out)
         return _COMMANDS[args.command](cfg)
-    except (FracHPError, NotApplicable, OSError) as exc:
+    except (FracHPError, OSError) as exc:
         print(f"frachp {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,8 +5,7 @@ comments, no nesting.  Unknown keys are hard errors so typos never pass
 silently.
 """
 
-from __future__ import annotations
-
+import dataclasses
 from dataclasses import dataclass, field
 
 from .errors import MissingKey, ParseError, UnknownKey
@@ -31,6 +30,9 @@ def _parse_exprs(text: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings.  The fields are the config schema: each is a key,
+    parsed by its declared type, and required when it has no default."""
+
     system: str
     alpha: float
     beta: float
@@ -73,39 +75,24 @@ class RunConfig:
             raise ParseError(f"n_steps={self.n_steps} must be >= 1")
         if self.n_paths < 1:
             raise ParseError(f"n_paths={self.n_paths} must be >= 1")
+        if self.dim < 1:
+            raise ParseError(f"dim={self.dim} must be >= 1")
         if self.levels < 3:
             raise ParseError(f"levels={self.levels} must be >= 3")
         if self.gamma not in ("cos", "const"):
             raise ParseError(f"gamma={self.gamma!r} must be cos or const")
 
 
-_CONVERTERS = {
-    "system": str,
-    "alpha": float,
-    "beta": float,
-    "t_eval": float,
-    "h": float,
-    "n_steps": int,
-    "seed": int,
-    "n_paths": int,
-    "q0": _parse_vector,
-    "p0": _parse_vector,
-    "out": str,
-    "plot": _parse_bool,
-    "eq15_literal": _parse_bool,
-    "gamma": str,
-    "levels": int,
-    "t_end": float,
-    "mu": float,
-    "sigma": float,
-    "x0": float,
-    "dim": int,
-    "hamiltonian_expr": str,
-    "metric_expr": str,
-    "gamma_expr": _parse_exprs,
+_PARSERS = {
+    float: float,
+    int: int,
+    str: str,
+    bool: _parse_bool,
+    tuple[float, ...]: _parse_vector,
+    tuple[str, ...]: _parse_exprs,
 }
 
-_REQUIRED = ("system", "alpha", "beta", "t_eval")
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -121,18 +108,19 @@ def parse_config(text: str) -> RunConfig:
                              f"got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONVERTERS:
+        if key not in _FIELDS:
             raise UnknownKey(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ParseError(f"duplicate key {key!r} on line {seen[key]} "
                              f"and line {lineno}")
         seen[key] = lineno
         try:
-            values[key] = _CONVERTERS[key](val)
+            values[key] = _PARSERS[_FIELDS[key].type](val)
         except (ValueError, TypeError) as exc:
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}")
-    for key in _REQUIRED:
-        if key not in values:
+    for key, f in _FIELDS.items():
+        if (key not in values and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
             raise MissingKey(f"missing required key {key!r}")
     return RunConfig(**values)
 
@@ -140,13 +128,14 @@ def parse_config(text: str) -> RunConfig:
 def config_lines(cfg: RunConfig, extra: dict | None = None) -> str:
     """Serialize a config (plus extra entries) back to key = value text."""
     parts = []
-    for key in _CONVERTERS:
+    for key, f in _FIELDS.items():
         v = getattr(cfg, key)
-        if isinstance(v, bool):
+        if f.type is bool:
             v = "true" if v else "false"
-        elif isinstance(v, tuple):
-            joiner = ";" if key == "gamma_expr" else ","
-            v = joiner.join(str(x) for x in v)
+        elif f.type == tuple[str, ...]:
+            v = ";".join(v)
+        elif f.type == tuple[float, ...]:
+            v = ",".join(str(x) for x in v)
         parts.append(f"{key} = {v}")
     for key, v in (extra or {}).items():
         parts.append(f"{key} = {v}")

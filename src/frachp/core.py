@@ -7,7 +7,7 @@ instances can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,14 +118,6 @@ class PhaseState:
 
 
 @dataclass(frozen=True)
-class SeedRecord:
-    """Provenance of the noise used to produce a trajectory."""
-
-    seed: int
-    channels: int
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """One sampled path: q, v and p as read-only (N+1, n) arrays."""
 
@@ -133,7 +125,6 @@ class Trajectory:
     q: np.ndarray
     v: np.ndarray
     p: np.ndarray
-    seed_record: SeedRecord = field(default=SeedRecord(0, 0))
 
     def __post_init__(self):
         for name in ("q", "v", "p"):

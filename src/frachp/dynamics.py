@@ -174,9 +174,6 @@ class HamiltonianSystem:
             object.__setattr__(self, "grad_p",
                                _fd_partial(self.hamiltonian, 1))
 
-    def velocity(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad_p(q, p), dtype=float)
-
 
 @dataclass(frozen=True)
 class LagrangianSystem:
@@ -365,8 +362,8 @@ def christoffel(sys: MetricSystem, q) -> np.ndarray:
 class SdeFields:
     """Assembled Ito-form right-hand sides for one system and parameter set.
 
-    drift_q/drift_p take (s, q, y) where y is p for the Hamiltonian and
-    HP-Lagrangian formulations and v for the metric-velocity formulation.
+    drift_q/drift_p take (s, q, y) where y is p for the Hamiltonian
+    formulation and v for the HP-Lagrangian and metric-velocity ones.
     diffusion_p(s, q) is the n x m noise matrix of the momentum (or
     velocity) equation; the q-equation never carries noise.
 
@@ -376,6 +373,10 @@ class SdeFields:
     and diffusion_p accept that coefficient as an optional last argument,
     so a caller that has taken it once over a whole grid passes it in
     instead of having it recomputed per step.
+
+    The system owns the dimension (system.dim) and the channel count
+    (system.noise.m), and its type selects the formulation; params is the
+    triple the coefficients use.
     """
 
     drift_q: Callable
@@ -383,11 +384,8 @@ class SdeFields:
     diffusion_p: Callable
     damping: Callable
     noise_scale: Callable
-    formulation: str
-    dim: int
-    channels: int
-    system: SystemSpec = field(repr=False, default=None)
-    params: FractionalParams = None
+    system: SystemSpec = field(repr=False)
+    params: FractionalParams
 
 
 def _alpha_drift_factor(params: FractionalParams, s):
@@ -407,8 +405,6 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
     other formulations ignore it.
     """
     noise = sys.noise
-    if noise.m < 1:
-        raise NoiseShapeUnsupported("at least one noise channel required")
 
     def damping(s):
         return _alpha_drift_factor(params, s)
@@ -430,7 +426,6 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
             return base + damp * np.asarray(p)
 
         noise_matrix = noise.grad_matrix
-        tag = "Hamiltonian"
 
     elif isinstance(sys, LagrangianSystem):
         def drift_q(s, q, v):
@@ -441,7 +436,6 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
             return base + damp * np.asarray(sys.grad_v(q, v), dtype=float)
 
         noise_matrix = noise.grad_matrix
-        tag = "HP-Lagrangian"
 
     elif isinstance(sys, MetricSystem):
         def drift_q(s, q, v):
@@ -457,8 +451,6 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
             g_inv = np.linalg.inv(sys.metric_at(np.asarray(q, dtype=float)))
             return g_inv @ noise.grad_matrix(q)
 
-        tag = "Metric-velocity"
-
     else:
         raise TypeError(f"unsupported system type {type(sys)!r}")
 
@@ -469,7 +461,7 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
         return (noise_scale(s) if coef is None else coef) * noise_matrix(q)
 
     return SdeFields(drift_q, drift_p, diffusion_p, damping, noise_scale,
-                     tag, sys.dim, noise.m, system=sys, params=params)
+                     sys, params)
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,6 @@ class SampledFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_callable(cls, fn: Callable[[float], float],
-                      grid: TimeGrid) -> "SampledFunction":
-        return cls(grid, np.array([fn(s) for s in grid.points]))
-
 
 def _check_order(beta: float) -> None:
     if not (0.0 < beta <= 1.0):

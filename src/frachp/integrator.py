@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FractionalParams, PhaseState, SeedRecord, TimeGrid,
-                   Trajectory, check_singularity_guard, make_grid)
+from .core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
+                   check_singularity_guard, make_grid)
 from .dynamics import (HamiltonianSystem, LagrangianSystem, MetricSystem,
                        SdeFields, SystemSpec, invert_legendre,
                        system_lagrangian)
@@ -35,7 +35,7 @@ def initial_state(sys: SystemSpec, q0, p0=None, v0=None) -> PhaseState:
         if p0 is None:
             raise ValueError("Hamiltonian systems need p0")
         p = np.atleast_1d(np.asarray(p0, dtype=float))
-        return PhaseState(q, sys.velocity(q, p), p)
+        return PhaseState(q, np.asarray(sys.grad_p(q, p), dtype=float), p)
     if isinstance(sys, LagrangianSystem):
         if v0 is not None:
             v = np.atleast_1d(np.asarray(v0, dtype=float))
@@ -59,23 +59,25 @@ def euler_step(fields: SdeFields, s: float, q: np.ndarray, v: np.ndarray,
     """One explicit Euler step with left-endpoint coefficients; new (q, v, p).
 
     damp and coef are fields.damping(s) and fields.noise_scale(s); the
-    fields take them at s when they are not given.
+    fields take them at s when they are not given.  The system type selects
+    the formulation.
     """
     g = np.asarray(increments, dtype=float)
-    if fields.formulation == "Metric-velocity":
+    sys = fields.system
+    if isinstance(sys, MetricSystem):
         q_new = q + h * fields.drift_q(s, q, v)
         v_new = (v + h * fields.drift_p(s, q, v, damp)
                  + fields.diffusion_p(s, q, coef) @ g)
-        return q_new, v_new, fields.system.metric_at(q_new) @ v_new
+        return q_new, v_new, sys.metric_at(q_new) @ v_new
 
-    y = v if fields.formulation == "HP-Lagrangian" else p
+    y = v if isinstance(sys, LagrangianSystem) else p
     q_new = q + h * fields.drift_q(s, q, y)
     p_new = (p + h * fields.drift_p(s, q, y, damp)
              + fields.diffusion_p(s, q, coef) @ g)
-    if fields.formulation == "HP-Lagrangian":
-        v_new = invert_legendre(fields.system, q_new, p_new)
+    if isinstance(sys, LagrangianSystem):
+        v_new = invert_legendre(sys, q_new, p_new)
     else:
-        v_new = fields.system.velocity(q_new, p_new)
+        v_new = np.asarray(sys.grad_p(q_new, p_new), dtype=float)
     return q_new, v_new, p_new
 
 
@@ -91,12 +93,17 @@ class EulerRun:
 
     def __post_init__(self):
         self.path.check_aligned(self.grid)
-        if self.path.channels != self.fields.channels:
+        system = self.fields.system
+        if self.path.channels != system.noise.m:
             raise GridMismatch(
                 f"path has {self.path.channels} channels, "
-                f"fields expect {self.fields.channels}")
-        if self.initial.dim != self.fields.dim:
+                f"fields expect {system.noise.m}")
+        if self.initial.dim != system.dim:
             raise GridMismatch("initial state dimension mismatch")
+        if self.params != self.fields.params:
+            raise GridMismatch(
+                f"run params {self.params} differ from the fields' params "
+                f"{self.fields.params}")
         check_singularity_guard(self.grid, self.params)
 
 
@@ -110,19 +117,18 @@ def integrate(run: EulerRun) -> Trajectory:
     s = run.grid.points[:-1]
     damp = np.broadcast_to(fields.damping(s), s.shape)
     coef = np.broadcast_to(fields.noise_scale(s), s.shape)
-    qs, vs, ps = (np.empty((n + 1, fields.dim)) for _ in range(3))
+    qs, vs, ps = (np.empty((n + 1, fields.system.dim)) for _ in range(3))
     q, v, p = run.initial.q, run.initial.v, run.initial.p
     qs[0], vs[0], ps[0] = q, v, p
     for k in range(n):
         q, v, p = euler_step(fields, run.grid.point(k), q, v, p, h,
                              run.path.increments[k], damp[k], coef[k])
-        if (not np.all(np.isfinite(q)) or not np.all(np.isfinite(p))
-                or np.max(np.abs(q)) > BLOWUP_LIMIT
-                or np.max(np.abs(p)) > BLOWUP_LIMIT):
+        # Written so that NaN fails the test as well as inf and huge values.
+        if not (np.max(np.abs(q)) <= BLOWUP_LIMIT
+                and np.max(np.abs(p)) <= BLOWUP_LIMIT):
             raise NumericalBlowup(k + 1)
         qs[k + 1], vs[k + 1], ps[k + 1] = q, v, p
-    return Trajectory(run.grid, qs, vs, ps,
-                      SeedRecord(run.path.seed, run.path.channels))
+    return Trajectory(run.grid, qs, vs, ps)
 
 
 def strong_convergence_order(fields: SdeFields, initial: PhaseState,
@@ -152,7 +158,7 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
     errors = np.zeros(levels - 1)
     for i in range(n_paths):
         fine = generate_path(spawn_substream(seed, i), base_h, n_fine,
-                             fields.channels)
+                             fields.system.noise.m)
         ref = integrate(EulerRun(fields, grids[0], fine, initial, params))
         for l in range(1, levels):
             coarse = coarsen(fine, 2 ** l)
@@ -175,20 +181,9 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
 # Discrete action and stationarity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ActionEvaluation:
-    value: float
-    trajectory: Trajectory
-    params: FractionalParams
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("action value is not finite")
-
-
 def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
                     params: FractionalParams,
-                    path: WienerPath) -> ActionEvaluation:
+                    path: WienerPath) -> float:
     """Discretized Hamilton-Pontryagin fractional action of a trajectory.
 
     Deterministic part: left-endpoint integrand against the exact per-step
@@ -197,6 +192,7 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
     increments, kernel (t - s)^(beta-1) at the step midpoint.  Both parts
     are evaluated on whole-grid arrays: one call of the Lagrangian and one
     of each coupling, under the batch contract of `frachp.dynamics`.
+    Raises ValueError if the action is not finite.
     """
     grid = trajectory.grid
     path.check_aligned(grid)
@@ -221,14 +217,16 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
              * path.increments)
     stoch = float(np.cumsum(terms.sum(axis=1))[-1]) / gamma(params.beta)
 
-    return ActionEvaluation(det + stoch, trajectory, params)
+    value = det + stoch
+    if not math.isfinite(value):
+        raise ValueError("action value is not finite")
+    return value
 
 
 def _shift_trajectory(trajectory: Trajectory, dq, dv, dp,
                       eps: float) -> Trajectory:
     return Trajectory(trajectory.grid, trajectory.q + eps * dq,
-                      trajectory.v + eps * dv, trajectory.p + eps * dp,
-                      trajectory.seed_record)
+                      trajectory.v + eps * dv, trajectory.p + eps * dp)
 
 
 def action_derivative(trajectory: Trajectory, sys: SystemSpec,
@@ -243,9 +241,9 @@ def action_derivative(trajectory: Trajectory, sys: SystemSpec,
     if np.any(dq[0] != 0.0) or np.any(dq[-1] != 0.0):
         raise BoundaryViolation("dq must vanish at both endpoints")
     plus = evaluate_action(_shift_trajectory(trajectory, dq, dv, dp, eps),
-                           sys, params, path).value
+                           sys, params, path)
     minus = evaluate_action(_shift_trajectory(trajectory, dq, dv, dp, -eps),
-                            sys, params, path).value
+                            sys, params, path)
     return (plus - minus) / (2.0 * eps)
 
 

@@ -98,7 +98,6 @@ class WienerPath:
     n_steps: int
     channels: int
     increments: np.ndarray
-    seed: int
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
@@ -140,7 +139,7 @@ def generate_path(seed: int, h: float, n_steps: int,
         raise ValueError(f"channels={channels} must be >= 1")
     u = _uniforms(seed, 0, n_steps * channels)
     inc = normal_inv_cdf(u).reshape(n_steps, channels) * np.sqrt(h)
-    return WienerPath(h, n_steps, channels, inc, seed)
+    return WienerPath(h, n_steps, channels, inc)
 
 
 def zero_path(h: float, n_steps: int, channels: int = 1) -> WienerPath:
@@ -149,8 +148,7 @@ def zero_path(h: float, n_steps: int, channels: int = 1) -> WienerPath:
         raise NonPositiveStep(f"h={h}")
     if n_steps < 1:
         raise ZeroSteps(f"n_steps={n_steps}")
-    return WienerPath(h, n_steps, channels,
-                      np.zeros((n_steps, channels)), seed=0)
+    return WienerPath(h, n_steps, channels, np.zeros((n_steps, channels)))
 
 
 def _pairwise_sum(x: np.ndarray) -> np.ndarray:
@@ -182,7 +180,7 @@ def coarsen(path: WienerPath, factor: int) -> WienerPath:
     n_coarse = path.n_steps // factor
     grouped = path.increments.reshape(n_coarse, factor, path.channels)
     inc = _pairwise_sum(grouped)
-    return WienerPath(path.h * factor, n_coarse, path.channels, inc, path.seed)
+    return WienerPath(path.h * factor, n_coarse, path.channels, inc)
 
 
 def spawn_substream(seed: int, index: int) -> int:

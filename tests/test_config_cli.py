@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frachp.cli import main
 from frachp.config import RunConfig, config_lines, parse_config
@@ -111,6 +114,30 @@ class TestParseConfig:
         cfg = parse_config(REFERENCE_TEXT + "plot = false\ngamma = const\n")
         again = parse_config(config_lines(cfg))
         assert again == cfg
+
+
+_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+_VALUES = st.one_of(
+    st.sampled_from(["0.5", "1", "0", "-1", "7000", "nan", "inf", "1e400",
+                     "true", "off", "1.0, 2.0", "1,", "cos", "const",
+                     "pendulum", "metric:polar", "cos(q1); q1", ""]),
+    st.text(max_size=12))
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(_KEYS), _VALUES).map(" = ".join),
+    st.tuples(st.text(max_size=8), _VALUES).map(" = ".join),
+    st.text(max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", REFERENCE_TEXT]), st.lists(_LINES, max_size=12))
+def test_any_text_parses_or_raises_config_error(base, lines):
+    # Known keys with junk values, unknown keys and junk lines: the schema
+    # derived from RunConfig either builds a config or names the problem.
+    try:
+        cfg = parse_config(base + "\n".join(lines))
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 class TestSimulateCommand:
@@ -226,6 +253,38 @@ class TestSimulateCommand:
         assert_cli_rejects(tmp_path, capsys, "simulate",
                            cfg_path.read_text(), rf"{key}: cannot parse")
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"hamiltonian_expr": "p1**2/2 + 0*len(open('{pwned}','w').name)"},
+         r"hamiltonian_expr: cannot parse .*'len' is not a number"),
+        ({"hamiltonian_expr": "p1**2/2 + cos(q1) + x"},
+         r"hamiltonian_expr: cannot parse .*'x' is not a number"),
+        ({"dim": 2, "q0": "1.0, 0.0", "p0": "0.0, 0.0",
+          "hamiltonian_expr": "p1**2/2 + p2**2/2 + cos(q3)"},
+         r"hamiltonian_expr: cannot parse .*'q3' is not a number"),
+        ({"hamiltonian_expr": "p1**2/2 + cos(q1)",
+          "gamma_expr": "cos(q1) + p1"},
+         r"gamma_expr: cannot parse .*'p1' is not a number"),
+        ({"system": "metric:custom", "dim": 2,
+          "metric_expr": "1, 0, 0; 0, q1**2, 0; 0, 0, 1"},
+         r"metric_expr: rows of \[3, 3, 3\] entries, need 2 rows of 2"),
+        ({"system": "metric:custom", "dim": 2, "metric_expr": "1, 0; 0"},
+         r"metric_expr: rows of \[2, 1\] entries, need 2 rows of 2"),
+        ({"hamiltonian_expr": "p1**2/2 + log()"},
+         r"hamiltonian_expr: cannot parse .* as an expression"),
+        ({"dim": 0, "hamiltonian_expr": "p1**2/2"}, r"dim=0 must be >= 1"),
+    ], ids=["code", "free-symbol", "q-beyond-dim", "p-in-gamma",
+            "metric-3x3", "metric-ragged", "no-argument", "dim-0"])
+    def test_rejected_expression_text(self, tmp_path, capsys, overrides,
+                                      match):
+        pwned = tmp_path / "PWNED"
+        overrides = {k: str(v).replace("{pwned}", str(pwned))
+                     for k, v in overrides.items()}
+        cfg_path, _ = small_config(
+            tmp_path, **{"system": "hamiltonian:custom", **overrides})
+        assert_cli_rejects(tmp_path, capsys, "simulate",
+                           cfg_path.read_text(), match)
+        assert not pwned.exists()
+
 
 class TestConvergenceCommand:
     def test_slope_and_csv(self, tmp_path, capsys):
@@ -261,7 +320,8 @@ class TestActionCheckCommand:
         assert "verdict = PASS" in \
             (tmp_path / "out" / "run_manifest").read_text()
 
-    def test_fail_on_frozen_trajectory(self, tmp_path, capsys):
+    def test_fail_on_frozen_trajectory(self, tmp_path, capsys, monkeypatch):
+        import frachp.cli
         from frachp.cli import cmd_action_check
         from frachp.core import FractionalParams
         from frachp.dynamics import pendulum_system
@@ -274,7 +334,8 @@ class TestActionCheckCommand:
                              [1.0], p0=[0.0])
         frozen = Trajectory(grid, *(np.tile(a, (1401, 1))
                                     for a in (init.q, init.v, init.p)))
-        assert cmd_action_check(cfg, _trajectory_override=frozen) == 1
+        monkeypatch.setattr(frachp.cli, "integrate", lambda run: frozen)
+        assert cmd_action_check(cfg) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_noisy_reports_ungated(self, tmp_path, capsys):

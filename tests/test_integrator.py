@@ -56,7 +56,6 @@ class TestEulerStep:
             drift_p=lambda s, q, y, damp=None: np.zeros(n),
             diffusion_p=lambda s, q, coef=None: np.zeros((n, 1)),
             damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
-            formulation="Hamiltonian", dim=n, channels=1,
             system=pendulum_system(), params=CLASSICAL)
         q, v, p = np.array([1.0]), np.array([0.5]), np.array([0.5])
         out = PhaseState(*euler_step(fields, 0.0, q, v, p, 0.1,
@@ -119,14 +118,14 @@ class TestIntegrate:
         assert ta.states[1].q[0] == tb.states[1].q[0]
         assert ta.states[1].p[0] != tb.states[1].p[0]
 
-    def test_blowup_reports_step(self):
+    @pytest.mark.parametrize("drift", [1e15, np.nan], ids=["huge", "nan"])
+    def test_blowup_reports_step(self, drift):
         n = 1
         fields = SdeFields(
             drift_q=lambda s, q, y: np.zeros(n),
-            drift_p=lambda s, q, y, damp=None: np.full(n, 1e15),
+            drift_p=lambda s, q, y, damp=None: np.full(n, drift),
             diffusion_p=lambda s, q, coef=None: np.zeros((n, 1)),
             damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
-            formulation="Hamiltonian", dim=n, channels=1,
             system=pendulum_system(), params=CLASSICAL)
         grid = make_grid(0.0, 0.1, 5, CLASSICAL)
         run = EulerRun(fields, grid, zero_path(0.1, 5, 1),
@@ -144,6 +143,19 @@ class TestIntegrate:
             EulerRun(assemble_hp_fields(sys, params), grid,
                      zero_path(0.1, 10, 1),
                      initial_state(sys, [1.0], p0=[0.0]), params)
+
+    def test_run_params_must_match_fields(self):
+        # Fields at t_eval = 0.80005 would let the kernels reach their
+        # singularity 500 steps before the end of a grid checked against
+        # t_eval = 10.
+        sys = pendulum_system()
+        fields = assemble_hp_fields(sys, FractionalParams(0.6, 0.6, 0.80005))
+        run_params = FractionalParams(0.6, 0.6, 10.0)
+        grid = make_grid(0.0, 1e-4, 8500, run_params)
+        with pytest.raises(GridMismatch,
+                           match=r"t_eval=10\.0.*t_eval=0\.80005"):
+            EulerRun(fields, grid, zero_path(1e-4, 8500, 1),
+                     initial_state(sys, [1.0], p0=[0.0]), run_params)
 
     def test_mismatched_path_rejected(self):
         sys = pendulum_system()
@@ -174,7 +186,6 @@ class TestStrongConvergence:
             drift_p=lambda s, q, y, damp=None: np.zeros(n),
             diffusion_p=lambda s, q, coef=None: np.zeros((n, 1)),
             damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
-            formulation="Hamiltonian", dim=n, channels=1,
             system=pendulum_system(), params=CLASSICAL)
         with pytest.raises(NotApplicable):
             strong_convergence_order(fields,
@@ -219,7 +230,7 @@ class TestAction:
         zero = np.zeros((51, 1))
         traj = Trajectory(grid, zero, zero, zero)
         path = generate_path(1, 0.01, 50, 1)
-        assert evaluate_action(traj, sys, CLASSICAL, path).value == 0.0
+        assert evaluate_action(traj, sys, CLASSICAL, path) == 0.0
 
     def test_constant_gamma_stochastic_term(self):
         # alpha = beta = 1, gamma == c: stochastic term is c W(T)
@@ -234,7 +245,7 @@ class TestAction:
         zero = np.zeros((51, 1))
         traj = Trajectory(grid, zero, zero, zero)
         path = generate_path(4, 0.01, 50, 1)
-        val = evaluate_action(traj, sys, CLASSICAL, path).value
+        val = evaluate_action(traj, sys, CLASSICAL, path)
         assert val == pytest.approx(c * float(np.sum(path.increments)),
                                     rel=1e-12)
 
@@ -251,7 +262,7 @@ class TestAction:
         one = np.ones((51, 1))
         traj = Trajectory(grid, np.zeros((51, 1)), one, one)
         path = zero_path(0.01, 50, 1)
-        val = evaluate_action(traj, sys, CLASSICAL, path).value
+        val = evaluate_action(traj, sys, CLASSICAL, path)
         assert val == pytest.approx(-0.5, rel=1e-10)  # -(T = 0.5)
 
     def test_classical_action_harmonic_oscillator(self):
@@ -274,7 +285,7 @@ class TestAction:
             v = (math.sin(min(s + h, n * h)) - q) / h if k < n else math.cos(s)
             qs[k], vs[k] = q, v
         traj = Trajectory(grid, qs, vs, vs)
-        val = evaluate_action(traj, sys, CLASSICAL, zero_path(h, n, 1)).value
+        val = evaluate_action(traj, sys, CLASSICAL, zero_path(h, n, 1))
         # exact: int_0^1 (cos^2 - sin^2)/2 ds = sin(2)/4
         assert val == pytest.approx(math.sin(2.0) / 4.0, abs=5e-3)
 
@@ -328,7 +339,7 @@ class TestActionOnArrays:
         traj = Trajectory(grid, traj.q + 0.05 * dq, traj.v + 0.05 * dv,
                           traj.p + 0.05 * dp)
         want = action_reference(traj, sys, REFERENCE, path)
-        got = evaluate_action(traj, sys, REFERENCE, path).value
+        got = evaluate_action(traj, sys, REFERENCE, path)
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("lagrangian, gamma, role", [
