@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 from .core import FractionalParams, PhaseState, TimeGrid, Trajectory, make_grid
 from .dynamics import (HamiltonianSystem, LagrangianSystem, MetricSystem,
                        NoiseCoupling, SdeFields, assemble_hp_fields,
-                       christoffel, hamiltonian_from_lagrangian,
-                       invert_legendre, legendre_transform,
+                       christoffel, invert_legendre, legendre_transform,
                        pendulum_lagrangian_system, pendulum_system,
                        polar_metric_system)
 from .fracint import (SampledFunction, VolterraCoefficients, bank_account,

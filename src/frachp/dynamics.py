@@ -6,23 +6,22 @@ equations.
 All dynamics run in global coordinates on flat space; angle variables are
 plain reals and are never wrapped.
 
-Batch contract.  A system's Lagrangian L(q, v) and every noise coupling
-gamma_a(q) accept leading batch axes: arrays of shape (..., n) map to
-values of shape (...).  A scalar () return is broadcast over the batch, so
-constants such as `lambda q, v: 0.0` keep working; it must equal the
-callable's value on the last sample.  Any other shape, a scalar that does
-not, or a TypeError from the batched call raises BatchShapeError naming
-the callable.  `system_lagrangian` and `NoiseCoupling.values` evaluate
-through this contract, which is what lets the discrete action take one
-call per grid instead of one per step.  The per-step callables the
-integrator uses (gradients, `metric`, `metric_at`, Hessians) see one
-sample of shape (n,) at a time.
+Array contract.  Every callable a system holds maps samples (..., n) to
+values (...) + tail: tail () for L, H and each coupling gamma_a; (n,) for
+grad_q, grad_p, grad_v and gamma_grad; (n, n) for metric and v_hessian;
+(n, n, n) for metric_grad.  One sample (n,) has no batch axes, and row i
+of a batch must equal the call on row i.  `_call_batched` checks the
+result where a batch is formed (the action's L and gamma_a, `metric_at`,
+H and grad_p in the Legendre fallback): a value of shape tail alone, such
+as the 0.0 of `lambda q, v: 0.0`, is broadcast and must equal the value on
+the last sample; another shape or a TypeError raises BatchShapeError
+naming the callable.  The integrator's per-step calls pass one sample.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -39,51 +38,50 @@ def central_gradient(f: Callable[[np.ndarray], np.ndarray],
                      x: np.ndarray) -> np.ndarray:
     """Central-difference derivative with step 1e-6 * (1 + |x_i|).
 
-    f may be scalar- or array-valued; the derivative axis is last, so f
-    with values of shape S gives a result of shape S + (x.size,).
+    x has shape (..., n) and f maps it to values of shape (...) + S; the
+    derivative axis is last, so the result has shape (...) + S + (n,).
     """
     x = np.asarray(x, dtype=float)
     cols = []
-    for i in range(x.size):
-        step = _FD_BASE_STEP * (1.0 + abs(x[i]))
+    for i in range(x.shape[-1]):
+        step = _FD_BASE_STEP * (1.0 + np.abs(x[..., i]))
         xp, xm = x.copy(), x.copy()
-        xp[i] += step
-        xm[i] -= step
-        cols.append((np.asarray(f(xp), dtype=float)
-                     - np.asarray(f(xm), dtype=float)) / (2.0 * step))
+        xp[..., i] += step
+        xm[..., i] -= step
+        diff = (np.asarray(f(xp), dtype=float)
+                - np.asarray(f(xm), dtype=float))
+        cols.append(diff / (2.0 * step).reshape(
+            step.shape + (1,) * (diff.ndim - step.ndim)))
     return np.stack(cols, axis=-1)
 
 
-def _call_batched(fn, role: str, batch: tuple, *args) -> np.ndarray:
-    """fn(*args) under the batch contract: shape `batch`, or a broadcast ().
+def _call_batched(fn, role: str, batch: tuple, tail: tuple,
+                  *args) -> np.ndarray:
+    """fn(*args) under the array contract: shape batch + tail.
 
-    A scalar for more than one sample must equal fn on the last sample.
-    That catches a per-sample callable reading row 0 of the batch, as
-    `float(v[0])` does without error under numpy < 2.4; under later numpy
-    that conversion raises TypeError, reported the same way.
+    One value of shape tail is broadcast over the batch if it equals fn on
+    the last sample.  That catches a per-sample callable reading row 0 of
+    the batch, as `v.flat[0]` does; a per-sample `float(v[0])` raises
+    TypeError, reported the same way.
     """
     name = getattr(fn, "__qualname__", repr(fn))
+    want = batch + tail
+    must = f"it must map (..., n) to (...) + {tail}"
     try:
         out = np.asarray(fn(*args), dtype=float)
-        if out.shape == () and math.prod(batch) > 1:
-            last = (-1,) * len(batch)
-            probe = np.asarray(fn(*(a[last] for a in args)), dtype=float)
-            if not np.array_equal(out, probe, equal_nan=True):
-                raise BatchShapeError(
-                    f"{role} {name} returned one scalar for a batch of shape "
-                    f"{batch}, but {probe} on its last sample; it must map "
-                    f"(..., n) to (...)")
     except TypeError as exc:
-        raise BatchShapeError(
-            f"{role} {name} failed on a batch of shape {batch} ({exc}); it "
-            f"must map (..., n) to (...)") from exc
-    if out.shape == ():
-        return np.broadcast_to(out, batch)
-    if out.shape != batch:
-        raise BatchShapeError(
-            f"{role} {name} returned shape {out.shape} for a batch of shape "
-            f"{batch}; expected {batch} or a scalar")
-    return out
+        raise BatchShapeError(f"{role} {name} failed on a batch of shape "
+                              f"{batch} ({exc}); {must}") from exc
+    if out.shape == want:
+        return out
+    if out.shape == tail:
+        last = fn(*(a[(-1,) * len(batch)] for a in args))
+        if np.array_equal(out, np.asarray(last, dtype=float), equal_nan=True):
+            return np.broadcast_to(out, want)
+    raise BatchShapeError(
+        f"{role} {name} returned shape {out.shape} for a batch of shape "
+        f"{batch}, not {want} nor one value equal to that on its last "
+        f"sample; {must}")
 
 
 def _fd_partial(f, which: int):
@@ -114,9 +112,7 @@ class NoiseCoupling:
         object.__setattr__(self, "gamma", tuple(self.gamma))
         grads = self.gamma_grad
         if grads is None:
-            grads = tuple(
-                (lambda g: (lambda q: central_gradient(g, q)))(g)
-                for g in self.gamma)
+            grads = (partial(central_gradient, g) for g in self.gamma)
         object.__setattr__(self, "gamma_grad", tuple(grads))
         if len(self.gamma) != len(self.gamma_grad) or len(self.gamma) == 0:
             raise NoiseShapeUnsupported(
@@ -129,26 +125,30 @@ class NoiseCoupling:
     def values(self, q) -> np.ndarray:
         """All m couplings on configurations of shape (..., n), as (..., m)."""
         q = np.asarray(q, dtype=float)
-        return np.stack([_call_batched(g, f"gamma[{a}]", q.shape[:-1], q)
+        return np.stack([_call_batched(g, f"gamma[{a}]", q.shape[:-1], (),
+                                       q)
                          for a, g in enumerate(self.gamma)], axis=-1)
 
     def grad_matrix(self, q: np.ndarray) -> np.ndarray:
-        """n x m matrix whose column a is the gradient of gamma_a at q."""
-        return np.column_stack([g(q) for g in self.gamma_grad])
+        """(..., n, m) array whose column a is the gradient of gamma_a."""
+        cols = [g(q) for g in self.gamma_grad]  # np.stack is slower per step
+        out = np.empty(np.shape(cols[0]) + (self.m,))
+        for a, col in enumerate(cols):
+            out[..., a] = col
+        return out
 
     @classmethod
-    def constant(cls, values, dim: int) -> "NoiseCoupling":
+    def constant(cls, values) -> "NoiseCoupling":
         """Constant couplings; gradients vanish, so the noise drops out."""
         vals = np.atleast_1d(np.asarray(values, dtype=float))
-        zero = np.zeros(dim)
-        return cls(tuple((lambda c: (lambda q: float(c)))(c) for c in vals),
-                   tuple((lambda q: zero.copy()) for _ in vals))
+        return cls(tuple((lambda q, c=c: np.full(np.shape(q)[:-1], c))
+                         for c in vals),
+                   tuple((lambda q: np.zeros(np.shape(q))) for _ in vals))
 
     @classmethod
     def cos_q(cls) -> "NoiseCoupling":
         """The pendulum coupling gamma(q) = cos q on a 1-d configuration."""
-        return cls((lambda q: np.cos(q[..., 0]),),
-                   (lambda q: np.array([-math.sin(q[0])]),))
+        return cls((lambda q: np.cos(q[..., 0]),), (lambda q: -np.sin(q),))
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +212,36 @@ class MetricSystem:
 
     def __post_init__(self):
         if self.metric_grad is None:
-            metric = self.metric
             object.__setattr__(self, "metric_grad",
-                               lambda q: central_gradient(metric, q))
+                               partial(central_gradient, self.metric))
 
     def metric_at(self, q: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.metric(q), dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise ValueError(f"metric shape {g.shape}")
-        if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
-            raise NotPositiveDefinite("metric is not symmetric")
+        """The metric on configurations (..., n), as (..., n, n).
+
+        Each sample must be symmetric, to 1e-12 of its largest entry (or
+        of 1), and positive definite; the error names the first that is
+        not.
+        """
+        q = np.asarray(q, dtype=float)
+        n = self.dim
+        g = _call_batched(self.metric, "metric", q.shape[:-1], (n, n), q)
+        g_t = np.swapaxes(g, -1, -2)
+        if not (g == g_t).all():  # only then can the tolerance matter
+            asym = np.abs(g - g_t).max(axis=(-2, -1))
+            bad = asym > 1e-12 * np.maximum(np.abs(g).max(axis=(-2, -1)), 1.0)
+            if bad.any():
+                raise NotPositiveDefinite(
+                    f"metric is not symmetric at q={q[bad][0]}")
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(f"metric not positive definite at q={q}")
+            # Name the first sample that fails on its own.
+            for x, gx in zip(q.reshape(-1, n), g.reshape(-1, n, n)):
+                try:
+                    np.linalg.cholesky(gx)
+                except np.linalg.LinAlgError:
+                    raise NotPositiveDefinite(
+                        f"metric not positive definite at q={x}") from None
         return g
 
     def lagrangian(self, q, v):
@@ -233,11 +249,9 @@ class MetricSystem:
 
         metric_at validates the metric of every sample.
         """
-        q = np.asarray(q, dtype=float)
         v = np.asarray(v, dtype=float)
-        g = np.array([self.metric_at(x) for x in q.reshape(-1, self.dim)])
-        g = g.reshape(q.shape + (self.dim,))
-        return 0.5 * np.einsum("...i,...ij,...j->...", v, g, v)
+        return 0.5 * np.einsum("...i,...ij,...j->...", v, self.metric_at(q),
+                               v)
 
 
 SystemSpec = Union[HamiltonianSystem, LagrangianSystem, MetricSystem]
@@ -250,91 +264,88 @@ SystemSpec = Union[HamiltonianSystem, LagrangianSystem, MetricSystem]
 _HESS_DET_TOL = 1e-12
 
 
-def _checked_hessian(sys: LagrangianSystem, q, v) -> np.ndarray:
-    hess = np.asarray(sys.v_hessian(q, v), dtype=float)
-    if abs(np.linalg.det(hess)) <= _HESS_DET_TOL:
-        raise SingularHessian(f"velocity Hessian singular at q={q}, v={v}")
-    return hess
+def _invertible(jac, q, x, what: str) -> np.ndarray:
+    """jac, if every sample has |det| > 1e-12; else SingularHessian naming
+    the first sample's q and x (the velocity or iterate jac was taken at)."""
+    jac = np.asarray(jac, dtype=float)
+    singular = np.abs(np.linalg.det(jac)) <= _HESS_DET_TOL
+    if singular.any():
+        raise SingularHessian(
+            f"{what} singular at q={q[singular][0]}, x={x[singular][0]}")
+    return jac
+
+
+def _newton(fn, jac, q, y, what: str, tol: float = 1e-10,
+            max_iter: int = 50) -> np.ndarray:
+    """Solve fn(q, x) = y for x by Newton iteration from x = y.
+
+    q and y have shape (..., n), and jac(q, x) is the (..., n, n) Jacobian
+    of fn in x.  A row stops once its residual is within tol: the
+    Jacobian is taken and the step made on the other rows only, so every
+    row takes the iterates it takes alone.
+    """
+    x = np.array(y, dtype=float)
+    for it in range(max_iter + 1):
+        res = np.asarray(fn(q, x), dtype=float) - y
+        if np.abs(res).max() <= tol:  # every row has converged
+            return x
+        if it == max_iter:
+            break
+        todo = ~(np.abs(res).max(axis=-1) <= tol)
+        qt, xt = q[todo], x[todo]
+        step = np.linalg.solve(_invertible(jac(qt, xt), qt, xt, what),
+                               res[todo][..., None])
+        x[todo] = xt - step[..., 0]
+    raise NoConvergence(
+        f"Newton iteration on the {what}: residual "
+        f"{np.abs(res[todo]).max():.3g} after {max_iter} iterations at "
+        f"q={q[todo][0]}")
 
 
 def legendre_transform(sys: LagrangianSystem, q, v):
-    """Return (p, H) with p = dL/dv and H = <p, v> - L(q, v)."""
+    """(p, H) with p = dL/dv and H = <p, v> - L(q, v) on samples (..., n)."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    _checked_hessian(sys, q, v)
+    _invertible(sys.v_hessian(q, v), q, v, "velocity Hessian")
     p = np.asarray(sys.grad_v(q, v), dtype=float)
-    return p, float(p @ v) - float(sys.lagrangian(q, v))
+    return p, np.einsum("...i,...i->...", p, v) - sys.lagrangian(q, v)
 
 
 def invert_legendre(sys: LagrangianSystem, q, p,
                     tol: float = 1e-10, max_iter: int = 50) -> np.ndarray:
-    """Solve dL/dv(q, v) = p for v by Newton iteration from v0 = p."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    v = p.copy()
-    for _ in range(max_iter):
-        residual = np.asarray(sys.grad_v(q, v), dtype=float) - p
-        if np.max(np.abs(residual)) <= tol:
-            return v
-        hess = _checked_hessian(sys, q, v)
-        v = v - np.linalg.solve(hess, residual)
-    residual = np.asarray(sys.grad_v(q, v), dtype=float) - p
-    if np.max(np.abs(residual)) <= tol:
-        return v
-    raise NoConvergence(
-        f"Legendre inversion residual {np.max(np.abs(residual)):.3g} "
-        f"after {max_iter} iterations")
+    """Solve dL/dv(q, v) = p for v by Newton iteration from v0 = p.
 
-
-def hamiltonian_from_lagrangian(sys: LagrangianSystem) -> HamiltonianSystem:
-    """Legendre-transformed Hamiltonian view of a hyperregular Lagrangian."""
-
-    def h_fn(q, p):
-        v = invert_legendre(sys, q, p)
-        return float(np.asarray(p) @ v) - float(sys.lagrangian(q, v))
-
-    def grad_q(q, p):
-        v = invert_legendre(sys, q, p)
-        return -np.asarray(sys.grad_q(q, v), dtype=float)
-
-    def grad_p(q, p):
-        return invert_legendre(sys, q, p)
-
-    return HamiltonianSystem(sys.dim, h_fn, sys.noise,
-                             grad_q=grad_q, grad_p=grad_p,
-                             lagrangian=sys.lagrangian)
+    q and p have shape (..., n); each row converges on its own.
+    """
+    return _newton(sys.grad_v, sys.v_hessian, np.asarray(q, dtype=float),
+                   np.asarray(p, dtype=float), "velocity Hessian", tol,
+                   max_iter)
 
 
 def system_lagrangian(sys: SystemSpec, q, v):
-    """L(q, v) for any variant (Hamiltonian variant via Legendre inverse).
+    """L(q, v) for any variant on samples of shape (..., n).
 
-    q and v have shape (..., n); the result has shape (...), and is a float
-    for a single sample.
+    The result has shape (...), and is a float for a single sample.  A
+    Hamiltonian system without an analytic L goes through the Legendre
+    map: grad_p H(q, p) = v is solved for p by Newton iteration with a
+    central-difference Jacobian, and L = <p, v> - H(q, p).
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
+    batch = q.shape[:-1]
     if sys.lagrangian is not None:
-        out = _call_batched(sys.lagrangian, "lagrangian", q.shape[:-1], q, v)
+        out = _call_batched(sys.lagrangian, "lagrangian", batch, (), q, v)
     else:
-        out = np.array([_legendre_lagrangian(sys, x, y) for x, y in
-                        zip(q.reshape(-1, sys.dim), v.reshape(-1, sys.dim))])
-        out = out.reshape(q.shape[:-1])
+        def grad_p(q, p):
+            return _call_batched(sys.grad_p, "grad_p", q.shape[:-1],
+                                 (sys.dim,), q, p)
+
+        p = _newton(grad_p, lambda q, p: central_gradient(
+            lambda x: grad_p(q, x), p), q, v, "Jacobian of grad_p H")
+        out = (np.einsum("...i,...i->...", p, v)
+               - _call_batched(sys.hamiltonian, "hamiltonian", batch, (),
+                               q, p))
     return float(out) if out.ndim == 0 else out
-
-
-def _legendre_lagrangian(sys: HamiltonianSystem, q, v) -> float:
-    """L = <p, v> - H(q, p) at one sample, solving grad_p H(q, p) = v for p
-    by Newton iteration with a finite-difference Jacobian."""
-    p = v.copy()
-    for _ in range(50):
-        res = np.asarray(sys.grad_p(q, p), dtype=float) - v
-        if np.max(np.abs(res)) <= 1e-10:
-            break
-        jac = central_gradient(lambda x: sys.grad_p(q, x), p)
-        p = p - np.linalg.solve(jac, res)
-    else:
-        raise NoConvergence("could not invert grad_p H")
-    return float(p @ v) - float(sys.hamiltonian(q, p))
 
 
 # ---------------------------------------------------------------------------
@@ -468,32 +479,30 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
 # Built-in systems
 # ---------------------------------------------------------------------------
 
-def _builtin_coupling(name: str, cos: NoiseCoupling,
-                      dim: int) -> NoiseCoupling:
+def _builtin_coupling(name: str, cos: NoiseCoupling) -> NoiseCoupling:
     """The "cos" coupling given, or the noise-free "const" one."""
     if name == "cos":
         return cos
     if name == "const":
-        return NoiseCoupling.constant([1.0], dim)
+        return NoiseCoupling.constant([1.0])
     raise ValueError(f"unknown gamma coupling {name!r}")
 
 
 def _pendulum_parts(potential, gamma_coupling: str):
     """(U, U', L, coupling) shared by both pendulum builders.
 
-    U and U' serve the per-step callables on floats; L(q, v) = v^2/2 - U(q)
-    follows the batch contract, so a custom U must also accept arrays.
+    U and U' are numpy functions of the coordinate, applied elementwise to
+    arrays; L(q, v) = v^2/2 - U(q).
     """
     if potential == "cos":
-        u, du, u_batch = math.cos, (lambda x: -math.sin(x)), np.cos
+        u, du = np.cos, (lambda x: -np.sin(x))
     else:
         u, du = potential
-        u_batch = u
 
     def lagrangian(q, v):
-        return 0.5 * v[..., 0] ** 2 - u_batch(q[..., 0])
+        return 0.5 * v[..., 0] ** 2 - u(q[..., 0])
 
-    noise = _builtin_coupling(gamma_coupling, NoiseCoupling.cos_q(), 1)
+    noise = _builtin_coupling(gamma_coupling, NoiseCoupling.cos_q())
     return u, du, lagrangian, noise
 
 
@@ -501,21 +510,20 @@ def pendulum_system(potential: str | tuple = "cos",
                     gamma_coupling: str = "cos") -> HamiltonianSystem:
     """Noisy pendulum: H = p^2/2 + U(q) on the line, gamma(q) = cos q.
 
-    potential: "cos" for U(q) = cos q, or a (U, U') pair of numpy-callable
-    functions (U is evaluated on floats and on arrays of samples).
-    gamma_coupling: "cos" or "const" (constant coupling turns the noise
-    off).
+    potential: "cos" for U(q) = cos q, or a (U, U') pair of elementwise
+    numpy functions.  gamma_coupling: "cos" or "const" (constant coupling
+    turns the noise off).
     """
     u, du, lagrangian, noise = _pendulum_parts(potential, gamma_coupling)
 
     def h_fn(q, p):
-        return 0.5 * float(p[0]) ** 2 + u(float(q[0]))
+        return 0.5 * p[..., 0] ** 2 + u(q[..., 0])
 
     def grad_q(q, p):
-        return np.array([du(float(q[0]))])
+        return du(q)
 
     def grad_p(q, p):
-        return np.array([float(p[0])])
+        return np.array(p, dtype=float)
 
     return HamiltonianSystem(1, h_fn, noise, grad_q=grad_q, grad_p=grad_p,
                              lagrangian=lagrangian)
@@ -528,13 +536,13 @@ def pendulum_lagrangian_system(potential: str | tuple = "cos",
     _, du, lagrangian, noise = _pendulum_parts(potential, gamma_coupling)
 
     def grad_q(q, v):
-        return np.array([-du(float(q[0]))])
+        return -du(q)
 
     def grad_v(q, v):
-        return np.array([float(v[0])])
+        return np.array(v, dtype=float)
 
     def v_hessian(q, v):
-        return np.eye(1)
+        return np.ones(np.shape(v) + (1,))
 
     return LagrangianSystem(1, lagrangian, noise, grad_q=grad_q,
                             grad_v=grad_v, v_hessian=v_hessian)
@@ -544,16 +552,23 @@ def polar_metric_system(gamma_coupling: str = "cos") -> MetricSystem:
     """Plane in polar coordinates (r, theta): g = diag(1, r^2), r > 0."""
 
     def metric(q):
-        r = float(q[0])
-        return np.array([[1.0, 0.0], [0.0, r * r]])
+        g = np.zeros(np.shape(q)[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = q[..., 0] ** 2
+        return g
 
     def metric_grad(q):
-        r = float(q[0])
-        dg = np.zeros((2, 2, 2))
-        dg[1, 1, 0] = 2.0 * r
+        dg = np.zeros(np.shape(q)[:-1] + (2, 2, 2))
+        dg[..., 1, 1, 0] = 2.0 * q[..., 0]
         return dg
 
+    def cos_theta_grad(q):
+        grad = np.zeros(np.shape(q))
+        grad[..., 1] = -np.sin(q[..., 1])
+        return grad
+
     cos_theta = NoiseCoupling((lambda q: np.cos(q[..., 1]),),
-                              (lambda q: np.array([0.0, -math.sin(q[1])]),))
-    noise = _builtin_coupling(gamma_coupling, cos_theta, 2)
-    return MetricSystem(2, metric, noise, metric_grad=metric_grad)
+                              (cos_theta_grad,))
+    return MetricSystem(2, metric, _builtin_coupling(gamma_coupling,
+                                                     cos_theta),
+                        metric_grad=metric_grad)

@@ -55,33 +55,37 @@ def _symbols(prefix: str, n: int):
     return sympy.symbols(f"{prefix}1:{n + 1}")
 
 
-def _lambdify_vec(args, exprs):
-    import sympy
-    fns = [sympy.lambdify(args, e, modules="math") for e in exprs]
+def _lambdify(args, exprs, shape: tuple):
+    """numpy function of arrays (..., n_i) whose columns are `args`.
 
-    def call(*vals):
-        flat = [float(x) for v in vals for x in np.atleast_1d(v)]
-        return np.array([f(*flat) for f in fns])
+    `exprs`, the row-major entries of a value of shape `shape`, are
+    lambdified once.  A call reads the columns as x[..., j] and fills one
+    (..., len(exprs)) array, so constants broadcast; it returns (...) + shape.
+    """
+    import sympy
+    fn = sympy.lambdify(args, list(exprs), modules="numpy")
+
+    def call(*arrays):
+        cols = [x[..., j] for x in arrays for j in range(x.shape[-1])]
+        batch = cols[0].shape
+        out = np.empty(batch + (len(exprs),))
+        for j, val in enumerate(fn(*cols)):
+            out[..., j] = val
+        return out.reshape(batch + shape)
 
     return call
 
 
 def noise_from_expressions(exprs: list[str], dim: int) -> NoiseCoupling:
-    """Couplings gamma_a(q1..qn) from expression strings.
-
-    The values follow the batch contract of `frachp.dynamics` (samples of
-    shape (..., n)); the gradients take one sample at a time.
-    """
+    """Couplings gamma_a(q1..qn) from expression strings, with their
+    symbolic gradients."""
     import sympy
     qs = _symbols("q", dim)
     gammas, grads = [], []
     for text in exprs:
         e = _parse(text, "gamma_expr", qs)
-        fn = sympy.lambdify(qs, e, modules="numpy")
-        grad = _lambdify_vec(qs, [sympy.diff(e, q) for q in qs])
-        gammas.append(lambda q, _f=fn: _f(*np.moveaxis(
-            np.asarray(q, dtype=float), -1, 0)))
-        grads.append(lambda q, _g=grad: _g(q))
+        gammas.append(_lambdify(qs, [e], ()))
+        grads.append(_lambdify(qs, [sympy.diff(e, q) for q in qs], (dim,)))
     return NoiseCoupling(tuple(gammas), tuple(grads))
 
 
@@ -91,16 +95,13 @@ def hamiltonian_from_expression(h_expr: str, gamma_exprs: list[str],
     import sympy
     qs, ps = _symbols("q", dim), _symbols("p", dim)
     h_sym = _parse(h_expr, "hamiltonian_expr", qs + ps)
-    h_fn = sympy.lambdify(qs + ps, h_sym, modules="math")
-    grad_q = _lambdify_vec(qs + ps, [sympy.diff(h_sym, q) for q in qs])
-    grad_p = _lambdify_vec(qs + ps, [sympy.diff(h_sym, p) for p in ps])
-
     return HamiltonianSystem(
-        dim,
-        lambda q, p: float(h_fn(*np.atleast_1d(q), *np.atleast_1d(p))),
+        dim, _lambdify(qs + ps, [h_sym], ()),
         noise_from_expressions(gamma_exprs, dim),
-        grad_q=lambda q, p: grad_q(q, p),
-        grad_p=lambda q, p: grad_p(q, p))
+        grad_q=_lambdify(qs + ps, [sympy.diff(h_sym, q) for q in qs],
+                         (dim,)),
+        grad_p=_lambdify(qs + ps, [sympy.diff(h_sym, p) for p in ps],
+                         (dim,)))
 
 
 def metric_from_expressions(rows: list[list[str]], gamma_exprs: list[str],
@@ -113,18 +114,9 @@ def metric_from_expressions(rows: list[list[str]], gamma_exprs: list[str],
                          f"entries, need {dim} rows of {dim} for dim = {dim}")
     g_sym = sympy.Matrix([[_parse(e, "metric_expr", qs) for e in row]
                           for row in rows])
-    g_fn = sympy.lambdify(qs, g_sym, modules="numpy")
-    dg_fns = [sympy.lambdify(qs, g_sym.diff(q), modules="numpy") for q in qs]
-
-    def metric(q):
-        return np.asarray(g_fn(*np.atleast_1d(q)), dtype=float)
-
-    def metric_grad(q):
-        vals = np.atleast_1d(q)
-        dg = np.empty((dim, dim, dim))
-        for k, f in enumerate(dg_fns):
-            dg[:, :, k] = np.asarray(f(*vals), dtype=float)
-        return dg
-
-    return MetricSystem(dim, metric, noise_from_expressions(gamma_exprs, dim),
-                        metric_grad=metric_grad)
+    # metric_grad[i, j, k] = d g_ij / d q_k
+    return MetricSystem(
+        dim, _lambdify(qs, list(g_sym), (dim, dim)),
+        noise_from_expressions(gamma_exprs, dim),
+        metric_grad=_lambdify(qs, [g.diff(q) for g in g_sym for q in qs],
+                              (dim, dim, dim)))

@@ -51,11 +51,6 @@ def _check_span(grid: TimeGrid, t: float) -> None:
         raise GridMismatch(f"grid end {grid.t_end} exceeds t = {t}")
 
 
-def left_rectangle_integral(f: SampledFunction) -> float:
-    """Plain left-endpoint rectangle integral over the sample's grid."""
-    return float(np.sum(f.values[:-1]) * f.grid.h)
-
-
 def rl_integral(f: SampledFunction, beta: float, t: float) -> float:
     """Riemann-Liouville integral (1/Gamma(beta)) int_0^t f(s)(t-s)^(beta-1) ds.
 

@@ -191,8 +191,9 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
     part: midpoint (Stratonovich) evaluation of gamma_a against the Wiener
     increments, kernel (t - s)^(beta-1) at the step midpoint.  Both parts
     are evaluated on whole-grid arrays: one call of the Lagrangian and one
-    of each coupling, under the batch contract of `frachp.dynamics`.
-    Raises ValueError if the action is not finite.
+    of each coupling, under the array contract of `frachp.dynamics`.
+    A non-finite action raises NumericalBlowup naming the first step from
+    which the running sum is not finite.
     """
     grid = trajectory.grid
     path.check_aligned(grid)
@@ -209,17 +210,21 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
     # result does not depend on how numpy or BLAS blocks a reduction.
     integrand = (system_lagrangian(sys, q, v)
                  + np.einsum("ki,ki->k", p, qdot - v))
-    det = float(np.cumsum(integrand * w_alpha)[-1]) / gamma(params.alpha)
+    det = np.cumsum(integrand * w_alpha) / gamma(params.alpha)
 
     s_mid = s[:-1] + 0.5 * h
     kernel = (t - s_mid) ** (params.beta - 1.0)
     terms = (sys.noise.values(0.5 * (q + q_next)) * kernel[:, None]
              * path.increments)
-    stoch = float(np.cumsum(terms.sum(axis=1))[-1]) / gamma(params.beta)
+    stoch = np.cumsum(terms.sum(axis=1)) / gamma(params.beta)
 
-    value = det + stoch
+    running = det + stoch
+    value = float(running[-1])
     if not math.isfinite(value):
-        raise ValueError("action value is not finite")
+        k = int(np.argmax(~np.isfinite(running)))
+        raise NumericalBlowup(
+            k + 1, f"discrete action is not finite from step {k + 1} "
+            f"(s = {s[k]:.6g}) on")
     return value
 
 

@@ -13,7 +13,6 @@ changing any of them is a format break.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -190,11 +189,3 @@ def spawn_substream(seed: int, index: int) -> int:
         child = _finalize(base + np.uint64(index & 0xFFFFFFFFFFFFFFFF) * _MIX2)
     return int(child)
 
-
-def path_to_csv(path: WienerPath, stream: io.TextIOBase) -> None:
-    """Dump the increment table: header step,s,G_1,...,G_m."""
-    cols = ",".join(f"G_{a + 1}" for a in range(path.channels))
-    stream.write(f"step,s,{cols}\n")
-    for k in range(path.n_steps):
-        vals = ",".join(f"{g:.17g}" for g in path.increments[k])
-        stream.write(f"{k},{k * path.h:.17g},{vals}\n")

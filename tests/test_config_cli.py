@@ -286,6 +286,25 @@ class TestSimulateCommand:
         assert not pwned.exists()
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("simulate", {"hamiltonian_expr": "p1**2/2 + sqrt(q1)", "q0": -1.0}),
+    ("simulate", {"hamiltonian_expr": "p1**2/2 + exp(1000*q1)", "q0": 1.0}),
+    ("action-check", {"hamiltonian_expr": "p1**2/2 + log(q1)", "q0": -1.0,
+                      "gamma": "const"}),
+], ids=["simulate-sqrt", "simulate-exp", "action-check-log"])
+def test_numerical_failure_names_step(tmp_path, capsys, command, overrides):
+    # Domain and range errors of an expression become NaN or inf, which
+    # the integrator or the action reports as the step they reach.
+    cfg_path, _ = small_config(tmp_path, system="hamiltonian:custom",
+                               n_steps=100, **overrides)
+    assert main([command, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.fullmatch(rf"frachp {command}: error: .*step \d+.*",
+                        err.splitlines()[-1])
+    assert not (tmp_path / "out").exists()
+
+
 class TestConvergenceCommand:
     def test_slope_and_csv(self, tmp_path, capsys):
         cfg_path, _ = small_config(

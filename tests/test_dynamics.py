@@ -6,8 +6,7 @@ import pytest
 from frachp.core import FractionalParams
 from frachp.dynamics import (HamiltonianSystem, LagrangianSystem,
                              MetricSystem, NoiseCoupling, assemble_hp_fields,
-                             central_gradient, christoffel,
-                             hamiltonian_from_lagrangian, invert_legendre,
+                             central_gradient, christoffel, invert_legendre,
                              legendre_transform, pendulum_lagrangian_system,
                              pendulum_system, polar_metric_system,
                              system_lagrangian)
@@ -22,7 +21,7 @@ def quadratic_lagrangian(g):
     return LagrangianSystem(
         n,
         lambda q, v: 0.5 * float(np.asarray(v) @ g @ np.asarray(v)),
-        NoiseCoupling.constant([1.0], n),
+        NoiseCoupling.constant([1.0]),
         grad_q=lambda q, v: np.zeros(n),
         grad_v=lambda q, v: g @ np.asarray(v, dtype=float),
         v_hessian=lambda q, v: g)
@@ -78,7 +77,7 @@ class TestChristoffel:
     def test_constant_metric_vanishes(self):
         sys = MetricSystem(
             2, lambda q: np.diag([2.0, 3.0]),
-            NoiseCoupling.constant([1.0], 2),
+            NoiseCoupling.constant([1.0]),
             metric_grad=lambda q: np.zeros((2, 2, 2)))
         assert not christoffel(sys, [0.3, 0.5]).any()
 
@@ -86,7 +85,7 @@ class TestChristoffel:
         # g = q^2 for q > 0: Gamma = 1/q
         sys = MetricSystem(
             1, lambda q: np.array([[float(q[0]) ** 2]]),
-            NoiseCoupling.constant([1.0], 1),
+            NoiseCoupling.constant([1.0]),
             metric_grad=lambda q: np.array([[[2.0 * float(q[0])]]]))
         for q in (0.5, 1.0, 2.0):
             assert christoffel(sys, [q])[0, 0, 0] == pytest.approx(1.0 / q)
@@ -107,10 +106,23 @@ class TestChristoffel:
 
     def test_not_positive_definite(self):
         sys = MetricSystem(1, lambda q: np.array([[-1.0]]),
-                           NoiseCoupling.constant([1.0], 1),
+                           NoiseCoupling.constant([1.0]),
                            metric_grad=lambda q: np.zeros((1, 1, 1)))
         with pytest.raises(NotPositiveDefinite):
             christoffel(sys, [0.0])
+
+    def test_stacked_metric_names_indefinite_sample(self):
+        def metric(q):  # diag(1, q1): indefinite where q1 < 0
+            g = np.zeros(q.shape[:-1] + (2, 2))
+            g[..., 0, 0] = 1.0
+            g[..., 1, 1] = q[..., 0]
+            return g
+
+        sys = MetricSystem(2, metric, NoiseCoupling.constant([1.0]))
+        q = np.array([[1.0, 0.0], [2.0, 0.1], [0.5, 0.2], [-0.5, 0.3],
+                      [3.0, 0.4]])
+        with pytest.raises(NotPositiveDefinite, match=r"q=\[-0\.5\s+0\.3\]"):
+            sys.metric_at(q)
 
 
 class TestGradientChecks:
@@ -153,7 +165,7 @@ class TestGradientChecks:
     def test_fd_fallback_when_gradients_omitted(self):
         sys = HamiltonianSystem(
             1, lambda q, p: 0.5 * float(p[0]) ** 2 + math.cos(float(q[0])),
-            NoiseCoupling.constant([1.0], 1))
+            NoiseCoupling.constant([1.0]))
         q, p = np.array([1.1]), np.array([0.4])
         assert sys.grad_q(q, p)[0] == pytest.approx(-math.sin(1.1), rel=1e-6)
         assert sys.grad_p(q, p)[0] == pytest.approx(0.4, rel=1e-6)
@@ -163,7 +175,7 @@ class TestGradientChecks:
         # [[3 v1^2, 1], [1, 2]] comes from central differences of grad_v.
         sys = LagrangianSystem(
             2, lambda q, v: v[0] ** 4 / 4 + v[0] * v[1] + v[1] ** 2,
-            NoiseCoupling.constant([1.0], 2),
+            NoiseCoupling.constant([1.0]),
             grad_q=lambda q, v: np.zeros(2),
             grad_v=lambda q, v: np.array([v[0] ** 3 + v[1],
                                           v[0] + 2.0 * v[1]]))
@@ -187,10 +199,10 @@ class TestGradientChecks:
         # Pendulum H = p^2/(2m) + cos q without an analytic Lagrangian;
         # for m != 1 the Newton solve for p needs the Jacobian of grad_p.
         sys = HamiltonianSystem(
-            1, lambda q, p: float(p[0]) ** 2 / (2 * mass) + math.cos(q[0]),
+            1, lambda q, p: p[..., 0] ** 2 / (2 * mass) + np.cos(q[..., 0]),
             NoiseCoupling.cos_q(),
-            grad_q=lambda q, p: np.array([-math.sin(q[0])]),
-            grad_p=lambda q, p: np.array([float(p[0]) / mass]))
+            grad_q=lambda q, p: -np.sin(q),
+            grad_p=lambda q, p: p / mass)
         q, v = np.array([0.4]), np.array([-0.9])
         exact = 0.5 * mass * 0.81 - math.cos(0.4)
         assert system_lagrangian(sys, q, v) == pytest.approx(exact,
@@ -237,7 +249,7 @@ class TestAssembly:
 
     def test_lagrangian_vs_hamiltonian_route(self):
         lsys = pendulum_lagrangian_system()
-        hsys = hamiltonian_from_lagrangian(lsys)
+        hsys = pendulum_system()
         f_l = assemble_hp_fields(lsys, self.params)
         f_h = assemble_hp_fields(hsys, self.params)
         rng = np.random.default_rng(6)
@@ -314,7 +326,7 @@ class TestNoiseCouplingChecks:
                                rtol=1e-6, atol=1e-6)
 
     def test_constant_coupling_zero_gradient(self):
-        coupling = NoiseCoupling.constant([2.0, 3.0], 2)
+        coupling = NoiseCoupling.constant([2.0, 3.0])
         assert coupling.m == 2
         assert not coupling.grad_matrix(np.array([0.3, 0.4])).any()
 
@@ -330,6 +342,19 @@ class TestExpressionSystems:
         assert sys.grad_q(q, p)[0] == pytest.approx(-math.sin(1.0))
         assert sys.grad_p(q, p)[0] == pytest.approx(0.7)
         assert sys.noise.grad_matrix(q)[0, 0] == pytest.approx(-math.sin(1.0))
+
+    def test_custom_polar_matches_builtin_bitwise(self):
+        # Both evaluate q1**2 and the gradients with the same numpy
+        # arithmetic, so they agree to the bit on every sample.
+        from frachp.exprsys import metric_from_expressions
+        custom = metric_from_expressions([["1", "0"], ["0", "q1**2"]],
+                                         ["cos(q2)"], 2)
+        builtin = polar_metric_system()
+        q = np.random.default_rng(3).uniform(0.5, 3.0, (20_000, 2))
+        assert np.array_equal(custom.metric(q), builtin.metric(q))
+        assert np.array_equal(custom.metric_grad(q), builtin.metric_grad(q))
+        assert np.array_equal(custom.noise.grad_matrix(q),
+                              builtin.noise.grad_matrix(q))
 
     def test_custom_metric(self):
         from frachp.exprsys import metric_from_expressions

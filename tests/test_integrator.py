@@ -5,9 +5,12 @@ import pytest
 
 from frachp.core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
                          make_grid)
-from frachp.dynamics import (LagrangianSystem, NoiseCoupling, SdeFields,
-                             assemble_hp_fields, pendulum_lagrangian_system,
-                             pendulum_system, polar_metric_system)
+from frachp.dynamics import (HamiltonianSystem, LagrangianSystem,
+                             MetricSystem, NoiseCoupling, SdeFields,
+                             assemble_hp_fields, invert_legendre,
+                             legendre_transform, pendulum_lagrangian_system,
+                             pendulum_system, polar_metric_system,
+                             system_lagrangian)
 from frachp.errors import (BatchShapeError, BoundaryViolation, GridMismatch,
                            GridReachesSingularity, NotApplicable,
                            NumericalBlowup)
@@ -222,7 +225,7 @@ class TestAction:
     def test_all_zero_action(self):
         import frachp.dynamics as dyn
         sys = dyn.LagrangianSystem(
-            1, lambda q, v: 0.0, NoiseCoupling.constant([0.0], 1),
+            1, lambda q, v: 0.0, NoiseCoupling.constant([0.0]),
             grad_q=lambda q, v: np.zeros(1),
             grad_v=lambda q, v: np.zeros(1),
             v_hessian=lambda q, v: np.eye(1))
@@ -237,7 +240,7 @@ class TestAction:
         c = 2.5
         import frachp.dynamics as dyn
         sys = dyn.LagrangianSystem(
-            1, lambda q, v: 0.0, NoiseCoupling.constant([c], 1),
+            1, lambda q, v: 0.0, NoiseCoupling.constant([c]),
             grad_q=lambda q, v: np.zeros(1),
             grad_v=lambda q, v: np.zeros(1),
             v_hessian=lambda q, v: np.eye(1))
@@ -253,7 +256,7 @@ class TestAction:
         # L == 0, gamma == 0, v != qdot: action = int <p, qdot - v> ds
         import frachp.dynamics as dyn
         sys = dyn.LagrangianSystem(
-            1, lambda q, v: 0.0, NoiseCoupling.constant([0.0], 1),
+            1, lambda q, v: 0.0, NoiseCoupling.constant([0.0]),
             grad_q=lambda q, v: np.zeros(1),
             grad_v=lambda q, v: np.zeros(1),
             v_hessian=lambda q, v: np.eye(1))
@@ -271,7 +274,7 @@ class TestAction:
         import frachp.dynamics as dyn
         sys = dyn.LagrangianSystem(
             1, lambda q, v: 0.5 * v[..., 0] ** 2 - 0.5 * q[..., 0] ** 2,
-            NoiseCoupling.constant([0.0], 1),
+            NoiseCoupling.constant([0.0]),
             grad_q=lambda q, v: np.array([-float(q[0])]),
             grad_v=lambda q, v: np.array([float(v[0])]),
             v_hessian=lambda q, v: np.eye(1))
@@ -319,6 +322,73 @@ ACTION_SYSTEMS = {
 }
 
 
+def _lagrangian_system(lagrangian=lambda q, v: 0.0, gamma=lambda q: 1.0):
+    return LagrangianSystem(
+        1, lagrangian, NoiseCoupling((gamma,), (lambda q: np.zeros(1),)),
+        grad_q=lambda q, v: np.zeros(1), grad_v=lambda q, v: v,
+        v_hessian=lambda q, v: np.eye(1))
+
+
+def _fallback_twin(sys):
+    """sys with every derivative it may omit left to the fallbacks."""
+    noise = NoiseCoupling(sys.noise.gamma, None)
+    if isinstance(sys, HamiltonianSystem):
+        return HamiltonianSystem(sys.dim, sys.hamiltonian, noise)
+    if isinstance(sys, LagrangianSystem):
+        return LagrangianSystem(sys.dim, sys.lagrangian, noise)
+    return MetricSystem(sys.dim, sys.metric, noise)
+
+
+def _held_callables(sys):
+    """{role: (f(q, y), tail)} for every callable sys holds, and for the
+    Lagrangian and Legendre maps built on them."""
+    n = sys.dim
+    calls = {}
+    for role, tail in (("hamiltonian", ()), ("lagrangian", ()),
+                       ("grad_q", (n,)), ("grad_p", (n,)), ("grad_v", (n,)),
+                       ("v_hessian", (n, n))):
+        if getattr(sys, role, None) is not None:
+            calls[role] = (getattr(sys, role), tail)
+    for role, tail in (("metric", (n, n)), ("metric_at", (n, n)),
+                       ("metric_grad", (n, n, n))):
+        if hasattr(sys, role):
+            calls[role] = ((lambda f: lambda q, y: f(q))(getattr(sys, role)),
+                           tail)
+    for a, (g, dg) in enumerate(zip(sys.noise.gamma, sys.noise.gamma_grad)):
+        calls[f"gamma[{a}]"] = ((lambda f: lambda q, y: f(q))(g), ())
+        calls[f"gamma_grad[{a}]"] = ((lambda f: lambda q, y: f(q))(dg), (n,))
+    calls["grad_matrix"] = (lambda q, y: sys.noise.grad_matrix(q),
+                            (n, sys.noise.m))
+    calls["system_lagrangian"] = (
+        lambda q, y: system_lagrangian(sys, q, y), ())
+    if isinstance(sys, LagrangianSystem):
+        calls["invert_legendre"] = (lambda q, y: invert_legendre(sys, q, y),
+                                    (n,))
+        calls["legendre_transform"] = (
+            lambda q, y: legendre_transform(sys, q, y)[1], ())
+    return calls
+
+
+class TestArrayContract:
+    """Every callable maps (..., n) to (...) + tail, row by row."""
+
+    @pytest.mark.parametrize("fallback", [False, True],
+                             ids=["analytic", "fallback"])
+    @pytest.mark.parametrize("name", list(ACTION_SYSTEMS))
+    def test_batch_rows_equal_samples(self, name, fallback):
+        sys = ACTION_SYSTEMS[name]()
+        if fallback:
+            sys = _fallback_twin(sys)
+        rng = np.random.default_rng(12)
+        q = rng.uniform(0.5, 1.5, (5, sys.dim))
+        y = rng.uniform(-1.0, 1.0, (5, sys.dim))
+        for role, (fn, tail) in _held_callables(sys).items():
+            out = fn(q, y)
+            assert np.shape(out) == (5,) + tail, role
+            for i in range(5):
+                assert np.array_equal(out[i], fn(q[i], y[i])), (role, i)
+
+
 class TestActionOnArrays:
     """evaluate_action against the step-by-step loop of the reference."""
 
@@ -342,19 +412,29 @@ class TestActionOnArrays:
         got = evaluate_action(traj, sys, REFERENCE, path)
         assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("lagrangian, gamma, role", [
-        (lambda q, v: v[0], lambda q: 1.0, "lagrangian"),
-        (lambda q, v: 0.5 * float(v[0]) ** 2, lambda q: 1.0, "lagrangian"),
-        (lambda q, v: 0.5 * v.flat[0] ** 2, lambda q: 1.0, "lagrangian"),
-        (lambda q, v: 0.0, lambda q: q[0], r"gamma\[0\]"),
-        (lambda q, v: 0.0, lambda q: math.cos(q[0]), r"gamma\[0\]"),
+    @pytest.mark.parametrize("system, role", [
+        (lambda: _lagrangian_system(lagrangian=lambda q, v: v[0]),
+         "lagrangian"),
+        (lambda: _lagrangian_system(
+            lagrangian=lambda q, v: 0.5 * float(v[0]) ** 2), "lagrangian"),
+        (lambda: _lagrangian_system(
+            lagrangian=lambda q, v: 0.5 * v.flat[0] ** 2), "lagrangian"),
+        (lambda: _lagrangian_system(gamma=lambda q: q[0]), r"gamma\[0\]"),
+        (lambda: _lagrangian_system(gamma=lambda q: math.cos(q[0])),
+         r"gamma\[0\]"),
+        (lambda: MetricSystem(
+            1, lambda q: np.array([[float(q[0]) ** 2]]),
+            NoiseCoupling.constant([1.0]),
+            metric_grad=lambda q: np.array([[[2.0 * float(q[0])]]])),
+         "metric"),
+        (lambda: HamiltonianSystem(
+            1, lambda q, p: 0.5 * p[..., 0] ** 2,
+            NoiseCoupling.constant([1.0]), grad_q=lambda q, p: np.zeros(1),
+            grad_p=lambda q, p: np.array([float(p[0])])), "grad_p"),
     ], ids=["lagrangian", "lagrangian-float", "lagrangian-flat", "coupling",
-            "coupling-math"])
-    def test_per_sample_callable_rejected(self, lagrangian, gamma, role):
-        sys = LagrangianSystem(
-            1, lagrangian, NoiseCoupling((gamma,), (lambda q: np.zeros(1),)),
-            grad_q=lambda q, v: np.zeros(1), grad_v=lambda q, v: v,
-            v_hessian=lambda q, v: np.eye(1))
+            "coupling-math", "metric", "legendre-fallback-grad_p"])
+    def test_per_sample_callable_rejected(self, system, role):
+        sys = system()
         grid = make_grid(0.0, 0.01, 50, CLASSICAL)
         x = np.linspace(0.5, 1.5, 51)[:, None]
         with pytest.raises(BatchShapeError,

@@ -1,12 +1,10 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
 from frachp.errors import IndivisibleFactor, NonPositiveStep, ZeroSteps
-from frachp.noise import (coarsen, generate_path, path_to_csv,
-                          spawn_substream, zero_path)
+from frachp.noise import coarsen, generate_path, spawn_substream, zero_path
 
 from ._reference import ks_statistic
 
@@ -101,19 +99,6 @@ class TestSpawnSubstream:
         b = generate_path(spawn_substream(5, 1), 1.0, 10_000, 1)
         corr = np.corrcoef(a.increments[:, 0], b.increments[:, 0])[0, 1]
         assert abs(corr) <= 4.0 / math.sqrt(10_000)
-
-
-class TestCsvDump:
-    def test_format(self):
-        p = generate_path(1, 0.5, 2, 2)
-        buf = io.StringIO()
-        path_to_csv(p, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "step,s,G_1,G_2"
-        assert len(lines) == 3
-        step, s, g1, g2 = lines[1].split(",")
-        assert step == "0" and float(s) == 0.0
-        assert float(g1) == p.increments[0, 0]  # 17 significant digits
 
 
 def test_zero_path():
