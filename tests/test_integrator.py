@@ -343,6 +343,10 @@ def _held_callables(sys):
     """{role: (f(q, y), tail)} for every callable sys holds, and for the
     Lagrangian and Legendre maps built on them."""
     n = sys.dim
+
+    def of_q(f):
+        return lambda q, y: f(q)
+
     calls = {}
     for role, tail in (("hamiltonian", ()), ("lagrangian", ()),
                        ("grad_q", (n,)), ("grad_p", (n,)), ("grad_v", (n,)),
@@ -352,13 +356,11 @@ def _held_callables(sys):
     for role, tail in (("metric", (n, n)), ("metric_at", (n, n)),
                        ("metric_grad", (n, n, n))):
         if hasattr(sys, role):
-            calls[role] = ((lambda f: lambda q, y: f(q))(getattr(sys, role)),
-                           tail)
+            calls[role] = (of_q(getattr(sys, role)), tail)
     for a, (g, dg) in enumerate(zip(sys.noise.gamma, sys.noise.gamma_grad)):
-        calls[f"gamma[{a}]"] = ((lambda f: lambda q, y: f(q))(g), ())
-        calls[f"gamma_grad[{a}]"] = ((lambda f: lambda q, y: f(q))(dg), (n,))
-    calls["grad_matrix"] = (lambda q, y: sys.noise.grad_matrix(q),
-                            (n, sys.noise.m))
+        calls[f"gamma[{a}]"] = (of_q(g), ())
+        calls[f"gamma_grad[{a}]"] = (of_q(dg), (n,))
+    calls["grad_matrix"] = (of_q(sys.noise.grad_matrix), (n, sys.noise.m))
     calls["system_lagrangian"] = (
         lambda q, y: system_lagrangian(sys, q, y), ())
     if isinstance(sys, LagrangianSystem):
