@@ -13,8 +13,8 @@ from .fracint import (SampledFunction, VolterraCoefficients, bank_account,
                       solve_fractional_black_scholes, volterra_paths)
 from .integrator import (EulerRun, action_derivative, euler_step,
                          evaluate_action, initial_state, integrate,
-                         random_admissible_perturbation, stationarity_ratio,
-                         strong_convergence_order)
+                         integrate_paths, random_admissible_perturbation,
+                         stationarity_ratio, strong_convergence_order)
 from .noise import (WienerPath, coarsen, generate_path, spawn_substream,
                     zero_path)
 from .specfun import (gamma, hp_noise_coefficient, power_kernel,

@@ -23,7 +23,8 @@ from .dynamics import (assemble_hp_fields, pendulum_system,
 from .errors import ConfigError, FracHPError, ParseError
 from .fracint import VolterraCoefficients, volterra_paths
 from .integrator import (EulerRun, initial_state, integrate,
-                         stationarity_ratio, strong_convergence_order)
+                         integrate_paths, stationarity_ratio,
+                         strong_convergence_order)
 from .noise import generate_path, spawn_substream, zero_path
 from .svgplot import write_orbit
 
@@ -103,10 +104,10 @@ def _hp_run(cfg: RunConfig):
 def cmd_simulate(cfg: RunConfig) -> int:
     params, grid, system, fields, init = _hp_run(cfg)
     m = system.noise.m
-    noisy_path = generate_path(cfg.seed, cfg.h, cfg.n_steps, m)
-    det_path = zero_path(cfg.h, cfg.n_steps, m)
-    noisy = integrate(EulerRun(fields, grid, noisy_path, init, params))
-    det = integrate(EulerRun(fields, grid, det_path, init, params))
+    noisy, det = integrate_paths([
+        EulerRun(fields, grid, path, init, params)
+        for path in (generate_path(cfg.seed, cfg.h, cfg.n_steps, m),
+                     zero_path(cfg.h, cfg.n_steps, m))])
     outdir = _outdir(cfg)
     write_trajectory_csv(outdir / "trajectory.csv", noisy)
     write_trajectory_csv(outdir / "trajectory_deterministic.csv", det)
@@ -166,15 +167,14 @@ def cmd_action_check(cfg: RunConfig) -> int:
 
     # Noisy case: expectation statistics, reported but not gated.
     n_paths = min(cfg.n_paths, 100)
-
-    def one(i: int) -> float:
-        path = generate_path(spawn_substream(cfg.seed, i), cfg.h,
-                             cfg.n_steps, m)
-        traj = integrate(EulerRun(fields, grid, path, init, params))
-        return stationarity_ratio(traj, system, params, path,
-                                  n_perturbations=5, seed=cfg.seed + i)
-
-    ratios = np.array([one(i) for i in range(n_paths)])
+    paths = [generate_path(spawn_substream(cfg.seed, i), cfg.h, cfg.n_steps,
+                           m) for i in range(n_paths)]
+    trajs = integrate_paths([EulerRun(fields, grid, path, init, params)
+                             for path in paths])
+    ratios = np.array([
+        stationarity_ratio(traj, system, params, path, n_perturbations=5,
+                           seed=cfg.seed + i)
+        for i, (traj, path) in enumerate(zip(trajs, paths))])
     print(f"action-check (noisy, {n_paths} paths): "
           f"mean |dA|/||w|| = {ratios.mean():.3e}, "
           f"max = {ratios.max():.3e} (not gated)")
@@ -253,7 +253,10 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out=args.out)
-        return _COMMANDS[args.command](cfg)
+        # A NaN or inf is reported once, as the FracHPError that names
+        # its step, not also as numpy RuntimeWarnings.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](cfg)
     except (FracHPError, OSError) as exc:
         print(f"frachp {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -119,7 +119,11 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One sampled path: q, v and p as read-only (N+1, n) arrays."""
+    """One sampled path: q, v and p as read-only (N+1, n) arrays.
+
+    A read-only float array is kept as given, so that the trajectories of
+    a batch share its buffer; anything else is copied.
+    """
 
     grid: TimeGrid
     q: np.ndarray
@@ -128,8 +132,11 @@ class Trajectory:
 
     def __post_init__(self):
         for name in ("q", "v", "p"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype == float
+                    and not a.flags.writeable):
+                a = np.array(a, dtype=float)
+                a.setflags(write=False)
             object.__setattr__(self, name, a)
         if self.q.ndim != 2 or self.q.shape[0] != self.grid.n_steps + 1:
             raise ValueError(

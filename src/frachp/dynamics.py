@@ -15,7 +15,8 @@ result where a batch is formed (the action's L and gamma_a, `metric_at`,
 H and grad_p in the Legendre fallback): a value of shape tail alone, such
 as the 0.0 of `lambda q, v: 0.0`, is broadcast and must equal the value on
 the last sample; another shape or a TypeError raises BatchShapeError
-naming the callable.  The integrator's per-step calls pass one sample.
+naming the callable.  The integrator's per-step calls pass the (P, n)
+stack of the P paths it steps together.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ class MetricSystem:
 
         Each sample must be symmetric, to 1e-12 of its largest entry (or
         of 1), and positive definite; the error names the first that is
-        not.
+        not, with its flat batch index.
         """
         q = np.asarray(q, dtype=float)
         n = self.dim
@@ -231,17 +232,19 @@ class MetricSystem:
             bad = asym > 1e-12 * np.maximum(np.abs(g).max(axis=(-2, -1)), 1.0)
             if bad.any():
                 raise NotPositiveDefinite(
-                    f"metric is not symmetric at q={q[bad][0]}")
+                    f"metric is not symmetric at q={q[bad][0]}",
+                    int(np.flatnonzero(bad)[0]))
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             # Name the first sample that fails on its own.
-            for x, gx in zip(q.reshape(-1, n), g.reshape(-1, n, n)):
+            for i, (x, gx) in enumerate(zip(q.reshape(-1, n),
+                                            g.reshape(-1, n, n))):
                 try:
                     np.linalg.cholesky(gx)
                 except np.linalg.LinAlgError:
                     raise NotPositiveDefinite(
-                        f"metric not positive definite at q={x}") from None
+                        f"metric not positive definite at q={x}", i) from None
         return g
 
     def lagrangian(self, q, v):
@@ -353,16 +356,22 @@ def system_lagrangian(sys: SystemSpec, q, v):
 # ---------------------------------------------------------------------------
 
 def christoffel(sys: MetricSystem, q) -> np.ndarray:
-    """Gamma^i_jk = (1/2) g^il (dg_lj/dq^k + dg_lk/dq^j - dg_jk/dq^l)."""
+    """Gamma^i_jk = (1/2) g^il (dg_lj/dq^k + dg_lk/dq^j - dg_jk/dq^l).
+
+    q has shape (..., n); the result has shape (..., n, n, n).
+    """
     q = np.asarray(q, dtype=float)
     g = sys.metric_at(q)
     dg = np.asarray(sys.metric_grad(q), dtype=float)
     g_inv = np.linalg.inv(g)
-    # lower[l, j, k] = dg_lj/dq^k + dg_lk/dq^j - dg_jk/dq^l
-    lower = dg + np.transpose(dg, (0, 2, 1)) - np.transpose(dg, (2, 0, 1))
-    gamma = 0.5 * np.einsum("il,ljk->ijk", g_inv, lower)
+    # lower[..., l, j, k] = dg_lj/dq^k + dg_lk/dq^j - dg_jk/dq^l
+    # The last term moves the last axis of dg to the front: two swapaxes
+    # do that ~5 us faster per call than np.moveaxis.
+    lower = (dg + np.swapaxes(dg, -1, -2)
+             - np.swapaxes(np.swapaxes(dg, -1, -3), -1, -2))
+    gamma = 0.5 * np.einsum("...il,...ljk->...ijk", g_inv, lower)
     # Symmetrize in (j, k) so the symmetry holds exactly as computed.
-    return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
+    return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +385,9 @@ class SdeFields:
     drift_q/drift_p take (s, q, y) where y is p for the Hamiltonian
     formulation and v for the HP-Lagrangian and metric-velocity ones.
     diffusion_p(s, q) is the n x m noise matrix of the momentum (or
-    velocity) equation; the q-equation never carries noise.
+    velocity) equation; the q-equation never carries noise.  q and y are
+    samples (..., n), so the drifts return (..., n) and diffusion_p
+    returns (..., n, m).
 
     The fractional coefficients depend on s alone: damping(s) is the
     memory-drift factor of drift_p and noise_scale(s) the kernel
@@ -455,7 +466,7 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
         def momentum_drift(q, v, damp):
             v = np.asarray(v, dtype=float)
             gam = christoffel(sys, q)
-            geo = -np.einsum("ijk,j,k->i", gam, v, v)
+            geo = -np.einsum("...ijk,...j,...k->...i", gam, v, v)
             return geo - damp * v
 
         def noise_matrix(q):

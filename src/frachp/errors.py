@@ -60,7 +60,14 @@ class NoConvergence(FracHPError):
 
 
 class NotPositiveDefinite(FracHPError):
-    pass
+    """A metric sample is not symmetric positive definite.
+
+    sample is the flat batch index of the first such sample, if known.
+    """
+
+    def __init__(self, message: str, sample: int | None = None):
+        self.sample = sample
+        super().__init__(message)
 
 
 class NoiseShapeUnsupported(FracHPError):
@@ -74,8 +81,16 @@ class BatchShapeError(FracHPError):
 # -- integrator --------------------------------------------------------------
 
 class NumericalBlowup(FracHPError):
-    def __init__(self, step: int, message: str = ""):
-        self.step = step
+    """A state or a running sum is not finite, or is huge, from `step` on.
+
+    The integrator also sets s (the time of that step), path (the index
+    of the first failing path in its batch) and component ("q", "p" or
+    "v"); they are None where they do not apply.
+    """
+
+    def __init__(self, step: int, message: str = "", s: float | None = None,
+                 path: int | None = None, component: str | None = None):
+        self.step, self.s, self.path, self.component = step, s, path, component
         super().__init__(message or f"non-finite or huge state at step {step}")
 
 

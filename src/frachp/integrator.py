@@ -10,6 +10,7 @@ configuration equation never does.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .dynamics import (HamiltonianSystem, LagrangianSystem, MetricSystem,
                        SdeFields, SystemSpec, invert_legendre,
                        system_lagrangian)
 from .errors import (BoundaryViolation, GridMismatch, IndivisibleFactor,
-                     NotApplicable, NumericalBlowup)
+                     NotApplicable, NotPositiveDefinite, NumericalBlowup)
 from .noise import (WienerPath, _uniforms, coarsen, generate_path,
                     spawn_substream)
 from .specfun import gamma, step_weights
@@ -58,27 +59,25 @@ def euler_step(fields: SdeFields, s: float, q: np.ndarray, v: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One explicit Euler step with left-endpoint coefficients; new (q, v, p).
 
-    damp and coef are fields.damping(s) and fields.noise_scale(s); the
-    fields take them at s when they are not given.  The system type selects
-    the formulation.
+    q, v and p are stacks (P, n) of P paths, or one sample (n,), and
+    increments is (P, m) or (m,) to match.  damp and coef are
+    fields.damping(s) and fields.noise_scale(s); the fields take them at s
+    when they are not given.  The system type selects the formulation:
+    the noise enters p, or v for a metric system, and the other of the two
+    follows from the new state.
     """
-    g = np.asarray(increments, dtype=float)
+    g = np.asarray(increments, dtype=float)[..., None]
     sys = fields.system
-    if isinstance(sys, MetricSystem):
-        q_new = q + h * fields.drift_q(s, q, v)
-        v_new = (v + h * fields.drift_p(s, q, v, damp)
-                 + fields.diffusion_p(s, q, coef) @ g)
-        return q_new, v_new, sys.metric_at(q_new) @ v_new
-
-    y = v if isinstance(sys, LagrangianSystem) else p
+    y = p if isinstance(sys, HamiltonianSystem) else v
+    noisy = v if isinstance(sys, MetricSystem) else p
     q_new = q + h * fields.drift_q(s, q, y)
-    p_new = (p + h * fields.drift_p(s, q, y, damp)
-             + fields.diffusion_p(s, q, coef) @ g)
+    noisy = (noisy + h * fields.drift_p(s, q, y, damp)
+             + (fields.diffusion_p(s, q, coef) @ g)[..., 0])
+    if isinstance(sys, MetricSystem):
+        return q_new, noisy, (sys.metric_at(q_new) @ noisy[..., None])[..., 0]
     if isinstance(sys, LagrangianSystem):
-        v_new = invert_legendre(sys, q_new, p_new)
-    else:
-        v_new = np.asarray(sys.grad_p(q_new, p_new), dtype=float)
-    return q_new, v_new, p_new
+        return q_new, invert_legendre(sys, q_new, noisy), noisy
+    return q_new, np.asarray(sys.grad_p(q_new, noisy), dtype=float), noisy
 
 
 @dataclass(frozen=True)
@@ -107,28 +106,78 @@ class EulerRun:
         check_singularity_guard(self.grid, self.params)
 
 
-def integrate(run: EulerRun) -> Trajectory:
-    """Iterate the Euler scheme over the grid; aborts on non-finite states.
+def _blowup(state: np.ndarray, step: int, s: float,
+            batch: bool) -> NumericalBlowup:
+    """NumericalBlowup naming the first failing path and its component.
 
-    The fractional coefficients are taken once over the left endpoints of
-    all steps and then read per step.
+    state is the (3, P, n) stack of q, p and v at the step.
     """
-    fields, n, h = run.fields, run.grid.n_steps, run.grid.h
-    s = run.grid.points[:-1]
+    bad = ~(np.abs(state) <= BLOWUP_LIMIT)
+    path = int(np.argmax(bad.any(axis=(0, 2))))
+    comp = "qpv"[int(np.argmax(bad[:, path].any(axis=-1)))]
+    on = f" on path {path}" if batch else ""
+    return NumericalBlowup(
+        step, f"non-finite or huge {comp} at step {step} (s = {s:.6g}){on}",
+        s, path, comp)
+
+
+def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
+    """Iterate the Euler scheme for P runs at once; one Trajectory per run.
+
+    The runs must share their grid and fields (and so their params), or
+    GridMismatch is raised; their initial states and Wiener paths may
+    differ.  Each step advances the (P, n) stack of states on the (P, m)
+    increments of that step; under the array contract of
+    `frachp.dynamics`, row i is what run i alone gives, bit for bit.  The
+    fractional coefficients are taken once over the left endpoints of all
+    steps.  A state that is not finite or exceeds BLOWUP_LIMIT raises
+    NumericalBlowup, and a metric that stops being positive definite
+    raises NotPositiveDefinite; both name the step, and the path when
+    P > 1.
+    """
+    if not runs:
+        return ()
+    first = runs[0]
+    for i, run in enumerate(runs[1:], 1):
+        for name in ("grid", "fields"):
+            if getattr(run, name) != getattr(first, name):
+                raise GridMismatch(
+                    f"run {i} has other {name} than run 0; a batch of runs "
+                    f"shares its grid, fields and params")
+    fields, grid = first.fields, first.grid
+    n, h, batch = grid.n_steps, grid.h, len(runs) > 1
+    s = grid.points[:-1]
     damp = np.broadcast_to(fields.damping(s), s.shape)
     coef = np.broadcast_to(fields.noise_scale(s), s.shape)
-    qs, vs, ps = (np.empty((n + 1, fields.system.dim)) for _ in range(3))
-    q, v, p = run.initial.q, run.initial.v, run.initial.p
-    qs[0], vs[0], ps[0] = q, v, p
+    inc = np.stack([run.path.increments for run in runs], axis=1)  # (N, P, m)
+    # states[c, i, k] is component c (q, p, v) of path i at step k, so
+    # each path's history is one contiguous block.
+    states = np.empty((3, len(runs), n + 1, fields.system.dim))
+    states[:, :, 0] = [[getattr(run.initial, c) for run in runs]
+                       for c in "qpv"]
+    q, p, v = states[:, :, 0]
     for k in range(n):
-        q, v, p = euler_step(fields, run.grid.point(k), q, v, p, h,
-                             run.path.increments[k], damp[k], coef[k])
+        try:
+            q, v, p = euler_step(fields, grid.point(k), q, v, p, h, inc[k],
+                                 damp[k], coef[k])
+        except NotPositiveDefinite as exc:
+            on = f" on path {exc.sample}" if batch else ""
+            raise NotPositiveDefinite(
+                f"{exc} at step {k + 1} (s = {grid.point(k + 1):.6g}){on}",
+                exc.sample) from None
+        state = states[:, :, k + 1]
+        state[0], state[1], state[2] = q, p, v
         # Written so that NaN fails the test as well as inf and huge values.
-        if not (np.max(np.abs(q)) <= BLOWUP_LIMIT
-                and np.max(np.abs(p)) <= BLOWUP_LIMIT):
-            raise NumericalBlowup(k + 1)
-        qs[k + 1], vs[k + 1], ps[k + 1] = q, v, p
-    return Trajectory(run.grid, qs, vs, ps)
+        if not np.abs(state).max() <= BLOWUP_LIMIT:
+            raise _blowup(state, k + 1, grid.point(k + 1), batch)
+    states.setflags(write=False)
+    return tuple(Trajectory(grid, q, v, p)
+                 for q, p, v in np.swapaxes(states, 0, 1))
+
+
+def integrate(run: EulerRun) -> Trajectory:
+    """The trajectory of one run: `integrate_paths` on a batch of one."""
+    return integrate_paths((run,))[0]
 
 
 def strong_convergence_order(fields: SdeFields, initial: PhaseState,
@@ -141,7 +190,8 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
     For each path the finest Wiener path (step base_h) is generated once
     and coarsened by powers of two; terminal-state errors at the coarse
     levels are measured against the finest run sharing the same Brownian
-    path.  Returns the least-squares slope of log(mean error) vs log(h).
+    path.  Each level integrates all paths in one batch.  Returns the
+    least-squares slope of log(mean error) vs log(h).
     """
     if levels < 3:
         raise ValueError("levels must be >= 3")
@@ -155,18 +205,23 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
 
     grids = [make_grid(t_start, base_h * 2 ** l, n_fine // 2 ** l, params)
              for l in range(levels)]
+    fine = [generate_path(spawn_substream(seed, i), base_h, n_fine,
+                          fields.system.noise.m) for i in range(n_paths)]
+
+    def terminals(level: int) -> list:
+        """Terminal (q, p) of every path on the grid of this level."""
+        paths = fine if level == 0 else [coarsen(f, 2 ** level)
+                                         for f in fine]
+        return [np.concatenate([t.q[-1], t.p[-1]]) for t in integrate_paths(
+            [EulerRun(fields, grids[level], path, initial, params)
+             for path in paths])]
+
+    ref = terminals(0)
     errors = np.zeros(levels - 1)
-    for i in range(n_paths):
-        fine = generate_path(spawn_substream(seed, i), base_h, n_fine,
-                             fields.system.noise.m)
-        ref = integrate(EulerRun(fields, grids[0], fine, initial, params))
-        for l in range(1, levels):
-            coarse = coarsen(fine, 2 ** l)
-            term = integrate(EulerRun(fields, grids[l], coarse, initial,
-                                      params))
-            errors[l - 1] += np.linalg.norm(
-                np.concatenate([term.q[-1] - ref.q[-1],
-                                term.p[-1] - ref.p[-1]]))
+    for l in range(1, levels):
+        # Summed in path order, as one path at a time would add them.
+        for end, ref_end in zip(terminals(l), ref):
+            errors[l - 1] += np.linalg.norm(end - ref_end)
     errors /= n_paths
     if np.all(errors == 0.0):
         raise NotApplicable("all terminal errors are zero (degenerate fields)")

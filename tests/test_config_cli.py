@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -294,14 +295,31 @@ class TestSimulateCommand:
 ], ids=["simulate-sqrt", "simulate-exp", "action-check-log"])
 def test_numerical_failure_names_step(tmp_path, capsys, command, overrides):
     # Domain and range errors of an expression become NaN or inf, which
-    # the integrator or the action reports as the step they reach.
+    # the integrator or the action reports as the step they reach, in one
+    # line and without a numpy RuntimeWarning.
     cfg_path, _ = small_config(tmp_path, system="hamiltonian:custom",
                                n_steps=100, **overrides)
-    assert main([command, "--config", str(cfg_path)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert re.fullmatch(rf"frachp {command}: error: .*step \d+.*",
-                        err.splitlines()[-1])
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(rf"frachp {command}: error: .*step \d+.*\n", err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_metric_losing_definiteness_names_step(tmp_path, capsys):
+    # g_22 = q1 turns negative as q1 runs from 0.05 through 0 at speed 1.
+    cfg_path, _ = small_config(
+        tmp_path, system="metric:custom", dim=2, metric_expr="1, 0; 0, q1",
+        q0="0.05, 0.0", p0="-1.0, 0.0", h=1e-3, n_steps=100)
+    assert main(["simulate", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(r"frachp simulate: error: metric not positive "
+                        r"definite at q=.* at step \d+ \(s = .*\) on path "
+                        r"\d\n", err)
     assert not (tmp_path / "out").exists()
 
 

@@ -13,11 +13,12 @@ from frachp.dynamics import (HamiltonianSystem, LagrangianSystem,
                              system_lagrangian)
 from frachp.errors import (BatchShapeError, BoundaryViolation, GridMismatch,
                            GridReachesSingularity, NotApplicable,
-                           NumericalBlowup)
+                           NotPositiveDefinite, NumericalBlowup)
 from frachp.exprsys import (hamiltonian_from_expression,
                             metric_from_expressions)
 from frachp.integrator import (EulerRun, action_derivative, euler_step,
                                evaluate_action, initial_state, integrate,
+                               integrate_paths,
                                random_admissible_perturbation,
                                stationarity_ratio, strong_convergence_order)
 from frachp.noise import generate_path, zero_path
@@ -443,6 +444,83 @@ class TestActionOnArrays:
                            match=rf"{role} .*<lambda>.*\(50,\)"):
             evaluate_action(Trajectory(grid, x, x, x), sys,
                             CLASSICAL, zero_path(0.01, 50, 1))
+
+
+class TestIntegratePaths:
+    """One Euler loop over a (P, n) stack equals P single-path runs."""
+
+    @staticmethod
+    def _runs(sys, params=REFERENCE, h=1e-3, n=200):
+        fields = assemble_hp_fields(sys, params)
+        grid = make_grid(0.0, h, n, params)
+        starts = ([([1.0], [0.3]), ([0.5], [-0.2]), ([1.5], [0.1])]
+                  if sys.dim == 1 else
+                  [([1.0, 0.2], [0.1, 0.4]), ([0.8, -0.1], [0.3, -0.2]),
+                   ([1.2, 0.4], [-0.1, 0.2])])
+        return [EulerRun(fields, grid, generate_path(20 + i, h, n,
+                                                     sys.noise.m),
+                         initial_state(sys, q0, p0=p0), params)
+                for i, (q0, p0) in enumerate(starts)]
+
+    @pytest.mark.parametrize("name", list(ACTION_SYSTEMS))
+    def test_batch_rows_equal_single_runs(self, name):
+        runs = self._runs(ACTION_SYSTEMS[name]())
+        batch = integrate_paths(runs)
+        assert len(batch) == len(runs)
+        for i, (run, traj) in enumerate(zip(runs, batch)):
+            alone = integrate(run)
+            for c in "qvp":
+                assert np.array_equal(traj.component(c),
+                                      alone.component(c)), (i, c)
+
+    def test_runs_must_share_grid_and_fields(self):
+        sys = pendulum_system()
+        runs = self._runs(sys)
+        other_grid = self._runs(sys, h=5e-4, n=400)[1]
+        other_fields = self._runs(sys)[1]
+        other_params = self._runs(sys, params=CLASSICAL)[1]
+        for bad, what in ((other_grid, "grid"), (other_fields, "fields"),
+                          (other_params, "fields")):
+            with pytest.raises(GridMismatch, match=f"run 1 has other {what}"):
+                integrate_paths([runs[0], bad, runs[2]])
+        assert integrate_paths([]) == ()
+
+    def test_blowup_names_path_and_step(self):
+        # U = -q^4 blows up in finite time, the sooner the larger q0 is;
+        # only path 2 starts far enough out to do so on this grid.
+        sys = pendulum_system(potential=(lambda x: -x ** 4,
+                                         lambda x: -4.0 * x ** 3))
+        fields = assemble_hp_fields(sys, CLASSICAL)
+        grid = make_grid(0.0, 1e-2, 200, CLASSICAL)
+        runs = [EulerRun(fields, grid, generate_path(i, 1e-2, 200, 1),
+                         initial_state(sys, [q0], p0=[0.0]), CLASSICAL)
+                for i, q0 in enumerate((0.1, 0.2, 3.0))]
+        with pytest.raises(NumericalBlowup) as alone:
+            integrate(runs[2])
+        with pytest.raises(NumericalBlowup) as exc:
+            integrate_paths(runs)
+        err = exc.value
+        assert (err.path, err.step) == (2, alone.value.step)
+        assert err.component in ("q", "p")
+        assert err.s == grid.point(err.step)
+        assert str(err).endswith(f"at step {err.step} (s = {err.s:.6g}) "
+                                 f"on path 2")
+        assert "path" not in str(alone.value)
+
+    def test_lost_definiteness_names_path_and_step(self):
+        # g_22 = q1 turns negative on path 1 only, which runs q1 through 0.
+        sys = metric_from_expressions([["1", "0"], ["0", "q1"]],
+                                      ["cos(q2)"], 2)
+        fields = assemble_hp_fields(sys, REFERENCE)
+        grid = make_grid(0.0, 1e-3, 100, REFERENCE)
+        runs = [EulerRun(fields, grid, zero_path(1e-3, 100, 1),
+                         initial_state(sys, [q1, 0.0], p0=[-1.0, 0.0]),
+                         REFERENCE)
+                for q1 in (1.0, 0.05)]
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"at step \d+ \(s = .*\) on path 1$") as exc:
+            integrate_paths(runs)
+        assert exc.value.sample == 1
 
 
 class TestStationarity:
