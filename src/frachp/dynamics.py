@@ -265,6 +265,8 @@ SystemSpec = Union[HamiltonianSystem, LagrangianSystem, MetricSystem]
 # ---------------------------------------------------------------------------
 
 _HESS_DET_TOL = 1e-12
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 50
 
 
 def _invertible(jac, q, x, what: str) -> np.ndarray:
@@ -278,31 +280,30 @@ def _invertible(jac, q, x, what: str) -> np.ndarray:
     return jac
 
 
-def _newton(fn, jac, q, y, what: str, tol: float = 1e-10,
-            max_iter: int = 50) -> np.ndarray:
+def _newton(fn, jac, q, y, what: str) -> np.ndarray:
     """Solve fn(q, x) = y for x by Newton iteration from x = y.
 
     q and y have shape (..., n), and jac(q, x) is the (..., n, n) Jacobian
-    of fn in x.  A row stops once its residual is within tol: the
+    of fn in x.  A row stops once its residual is within _NEWTON_TOL: the
     Jacobian is taken and the step made on the other rows only, so every
     row takes the iterates it takes alone.
     """
     x = np.array(y, dtype=float)
-    for it in range(max_iter + 1):
+    for it in range(_NEWTON_MAX_ITER + 1):
         res = np.asarray(fn(q, x), dtype=float) - y
-        if np.abs(res).max() <= tol:  # every row has converged
+        if np.abs(res).max() <= _NEWTON_TOL:  # every row has converged
             return x
-        if it == max_iter:
+        if it == _NEWTON_MAX_ITER:
             break
-        todo = ~(np.abs(res).max(axis=-1) <= tol)
+        todo = ~(np.abs(res).max(axis=-1) <= _NEWTON_TOL)
         qt, xt = q[todo], x[todo]
         step = np.linalg.solve(_invertible(jac(qt, xt), qt, xt, what),
                                res[todo][..., None])
         x[todo] = xt - step[..., 0]
     raise NoConvergence(
         f"Newton iteration on the {what}: residual "
-        f"{np.abs(res[todo]).max():.3g} after {max_iter} iterations at "
-        f"q={q[todo][0]}")
+        f"{np.abs(res[todo]).max():.3g} after {_NEWTON_MAX_ITER} iterations "
+        f"at q={q[todo][0]}")
 
 
 def legendre_transform(sys: LagrangianSystem, q, v):
@@ -314,15 +315,26 @@ def legendre_transform(sys: LagrangianSystem, q, v):
     return p, np.einsum("...i,...i->...", p, v) - sys.lagrangian(q, v)
 
 
-def invert_legendre(sys: LagrangianSystem, q, p,
-                    tol: float = 1e-10, max_iter: int = 50) -> np.ndarray:
+def invert_legendre(sys: LagrangianSystem, q, p) -> np.ndarray:
     """Solve dL/dv(q, v) = p for v by Newton iteration from v0 = p.
 
     q and p have shape (..., n); each row converges on its own.
     """
     return _newton(sys.grad_v, sys.v_hessian, np.asarray(q, dtype=float),
-                   np.asarray(p, dtype=float), "velocity Hessian", tol,
-                   max_iter)
+                   np.asarray(p, dtype=float), "velocity Hessian")
+
+
+def complete_state(sys: SystemSpec, q, x) -> tuple[np.ndarray, np.ndarray]:
+    """(v, p) at configurations q (..., n) from x, the variable the noise
+    drives: p, giving v = dH/dp or the v solving dL/dv(q, v) = p, or for a
+    metric system v, giving p = g(q) v.  x is returned as it is."""
+    if isinstance(sys, MetricSystem):
+        return x, (sys.metric_at(q) @ x[..., None])[..., 0]
+    if isinstance(sys, LagrangianSystem):
+        return invert_legendre(sys, q, x), x
+    if isinstance(sys, HamiltonianSystem):
+        return np.asarray(sys.grad_p(q, x), dtype=float), x
+    raise TypeError(f"unsupported system {type(sys)!r}")
 
 
 def system_lagrangian(sys: SystemSpec, q, v):
@@ -384,10 +396,10 @@ class SdeFields:
 
     drift_q/drift_p take (s, q, y) where y is p for the Hamiltonian
     formulation and v for the HP-Lagrangian and metric-velocity ones.
-    diffusion_p(s, q) is the n x m noise matrix of the momentum (or
-    velocity) equation; the q-equation never carries noise.  q and y are
-    samples (..., n), so the drifts return (..., n) and diffusion_p
-    returns (..., n, m).
+    drift_p and the n x m noise matrix diffusion_p(s, q) drive the x of
+    `complete_state`: p, or v for a metric system; the q-equation never
+    carries noise.  q and y are samples (..., n), so the drifts return
+    (..., n) and diffusion_p returns (..., n, m).
 
     The fractional coefficients depend on s alone: damping(s) is the
     memory-drift factor of drift_p and noise_scale(s) the kernel
@@ -415,6 +427,10 @@ def _alpha_drift_factor(params: FractionalParams, s):
     if params.alpha == 1.0:
         return 0.0
     return (params.alpha - 1.0) / (params.t_eval - s)
+
+
+def _velocity_drift(s, q, v):  # drift_q of the formulations stepping v
+    return np.asarray(v, dtype=float)
 
 
 def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
@@ -450,8 +466,7 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
         noise_matrix = noise.grad_matrix
 
     elif isinstance(sys, LagrangianSystem):
-        def drift_q(s, q, v):
-            return np.asarray(v, dtype=float)
+        drift_q = _velocity_drift
 
         def momentum_drift(q, v, damp):
             base = np.asarray(sys.grad_q(q, v), dtype=float)
@@ -460,8 +475,7 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
         noise_matrix = noise.grad_matrix
 
     elif isinstance(sys, MetricSystem):
-        def drift_q(s, q, v):
-            return np.asarray(v, dtype=float)
+        drift_q = _velocity_drift
 
         def momentum_drift(q, v, damp):
             v = np.asarray(v, dtype=float)
@@ -540,11 +554,11 @@ def pendulum_system(potential: str | tuple = "cos",
                              lagrangian=lagrangian)
 
 
-def pendulum_lagrangian_system(potential: str | tuple = "cos",
-                               gamma_coupling: str = "cos") -> LagrangianSystem:
-    """The pendulum as a Lagrangian system, L = v^2/2 - U(q); arguments as
-    for `pendulum_system`."""
-    _, du, lagrangian, noise = _pendulum_parts(potential, gamma_coupling)
+def pendulum_lagrangian_system(gamma_coupling: str = "cos"
+                               ) -> LagrangianSystem:
+    """The pendulum as a Lagrangian system, L = v^2/2 - cos q; the coupling
+    as for `pendulum_system`."""
+    _, du, lagrangian, noise = _pendulum_parts("cos", gamma_coupling)
 
     def grad_q(q, v):
         return -du(q)

@@ -17,9 +17,8 @@ import numpy as np
 
 from .core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
                    check_singularity_guard, make_grid)
-from .dynamics import (HamiltonianSystem, LagrangianSystem, MetricSystem,
-                       SdeFields, SystemSpec, invert_legendre,
-                       system_lagrangian)
+from .dynamics import (HamiltonianSystem, MetricSystem, SdeFields,
+                       SystemSpec, complete_state, system_lagrangian)
 from .errors import (BoundaryViolation, GridMismatch, IndivisibleFactor,
                      NotApplicable, NotPositiveDefinite, NumericalBlowup)
 from .noise import (WienerPath, _uniforms, coarsen, generate_path,
@@ -29,28 +28,14 @@ from .specfun import gamma, step_weights
 BLOWUP_LIMIT = 1e12
 
 
-def initial_state(sys: SystemSpec, q0, p0=None, v0=None) -> PhaseState:
-    """Build a consistent (q, v, p) sample from q0 and either p0 or v0."""
+def initial_state(sys: SystemSpec, q0, p0) -> PhaseState:
+    """The (q, v, p) sample that `complete_state` gives at q0 from p0, so
+    p is p0; a metric system, completed from v, first solves g(q0) v0 = p0."""
     q = np.atleast_1d(np.asarray(q0, dtype=float))
-    if isinstance(sys, HamiltonianSystem):
-        if p0 is None:
-            raise ValueError("Hamiltonian systems need p0")
-        p = np.atleast_1d(np.asarray(p0, dtype=float))
-        return PhaseState(q, np.asarray(sys.grad_p(q, p), dtype=float), p)
-    if isinstance(sys, LagrangianSystem):
-        if v0 is not None:
-            v = np.atleast_1d(np.asarray(v0, dtype=float))
-        else:
-            v = invert_legendre(sys, q, np.atleast_1d(np.asarray(p0, float)))
-        return PhaseState(q, v, np.asarray(sys.grad_v(q, v), dtype=float))
+    x = np.atleast_1d(np.asarray(p0, dtype=float))
     if isinstance(sys, MetricSystem):
-        g = sys.metric_at(q)
-        if v0 is not None:
-            v = np.atleast_1d(np.asarray(v0, dtype=float))
-        else:
-            v = np.linalg.solve(g, np.atleast_1d(np.asarray(p0, float)))
-        return PhaseState(q, v, g @ v)
-    raise TypeError(f"unsupported system {type(sys)!r}")
+        x = np.linalg.solve(sys.metric_at(q), x)
+    return PhaseState(q, *complete_state(sys, q, x))
 
 
 def euler_step(fields: SdeFields, s: float, q: np.ndarray, v: np.ndarray,
@@ -63,21 +48,17 @@ def euler_step(fields: SdeFields, s: float, q: np.ndarray, v: np.ndarray,
     increments is (P, m) or (m,) to match.  damp and coef are
     fields.damping(s) and fields.noise_scale(s); the fields take them at s
     when they are not given.  The system type selects the formulation:
-    the noise enters p, or v for a metric system, and the other of the two
-    follows from the new state.
+    the noise enters p, or v for a metric system, and `complete_state`
+    gives the other of the two at the new q.
     """
     g = np.asarray(increments, dtype=float)[..., None]
     sys = fields.system
     y = p if isinstance(sys, HamiltonianSystem) else v
-    noisy = v if isinstance(sys, MetricSystem) else p
+    x = v if isinstance(sys, MetricSystem) else p
     q_new = q + h * fields.drift_q(s, q, y)
-    noisy = (noisy + h * fields.drift_p(s, q, y, damp)
-             + (fields.diffusion_p(s, q, coef) @ g)[..., 0])
-    if isinstance(sys, MetricSystem):
-        return q_new, noisy, (sys.metric_at(q_new) @ noisy[..., None])[..., 0]
-    if isinstance(sys, LagrangianSystem):
-        return q_new, invert_legendre(sys, q_new, noisy), noisy
-    return q_new, np.asarray(sys.grad_p(q_new, noisy), dtype=float), noisy
+    x = (x + h * fields.drift_p(s, q, y, damp)
+         + (fields.diffusion_p(s, q, coef) @ g)[..., 0])
+    return (q_new, *complete_state(sys, q_new, x))
 
 
 @dataclass(frozen=True)
@@ -183,27 +164,26 @@ def integrate(run: EulerRun) -> Trajectory:
 def strong_convergence_order(fields: SdeFields, initial: PhaseState,
                              params: FractionalParams, base_h: float,
                              levels: int, n_paths: int, seed: int,
-                             t_end: float, t_start: float = 0.0,
-                             return_errors: bool = False):
+                             t_end: float, return_errors: bool = False):
     """Fit the strong order of the Euler scheme by grid coarsening.
 
     For each path the finest Wiener path (step base_h) is generated once
     and coarsened by powers of two; terminal-state errors at the coarse
     levels are measured against the finest run sharing the same Brownian
     path.  Each level integrates all paths in one batch.  Returns the
-    least-squares slope of log(mean error) vs log(h).
+    least-squares slope of log(mean error) vs log(h); the grids start at 0.
     """
     if levels < 3:
         raise ValueError("levels must be >= 3")
-    n_fine = round((t_end - t_start) / base_h)
+    n_fine = round(t_end / base_h)
     top_factor = 2 ** (levels - 1)
     if n_fine % top_factor != 0 or n_fine < top_factor:
         raise IndivisibleFactor(
-            f"(t_end - t_start)/h = {n_fine} steps (h = {base_h!r}, "
+            f"t_end/h = {n_fine} steps (h = {base_h!r}, "
             f"t_end = {t_end!r}) is not a multiple of "
             f"2^(levels-1) = {top_factor} (levels = {levels})")
 
-    grids = [make_grid(t_start, base_h * 2 ** l, n_fine // 2 ** l, params)
+    grids = [make_grid(0.0, base_h * 2 ** l, n_fine // 2 ** l, params)
              for l in range(levels)]
     fine = [generate_path(spawn_substream(seed, i), base_h, n_fine,
                           fields.system.noise.m) for i in range(n_paths)]
@@ -291,7 +271,7 @@ def _shift_trajectory(trajectory: Trajectory, dq, dv, dp,
 
 def action_derivative(trajectory: Trajectory, sys: SystemSpec,
                       params: FractionalParams, path: WienerPath,
-                      perturbation, eps: float = 1e-5) -> float:
+                      perturbation) -> float:
     """Central-difference directional derivative of the discrete action.
 
     perturbation is a (dq, dv, dp) triple of (N+1, n) arrays; dq must
@@ -300,6 +280,7 @@ def action_derivative(trajectory: Trajectory, sys: SystemSpec,
     dq, dv, dp = (np.asarray(a, dtype=float) for a in perturbation)
     if np.any(dq[0] != 0.0) or np.any(dq[-1] != 0.0):
         raise BoundaryViolation("dq must vanish at both endpoints")
+    eps = 1e-5
     plus = evaluate_action(_shift_trajectory(trajectory, dq, dv, dp, eps),
                            sys, params, path)
     minus = evaluate_action(_shift_trajectory(trajectory, dq, dv, dp, -eps),

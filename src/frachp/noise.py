@@ -94,18 +94,20 @@ class WienerPath:
     """Discretized m-channel Brownian path: increments[k, a] = W^a((k+1)h) - W^a(kh)."""
 
     h: float
-    n_steps: int
-    channels: int
     increments: np.ndarray
 
     def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=float)
-        if inc.shape != (self.n_steps, self.channels):
-            raise ValueError(f"increment table shape {inc.shape} != "
-                             f"({self.n_steps}, {self.channels})")
-        inc = inc.copy()
+        inc = np.array(self.increments, dtype=float)  # (n_steps, channels)
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
+
+    @property
+    def n_steps(self) -> int:
+        return self.increments.shape[0]
+
+    @property
+    def channels(self) -> int:
+        return self.increments.shape[1]
 
     def check_aligned(self, grid) -> None:
         """Raise GridMismatch unless the path has the grid's steps and h.
@@ -138,7 +140,7 @@ def generate_path(seed: int, h: float, n_steps: int,
         raise ValueError(f"channels={channels} must be >= 1")
     u = _uniforms(seed, 0, n_steps * channels)
     inc = normal_inv_cdf(u).reshape(n_steps, channels) * np.sqrt(h)
-    return WienerPath(h, n_steps, channels, inc)
+    return WienerPath(h, inc)
 
 
 def zero_path(h: float, n_steps: int, channels: int = 1) -> WienerPath:
@@ -147,7 +149,7 @@ def zero_path(h: float, n_steps: int, channels: int = 1) -> WienerPath:
         raise NonPositiveStep(f"h={h}")
     if n_steps < 1:
         raise ZeroSteps(f"n_steps={n_steps}")
-    return WienerPath(h, n_steps, channels, np.zeros((n_steps, channels)))
+    return WienerPath(h, np.zeros((n_steps, channels)))
 
 
 def _pairwise_sum(x: np.ndarray) -> np.ndarray:
@@ -179,7 +181,7 @@ def coarsen(path: WienerPath, factor: int) -> WienerPath:
     n_coarse = path.n_steps // factor
     grouped = path.increments.reshape(n_coarse, factor, path.channels)
     inc = _pairwise_sum(grouped)
-    return WienerPath(path.h * factor, n_coarse, path.channels, inc)
+    return WienerPath(path.h * factor, inc)
 
 
 def spawn_substream(seed: int, index: int) -> int:

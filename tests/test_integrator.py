@@ -7,7 +7,8 @@ from frachp.core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
                          make_grid)
 from frachp.dynamics import (HamiltonianSystem, LagrangianSystem,
                              MetricSystem, NoiseCoupling, SdeFields,
-                             assemble_hp_fields, invert_legendre,
+                             assemble_hp_fields, complete_state,
+                             invert_legendre,
                              legendre_transform, pendulum_lagrangian_system,
                              pendulum_system, polar_metric_system,
                              system_lagrangian)
@@ -444,6 +445,47 @@ class TestActionOnArrays:
                            match=rf"{role} .*<lambda>.*\(50,\)"):
             evaluate_action(Trajectory(grid, x, x, x), sys,
                             CLASSICAL, zero_path(0.01, 50, 1))
+
+
+def _quartic_lagrangian(fallback=False):
+    """L = v^2/2 + v^4/4 - cos q, whose p = v + v^3 is not linear in v."""
+    def lagrangian(q, v):
+        return (0.5 * v[..., 0] ** 2 + 0.25 * v[..., 0] ** 4
+                - np.cos(q[..., 0]))
+
+    if fallback:
+        return LagrangianSystem(1, lagrangian, NoiseCoupling.cos_q())
+    return LagrangianSystem(
+        1, lagrangian, NoiseCoupling.cos_q(), grad_q=lambda q, v: np.sin(q),
+        grad_v=lambda q, v: v + v ** 3,
+        v_hessian=lambda q, v: (1.0 + 3.0 * v ** 2)[..., None])
+
+
+class TestInitialState:
+    """initial_state is the completion rule of the Euler step at q0."""
+
+    @pytest.mark.parametrize("fallback", [False, True],
+                             ids=["analytic", "fallback"])
+    def test_lagrangian_keeps_p0(self, fallback):
+        sys = _quartic_lagrangian(fallback)
+        rng = np.random.default_rng(8)
+        for q0, p0 in rng.uniform(-2.0, 2.0, (200, 2)):
+            init = initial_state(sys, [q0], p0=[p0])
+            assert init.p[0] == p0, (q0, p0)
+            assert abs(sys.grad_v(init.q, init.v)[0] - p0) <= 1e-10
+
+    @pytest.mark.parametrize("name", list(ACTION_SYSTEMS))
+    def test_equals_completion_at_q0(self, name):
+        sys = ACTION_SYSTEMS[name]()
+        q0, p0 = ([1.0], [0.3]) if sys.dim == 1 else ([1.0, 0.2], [0.1, 0.4])
+        init = initial_state(sys, q0, p0=p0)
+        x = init.v if isinstance(sys, MetricSystem) else init.p
+        v, p = complete_state(sys, init.q, x)
+        assert np.array_equal(v, init.v) and np.array_equal(p, init.p)
+        if isinstance(sys, MetricSystem):
+            assert np.allclose(init.p, p0, rtol=1e-15, atol=0.0)
+        else:
+            assert np.array_equal(init.p, p0)
 
 
 class TestIntegratePaths:
