@@ -77,12 +77,20 @@ def step_weights(t: float, s, order: float) -> np.ndarray:
     """Exact integrals of (t - u)^(order - 1) over each step [s[j], s[j+1]].
 
     s holds the grid points, so there is one weight per step:
-    ((t - s[j])^order - (t - s[j+1])^order) / order.  t - s is clamped at 0,
-    so a step at or past t gets weight 0 rather than a NaN.  This is the
-    kernel half of the product rectangle rule behind every fractional
-    integral in the package.
+    ((t - s[j])^order - (t - s[j+1])^order) / order.  A step that ends
+    before t takes it as -(t - s[j])^order expm1(order log1p(-h_j /
+    (t - s[j]))) / order with h_j = s[j+1] - s[j], which keeps a long-lag
+    weight to a few ulps where the difference of two nearly equal powers
+    would lose about lag/order of them.  A step that reaches t keeps the
+    difference with t - s clamped at 0, so a step past t gets weight 0
+    rather than a NaN.  This is the kernel half of the product rectangle
+    rule behind every fractional integral in the package.
     """
     s = np.asarray(s, dtype=float)
-    left = np.maximum(t - s[:-1], 0.0)
-    right = np.maximum(t - s[1:], 0.0)
-    return (left ** order - right ** order) / order
+    lag = t - s[:-1]
+    w = np.maximum(lag, 0.0) ** order / order  # the steps that reach t
+    inside = t - s[1:] > 0.0
+    lag = lag[inside]
+    w[inside] = (-lag ** order / order
+                 * np.expm1(order * np.log1p(-np.diff(s)[inside] / lag)))
+    return w

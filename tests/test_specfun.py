@@ -107,3 +107,22 @@ class TestStepWeights:
     def test_steps_past_t_weigh_zero(self):
         w = step_weights(0.5, np.linspace(0.0, 1.0, 11), 0.3)
         assert np.all(w[:5] > 0.0) and np.all(w[5:] == 0.0)
+
+    @pytest.mark.parametrize("order", [0.1, 0.3, 0.6])
+    def test_against_40_digit_weights(self, order):
+        # h = 2^-11 makes the float grid the exact grid j*h; the weight of
+        # each step, long lags included, is then within a few ulps.
+        import mpmath as mp
+        h, n = 2.0 ** -11, 2000
+        s = np.arange(n + 1) * h
+        for k in (n, n // 2):  # the t_end frame and a per-step one
+            t = float(s[k])
+            got = step_weights(t, s, order)
+            assert np.all(got[k:] == 0.0)
+            with mp.workdps(40):
+                o, big_h = mp.mpf(order), mp.mpf(h)
+                want = [((k - j) ** o - (k - j - 1) ** o) * big_h ** o / o
+                        for j in range(k)]
+                ulps = max(abs(mp.mpf(float(x)) - w) / (w * 2.0 ** -52)
+                           for x, w in zip(got[:k], want))
+            assert ulps <= 4.0, (k, float(ulps))
