@@ -269,14 +269,20 @@ _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 50
 
 
-def _invertible(jac, q, x, what: str) -> np.ndarray:
+def _invertible(jac, q, x, what: str, rows=None) -> np.ndarray:
     """jac, if every sample has |det| > 1e-12; else SingularHessian naming
-    the first sample's q and x (the velocity or iterate jac was taken at)."""
+    the first sample's q and x (the velocity or iterate jac was taken at).
+
+    Its sample is that sample's flat index, or its entry in rows: the
+    flat indices in the caller's batch of the samples given.
+    """
     jac = np.asarray(jac, dtype=float)
     singular = np.abs(np.linalg.det(jac)) <= _HESS_DET_TOL
     if singular.any():
+        first = int(np.flatnonzero(singular)[0])
         raise SingularHessian(
-            f"{what} singular at q={q[singular][0]}, x={x[singular][0]}")
+            f"{what} singular at q={q[singular][0]}, x={x[singular][0]}",
+            first if rows is None else int(rows[first]))
     return jac
 
 
@@ -286,24 +292,26 @@ def _newton(fn, jac, q, y, what: str) -> np.ndarray:
     q and y have shape (..., n), and jac(q, x) is the (..., n, n) Jacobian
     of fn in x.  A row stops once its residual is within _NEWTON_TOL: the
     Jacobian is taken and the step made on the other rows only, so every
-    row takes the iterates it takes alone.
+    row takes the iterates it takes alone.  A failure's sample is the flat
+    index of the row it names.
     """
     x = np.array(y, dtype=float)
     for it in range(_NEWTON_MAX_ITER + 1):
         res = np.asarray(fn(q, x), dtype=float) - y
         if np.abs(res).max() <= _NEWTON_TOL:  # every row has converged
             return x
+        todo = ~(np.abs(res).max(axis=-1) <= _NEWTON_TOL)
         if it == _NEWTON_MAX_ITER:
             break
-        todo = ~(np.abs(res).max(axis=-1) <= _NEWTON_TOL)
         qt, xt = q[todo], x[todo]
-        step = np.linalg.solve(_invertible(jac(qt, xt), qt, xt, what),
+        step = np.linalg.solve(_invertible(jac(qt, xt), qt, xt, what,
+                                           np.flatnonzero(todo)),
                                res[todo][..., None])
         x[todo] = xt - step[..., 0]
     raise NoConvergence(
         f"Newton iteration on the {what}: residual "
         f"{np.abs(res[todo]).max():.3g} after {_NEWTON_MAX_ITER} iterations "
-        f"at q={q[todo][0]}")
+        f"at q={q[todo][0]}", int(np.flatnonzero(todo)[0]))
 
 
 def legendre_transform(sys: LagrangianSystem, q, v):

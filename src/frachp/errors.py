@@ -51,23 +51,27 @@ class IndivisibleFactor(FracHPError):
 
 # -- dynamics ----------------------------------------------------------------
 
-class SingularHessian(FracHPError):
-    pass
+class SampleError(FracHPError):
+    """A failure at one sample of a batch.
 
-
-class NoConvergence(FracHPError):
-    pass
-
-
-class NotPositiveDefinite(FracHPError):
-    """A metric sample is not symmetric positive definite.
-
-    sample is the flat batch index of the first such sample, if known.
+    sample is the flat batch index of the first failing sample, if known.
     """
 
     def __init__(self, message: str, sample: int | None = None):
         self.sample = sample
         super().__init__(message)
+
+
+class SingularHessian(SampleError):
+    """A velocity Hessian or Newton Jacobian is singular."""
+
+
+class NoConvergence(SampleError):
+    """A Newton iteration did not reach its tolerance."""
+
+
+class NotPositiveDefinite(SampleError):
+    """A metric sample is not symmetric positive definite."""
 
 
 class NoiseShapeUnsupported(FracHPError):

@@ -20,7 +20,7 @@ from .core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
 from .dynamics import (HamiltonianSystem, MetricSystem, SdeFields,
                        SystemSpec, complete_state, system_lagrangian)
 from .errors import (BoundaryViolation, GridMismatch, IndivisibleFactor,
-                     NotApplicable, NotPositiveDefinite, NumericalBlowup)
+                     NotApplicable, NumericalBlowup, SampleError)
 from .noise import (WienerPath, _uniforms, coarsen, generate_path,
                     spawn_substream)
 from .specfun import gamma, step_weights
@@ -112,9 +112,10 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     `frachp.dynamics`, row i is what run i alone gives, bit for bit.  The
     fractional coefficients are taken once over the left endpoints of all
     steps.  A state that is not finite or exceeds BLOWUP_LIMIT raises
-    NumericalBlowup, and a metric that stops being positive definite
-    raises NotPositiveDefinite; both name the step, and the path when
-    P > 1.
+    NumericalBlowup.  A metric that stops being positive definite raises
+    NotPositiveDefinite, and a Legendre map that cannot be inverted
+    SingularHessian or NoConvergence.  Each names the step, and the path
+    when P > 1.
     """
     if not runs:
         return ()
@@ -141,9 +142,9 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
         try:
             q, v, p = euler_step(fields, grid.point(k), q, v, p, h, inc[k],
                                  damp[k], coef[k])
-        except NotPositiveDefinite as exc:
+        except SampleError as exc:
             on = f" on path {exc.sample}" if batch else ""
-            raise NotPositiveDefinite(
+            raise type(exc)(
                 f"{exc} at step {k + 1} (s = {grid.point(k + 1):.6g}){on}",
                 exc.sample) from None
         state = states[:, :, k + 1]

@@ -10,7 +10,8 @@ from frachp.dynamics import (HamiltonianSystem, LagrangianSystem,
                              legendre_transform, pendulum_lagrangian_system,
                              pendulum_system, polar_metric_system,
                              system_lagrangian)
-from frachp.errors import NotPositiveDefinite, SingularHessian
+from frachp.errors import (NoConvergence, NotPositiveDefinite,
+                           SingularHessian)
 from frachp.specfun import gamma, hp_noise_coefficient
 
 
@@ -71,6 +72,23 @@ class TestLegendre:
         sys = quadratic_lagrangian(np.zeros((1, 1)))
         with pytest.raises(SingularHessian):
             legendre_transform(sys, [0.0], [1.0])
+
+    def test_newton_failures_name_the_batch_row(self):
+        # dL/dv = v - v^2 peaks at p = 1/4, where the Hessian 1 - 2v is 0.
+        sys = LagrangianSystem(
+            1, lambda q, v: 0.5 * v[..., 0] ** 2 - v[..., 0] ** 3 / 3.0,
+            NoiseCoupling.constant([1.0]), grad_q=lambda q, v: np.zeros(1),
+            grad_v=lambda q, v: v - v ** 2,
+            v_hessian=lambda q, v: (1.0 - 2.0 * v)[..., None])
+        q = np.zeros((3, 1))
+        # Row 0 has converged, so the Jacobian is taken on rows 1 and 2;
+        # the first Newton iterate of row 2 is v = 1/2.
+        with pytest.raises(SingularHessian) as exc:
+            invert_legendre(sys, q, [[0.0], [0.1], [0.5]])
+        assert exc.value.sample == 2
+        with pytest.raises(NoConvergence, match="after 50 iterations") as exc:
+            invert_legendre(sys, q, [[0.0], [0.1], [0.3]])
+        assert exc.value.sample == 2
 
 
 class TestChristoffel:

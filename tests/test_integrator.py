@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from frachp.dynamics import (HamiltonianSystem, LagrangianSystem,
                              pendulum_system, polar_metric_system,
                              system_lagrangian)
 from frachp.errors import (BatchShapeError, BoundaryViolation, GridMismatch,
-                           GridReachesSingularity, NotApplicable,
-                           NotPositiveDefinite, NumericalBlowup)
+                           GridReachesSingularity, NoConvergence,
+                           NotApplicable, NotPositiveDefinite,
+                           NumericalBlowup)
 from frachp.exprsys import (hamiltonian_from_expression,
                             metric_from_expressions)
 from frachp.integrator import (EulerRun, action_derivative, euler_step,
@@ -561,6 +563,30 @@ class TestIntegratePaths:
                 for q1 in (1.0, 0.05)]
         with pytest.raises(NotPositiveDefinite,
                            match=r"at step \d+ \(s = .*\) on path 1$") as exc:
+            integrate_paths(runs)
+        assert exc.value.sample == 1
+
+    def test_failed_legendre_names_path_and_step(self):
+        # L = v^2/2 - v^3/3 + q: p grows as s, and dL/dv = v - v^2 has no
+        # root v once p passes 1/4; path 1 gets there, path 0 stays below.
+        sys = LagrangianSystem(
+            1, lambda q, v: 0.5 * v[..., 0] ** 2 - v[..., 0] ** 3 / 3.0
+            + q[..., 0], NoiseCoupling.constant([1.0]),
+            grad_q=lambda q, v: np.ones(np.shape(q)),
+            grad_v=lambda q, v: v - v ** 2,
+            v_hessian=lambda q, v: (1.0 - 2.0 * v)[..., None])
+        fields = assemble_hp_fields(sys, CLASSICAL)
+        grid = make_grid(0.0, 1e-2, 100, CLASSICAL)
+        runs = [EulerRun(fields, grid, zero_path(1e-2, 100, 1),
+                         initial_state(sys, [0.0], p0=[p0]), CLASSICAL)
+                for p0 in (-1.0, 0.0)]
+        with pytest.raises(NoConvergence) as alone:
+            integrate(runs[1])
+        step = re.search(r"at step (\d+) \(s = ", str(alone.value))
+        assert step and "path" not in str(alone.value)
+        with pytest.raises(NoConvergence,
+                           match=rf"at step {step[1]} \(s = .*\) on path 1$"
+                           ) as exc:
             integrate_paths(runs)
         assert exc.value.sample == 1
 
