@@ -336,12 +336,12 @@ def complete_state(sys: SystemSpec, q, x) -> tuple[np.ndarray, np.ndarray]:
     """(v, p) at configurations q (..., n) from x, the variable the noise
     drives: p, giving v = dH/dp or the v solving dL/dv(q, v) = p, or for a
     metric system v, giving p = g(q) v.  x is returned as it is."""
-    if isinstance(sys, MetricSystem):
-        return x, (sys.metric_at(q) @ x[..., None])[..., 0]
-    if isinstance(sys, LagrangianSystem):
-        return invert_legendre(sys, q, x), x
     if isinstance(sys, HamiltonianSystem):
         return np.asarray(sys.grad_p(q, x), dtype=float), x
+    if isinstance(sys, LagrangianSystem):
+        return invert_legendre(sys, q, x), x
+    if isinstance(sys, MetricSystem):
+        return x, (sys.metric_at(q) @ x[..., None])[..., 0]
     raise TypeError(f"unsupported system {type(sys)!r}")
 
 
