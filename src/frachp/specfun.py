@@ -76,7 +76,7 @@ def hp_noise_coefficient(params: FractionalParams, s):
 def step_weights(t: float, s, order: float) -> np.ndarray:
     """Exact integrals of (t - u)^(order - 1) over each step [s[j], s[j+1]].
 
-    s holds the grid points, so there is one weight per step:
+    s holds the increasing grid points, so there is one weight per step:
     ((t - s[j])^order - (t - s[j+1])^order) / order.  A step that ends
     before t takes it as -(t - s[j])^order expm1(order log1p(-h_j /
     (t - s[j]))) / order with h_j = s[j+1] - s[j], which keeps a long-lag
@@ -88,9 +88,10 @@ def step_weights(t: float, s, order: float) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     lag = t - s[:-1]
-    w = np.maximum(lag, 0.0) ** order / order  # the steps that reach t
-    inside = t - s[1:] > 0.0
-    lag = lag[inside]
-    w[inside] = (-lag ** order / order
-                 * np.expm1(order * np.log1p(-np.diff(s)[inside] / lag)))
+    k = int(np.searchsorted(s[1:], t))  # steps j < k end before t
+    w = np.empty_like(lag)
+    head = lag[:k]
+    w[:k] = (-head ** order / order
+             * np.expm1(order * np.log1p(-np.diff(s[:k + 1]) / head)))
+    w[k:] = np.maximum(lag[k:], 0.0) ** order / order
     return w
