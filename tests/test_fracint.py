@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -210,6 +211,63 @@ class TestVolterra:
         x_ref = volterra_reference(coeffs, beta, grid, inc)
         # Relative to the largest value, not pointwise: X passes near 0.
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+    @pytest.mark.parametrize("n_paths", [1, 8])
+    @pytest.mark.parametrize("sampled", [False, True],
+                             ids=["constant", "sampled"])
+    @pytest.mark.parametrize("n", [1, 2, fracint._BLOCK - 1, fracint._BLOCK,
+                                   fracint._BLOCK + 1,
+                                   2 * fracint._BLOCK + 1, 1001])
+    def test_matches_reference_across_block_edges(self, n, sampled,
+                                                  n_paths):
+        h = 1e-3
+        grid = TimeGrid(0.0, h, n)
+        if sampled:
+            s = grid.points
+            coeffs = VolterraCoefficients(mu=0.1 + 0.05 * np.sin(3.0 * s),
+                                          sigma=0.3 + 0.15 * np.cos(2.0 * s),
+                                          x0=1.0)
+        else:
+            coeffs = VolterraCoefficients(mu=0.05, sigma=0.3, x0=1.0)
+        inc = np.vstack([
+            generate_path(spawn_substream(22, i), h, n, 1).increments[:, 0]
+            for i in range(n_paths)])
+        x = volterra_paths(coeffs, 0.3, grid, inc)
+        x_ref = volterra_reference(coeffs, 0.3, grid, inc)
+        assert x.shape == x_ref.shape
+        assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+    def _ensemble(self, n=4 * fracint._BLOCK + 3, n_paths=5):
+        grid = TimeGrid(0.0, 1e-3, n)
+        inc = np.vstack([
+            generate_path(spawn_substream(23, i), 1e-3, n, 1)
+            .increments[:, 0] for i in range(n_paths)])
+        return grid, inc
+
+    def test_repeat_calls_are_bitwise_equal(self):
+        grid, inc = self._ensemble()
+        coeffs = VolterraCoefficients(mu=0.05, sigma=0.3, x0=1.0)
+        x = volterra_paths(coeffs, 0.4, grid, inc)
+        assert np.array_equal(x, volterra_paths(coeffs, 0.4, grid, inc))
+
+    def test_no_dynamics_across_folds(self):
+        # Many blocks, so the FFT folds run; zero sources fold to exactly 0.
+        grid, inc = self._ensemble()
+        coeffs = VolterraCoefficients(mu=0.0, sigma=0.0, x0=2.5)
+        assert np.all(volterra_paths(coeffs, 0.5, grid, inc) == 2.5)
+
+    def test_leaves_no_garbage(self):
+        # A reference cycle would keep the call's arrays alive until the
+        # cyclic collector runs.
+        grid, inc = self._ensemble()
+        coeffs = VolterraCoefficients(mu=0.05, sigma=0.3, x0=1.0)
+        gc.collect()
+        gc.disable()
+        try:
+            volterra_paths(coeffs, 0.5, grid, inc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_single_path_wrapper(self):
         grid = TimeGrid(0.0, 0.01, 50)
