@@ -9,6 +9,7 @@ configuration equation never does.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -217,6 +218,14 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
 # Discrete action and stationarity
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _action_weights(grid: TimeGrid, t: float, alpha: float) -> np.ndarray:
+    """The deterministic action's kernel integrals, read-only, per grid."""
+    w = step_weights(t, grid.points, alpha)
+    w.setflags(write=False)
+    return w
+
+
 def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
                     params: FractionalParams,
                     path: WienerPath) -> float:
@@ -236,7 +245,7 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
     t = params.t_eval
     s = grid.points
     h = grid.h
-    w_alpha = step_weights(t, s, params.alpha)
+    w_alpha = _action_weights(grid, t, params.alpha)
 
     q, v, p = trajectory.q[:-1], trajectory.v[:-1], trajectory.p[:-1]
     q_next = trajectory.q[1:]

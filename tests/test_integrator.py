@@ -25,6 +25,7 @@ from frachp.integrator import (EulerRun, action_derivative, euler_step,
                                random_admissible_perturbation,
                                stationarity_ratio, strong_convergence_order)
 from frachp.noise import generate_path, zero_path
+from frachp.specfun import step_weights
 
 from ._reference import action_reference, rk4_terminal
 
@@ -238,6 +239,26 @@ class TestAction:
         traj = Trajectory(grid, zero, zero, zero)
         path = generate_path(1, 0.01, 50, 1)
         assert evaluate_action(traj, sys, CLASSICAL, path) == 0.0
+
+    def test_weights_taken_once_per_grid(self, monkeypatch):
+        import frachp.integrator as integ
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return step_weights(*args)
+
+        monkeypatch.setattr(integ, "step_weights", counted)
+        integ._action_weights.cache_clear()
+        sys, _, run = pendulum_run(REFERENCE, 1e-3, 200)
+        traj = integrate(run)
+        path = zero_path(1e-3, 200, 1)
+        first = evaluate_action(traj, sys, REFERENCE, path)
+        assert evaluate_action(traj, sys, REFERENCE, path) == first
+        assert len(calls) == 1
+        w = integ._action_weights(run.grid, REFERENCE.t_eval,
+                                  REFERENCE.alpha)
+        assert not w.flags.writeable
 
     def test_constant_gamma_stochastic_term(self):
         # alpha = beta = 1, gamma == c: stochastic term is c W(T)
