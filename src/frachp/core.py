@@ -2,7 +2,9 @@
 phase-space samples and sampled paths.
 
 All types are frozen dataclasses; array fields are made read-only so that
-instances can be shared freely between threads.
+instances can be shared freely between threads.  The types that hold arrays
+compare and hash by identity (eq=False), since a field-wise == would ask
+numpy for the truth value of an array.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def make_grid(t_start: float, h: float, n_steps: int,
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseState:
     """One (q, v, p) sample of the Hamilton-Pontryagin state."""
 
@@ -117,7 +119,7 @@ class PhaseState:
         return self.q.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """One sampled path: q, v and p as read-only (N+1, n) arrays.
 

@@ -31,7 +31,7 @@ _BLOCK = 64                 # steps solved by the direct Volterra loop
 _FFT_ELEMENTS = 1 << 16     # paths x FFT length per chunk of a fold
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Function samples on a uniform grid, values[k] = f(grid.point(k))."""
 
@@ -120,7 +120,7 @@ def _grid_samples(c: CoefficientLike, grid: TimeGrid) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VolterraCoefficients:
     """Coefficients of the fractional Black-Scholes Volterra equation."""
 

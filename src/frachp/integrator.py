@@ -62,7 +62,7 @@ def euler_step(fields: SdeFields, s: float, q: np.ndarray, v: np.ndarray,
     return (q_new, *complete_state(sys, q_new, x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EulerRun:
     """Everything needed for one trajectory; validated on construction."""
 

@@ -89,7 +89,7 @@ def normal_inv_cdf(u: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WienerPath:
     """Discretized m-channel Brownian path: increments[k, a] = W^a((k+1)h) - W^a(kh)."""
 

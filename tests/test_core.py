@@ -3,7 +3,11 @@ import pytest
 
 from frachp.core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
                          make_grid)
+from frachp.dynamics import assemble_hp_fields, pendulum_system
 from frachp.errors import (GridReachesSingularity, NonPositiveStep, ZeroSteps)
+from frachp.fracint import SampledFunction, VolterraCoefficients
+from frachp.integrator import EulerRun, initial_state
+from frachp.noise import generate_path
 
 
 class TestFractionalParams:
@@ -89,3 +93,36 @@ class TestTrajectory:
         traj = Trajectory(grid, [[1.0], [4.0]], [[2.0], [5.0]],
                           [[3.0], [6.0]])
         assert np.array_equal(traj.component("p"), [[3.0], [6.0]])
+
+
+def _euler_run():
+    params = FractionalParams(0.6, 0.3, 0.8)
+    sys = pendulum_system()
+    return EulerRun(assemble_hp_fields(sys, params),
+                    make_grid(0.0, 0.01, 5, params),
+                    generate_path(1, 0.01, 5, 1),
+                    initial_state(sys, [1.0], [0.0]), params)
+
+
+ARRAY_HOLDERS = {
+    "WienerPath": lambda: generate_path(1, 0.1, 5, 1),
+    "PhaseState": lambda: PhaseState([1.0, 2.0], [3.0, 4.0], [5.0, 6.0]),
+    "Trajectory": lambda: Trajectory(TimeGrid(0.0, 0.1, 2),
+                                     *np.ones((3, 3, 2))),
+    "EulerRun": _euler_run,
+    "SampledFunction": lambda: SampledFunction(TimeGrid(0.0, 0.1, 2),
+                                               [1.0, 2.0, 3.0]),
+    "VolterraCoefficients": lambda: VolterraCoefficients(
+        mu=np.full(3, 0.1), sigma=np.full(3, 0.2), x0=1.0),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_HOLDERS.values(),
+                         ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_by_identity(build):
+    # A generated field-wise __eq__ would ask numpy for the truth value of
+    # an array comparison and raise.
+    a, b = build(), build()
+    assert (a == b) is False
+    assert a == a
+    assert hash(a) == hash(a)
