@@ -152,12 +152,12 @@ def volterra_paths(coeffs: VolterraCoefficients, beta: float, grid: TimeGrid,
     come from the exact kernel integral w_d of a step at lag d.  On the
     uniform grid a weight depends only on the lag, so the weights are taken
     once, with outer time t_end, and both history sums are causal
-    convolutions.  They are summed by the divide-and-conquer
-    FFT scheme of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6,
-    1985): blocks of _BLOCK steps are solved by a direct loop, and each
-    finished, aligned run of 2^l blocks adds its history to the next 2^l
-    blocks with one FFT product over all paths.  That is O(P N log^2 N)
-    and exact up to FFT rounding.
+    convolutions.  They are summed by the divide-and-conquer FFT scheme of
+    Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985):
+    blocks of _BLOCK steps are solved by a direct loop, and each finished,
+    aligned run of 2^l blocks adds its history to the next 2^l blocks with
+    one FFT product over all paths.  That is O(P N log^2 N) and exact up
+    to FFT rounding.
     """
     _check_order(beta)
     inc = np.atleast_2d(np.asarray(increments, dtype=float))
