@@ -6,6 +6,7 @@ silently.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .errors import MissingKey, ParseError, UnknownKey
@@ -58,6 +59,11 @@ class RunConfig:
     gamma_expr: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            floats = {float: (v,), tuple[float, ...]: v}.get(f.type, ())
+            if not all(map(math.isfinite, floats)):
+                raise ParseError(f"{f.name}={v} must be finite")
         # Every check is written so that NaN fails it.
         for name in ("alpha", "beta"):
             v = getattr(self, name)

@@ -204,12 +204,22 @@ class MetricSystem:
     """Kinetic Lagrangian L = (1/2) g_ij(q) v^i v^j.
 
     metric_grad(q)[i, j, k] = d g_ij / d q^k.
+
+    The system keeps the validated metric of the last configuration stack
+    it was asked about, and its inverse once asked for it, as read-only
+    arrays: an Euler step takes the Christoffel symbols and the noise
+    matrix at q, then p = g v at the q it steps to, which the next step
+    starts from.  So each distinct q is evaluated, checked and inverted
+    once, and the metric callable must be a pure function of q.
     """
 
     dim: int
     metric: Callable
     noise: NoiseCoupling
     metric_grad: Optional[Callable] = None
+    # ((q.shape, q.bytes), g, g^-1 or None), replaced whole.
+    _memo: tuple = field(default=(None, None, None), init=False,
+                         repr=False, compare=False)
 
     def __post_init__(self):
         if self.metric_grad is None:
@@ -217,13 +227,21 @@ class MetricSystem:
                                partial(central_gradient, self.metric))
 
     def metric_at(self, q: np.ndarray) -> np.ndarray:
-        """The metric on configurations (..., n), as (..., n, n).
+        """The metric on configurations (..., n), as a read-only
+        (..., n, n) array.
 
         Each sample must be symmetric, to 1e-12 of its largest entry (or
         of 1), and positive definite; the error names the first that is
         not, with its flat batch index.
         """
+        return self._entry(q)[1]
+
+    def _entry(self, q) -> tuple:
+        """The memo entry for q; on a miss g is evaluated and checked."""
         q = np.asarray(q, dtype=float)
+        key, memo = (q.shape, q.tobytes()), self._memo
+        if memo[0] == key:
+            return memo
         n = self.dim
         g = _call_batched(self.metric, "metric", q.shape[:-1], (n, n), q)
         g_t = np.swapaxes(g, -1, -2)
@@ -245,7 +263,20 @@ class MetricSystem:
                 except np.linalg.LinAlgError:
                     raise NotPositiveDefinite(
                         f"metric not positive definite at q={x}", i) from None
-        return g
+        g = g.view()  # read-only without freezing the callable's own array
+        g.setflags(write=False)
+        memo = (key, g, None)
+        object.__setattr__(self, "_memo", memo)
+        return memo
+
+    def inverse_at(self, q: np.ndarray) -> np.ndarray:
+        """np.linalg.inv of `metric_at(q)`, read-only, taken once per q."""
+        key, g, g_inv = self._entry(q)
+        if g_inv is None:
+            g_inv = np.linalg.inv(g)
+            g_inv.setflags(write=False)
+            object.__setattr__(self, "_memo", (key, g, g_inv))
+        return g_inv
 
     def lagrangian(self, q, v):
         """(1/2) g(q)(v, v) on samples of shape (..., n).
@@ -381,9 +412,8 @@ def christoffel(sys: MetricSystem, q) -> np.ndarray:
     q has shape (..., n); the result has shape (..., n, n, n).
     """
     q = np.asarray(q, dtype=float)
-    g = sys.metric_at(q)
+    g_inv = sys.inverse_at(q)
     dg = np.asarray(sys.metric_grad(q), dtype=float)
-    g_inv = np.linalg.inv(g)
     # lower[..., l, j, k] = dg_lj/dq^k + dg_lk/dq^j - dg_jk/dq^l
     # The last term moves the last axis of dg to the front: two swapaxes
     # do that ~5 us faster per call than np.moveaxis.
@@ -492,8 +522,7 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
             return geo - damp * v
 
         def noise_matrix(q):
-            g_inv = np.linalg.inv(sys.metric_at(np.asarray(q, dtype=float)))
-            return g_inv @ noise.grad_matrix(q)
+            return sys.inverse_at(q) @ noise.grad_matrix(q)
 
     else:
         raise TypeError(f"unsupported system type {type(sys)!r}")

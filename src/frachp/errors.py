@@ -88,13 +88,16 @@ class NumericalBlowup(FracHPError):
     """A state or a running sum is not finite, or is huge, from `step` on.
 
     The integrator also sets s (the time of that step), path (the index
-    of the first failing path in its batch) and component ("q", "p" or
-    "v"); they are None where they do not apply.
+    of the first failing path in its batch), component ("q", "p" or "v")
+    and last_state, the (q, p, v) of that path at the step before, the
+    last that passed the check; they are None where they do not apply.
     """
 
     def __init__(self, step: int, message: str = "", s: float | None = None,
-                 path: int | None = None, component: str | None = None):
+                 path: int | None = None, component: str | None = None,
+                 last_state: tuple | None = None):
         self.step, self.s, self.path, self.component = step, s, path, component
+        self.last_state = last_state
         super().__init__(message or f"non-finite or huge state at step {step}")
 
 

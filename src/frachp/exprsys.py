@@ -58,18 +58,30 @@ def _symbols(prefix: str, n: int):
 def _lambdify(args, exprs, shape: tuple):
     """numpy function of arrays (..., n_i) whose columns are `args`.
 
-    `exprs`, the row-major entries of a value of shape `shape`, are
-    lambdified once.  A call reads the columns as x[..., j] and fills one
-    (..., len(exprs)) array, so constants broadcast; it returns (...) + shape.
+    `exprs` are the row-major entries of a value of shape `shape`.  Entries
+    that are sympy Rationals (0, 1, 1/3) are taken once into a constant
+    row; the others are lambdified once, so other numbers such as pi keep
+    going through numpy.  A call reads the columns as x[..., j], fills one
+    (..., len(exprs)) array from the row and the lambdified entries, and
+    returns (...) + shape.
     """
     import sympy
-    fn = sympy.lambdify(args, list(exprs), modules="numpy")
+    exprs = list(exprs)
+    live = [j for j, e in enumerate(exprs)
+            if not isinstance(e, sympy.Rational)]
+    fixed = [j for j in range(len(exprs)) if j not in live]
+    row = np.zeros(len(exprs))
+    # Lambdified, the constants take the values a call would give them.
+    row[fixed] = sympy.lambdify((), [exprs[j] for j in fixed],
+                                modules="numpy")()
+    fn = sympy.lambdify(args, [exprs[j] for j in live], modules="numpy")
 
     def call(*arrays):
         cols = [x[..., j] for x in arrays for j in range(x.shape[-1])]
         batch = cols[0].shape
         out = np.empty(batch + (len(exprs),))
-        for j, val in enumerate(fn(*cols)):
+        out[...] = row
+        for j, val in zip(live, fn(*cols)):
             out[..., j] = val
         return out.reshape(batch + shape)
 

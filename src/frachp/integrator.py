@@ -64,7 +64,11 @@ def euler_step(fields: SdeFields, s: float, q: np.ndarray, v: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class EulerRun:
-    """Everything needed for one trajectory; validated on construction."""
+    """Everything needed for one trajectory; validated on construction.
+
+    An initial state that is not finite or exceeds BLOWUP_LIMIT raises
+    NumericalBlowup at step 0.
+    """
 
     fields: SdeFields
     grid: TimeGrid
@@ -81,6 +85,11 @@ class EulerRun:
                 f"fields expect {system.noise.m}")
         if self.initial.dim != system.dim:
             raise GridMismatch("initial state dimension mismatch")
+        for c in "qpv":
+            if not np.abs(getattr(self.initial, c)).max() <= BLOWUP_LIMIT:
+                raise NumericalBlowup(
+                    0, f"non-finite or huge initial {c}", self.grid.t_start,
+                    component=c)
         if self.params != self.fields.params:
             raise GridMismatch(
                 f"run params {self.params} differ from the fields' params "
@@ -88,19 +97,20 @@ class EulerRun:
         check_singularity_guard(self.grid, self.params)
 
 
-def _blowup(state: np.ndarray, step: int, s: float,
+def _blowup(states: np.ndarray, step: int, s: float,
             batch: bool) -> NumericalBlowup:
-    """NumericalBlowup naming the first failing path and its component.
+    """NumericalBlowup naming the first failing path, its component and its
+    (q, p, v) at the step before.
 
-    state is the (3, P, n) stack of q, p and v at the step.
+    states is the (3, P, N+1, n) buffer of q, p and v, filled to `step`.
     """
-    bad = ~(np.abs(state) <= BLOWUP_LIMIT)
+    bad = ~(np.abs(states[:, :, step]) <= BLOWUP_LIMIT)
     path = int(np.argmax(bad.any(axis=(0, 2))))
     comp = "qpv"[int(np.argmax(bad[:, path].any(axis=-1)))]
     on = f" on path {path}" if batch else ""
     return NumericalBlowup(
         step, f"non-finite or huge {comp} at step {step} (s = {s:.6g}){on}",
-        s, path, comp)
+        s, path, comp, tuple(states[:, path, step - 1].copy()))
 
 
 def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
@@ -113,7 +123,8 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     `frachp.dynamics`, row i is what run i alone gives, bit for bit.  The
     fractional coefficients are taken once over the left endpoints of all
     steps.  A state that is not finite or exceeds BLOWUP_LIMIT raises
-    NumericalBlowup.  A metric that stops being positive definite raises
+    NumericalBlowup, which carries the failing path's state at the step
+    before.  A metric that stops being positive definite raises
     NotPositiveDefinite, and a Legendre map that cannot be inverted
     SingularHessian or NoConvergence.  Each names the step, and the path
     when P > 1.
@@ -152,7 +163,7 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
         state[0], state[1], state[2] = q, p, v
         # Written so that NaN fails the test as well as inf and huge values.
         if not np.abs(state).max() <= BLOWUP_LIMIT:
-            raise _blowup(state, k + 1, grid.point(k + 1), batch)
+            raise _blowup(states, k + 1, grid.point(k + 1), batch)
     states.setflags(write=False)
     return tuple(Trajectory(grid, q, v, p)
                  for q, p, v in np.swapaxes(states, 0, 1))
@@ -174,15 +185,19 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
     levels are measured against the finest run sharing the same Brownian
     path.  Each level integrates all paths in one batch.  Returns the
     least-squares slope of log(mean error) vs log(h); the grids start at 0.
+    t_end/base_h must be a whole multiple of 2^(levels-1), to within
+    rounding, or IndivisibleFactor is raised.
     """
     if levels < 3:
         raise ValueError("levels must be >= 3")
-    n_fine = round(t_end / base_h)
+    ratio = t_end / base_h
+    n_fine = round(ratio) if math.isfinite(ratio) else 0
     top_factor = 2 ** (levels - 1)
-    if n_fine % top_factor != 0 or n_fine < top_factor:
+    if (not math.isclose(ratio, n_fine, rel_tol=1e-12)
+            or n_fine % top_factor != 0 or n_fine < top_factor):
         raise IndivisibleFactor(
-            f"t_end/h = {n_fine} steps (h = {base_h!r}, "
-            f"t_end = {t_end!r}) is not a multiple of "
+            f"t_end/h = {ratio:.12g} steps (h = {base_h!r}, "
+            f"t_end = {t_end!r}) is not a whole multiple of "
             f"2^(levels-1) = {top_factor} (levels = {levels})")
 
     grids = [make_grid(0.0, base_h * 2 ** l, n_fine // 2 ** l, params)

@@ -94,6 +94,22 @@ class TestParseConfig:
             parse_config(text)
         assert_cli_rejects(tmp_path, capsys, "simulate", text, key)
 
+    @pytest.mark.parametrize("command", ["simulate", "convergence",
+                                         "action-check", "volterra"])
+    @pytest.mark.parametrize("line", [
+        "t_end = inf", "mu = inf", "sigma = inf", "x0 = inf", "t_eval = inf",
+        "h = -inf", "alpha = inf", "q0 = nan", "p0 = inf", "q0 = 1.0, -inf",
+    ])
+    def test_nonfinite_value_rejected_with_key(self, tmp_path, capsys,
+                                               command, line):
+        key = line.split(" = ")[0]
+        text = "\n".join(row for row in REFERENCE_TEXT.splitlines()
+                         if not row.startswith(f"{key} ")) + f"\n{line}\n"
+        with pytest.raises(ParseError, match=rf"^{key}=.* must be finite"):
+            parse_config(text)
+        assert_cli_rejects(tmp_path, capsys, command, text,
+                           rf"{key}=.* must be finite")
+
     def test_malformed_line(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_config("just words\n" + REFERENCE_TEXT)
@@ -174,6 +190,30 @@ class TestSimulateCommand:
                               "7b0d9e3f76129790eab64bd3f3b93933",
             "trajectory_deterministic.csv": "3107e0380aef759351a926ebe7ae8077"
                                             "25a6ea92566201ac7b50be0e54701ced",
+        }
+
+    def test_polar_expression_csv_bytes_are_pinned(self, tmp_path):
+        # Golden sha256 of the sympy-defined polar metric (the benchmark's
+        # simulate-polar-expr config) at seed 1: the metric path's
+        # Christoffel symbols, noise matrix and p = g v, to the bit.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            REFERENCE_TEXT.replace("system = pendulum",
+                                   "system = metric:custom")
+            + "dim = 2\nmetric_expr = 1, 0; 0, q1**2\ngamma_expr = cos(q2)\n"
+              "q0 = 1.0, 0.0\np0 = 0.0, 0.5\nplot = false\n",
+            encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("trajectory.csv",
+                                "trajectory_deterministic.csv")}
+        assert digests == {
+            "trajectory.csv": "c2189614ce420d77cc47123c60d0c98f"
+                              "0fa4e20533fed1d83b5f71bd7c2d62aa",
+            "trajectory_deterministic.csv": "f303523fc72a617b8a44de6090040db0"
+                                            "95215333edc65df50cc2467c6cb18f0c",
         }
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -345,6 +385,16 @@ class TestConvergenceCommand:
         assert_cli_rejects(tmp_path, capsys, "convergence",
                            cfg_path.read_text(),
                            r"h = 0\.0003.*t_end = 0\.4.*levels = 4")
+
+
+    def test_t_end_off_the_grid_is_an_error(self, tmp_path, capsys):
+        # 0.40009 / 0.0002 = 2000.45 steps; the run used to stop at 0.4.
+        cfg_path, _ = small_config(tmp_path, alpha=1.0, beta=1.0,
+                                   t_eval=10.0, h=0.0002, t_end=0.40009,
+                                   levels=4, n_paths=2)
+        assert_cli_rejects(tmp_path, capsys, "convergence",
+                           cfg_path.read_text(),
+                           r"t_end/h = 2000\.45 steps.*t_end = 0\.40009")
 
 
 class TestActionCheckCommand:

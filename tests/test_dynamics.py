@@ -143,6 +143,67 @@ class TestChristoffel:
             sys.metric_at(q)
 
 
+class TestMetricMemo:
+    """MetricSystem keeps the checked metric of the last q and its inverse."""
+
+    def test_in_place_change_of_q_is_seen(self):
+        sys = polar_metric_system()
+        q = np.array([1.5, 0.3])
+        assert sys.metric_at(q)[1, 1] == 2.25
+        q[0] = 2.0
+        assert sys.metric_at(q)[1, 1] == 4.0
+        assert np.array_equal(sys.inverse_at(q), np.diag([1.0, 0.25]))
+
+    def test_arrays_are_read_only(self):
+        g_user = np.diag([2.0, 3.0])
+        sys = MetricSystem(2, lambda q: g_user,
+                           NoiseCoupling.constant([1.0]),
+                           metric_grad=lambda q: np.zeros((2, 2, 2)))
+        q = np.array([0.3, 0.5])
+        for arr in (sys.metric_at(q), sys.inverse_at(q)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 7.0
+        assert g_user.flags.writeable  # the callable's array stays as it was
+
+    def test_inverse_is_numpy_inv_bitwise(self):
+        sys = polar_metric_system()
+        q = np.random.default_rng(5).uniform(0.5, 3.0, (7, 2))
+        assert np.array_equal(sys.inverse_at(q),
+                              np.linalg.inv(sys.metric(q)))
+        assert sys.inverse_at(q) is sys.inverse_at(q.copy())
+
+    def test_shape_is_part_of_the_key(self):
+        calls = []
+
+        def metric(q):
+            calls.append(q.shape)
+            return polar_metric_system().metric(q)
+
+        sys = MetricSystem(2, metric, NoiseCoupling.constant([1.0]))
+        q = np.array([1.0, 0.2])
+        sys.metric_at(q)
+        sys.metric_at(q[None])
+        sys.inverse_at(q[None])
+        assert calls == [(2,), (1, 2)]
+        assert sys.metric_at(q[None]).shape == (1, 2, 2)
+
+    def test_failure_is_not_kept(self):
+        sys = MetricSystem(1, lambda q: np.array([[-1.0]]),
+                           NoiseCoupling.constant([1.0]),
+                           metric_grad=lambda q: np.zeros((1, 1, 1)))
+        for _ in range(2):
+            with pytest.raises(NotPositiveDefinite):
+                sys.inverse_at([0.0])
+
+    def test_memo_is_not_compared(self):
+        a = polar_metric_system()
+        b = MetricSystem(a.dim, a.metric, a.noise, a.metric_grad)
+        b.metric_at([1.0, 0.0])
+        assert a == b and hash(a) == hash(b)
+        assert "_memo" not in repr(b)
+
+
 class TestGradientChecks:
     """All analytic gradients vs central differences at random states."""
 
@@ -373,6 +434,37 @@ class TestExpressionSystems:
         assert np.array_equal(custom.metric_grad(q), builtin.metric_grad(q))
         assert np.array_equal(custom.noise.grad_matrix(q),
                               builtin.noise.grad_matrix(q))
+
+    @pytest.mark.parametrize("texts", [
+        ["0", "1", "1/3", "-2/3"],
+        ["pi", "1/3", "q1*pi", "0"],
+        ["sin(1)", "q1**2", "2.5", "0"],
+        ["1"],
+        ["0", "0", "0", "q2"],
+    ], ids=["rationals", "pi", "float", "one-constant", "one-live"])
+    def test_constant_row_matches_lambdify(self, texts):
+        # Rational entries are filled from one row, the others are
+        # lambdified; every entry is as lambdifying the whole list gives it.
+        import sympy
+        from frachp.exprsys import _lambdify
+        qs = sympy.symbols("q1:3")
+        exprs = [sympy.sympify(t) for t in texts]
+        q = np.random.default_rng(4).uniform(-2.0, 2.0, (9, 2))
+        got = _lambdify(qs, exprs, (len(exprs),))(q)
+        every = sympy.lambdify(qs, exprs, modules="numpy")(q[:, 0], q[:, 1])
+        for j, want in enumerate(every):
+            col = np.broadcast_to(np.asarray(want, dtype=float), (9,))
+            assert np.array_equal(got[:, j], col, equal_nan=True), texts[j]
+        assert got.shape == (9, len(exprs))
+        assert _lambdify(qs, exprs, (len(exprs),))(q[0]).shape == (
+            len(exprs),)
+
+    def test_constant_coupling_from_text(self):
+        from frachp.exprsys import noise_from_expressions
+        noise = noise_from_expressions(["1"], 2)
+        q = np.ones((3, 2))
+        assert np.array_equal(noise.values(q), np.ones((3, 1)))
+        assert np.array_equal(noise.grad_matrix(q), np.zeros((3, 2, 1)))
 
     def test_custom_metric(self):
         from frachp.exprsys import metric_from_expressions

@@ -14,8 +14,8 @@ from frachp.dynamics import (HamiltonianSystem, LagrangianSystem,
                              pendulum_system, polar_metric_system,
                              system_lagrangian)
 from frachp.errors import (BatchShapeError, BoundaryViolation, GridMismatch,
-                           GridReachesSingularity, NoConvergence,
-                           NotApplicable, NotPositiveDefinite,
+                           GridReachesSingularity, IndivisibleFactor,
+                           NoConvergence, NotApplicable, NotPositiveDefinite,
                            NumericalBlowup)
 from frachp.exprsys import (hamiltonian_from_expression,
                             metric_from_expressions)
@@ -142,6 +142,43 @@ class TestIntegrate:
             integrate(run)
         assert exc.value.step == 1
 
+    def test_blowup_carries_last_state(self):
+        # p grows by h per step until the drift turns NaN at s = 0.3, so
+        # path 1 (p0 = 1) fails at step 4 from its state at step 3.
+        n = 1
+
+        def drift_p(s, q, y, damp=None):
+            return np.where(np.asarray(y) > 1.25, np.nan, 1.0)
+
+        fields = SdeFields(
+            drift_q=lambda s, q, y: np.zeros_like(y), drift_p=drift_p,
+            diffusion_p=lambda s, q, coef=None: np.zeros(q.shape + (1,)),
+            damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
+            system=pendulum_system(), params=CLASSICAL)
+        grid = make_grid(0.0, 0.1, 8, CLASSICAL)
+        runs = [EulerRun(fields, grid, zero_path(0.1, 8, 1),
+                         PhaseState([q0], [p0], [p0]), CLASSICAL)
+                for q0, p0 in ((0.5, 0.0), (2.0, 1.0))]
+        with pytest.raises(NumericalBlowup) as exc:
+            integrate_paths(runs)
+        err = exc.value
+        assert (err.step, err.path, err.component) == (4, 1, "p")
+        q, p, v = err.last_state
+        assert q.tolist() == [2.0]
+        assert p.tolist() == v.tolist() == [1.0 + 0.1 + 0.1 + 0.1]
+        assert np.isfinite(np.concatenate(err.last_state)).all()
+
+    @pytest.mark.parametrize("c", ["q", "p", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e13])
+    def test_nonfinite_initial_state_rejected(self, c, bad):
+        sys, fields, run = pendulum_run(CLASSICAL, 0.1, 5)
+        state = {"q": [1.0], "p": [0.0], "v": [0.0], c: [bad]}
+        with pytest.raises(NumericalBlowup, match=f"initial {c}") as exc:
+            EulerRun(fields, run.grid, run.path,
+                     PhaseState(state["q"], state["v"], state["p"]),
+                     CLASSICAL)
+        assert (exc.value.step, exc.value.component) == (0, c)
+
     def test_raw_grid_reaching_t_eval_rejected(self):
         # A TimeGrid built directly skips make_grid; EulerRun still guards.
         params = FractionalParams(0.6, 0.3, 1.0)
@@ -208,6 +245,19 @@ class TestStrongConvergence:
         with pytest.raises(ValueError):
             strong_convergence_order(fields, init, CLASSICAL, 1e-3, 2, 4, 0,
                                      t_end=0.4)
+
+
+    @pytest.mark.parametrize("t_end", [0.40009, 0.4 + 1e-4, math.inf,
+                                       math.nan])
+    def test_t_end_off_the_grid_rejected(self, t_end):
+        # 0.40009 / 2e-4 = 2000.45 steps used to run to 0.4 unannounced.
+        sys = pendulum_system()
+        fields = assemble_hp_fields(sys, CLASSICAL)
+        init = initial_state(sys, [1.0], p0=[0.0])
+        with pytest.raises(IndivisibleFactor,
+                           match=rf"t_end = {t_end!r}.*levels = 4"):
+            strong_convergence_order(fields, init, CLASSICAL, 2e-4, 4, 1, 0,
+                                     t_end=t_end)
 
 
 class TestReferenceAgreement:
@@ -509,6 +559,35 @@ class TestInitialState:
             assert np.allclose(init.p, p0, rtol=1e-15, atol=0.0)
         else:
             assert np.array_equal(init.p, p0)
+
+
+class TestMetricEvaluations:
+    """An Euler step evaluates the metric once per distinct q."""
+
+    def test_one_metric_call_per_step(self):
+        builtin = polar_metric_system()
+        calls = []
+
+        def metric(q):
+            calls.append(q.shape)
+            return builtin.metric(q)
+
+        sys = MetricSystem(2, metric, builtin.noise, builtin.metric_grad)
+        init = initial_state(sys, [1.0, 0.0], p0=[0.0, 0.5])
+        assert len(calls) == 1
+        n = 500
+        fields = assemble_hp_fields(sys, REFERENCE)
+        run = EulerRun(fields, make_grid(0.0, 1e-4, n, REFERENCE),
+                       generate_path(1, 1e-4, n, 1), init, REFERENCE)
+        counted = integrate(run)
+        # Step 1 takes q0 as a (1, 2) stack, a new key; then one q_new a
+        # step, which the next step starts from.
+        assert len(calls) == 1 + n + 1
+        plain = integrate(EulerRun(
+            assemble_hp_fields(builtin, REFERENCE), run.grid, run.path,
+            initial_state(builtin, [1.0, 0.0], p0=[0.0, 0.5]), REFERENCE))
+        for c in "qvp":
+            assert np.array_equal(getattr(counted, c), getattr(plain, c))
 
 
 class TestIntegratePaths:
