@@ -459,13 +459,6 @@ class TestExpressionSystems:
         assert _lambdify(qs, exprs, (len(exprs),))(q[0]).shape == (
             len(exprs),)
 
-    def test_constant_coupling_from_text(self):
-        from frachp.exprsys import noise_from_expressions
-        noise = noise_from_expressions(["1"], 2)
-        q = np.ones((3, 2))
-        assert np.array_equal(noise.values(q), np.ones((3, 1)))
-        assert np.array_equal(noise.grad_matrix(q), np.zeros((3, 2, 1)))
-
     def test_custom_metric(self):
         from frachp.exprsys import metric_from_expressions
         sys = metric_from_expressions([["1", "0"], ["0", "q1**2"]],
