@@ -11,10 +11,10 @@ from .dynamics import (HamiltonianSystem, LagrangianSystem, MetricSystem,
 from .fracint import (SampledFunction, VolterraCoefficients, bank_account,
                       fractional_wiener_integral, rl_integral,
                       solve_fractional_black_scholes, volterra_paths)
-from .integrator import (EulerRun, action_derivative, euler_step,
-                         evaluate_action, initial_state, integrate,
-                         integrate_paths, random_admissible_perturbation,
-                         stationarity_ratio, strong_convergence_order)
+from .integrator import (EulerRun, action_derivative, evaluate_action,
+                         initial_state, integrate, integrate_paths,
+                         random_admissible_perturbation, stationarity_ratio,
+                         strong_convergence_order)
 from .noise import (WienerPath, coarsen, generate_path, spawn_substream,
                     zero_path)
 from .specfun import (gamma, hp_noise_coefficient, power_kernel,

@@ -28,8 +28,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import FractionalParams
-from .errors import (BatchShapeError, NoConvergence, NoiseShapeUnsupported,
-                     NotPositiveDefinite, SingularHessian)
+from .errors import (BatchShapeError, InvalidArgument, NoConvergence,
+                     NoiseShapeUnsupported, NotPositiveDefinite,
+                     SingularHessian)
 from .specfun import gamma, hp_noise_coefficient, power_kernel
 
 _FD_BASE_STEP = 1e-6
@@ -432,25 +433,22 @@ def christoffel(sys: MetricSystem, q) -> np.ndarray:
 class SdeFields:
     """Assembled Ito-form right-hand sides for one system and parameter set.
 
-    drift_q/drift_p take (s, q, y) where y is p for the Hamiltonian
-    formulation and v for the HP-Lagrangian and metric-velocity ones.
-    drift_p and the n x m noise matrix diffusion_p(s, q) drive the x of
-    `complete_state`: p, or v for a metric system; the q-equation never
-    carries noise.  q and y are samples (..., n), so the drifts return
-    (..., n) and diffusion_p returns (..., n, m).
+    step(q, v, p, h, damp, coef, inc) is one explicit Euler step from
+    samples (..., n) on increments (..., m); it returns the new (q, v, p).
+    q moves by h drift_q, x (p, or v for a metric system) by h drift_p
+    plus diffusion_p @ inc, and `complete_state` completes x at the new q.
+    damp and coef are damping(s) and noise_scale(s) at the left endpoint
+    s; both take arrays of s, so a caller takes them once over a grid.
 
-    The fractional coefficients depend on s alone: damping(s) is the
-    memory-drift factor of drift_p and noise_scale(s) the kernel
-    coefficient of diffusion_p, and both also take arrays of s.  drift_p
-    and diffusion_p accept that coefficient as an optional last argument,
-    so a caller that has taken it once over a whole grid passes it in
-    instead of having it recomputed per step.
-
-    The system owns the dimension (system.dim) and the channel count
-    (system.noise.m), and its type selects the formulation; params is the
-    triple the coefficients use.
+    drift_q(s, q, y) and drift_p(s, q, y), where y is p for the
+    Hamiltonian formulation and v for the others, return (..., n), and
+    diffusion_p(s, q) returns the (..., n, m) noise matrix; q never
+    carries noise.  The system owns system.dim and system.noise.m, and
+    its type selects the formulation; params is the triple the
+    coefficients use.
     """
 
+    step: Callable
     drift_q: Callable
     drift_p: Callable
     diffusion_p: Callable
@@ -467,24 +465,20 @@ def _alpha_drift_factor(params: FractionalParams, s):
     return (params.alpha - 1.0) / (params.t_eval - s)
 
 
-def _velocity_drift(s, q, v):  # drift_q of the formulations stepping v
+def _given_velocity(q, v):  # velocity of the formulations with y = v
     return np.asarray(v, dtype=float)
 
 
 def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
                        eq15_literal: bool = False) -> SdeFields:
-    """Build the Ito drift and diffusion evaluators for a system.
+    """Build the Euler step and the Ito drift and diffusion for a system.
 
     eq15_literal switches the metric-velocity noise coefficient to the
     printed variant Gamma(beta)/Gamma(alpha) (t-s)^(beta-1) instead of the
     one obtained from the Hamiltonian form through the Legendre map; the
     other formulations ignore it.
     """
-    noise = sys.noise
-
-    def damping(s):
-        return _alpha_drift_factor(params, s)
-
+    noise, damping = sys.noise, partial(_alpha_drift_factor, params)
     if eq15_literal and isinstance(sys, MetricSystem):
         def noise_scale(s):
             return (gamma(params.beta) / gamma(params.alpha)
@@ -493,29 +487,34 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
         def noise_scale(s):
             return hp_noise_coefficient(params, s)
 
+    # velocity(q, y), force(q, y, damp) and noise_matrix(q) per formulation;
+    # y is p for a Hamiltonian system and v otherwise, and the noise drives
+    # x: p, or v for a metric system.
+    y_is_p = isinstance(sys, HamiltonianSystem)
+    x_is_p = not isinstance(sys, MetricSystem)
     if isinstance(sys, HamiltonianSystem):
-        def drift_q(s, q, p):
+        def velocity(q, p):
             return np.asarray(sys.grad_p(q, p), dtype=float)
 
-        def momentum_drift(q, p, damp):
+        def force(q, p, damp):
             base = -np.asarray(sys.grad_q(q, p), dtype=float)
             return base + damp * np.asarray(p)
 
         noise_matrix = noise.grad_matrix
 
     elif isinstance(sys, LagrangianSystem):
-        drift_q = _velocity_drift
+        velocity = _given_velocity
 
-        def momentum_drift(q, v, damp):
+        def force(q, v, damp):
             base = np.asarray(sys.grad_q(q, v), dtype=float)
             return base + damp * np.asarray(sys.grad_v(q, v), dtype=float)
 
         noise_matrix = noise.grad_matrix
 
     elif isinstance(sys, MetricSystem):
-        drift_q = _velocity_drift
+        velocity = _given_velocity
 
-        def momentum_drift(q, v, damp):
+        def force(q, v, damp):
             v = np.asarray(v, dtype=float)
             gam = christoffel(sys, q)
             geo = -np.einsum("...ijk,...j,...k->...i", gam, v, v)
@@ -527,14 +526,17 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
     else:
         raise TypeError(f"unsupported system type {type(sys)!r}")
 
-    def drift_p(s, q, y, damp=None):
-        return momentum_drift(q, y, damping(s) if damp is None else damp)
+    def step(q, v, p, h, damp, coef, inc):
+        y, x = p if y_is_p else v, p if x_is_p else v
+        q_new = q + h * velocity(q, y)
+        x = (x + h * force(q, y, damp)
+             + ((coef * noise_matrix(q)) @ inc[..., None])[..., 0])
+        return (q_new, *complete_state(sys, q_new, x))
 
-    def diffusion_p(s, q, coef=None):
-        return (noise_scale(s) if coef is None else coef) * noise_matrix(q)
-
-    return SdeFields(drift_q, drift_p, diffusion_p, damping, noise_scale,
-                     sys, params)
+    return SdeFields(step, lambda s, q, y: velocity(q, y),
+                     lambda s, q, y: force(q, y, damping(s)),
+                     lambda s, q: noise_scale(s) * noise_matrix(q),
+                     damping, noise_scale, sys, params)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +549,7 @@ def _builtin_coupling(name: str, cos: NoiseCoupling) -> NoiseCoupling:
         return cos
     if name == "const":
         return NoiseCoupling.constant([1.0])
-    raise ValueError(f"unknown gamma coupling {name!r}")
+    raise InvalidArgument(f"gamma_coupling={name!r} is not 'cos' or 'const'")
 
 
 def _pendulum_parts(potential, gamma_coupling: str):

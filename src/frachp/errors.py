@@ -5,6 +5,10 @@ class FracHPError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgument(FracHPError, ValueError):
+    """A library argument outside its domain; the message names it."""
+
+
 # -- grids and kernels -------------------------------------------------------
 
 class NonPositiveStep(FracHPError):

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import TimeGrid
-from .errors import (BadChannel, GridMismatch, InvalidOrder, NegativeRate)
+from .errors import (BadChannel, GridMismatch, InvalidArgument, InvalidOrder,
+                     NegativeRate)
 from .noise import WienerPath
 from .specfun import gamma, step_weights
 
@@ -95,8 +96,8 @@ def fractional_wiener_integral(g: SampledFunction, beta: float, t: float,
 
 def bank_account(rate: Callable[[float], float], t: float, h: float) -> float:
     """A_t = exp(int_0^t r(s) ds), trapezoidal rule with step ~h."""
-    if t <= 0.0:
-        raise ValueError(f"t={t} must be positive")
+    if not 0.0 < t < np.inf:  # written so that NaN fails it too
+        raise InvalidArgument(f"t={t} must be positive and finite")
     n = max(1, round(t / h))
     s = np.linspace(0.0, t, n + 1)
     r = np.array([rate(x) for x in s])
@@ -130,7 +131,7 @@ class VolterraCoefficients:
 
     def __post_init__(self):
         if not self.x0 > 0.0:
-            raise ValueError(f"x0={self.x0} must be positive")
+            raise InvalidArgument(f"x0={self.x0} must be positive")
 
     def sampled(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
         mu = _grid_samples(self.mu, grid)

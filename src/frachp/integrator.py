@@ -18,10 +18,11 @@ import numpy as np
 
 from .core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
                    check_singularity_guard, make_grid)
-from .dynamics import (HamiltonianSystem, MetricSystem, SdeFields,
-                       SystemSpec, complete_state, system_lagrangian)
+from .dynamics import (MetricSystem, SdeFields, SystemSpec, complete_state,
+                       system_lagrangian)
 from .errors import (BoundaryViolation, GridMismatch, IndivisibleFactor,
-                     NotApplicable, NumericalBlowup, SampleError)
+                     InvalidArgument, NotApplicable, NumericalBlowup,
+                     SampleError)
 from .noise import (WienerPath, _uniforms, coarsen, generate_path,
                     spawn_substream)
 from .specfun import gamma, step_weights
@@ -37,29 +38,6 @@ def initial_state(sys: SystemSpec, q0, p0) -> PhaseState:
     if isinstance(sys, MetricSystem):
         x = np.linalg.solve(sys.metric_at(q), x)
     return PhaseState(q, *complete_state(sys, q, x))
-
-
-def euler_step(fields: SdeFields, s: float, q: np.ndarray, v: np.ndarray,
-               p: np.ndarray, h: float, increments: np.ndarray,
-               damp: float | None = None, coef: float | None = None
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One explicit Euler step with left-endpoint coefficients; new (q, v, p).
-
-    q, v and p are stacks (P, n) of P paths, or one sample (n,), and
-    increments is (P, m) or (m,) to match.  damp and coef are
-    fields.damping(s) and fields.noise_scale(s); the fields take them at s
-    when they are not given.  The system type selects the formulation:
-    the noise enters p, or v for a metric system, and `complete_state`
-    gives the other of the two at the new q.
-    """
-    g = np.asarray(increments, dtype=float)[..., None]
-    sys = fields.system
-    y = p if isinstance(sys, HamiltonianSystem) else v
-    x = v if isinstance(sys, MetricSystem) else p
-    q_new = q + h * fields.drift_q(s, q, y)
-    x = (x + h * fields.drift_p(s, q, y, damp)
-         + (fields.diffusion_p(s, q, coef) @ g)[..., 0])
-    return (q_new, *complete_state(sys, q_new, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,15 +97,15 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     The runs must share their grid and fields (and so their params), or
     GridMismatch is raised; their initial states and Wiener paths may
     differ.  Each step advances the (P, n) stack of states on the (P, m)
-    increments of that step; under the array contract of
+    increments of that step by `fields.step`; under the array contract of
     `frachp.dynamics`, row i is what run i alone gives, bit for bit.  The
-    fractional coefficients are taken once over the left endpoints of all
-    steps.  A state that is not finite or exceeds BLOWUP_LIMIT raises
-    NumericalBlowup, which carries the failing path's state at the step
-    before.  A metric that stops being positive definite raises
-    NotPositiveDefinite, and a Legendre map that cannot be inverted
-    SingularHessian or NoConvergence.  Each names the step, and the path
-    when P > 1.
+    fractional coefficients damping(s) and noise_scale(s) are taken once
+    over the left endpoints of all steps.  A state that is not finite or
+    exceeds BLOWUP_LIMIT raises NumericalBlowup, which carries the failing
+    path's state at the step before.  A metric that stops being positive
+    definite raises NotPositiveDefinite, and a Legendre map that cannot be
+    inverted SingularHessian or NoConvergence.  Each names the step, and
+    the path when P > 1.
     """
     if not runs:
         return ()
@@ -152,8 +130,7 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     q, p, v = states[:, :, 0]
     for k in range(n):
         try:
-            q, v, p = euler_step(fields, grid.point(k), q, v, p, h, inc[k],
-                                 damp[k], coef[k])
+            q, v, p = fields.step(q, v, p, h, damp[k], coef[k], inc[k])
         except SampleError as exc:
             on = f" on path {exc.sample}" if batch else ""
             raise type(exc)(
@@ -189,7 +166,9 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
     rounding, or IndivisibleFactor is raised.
     """
     if levels < 3:
-        raise ValueError("levels must be >= 3")
+        raise InvalidArgument(f"levels={levels} must be >= 3")
+    if n_paths < 1:
+        raise InvalidArgument(f"n_paths={n_paths} must be >= 1")
     ratio = t_end / base_h
     n_fine = round(ratio) if math.isfinite(ratio) else 0
     top_factor = 2 ** (levels - 1)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GridMismatch, IndivisibleFactor, NonPositiveStep,
-                     ZeroSteps)
+from .errors import (GridMismatch, IndivisibleFactor, InvalidArgument,
+                     NonPositiveStep, ZeroSteps)
 
 RNG_VERSION = "frachp-rng-v1"
 
@@ -129,15 +129,19 @@ class WienerPath:
         return _pairwise_sum(self.increments[None, :, :])[0]
 
 
-def generate_path(seed: int, h: float, n_steps: int,
-                  channels: int = 1) -> WienerPath:
-    """Deterministic Wiener increment table for (seed, h, n_steps, channels)."""
+def _check_table(h: float, n_steps: int, channels: int) -> None:
     if h <= 0.0:
         raise NonPositiveStep(f"h={h}")
     if n_steps < 1:
         raise ZeroSteps(f"n_steps={n_steps}")
     if channels < 1:
-        raise ValueError(f"channels={channels} must be >= 1")
+        raise InvalidArgument(f"channels={channels} must be >= 1")
+
+
+def generate_path(seed: int, h: float, n_steps: int,
+                  channels: int = 1) -> WienerPath:
+    """Deterministic Wiener increment table for (seed, h, n_steps, channels)."""
+    _check_table(h, n_steps, channels)
     u = _uniforms(seed, 0, n_steps * channels)
     inc = normal_inv_cdf(u).reshape(n_steps, channels) * np.sqrt(h)
     return WienerPath(h, inc)
@@ -145,10 +149,7 @@ def generate_path(seed: int, h: float, n_steps: int,
 
 def zero_path(h: float, n_steps: int, channels: int = 1) -> WienerPath:
     """All-zero increment table (deterministic twin of a noisy run)."""
-    if h <= 0.0:
-        raise NonPositiveStep(f"h={h}")
-    if n_steps < 1:
-        raise ZeroSteps(f"n_steps={n_steps}")
+    _check_table(h, n_steps, channels)
     return WienerPath(h, np.zeros((n_steps, channels)))
 
 

@@ -3,11 +3,15 @@ import pytest
 
 from frachp.core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
                          make_grid)
-from frachp.dynamics import assemble_hp_fields, pendulum_system
-from frachp.errors import (GridReachesSingularity, NonPositiveStep, ZeroSteps)
-from frachp.fracint import SampledFunction, VolterraCoefficients
-from frachp.integrator import EulerRun, initial_state
-from frachp.noise import generate_path
+from frachp.dynamics import (assemble_hp_fields, pendulum_lagrangian_system,
+                             pendulum_system)
+from frachp.errors import (FracHPError, GridReachesSingularity,
+                           InvalidArgument, NonPositiveStep, ZeroSteps)
+from frachp.fracint import (SampledFunction, VolterraCoefficients,
+                            bank_account)
+from frachp.integrator import (EulerRun, initial_state,
+                               strong_convergence_order)
+from frachp.noise import generate_path, zero_path
 
 
 class TestFractionalParams:
@@ -126,3 +130,39 @@ def test_array_holders_compare_by_identity(build):
     assert (a == b) is False
     assert a == a
     assert hash(a) == hash(a)
+
+
+def _convergence(levels=3, n_paths=2):
+    sys = pendulum_system()
+    params = FractionalParams(1.0, 1.0, 10.0)
+    strong_convergence_order(assemble_hp_fields(sys, params),
+                             initial_state(sys, [1.0], [0.0]), params,
+                             1e-2, levels, n_paths, 0, t_end=0.32)
+
+
+# Library arguments outside their domain: (call, the argument's name).
+INVALID_ARGUMENTS = {
+    "levels": (lambda: _convergence(levels=2), "levels"),
+    "n_paths=0": (lambda: _convergence(n_paths=0), "n_paths"),
+    "gamma_coupling": (lambda: pendulum_lagrangian_system("sin"),
+                       "gamma_coupling"),
+    "bank_account t=0": (lambda: bank_account(lambda s: 0.0, 0.0, 0.1), "t"),
+    "bank_account t=nan": (lambda: bank_account(lambda s: 0.0, np.nan, 0.1),
+                           "t"),
+    "bank_account t=inf": (lambda: bank_account(lambda s: 0.0, np.inf, 0.1),
+                           "t"),
+    "x0": (lambda: VolterraCoefficients(mu=0.0, sigma=0.0, x0=-1.0), "x0"),
+    "generate_path channels": (lambda: generate_path(1, 0.1, 10, 0),
+                               "channels"),
+    "zero_path channels=0": (lambda: zero_path(0.1, 10, 0), "channels"),
+    "zero_path channels=-1": (lambda: zero_path(0.1, 10, -1), "channels"),
+}
+
+
+@pytest.mark.parametrize("call, name", INVALID_ARGUMENTS.values(),
+                         ids=INVALID_ARGUMENTS.keys())
+def test_invalid_argument_is_a_frachp_error(call, name):
+    with pytest.raises(InvalidArgument, match=f"^{name}=") as exc:
+        call()
+    assert isinstance(exc.value, FracHPError)
+    assert isinstance(exc.value, ValueError)

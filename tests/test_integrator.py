@@ -19,9 +19,8 @@ from frachp.errors import (BatchShapeError, BoundaryViolation, GridMismatch,
                            NumericalBlowup)
 from frachp.exprsys import (hamiltonian_from_expression,
                             metric_from_expressions)
-from frachp.integrator import (EulerRun, action_derivative, euler_step,
-                               evaluate_action, initial_state, integrate,
-                               integrate_paths,
+from frachp.integrator import (EulerRun, action_derivative, evaluate_action,
+                               initial_state, integrate, integrate_paths,
                                random_admissible_perturbation,
                                stationarity_ratio, strong_convergence_order)
 from frachp.noise import generate_path, zero_path
@@ -43,39 +42,108 @@ def pendulum_run(params, h, n, path=None, gamma="cos", q0=1.0, p0=0.0):
     return sys, fields, EulerRun(fields, grid, path, init, params)
 
 
+def step_at(fields, s, q, v, p, h, inc):
+    """fields.step at time s, as a PhaseState."""
+    return PhaseState(*fields.step(q, v, p, h, fields.damping(s),
+                                   fields.noise_scale(s), np.asarray(inc)))
+
+
+def drift_only_fields(drift):
+    """Hand-built pendulum fields whose step moves p (and v = p) by
+    h * drift(p) alone."""
+
+    def step(q, v, p, h, damp, coef, inc):
+        p = p + h * drift(p)
+        return q, p, p
+
+    return SdeFields(
+        step=step, drift_q=lambda s, q, y: np.zeros_like(y),
+        drift_p=lambda s, q, y: drift(y),
+        diffusion_p=lambda s, q: np.zeros(np.shape(q) + (1,)),
+        damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
+        system=pendulum_system(), params=CLASSICAL)
+
+
+def _fd_pendulum_lagrangian():
+    sys = pendulum_lagrangian_system()
+    return LagrangianSystem(1, sys.lagrangian, sys.noise)
+
+
+# (system, eq15_literal, q, x, and which of v and p are y and x).
+STEP_CASES = {
+    "hamiltonian": (pendulum_system, False, [1.0], [0.4], "pp"),
+    "hamiltonian:custom": (
+        lambda: hamiltonian_from_expression("p1**2/2 + cos(q1)",
+                                            ["cos(q1)"], 1),
+        False, [1.0], [0.4], "pp"),
+    "lagrangian": (pendulum_lagrangian_system, False, [1.0], [0.4], "vp"),
+    "lagrangian-fd": (_fd_pendulum_lagrangian, False, [1.0], [0.4], "vp"),
+    "metric": (polar_metric_system, False, [1.5, 0.2], [0.3, -0.4], "vv"),
+    "metric:custom": (
+        lambda: metric_from_expressions([["1", "0"], ["0", "q1**2"]],
+                                        ["cos(q2)"], 2),
+        False, [1.5, 0.2], [0.3, -0.4], "vv"),
+    "eq15_literal": (polar_metric_system, True, [1.5, 0.2], [0.3, -0.4],
+                     "vv"),
+}
+
+
 class TestEulerStep:
+    @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    def test_step_is_the_euler_formula_bitwise(self, case, stack):
+        make, literal, q0, x0, (y_name, x_name) = STEP_CASES[case]
+        sys = make()
+        fields = assemble_hp_fields(sys, REFERENCE, eq15_literal=literal)
+        s, h = 0.1, 0.0371
+        q, x0 = np.array(q0), np.array(x0)
+        inc = np.array([0.173])
+        if stack:
+            q = np.stack([q, 1.1 * q])
+            x0 = np.stack([x0, -0.5 * x0])
+            inc = np.array([[0.173], [-0.291]])
+        v, p = complete_state(sys, q, x0)
+        y, x = ({"v": v, "p": p}[c] for c in (y_name, x_name))
+        damp, coef = fields.damping(s), fields.noise_scale(s)
+        q_new = q + h * fields.drift_q(s, q, y)
+        x_new = (x + h * fields.drift_p(s, q, y)
+                 + (fields.diffusion_p(s, q) @ inc[..., None])[..., 0])
+        want = (q_new, *complete_state(sys, q_new, x_new))
+        got = fields.step(q, v, p, h, damp, coef, inc)
+        for a, b in zip(got, want):
+            assert a.shape == q.shape
+            assert np.array_equal(a, b)
+
     def test_hand_evaluated_pendulum_step(self):
         # alpha = beta = 1, x = 1, y = 0, h = 0.1, G = 0.05:
         # x' = 1, y' = 0.1 sin(1) - sin(1) * 0.05 = 0.0420735...
         sys = pendulum_system()
         fields = assemble_hp_fields(sys, CLASSICAL)
         q, v, p = np.array([1.0]), np.array([0.0]), np.array([0.0])
-        out = PhaseState(*euler_step(fields, 0.0, q, v, p, 0.1,
-                                     np.array([0.05])))
+        out = step_at(fields, 0.0, q, v, p, 0.1, [0.05])
         assert out.q[0] == pytest.approx(1.0)
         assert out.p[0] == pytest.approx(0.1 * math.sin(1.0)
                                          - math.sin(1.0) * 0.05, rel=1e-12)
         assert out.p[0] == pytest.approx(0.0420735, rel=1e-5)
 
     def test_zero_fields_leave_state_unchanged(self):
-        n = 1
-        fields = SdeFields(
-            drift_q=lambda s, q, y: np.zeros(n),
-            drift_p=lambda s, q, y, damp=None: np.zeros(n),
-            diffusion_p=lambda s, q, coef=None: np.zeros((n, 1)),
-            damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
-            system=pendulum_system(), params=CLASSICAL)
-        q, v, p = np.array([1.0]), np.array([0.5]), np.array([0.5])
-        out = PhaseState(*euler_step(fields, 0.0, q, v, p, 0.1,
-                                     np.array([0.3])))
-        assert out.q[0] == 1.0 and out.p[0] == 0.5
+        # H with vanishing gradients and a constant coupling: the step
+        # formula runs, and every term it adds is zero.
+        sys = HamiltonianSystem(
+            1, lambda q, p: np.zeros(np.shape(q)[:-1]),
+            NoiseCoupling.constant([1.0]),
+            grad_q=lambda q, p: np.zeros(np.shape(q)),
+            grad_p=lambda q, p: np.zeros(np.shape(p)))
+        fields = assemble_hp_fields(sys, CLASSICAL)
+        q, v, p = np.array([1.0]), np.array([0.0]), np.array([0.5])
+        out = step_at(fields, 0.0, q, v, p, 0.1, [0.3])
+        assert out.q[0] == 1.0 and out.p[0] == 0.5 and out.v[0] == 0.0
 
     def test_zero_increment_is_deterministic_euler(self):
         sys = pendulum_system()
         fields = assemble_hp_fields(sys, CLASSICAL)
         q, v, p = np.array([1.0]), np.array([0.7]), np.array([0.7])
-        out = PhaseState(*euler_step(fields, 0.0, q, v, p, 0.01,
-                                     np.array([0.0])))
+        out = step_at(fields, 0.0, q, v, p, 0.01, [0.0])
         assert out.q[0] == pytest.approx(1.0 + 0.01 * 0.7)
         assert out.p[0] == pytest.approx(0.7 + 0.01 * math.sin(1.0))
 
@@ -85,9 +153,9 @@ class TestEulerStep:
         fl = assemble_hp_fields(lsys, REFERENCE)
         fh = assemble_hp_fields(hsys, REFERENCE)
         q, v, p = np.array([1.0]), np.array([0.4]), np.array([0.4])
-        g = np.array([0.02])
-        a = PhaseState(*euler_step(fl, 0.1, q, v, p, 1e-3, g))
-        b = PhaseState(*euler_step(fh, 0.1, q, v, p, 1e-3, g))
+        g = [0.02]
+        a = step_at(fl, 0.1, q, v, p, 1e-3, g)
+        b = step_at(fh, 0.1, q, v, p, 1e-3, g)
         assert np.allclose(a.q, b.q, rtol=1e-12)
         assert np.allclose(a.p, b.p, rtol=1e-12)
         assert np.allclose(a.v, b.v, atol=1e-10)
@@ -128,13 +196,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("drift", [1e15, np.nan], ids=["huge", "nan"])
     def test_blowup_reports_step(self, drift):
-        n = 1
-        fields = SdeFields(
-            drift_q=lambda s, q, y: np.zeros(n),
-            drift_p=lambda s, q, y, damp=None: np.full(n, drift),
-            diffusion_p=lambda s, q, coef=None: np.zeros((n, 1)),
-            damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
-            system=pendulum_system(), params=CLASSICAL)
+        fields = drift_only_fields(lambda p: np.full(np.shape(p), drift))
         grid = make_grid(0.0, 0.1, 5, CLASSICAL)
         run = EulerRun(fields, grid, zero_path(0.1, 5, 1),
                        PhaseState([0.0], [0.0], [0.0]), CLASSICAL)
@@ -145,16 +207,7 @@ class TestIntegrate:
     def test_blowup_carries_last_state(self):
         # p grows by h per step until the drift turns NaN at s = 0.3, so
         # path 1 (p0 = 1) fails at step 4 from its state at step 3.
-        n = 1
-
-        def drift_p(s, q, y, damp=None):
-            return np.where(np.asarray(y) > 1.25, np.nan, 1.0)
-
-        fields = SdeFields(
-            drift_q=lambda s, q, y: np.zeros_like(y), drift_p=drift_p,
-            diffusion_p=lambda s, q, coef=None: np.zeros(q.shape + (1,)),
-            damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
-            system=pendulum_system(), params=CLASSICAL)
+        fields = drift_only_fields(lambda p: np.where(p > 1.25, np.nan, 1.0))
         grid = make_grid(0.0, 0.1, 8, CLASSICAL)
         runs = [EulerRun(fields, grid, zero_path(0.1, 8, 1),
                          PhaseState([q0], [p0], [p0]), CLASSICAL)
@@ -225,13 +278,7 @@ class TestStrongConvergence:
         assert 0.85 <= slope <= 1.7
 
     def test_degenerate_fields_not_applicable(self):
-        n = 1
-        fields = SdeFields(
-            drift_q=lambda s, q, y: np.zeros(n),
-            drift_p=lambda s, q, y, damp=None: np.zeros(n),
-            diffusion_p=lambda s, q, coef=None: np.zeros((n, 1)),
-            damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
-            system=pendulum_system(), params=CLASSICAL)
+        fields = drift_only_fields(np.zeros_like)
         with pytest.raises(NotApplicable):
             strong_convergence_order(fields,
                                      PhaseState([0.0], [0.0], [0.0]),
