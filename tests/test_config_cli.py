@@ -38,6 +38,11 @@ def assert_cli_rejects(tmp_path, capsys, command, text, match):
     assert not out.exists()
 
 
+def sha256s(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in names}
+
+
 def small_config(tmp_path, name="run.cfg", **overrides):
     base = {"system": "pendulum", "alpha": 0.6, "beta": 0.3,
             "t_eval": 0.8, "h": 0.001, "n_steps": 300, "seed": 1,
@@ -182,14 +187,32 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("trajectory.csv",
-                                "trajectory_deterministic.csv")}
-        assert digests == {
+        assert sha256s(out, ("trajectory.csv",
+                             "trajectory_deterministic.csv")) == {
             "trajectory.csv": "f1c3e0762f8c48f5dc21946791c312d4"
                               "7b0d9e3f76129790eab64bd3f3b93933",
             "trajectory_deterministic.csv": "3107e0380aef759351a926ebe7ae8077"
                                             "25a6ea92566201ac7b50be0e54701ced",
+        }
+
+    def test_reference_svg_bytes_are_pinned(self, tmp_path):
+        # Golden sha256 of the four orbit plots of the same run: viewBox
+        # rounding, stride and the "%.2f" point format, to the byte.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(REFERENCE_TEXT, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        assert sha256s(out, ("p_vs_n.svg", "phase_qp.svg", "p_vs_n_noisy.svg",
+                             "phase_qp_noisy.svg")) == {
+            "p_vs_n.svg": "94ecc658f7db35b391e06768e2247064"
+                          "05595ad6b65bb58d440ca4bc955e2e05",
+            "phase_qp.svg": "3467d9b32da20376aac809c69349e382"
+                            "687dfa2d3941acb2cf9353d15c6ef7f5",
+            "p_vs_n_noisy.svg": "2764835da5d6664bac9700b9c15422e5"
+                                "f29a2fd0784d58ea99889251fd4770fb",
+            "phase_qp_noisy.svg": "17fd571a87700aa2c06e2ec8d34e588f"
+                                  "864adeae12d28a2102a238433cf4fbf9",
         }
 
     def test_polar_expression_csv_bytes_are_pinned(self, tmp_path):
@@ -206,10 +229,8 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("trajectory.csv",
-                                "trajectory_deterministic.csv")}
-        assert digests == {
+        assert sha256s(out, ("trajectory.csv",
+                             "trajectory_deterministic.csv")) == {
             "trajectory.csv": "c2189614ce420d77cc47123c60d0c98f"
                               "0fa4e20533fed1d83b5f71bd7c2d62aa",
             "trajectory_deterministic.csv": "f303523fc72a617b8a44de6090040db0"
@@ -377,6 +398,10 @@ class TestConvergenceCommand:
         assert "slope" in out
         man = (tmp_path / "out" / "run_manifest").read_text()
         assert "fitted_slope = " in man
+        # Golden sha256: the h column and the errors, "%.17g" each.
+        assert sha256s(tmp_path / "out", ("convergence.csv",)) == {
+            "convergence.csv": "36608a00a303d42fe83e90d378beeb06"
+                               "1d4d6070c8adb80566f554d1217eddb5"}
 
     def test_indivisible_grid_is_an_error(self, tmp_path, capsys):
         # 0.4 / 0.0003 = 1333 steps, not a multiple of 2^(levels-1) = 8
@@ -456,6 +481,19 @@ class TestVolterraCommand:
         # above the per-path dump cap of 32 only the summary is written
         assert not list((tmp_path / "out").glob("path_*.csv"))
         assert "martingale" in capsys.readouterr().out
+
+    def test_noisy_csv_bytes_are_pinned(self, tmp_path):
+        # Golden sha256 of a noisy run at seed 1: the substreams, the
+        # recursion and the summary statistics, "%.17g" each.
+        cfg_path, _ = small_config(tmp_path, beta=0.5, h=0.01, n_steps=100,
+                                   n_paths=8, mu=0.1, sigma=0.3)
+        assert main(["volterra", "--config", str(cfg_path)]) == 0
+        assert sha256s(tmp_path / "out", ("summary.csv", "path_0000.csv")) == {
+            "summary.csv": "abcff82dcbb97840b7ee5212d205a0ca"
+                           "ff5c4051eb75e11807c66442c54ad277",
+            "path_0000.csv": "c284c550427c0cc258df9fec8c0d951a"
+                             "823bbf44b89448bf5d2d831e8d5b5322",
+        }
 
     def test_no_singularity_guard(self, tmp_path):
         # the recursion uses the outer time t_{k+1}, so the grid may reach
