@@ -76,19 +76,22 @@ def _write_manifest(cfg: RunConfig, outdir: Path, extra: dict | None = None):
     (outdir / "run_manifest").write_text(body, encoding="utf-8")
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    n = traj.dim
-    header = ",".join(
-        ["step", "s"]
-        + [f"q_{i + 1}" for i in range(n)]
-        + [f"p_{i + 1}" for i in range(n)]
-        + [f"v_{i + 1}" for i in range(n)])
+def _write_csv(path: Path, header: str, fmt: str, rows) -> None:
+    """Write `header`, then `fmt % row` for each row, each line ending in
+    "\\n": "%d" for a step or path count, "%.17g" (exact) for a value."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        rows = np.hstack([traj.q, traj.p, traj.v]).tolist()
-        for k, row in enumerate(rows):
-            vals = [f"{x:.17g}" for x in row]
-            fh.write(f"{k},{traj.grid.point(k):.17g}," + ",".join(vals) + "\n")
+        fh.writelines(fmt % tuple(row) + "\n"
+                      for row in np.asarray(rows, dtype=float).tolist())
+
+
+def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
+    n = traj.dim
+    header = ",".join(["step", "s"] + [f"{c}_{i + 1}" for c in "qpv"
+                                       for i in range(n)])
+    _write_csv(path, header, "%d" + ",%.17g" * (3 * n + 1),
+               np.column_stack([np.arange(len(traj.q)), traj.grid.points,
+                                traj.q, traj.p, traj.v]))
 
 
 def _hp_run(cfg: RunConfig):
@@ -137,11 +140,8 @@ def cmd_convergence(cfg: RunConfig) -> int:
         n_paths=cfg.n_paths, seed=cfg.seed, t_end=cfg.t_end,
         return_errors=True)
     outdir = _outdir(cfg)
-    with open(outdir / "convergence.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("h,mean_error\n")
-        for h, e in zip(hs, errors):
-            fh.write(f"{h:.17g},{e:.17g}\n")
+    _write_csv(outdir / "convergence.csv", "h,mean_error", "%.17g,%.17g",
+               np.column_stack([hs, errors]))
     _write_manifest(cfg, outdir, {"fitted_slope": f"{slope:.6g}"})
     print(f"convergence: fitted strong-order slope = {slope:.4f}")
     return 0
@@ -197,17 +197,13 @@ def cmd_volterra(cfg: RunConfig) -> int:
     var = float(np.var(x_t, ddof=1)) if cfg.n_paths > 1 else 0.0
 
     outdir = _outdir(cfg)
-    with open(outdir / "summary.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("n_paths,mean_XT,var_XT\n")
-        fh.write(f"{cfg.n_paths},{mean:.17g},{var:.17g}\n")
+    _write_csv(outdir / "summary.csv", "n_paths,mean_XT,var_XT",
+               "%d,%.17g,%.17g", [[cfg.n_paths, mean, var]])
     if cfg.n_paths <= 32:
-        for i in range(cfg.n_paths):
-            with open(outdir / f"path_{i:04d}.csv", "w", encoding="utf-8",
-                      newline="\n") as fh:
-                fh.write("step,s,X\n")
-                for k in range(cfg.n_steps + 1):
-                    fh.write(f"{k},{grid.point(k):.17g},{x[i, k]:.17g}\n")
+        for i, x_i in enumerate(x):
+            _write_csv(outdir / f"path_{i:04d}.csv", "step,s,X",
+                       "%d,%.17g,%.17g", np.column_stack(
+                           [np.arange(x_i.size), grid.points, x_i]))
 
     t_end = grid.t_end
     print(f"volterra: {cfg.n_paths} paths, mean X(T) = {mean:.6g}, "

@@ -1,8 +1,8 @@
 """Hand-rolled SVG polyline plots (no plotting dependency).
 
 Output is byte-stable for fixed data: the viewBox is computed from data
-bounds rounded outward to 2 significant digits, and coordinates are
-formatted with a fixed precision.
+bounds rounded outward to 2 significant digits, and the polyline points
+are space-separated pixel pairs from one repeated "%.2f,%.2f" format.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ def orbit_svg(xs, ys, title: str = "") -> str:
     span = _W - 2 * _MARGIN
     px = _MARGIN + (xs - x_lo) / (x_hi - x_lo) * span
     py = (_H - _MARGIN) - (ys - y_lo) / (y_hi - y_lo) * (_H - 2 * _MARGIN)
-    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+    points = (" ".join(["%.2f,%.2f"] * px.size)
+              % tuple(np.column_stack([px, py]).ravel().tolist()))
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
