@@ -55,12 +55,8 @@ class EulerRun:
     params: FractionalParams
 
     def __post_init__(self):
-        self.path.check_aligned(self.grid)
         system = self.fields.system
-        if self.path.channels != system.noise.m:
-            raise GridMismatch(
-                f"path has {self.path.channels} channels, "
-                f"fields expect {system.noise.m}")
+        self.path.check_aligned(self.grid, system.noise.m)
         if self.initial.dim != system.dim:
             raise GridMismatch("initial state dimension mismatch")
         for c in "qpv":
@@ -235,7 +231,7 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
     which the running sum is not finite.
     """
     grid = trajectory.grid
-    path.check_aligned(grid)
+    path.check_aligned(grid, sys.noise.m)
     t = params.t_eval
     s = grid.points
     h = grid.h

@@ -109,8 +109,9 @@ class WienerPath:
     def channels(self) -> int:
         return self.increments.shape[1]
 
-    def check_aligned(self, grid) -> None:
-        """Raise GridMismatch unless the path has the grid's steps and h.
+    def check_aligned(self, grid, channels: int | None = None) -> None:
+        """Raise GridMismatch unless the path has the grid's steps and h,
+        and `channels` channels when that is given.
 
         The steps must agree to a relative 1e-12, so the check does not
         depend on the scale of h.
@@ -122,6 +123,9 @@ class WienerPath:
                 f"grid ({grid.n_steps} steps of h = {grid.h!r}) and Wiener "
                 f"path ({self.n_steps} steps of h = {self.h!r}) are not "
                 f"aligned")
+        if channels is not None and self.channels != channels:
+            raise GridMismatch(f"path has {self.channels} channels, "
+                               f"system expects {channels}")
 
     @property
     def terminal(self) -> np.ndarray:

@@ -357,6 +357,16 @@ class TestAction:
                                   REFERENCE.alpha)
         assert not w.flags.writeable
 
+    def test_path_channels_must_match_the_noise(self):
+        # A 2-channel path against the 1-coupling pendulum used to
+        # broadcast (N, 1) * (N, 2) into an action of -1.2036.
+        sys, _, run = pendulum_run(CLASSICAL, 1e-3, 500)
+        traj = integrate(run)
+        with pytest.raises(GridMismatch,
+                           match="path has 2 channels, system expects 1"):
+            evaluate_action(traj, sys, CLASSICAL,
+                            generate_path(1, 1e-3, 500, 2))
+
     def test_constant_gamma_stochastic_term(self):
         # alpha = beta = 1, gamma == c: stochastic term is c W(T)
         c = 2.5
