@@ -13,19 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridReachesSingularity, NonPositiveStep, ZeroSteps
+from .errors import (GridReachesSingularity, InvalidArgument,
+                     NonPositiveStep, ZeroSteps)
 
 # The grid must stop this many steps short of the kernel evaluation time
 # t_eval: (t - s)^(beta - alpha) is unbounded as s -> t_eval when beta < alpha.
 EPSILON_GUARD_STEPS = 10
 
 
-def _frozen_vector(x) -> np.ndarray:
-    a = np.array(x, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1)
+def _frozen_vector(name: str, x) -> np.ndarray:
+    a = np.atleast_1d(np.array(x, dtype=float))
     if a.ndim != 1:
-        raise ValueError("expected a 1-d vector")
+        raise InvalidArgument(f"{name}=shape {a.shape}, not a 1-d vector")
     a.setflags(write=False)
     return a
 
@@ -46,9 +45,9 @@ class FractionalParams:
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
-                raise ValueError(f"{name}={v} outside (0, 1]")
+                raise InvalidArgument(f"{name}={v} outside (0, 1]")
         if not self.t_eval > 0.0:
-            raise ValueError(f"t_eval={self.t_eval} must be positive")
+            raise InvalidArgument(f"t_eval={self.t_eval} must be positive")
 
 
 @dataclass(frozen=True)
@@ -107,12 +106,12 @@ class PhaseState:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _frozen_vector(self.q))
-        object.__setattr__(self, "v", _frozen_vector(self.v))
-        object.__setattr__(self, "p", _frozen_vector(self.p))
-        n = self.q.shape[0]
-        if self.v.shape[0] != n or self.p.shape[0] != n:
-            raise ValueError("q, v, p must share the same dimension")
+        for name in ("q", "v", "p"):
+            a = _frozen_vector(name, getattr(self, name))
+            object.__setattr__(self, name, a)
+            if a.shape != self.q.shape:
+                raise InvalidArgument(f"{name}={a.tolist()} has {a.size} "
+                                      f"entries, q has {self.q.size}")
 
     @property
     def dim(self) -> int:
@@ -140,11 +139,12 @@ class Trajectory:
                 a = np.array(a, dtype=float)
                 a.setflags(write=False)
             object.__setattr__(self, name, a)
+            if a.shape != self.q.shape:
+                raise InvalidArgument(f"{name}=shape {a.shape}, "
+                                      f"q has shape {self.q.shape}")
         if self.q.ndim != 2 or self.q.shape[0] != self.grid.n_steps + 1:
-            raise ValueError(
-                f"q of shape {self.q.shape} for {self.grid.n_steps} steps")
-        if self.v.shape != self.q.shape or self.p.shape != self.q.shape:
-            raise ValueError("q, v, p must share the same shape")
+            raise InvalidArgument(f"q=shape {self.q.shape} for "
+                                  f"{self.grid.n_steps} steps")
 
     @property
     def dim(self) -> int:

@@ -156,6 +156,20 @@ INVALID_ARGUMENTS = {
                                "channels"),
     "zero_path channels=0": (lambda: zero_path(0.1, 10, 0), "channels"),
     "zero_path channels=-1": (lambda: zero_path(0.1, 10, -1), "channels"),
+    "FractionalParams alpha": (lambda: FractionalParams(0.0, 0.5, 1.0),
+                               "alpha"),
+    "FractionalParams beta": (lambda: FractionalParams(0.5, 1.1, 1.0),
+                              "beta"),
+    "FractionalParams t_eval": (lambda: FractionalParams(0.5, 0.5, 0.0),
+                                "t_eval"),
+    "PhaseState 2-d q": (lambda: PhaseState([[1.0]], [1.0], [1.0]), "q"),
+    "PhaseState v": (lambda: PhaseState([1.0], [1.0, 2.0], [1.0]), "v"),
+    "PhaseState p": (lambda: PhaseState([1.0], [1.0], [1.0, 2.0]), "p"),
+    "Trajectory q rows": (lambda: Trajectory(TimeGrid(0.0, 0.1, 2),
+                                             *[np.zeros((2, 1))] * 3), "q"),
+    "Trajectory v shape": (lambda: Trajectory(
+        TimeGrid(0.0, 0.1, 1), np.zeros((2, 1)), np.zeros((2, 2)),
+        np.zeros((2, 1))), "v"),
 }
 
 
