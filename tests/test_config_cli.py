@@ -196,8 +196,8 @@ class TestSimulateCommand:
         }
 
     def test_reference_svg_bytes_are_pinned(self, tmp_path):
-        # Golden sha256 of the four orbit plots of the same run: viewBox
-        # rounding, stride and the "%.2f" point format, to the byte.
+        # Golden sha256 of the four orbit plots of the same run: the
+        # rounded viewBox and the "%.2f,%.2f" points, to the byte.
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(REFERENCE_TEXT, encoding="utf-8")
         out = tmp_path / "out"
