@@ -237,6 +237,27 @@ class TestSimulateCommand:
                                             "95215333edc65df50cc2467c6cb18f0c",
         }
 
+    def test_polar_builtin_and_expression_write_the_same_bytes(self,
+                                                               tmp_path):
+        # metric:polar and the same metric as text take one closed form
+        # each, written in the same arithmetic, so their runs agree.
+        digests = []
+        for name, system in (("polar", "system = metric:polar\ngamma = cos"),
+                             ("custom", "system = metric:custom\n"
+                                        "metric_expr = 1, 0; 0, q1**2\n"
+                                        "gamma_expr = cos(q2)")):
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(
+                REFERENCE_TEXT.replace("system = pendulum", system)
+                + "dim = 2\nq0 = 1.0, 0.0\np0 = 0.0, 0.5\nplot = false\n",
+                encoding="utf-8")
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+            digests.append(sha256s(out, ("trajectory.csv",
+                                         "trajectory_deterministic.csv")))
+        assert digests[0] == digests[1]
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path, _ = small_config(tmp_path)
         main(["simulate", "--config", str(cfg_path),
@@ -382,6 +403,20 @@ def test_metric_losing_definiteness_names_step(tmp_path, capsys):
                         r"definite at q=.* at step \d+ \(s = .*\) on path "
                         r"\d\n", err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("metric", ["1, 0; 0, 0", "1, 0; 0, -1"],
+                         ids=["singular", "indefinite"])
+def test_metric_not_positive_definite_at_q0(tmp_path, capsys, metric):
+    # A singular metric has no closed-form step; both fail at q0, in one
+    # line, before any output.
+    text = (REFERENCE_TEXT.replace("system = pendulum",
+                                   "system = metric:custom")
+            + f"dim = 2\nmetric_expr = {metric}\ngamma_expr = cos(q2)\n"
+              "q0 = 1.0, 0.0\np0 = 0.0, 0.5\n")
+    assert_cli_rejects(tmp_path, capsys, "simulate", text,
+                       r"^frachp simulate: error: metric not positive "
+                       r"definite at q=\[1\. 0\.\]$")
 
 
 class TestConvergenceCommand:
