@@ -8,14 +8,15 @@ plain reals and are never wrapped.
 
 Array contract.  Every callable a system holds maps samples (..., n) to
 values (...) + tail: tail () for L, H and each coupling gamma_a; (n,) for
-grad_q, grad_p, grad_v and gamma_grad; (n, n) for metric and v_hessian;
-(n, n, n) for metric_grad.  One sample (n,) has no batch axes, and row i
-of a batch must equal the call on row i.  `_call_batched` checks the
-result where a batch is formed (the action's L and gamma_a, `metric_at`,
-H and grad_p in the Legendre fallback): a value of shape tail alone, such
-as the 0.0 of `lambda q, v: 0.0`, is broadcast and must equal the value on
-the last sample; another shape or a TypeError raises BatchShapeError
-naming the callable.  The integrator's per-step calls pass the (P, n)
+grad_q, grad_p, grad_v, gamma_grad and geodesic; (n, n) for metric and
+v_hessian; (n, m) for noise_matrix; (n, n, n) for metric_grad.  One
+sample (n,) has no batch axes, and row i of a batch must equal the call
+on row i.  `_call_batched` checks the result where a batch is formed (the
+action's L and gamma_a, `metric_at`, H and grad_p in the Legendre
+fallback): a value of shape tail alone, such as the 0.0 of
+`lambda q, v: 0.0`, is broadcast and must equal the value on the last
+sample; another shape or a TypeError raises BatchShapeError naming the
+callable.  The integrator's per-step calls pass the (P, n)
 stack of the P paths it steps together.
 """
 
@@ -204,20 +205,30 @@ class LagrangianSystem:
 class MetricSystem:
     """Kinetic Lagrangian L = (1/2) g_ij(q) v^i v^j.
 
-    metric_grad(q)[i, j, k] = d g_ij / d q^k.
+    metric_grad(q)[i, j, k] = d g_ij / d q^k.  geodesic(q, v) is the
+    geodesic force -Gamma^i_jk(q) v^j v^k, and noise_matrix(q) the
+    (..., n, m) array g^-1(q) grad gamma_a(q) whose columns the noise
+    drives; a system may give both in closed form, and otherwise they are
+    taken numerically from `christoffel` and from `inverse_at` times
+    `NoiseCoupling.grad_matrix`.  A closed form need not check g: the
+    Euler step checks it at q first.
 
     The system keeps the validated metric of the last configuration stack
     it was asked about, and its inverse once asked for it, as read-only
-    arrays: an Euler step takes the Christoffel symbols and the noise
-    matrix at q, then p = g v at the q it steps to, which the next step
-    starts from.  So each distinct q is evaluated, checked and inverted
-    once, and the metric callable must be a pure function of q.
+    arrays: an Euler step checks g at q, then p = g v at the q it steps
+    to, which the next step starts from.  So each distinct q is evaluated,
+    checked and inverted (if at all) once, and the metric callable must be
+    a pure function of q.
     """
 
     dim: int
     metric: Callable
     noise: NoiseCoupling
     metric_grad: Optional[Callable] = None
+    geodesic: Optional[Callable] = field(default=None, repr=False,
+                                         compare=False)
+    noise_matrix: Optional[Callable] = field(default=None, repr=False,
+                                             compare=False)
     # ((q.shape, q.bytes), g, g^-1 or None), replaced whole.
     _memo: tuple = field(default=(None, None, None), init=False,
                          repr=False, compare=False)
@@ -226,6 +237,17 @@ class MetricSystem:
         if self.metric_grad is None:
             object.__setattr__(self, "metric_grad",
                                partial(central_gradient, self.metric))
+        if self.geodesic is None:
+            def geodesic(q, v):
+                return -np.einsum("...ijk,...j,...k->...i",
+                                  christoffel(self, q), v, v)
+
+            object.__setattr__(self, "geodesic", geodesic)
+        if self.noise_matrix is None:
+            def noise_matrix(q):
+                return self.inverse_at(q) @ self.noise.grad_matrix(q)
+
+            object.__setattr__(self, "noise_matrix", noise_matrix)
 
     def metric_at(self, q: np.ndarray) -> np.ndarray:
         """The metric on configurations (..., n), as a read-only
@@ -514,14 +536,16 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
     elif isinstance(sys, MetricSystem):
         velocity = _given_velocity
 
+        # g is checked at q before the closed forms divide by it; after
+        # step 1 that is a memo hit, as at the q complete_state just took.
         def force(q, v, damp):
+            sys._entry(q)
             v = np.asarray(v, dtype=float)
-            gam = christoffel(sys, q)
-            geo = -np.einsum("...ijk,...j,...k->...i", gam, v, v)
-            return geo - damp * v
+            return sys.geodesic(q, v) - damp * v
 
         def noise_matrix(q):
-            return sys.inverse_at(q) @ noise.grad_matrix(q)
+            sys._entry(q)
+            return sys.noise_matrix(q)
 
     else:
         raise TypeError(f"unsupported system type {type(sys)!r}")
@@ -613,7 +637,12 @@ def pendulum_lagrangian_system(gamma_coupling: str = "cos"
 
 
 def polar_metric_system(gamma_coupling: str = "cos") -> MetricSystem:
-    """Plane in polar coordinates (r, theta): g = diag(1, r^2), r > 0."""
+    """Plane in polar coordinates (r, theta): g = diag(1, r^2), r > 0.
+
+    Its geodesic force and its cos(theta) noise matrix are given in closed
+    form, in the arithmetic of the lambdified `metric_from_expressions`
+    forms, so the two systems step alike to the bit.
+    """
 
     def metric(q):
         g = np.zeros(np.shape(q)[:-1] + (2, 2))
@@ -626,13 +655,25 @@ def polar_metric_system(gamma_coupling: str = "cos") -> MetricSystem:
         dg[..., 1, 1, 0] = 2.0 * q[..., 0]
         return dg
 
+    def geodesic(q, v):  # Gamma^1_22 = -r, Gamma^2_12 = Gamma^2_21 = 1/r
+        out = np.empty(np.shape(v))
+        out[..., 0] = q[..., 0] * v[..., 1] ** 2
+        out[..., 1] = -2 * v[..., 0] * v[..., 1] / q[..., 0]
+        return out
+
     def cos_theta_grad(q):
         grad = np.zeros(np.shape(q))
         grad[..., 1] = -np.sin(q[..., 1])
         return grad
 
+    def cos_theta_noise(q):  # g^-1 grad cos(theta)
+        out = np.zeros(np.shape(q) + (1,))
+        out[..., 1, 0] = -np.sin(q[..., 1]) / q[..., 0] ** 2
+        return out
+
     cos_theta = NoiseCoupling((lambda q: np.cos(q[..., 1]),),
                               (cos_theta_grad,))
-    return MetricSystem(2, metric, _builtin_coupling(gamma_coupling,
-                                                     cos_theta),
-                        metric_grad=metric_grad)
+    noise = _builtin_coupling(gamma_coupling, cos_theta)
+    return MetricSystem(
+        2, metric, noise, metric_grad=metric_grad, geodesic=geodesic,
+        noise_matrix=cos_theta_noise if noise is cos_theta else None)

@@ -47,6 +47,8 @@ def _parse(text: str, key: str, symbols):
         expr = None
     if not isinstance(expr, sympy.Expr):
         raise ParseError(f"{key}: cannot parse {text!r} as an expression")
+    if expr.has(sympy.zoo, sympy.nan):  # 1/0 or 0/0; lambdify fails on it
+        raise ParseError(f"{key}: {text!r} divides by zero")
     return expr
 
 
@@ -55,13 +57,14 @@ def _symbols(prefix: str, n: int):
     return sympy.symbols(f"{prefix}1:{n + 1}")
 
 
-def _lambdify(args, exprs, shape: tuple):
+def _lambdify(args, exprs, shape: tuple, cse: bool = False):
     """numpy function of arrays (..., n_i) whose columns are `args`.
 
     `exprs` are the row-major entries of a value of shape `shape`.  Entries
     that are sympy Rationals (0, 1, 1/3) are taken once into a constant
-    row; the others are lambdified once, so other numbers such as pi keep
-    going through numpy.  A call reads the columns as x[..., j], fills one
+    row; the others are lambdified once, with their common subexpressions
+    taken once if `cse`, so other numbers such as pi keep going through
+    numpy.  A call reads the columns as x[..., j], fills one
     (..., len(exprs)) array from the row and the lambdified entries, and
     returns (...) + shape.
     """
@@ -73,8 +76,9 @@ def _lambdify(args, exprs, shape: tuple):
     row = np.zeros(len(exprs))
     # Lambdified, the constants take the values a call would give them.
     row[fixed] = sympy.lambdify((), [exprs[j] for j in fixed],
-                                modules="numpy")()
-    fn = sympy.lambdify(args, [exprs[j] for j in live], modules="numpy")
+                                modules=[np])()
+    fn = sympy.lambdify(args, [exprs[j] for j in live], modules=[np],
+                        cse=cse)
 
     def call(*arrays):
         cols = [x[..., j] for x in arrays for j in range(x.shape[-1])]
@@ -88,17 +92,20 @@ def _lambdify(args, exprs, shape: tuple):
     return call
 
 
+def _noise(gammas, qs) -> NoiseCoupling:
+    """Couplings from sympy expressions gamma_a(qs), with their symbolic
+    gradients."""
+    return NoiseCoupling(
+        tuple(_lambdify(qs, [e], ()) for e in gammas),
+        tuple(_lambdify(qs, [e.diff(q) for q in qs], (len(qs),))
+              for e in gammas))
+
+
 def noise_from_expressions(exprs: list[str], dim: int) -> NoiseCoupling:
     """Couplings gamma_a(q1..qn) from expression strings, with their
     symbolic gradients."""
-    import sympy
     qs = _symbols("q", dim)
-    gammas, grads = [], []
-    for text in exprs:
-        e = _parse(text, "gamma_expr", qs)
-        gammas.append(_lambdify(qs, [e], ()))
-        grads.append(_lambdify(qs, [sympy.diff(e, q) for q in qs], (dim,)))
-    return NoiseCoupling(tuple(gammas), tuple(grads))
+    return _noise([_parse(text, "gamma_expr", qs) for text in exprs], qs)
 
 
 def hamiltonian_from_expression(h_expr: str, gamma_exprs: list[str],
@@ -116,9 +123,36 @@ def hamiltonian_from_expression(h_expr: str, gamma_exprs: list[str],
                          (dim,)))
 
 
+def _closed_forms(g, gammas, qs) -> dict:
+    """The geodesic and noise_matrix of a MetricSystem with metric g(qs)
+    and couplings gammas, as sympy derives them once.
+
+    -Gamma^i_jk v^j v^k = -g^il (d_k g_lj - d_l g_jk / 2) v^j v^k, and the
+    noise matrix is g^-1 grad gamma_a, with g^-1 = adj(g) / det(g); both
+    are lambdified with cse.  Where an entry comes out zoo or nan, as they
+    do where det(g) is identically 0, the dict is empty, so the system
+    takes the numeric defaults and fails as they do.
+    """
+    import sympy
+    n, m = len(qs), len(gammas)
+    vs = _symbols("v", n)
+    det, adj = g.det(), g.adjugate()
+    w = [sum((g[l, j].diff(qs[k]) - g[j, k].diff(qs[l]) / 2) * vs[j] * vs[k]
+             for j in range(n) for k in range(n)) for l in range(n)]
+    geodesic = [-sum(adj[i, l] * w[l] for l in range(n)) / det
+                for i in range(n)]
+    noise = list(adj * sympy.Matrix(n, m, lambda i, a: gammas[a].diff(qs[i]))
+                 / det)
+    if any(e.has(sympy.zoo, sympy.nan) for e in geodesic + noise):
+        return {}
+    return {"geodesic": _lambdify(qs + vs, geodesic, (n,), cse=True),
+            "noise_matrix": _lambdify(qs, noise, (n, m), cse=True)}
+
+
 def metric_from_expressions(rows: list[list[str]], gamma_exprs: list[str],
                             dim: int) -> MetricSystem:
-    """MetricSystem from an n x n table of g_ij(q1..qn) expression strings."""
+    """MetricSystem from an n x n table of g_ij(q1..qn) expression strings,
+    with the closed-form geodesic and noise_matrix of `_closed_forms`."""
     import sympy
     qs = _symbols("q", dim)
     if len(rows) != dim or any(len(row) != dim for row in rows):
@@ -126,9 +160,10 @@ def metric_from_expressions(rows: list[list[str]], gamma_exprs: list[str],
                          f"entries, need {dim} rows of {dim} for dim = {dim}")
     g_sym = sympy.Matrix([[_parse(e, "metric_expr", qs) for e in row]
                           for row in rows])
+    gammas = [_parse(text, "gamma_expr", qs) for text in gamma_exprs]
     # metric_grad[i, j, k] = d g_ij / d q_k
     return MetricSystem(
-        dim, _lambdify(qs, list(g_sym), (dim, dim)),
-        noise_from_expressions(gamma_exprs, dim),
+        dim, _lambdify(qs, list(g_sym), (dim, dim)), _noise(gammas, qs),
         metric_grad=_lambdify(qs, [g.diff(q) for g in g_sym for q in qs],
-                              (dim, dim, dim)))
+                              (dim, dim, dim)),
+        **_closed_forms(g_sym, gammas, qs))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from frachp.dynamics import system_lagrangian
+from frachp.dynamics import christoffel, system_lagrangian
 from frachp.specfun import gamma
 
 
@@ -31,6 +31,19 @@ def rk4_terminal(fields, q0, p0, t_start, t_end, n_steps):
         q = q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
         p = p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
     return q, p
+
+
+def metric_fields_reference(sys, q, v):
+    """(-Gamma(q)(v, v), g^-1(q) grad gamma(q)) of a MetricSystem, taken
+    numerically from `christoffel`, `inverse_at` and `grad_matrix`.
+
+    The oracle for the closed forms a system gives as geodesic and
+    noise_matrix.
+    """
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    geodesic = -np.einsum("...ijk,...j,...k->...i", christoffel(sys, q), v, v)
+    return geodesic, sys.inverse_at(q) @ sys.noise.grad_matrix(q)
 
 
 def action_reference(trajectory, sys, params, path) -> float:

@@ -1,13 +1,18 @@
 import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frachp
 from frachp.cli import main
 from frachp.config import RunConfig, config_lines, parse_config
 from frachp.core import Trajectory, make_grid
@@ -218,7 +223,7 @@ class TestSimulateCommand:
     def test_polar_expression_csv_bytes_are_pinned(self, tmp_path):
         # Golden sha256 of the sympy-defined polar metric (the benchmark's
         # simulate-polar-expr config) at seed 1: the metric path's
-        # Christoffel symbols, noise matrix and p = g v, to the bit.
+        # closed-form geodesic force, noise matrix and p = g v, to the bit.
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(
             REFERENCE_TEXT.replace("system = pendulum",
@@ -231,10 +236,10 @@ class TestSimulateCommand:
                      "--out", str(out)]) == 0
         assert sha256s(out, ("trajectory.csv",
                              "trajectory_deterministic.csv")) == {
-            "trajectory.csv": "c2189614ce420d77cc47123c60d0c98f"
-                              "0fa4e20533fed1d83b5f71bd7c2d62aa",
-            "trajectory_deterministic.csv": "f303523fc72a617b8a44de6090040db0"
-                                            "95215333edc65df50cc2467c6cb18f0c",
+            "trajectory.csv": "7bc5bf3eaa6f429323d6b657485bf759"
+                              "db1d4ecd033027510c53b5fa1c0bf4fb",
+            "trajectory_deterministic.csv": "8529d115ac695281bfdfa1f0fb965856"
+                                            "40283ec618c9647567734f4d5361fa34",
         }
 
     def test_polar_builtin_and_expression_write_the_same_bytes(self,
@@ -257,6 +262,27 @@ class TestSimulateCommand:
             digests.append(sha256s(out, ("trajectory.csv",
                                          "trajectory_deterministic.csv")))
         assert digests[0] == digests[1]
+
+    def test_expression_build_imports_no_numpy_tooling(self):
+        # sympy's "numpy" module string runs `from numpy import *`, which
+        # imports numpy.f2py, numpy.testing and more; the module object
+        # does not.
+        text = (REFERENCE_TEXT.replace("system = pendulum",
+                                       "system = metric:custom")
+                + "dim = 2\nmetric_expr = 1, 0; 0, q1**2\n"
+                  "gamma_expr = cos(q2)\n")
+        code = ("import sys\n"
+                "from frachp.cli import build_system\n"
+                "from frachp.config import parse_config\n"
+                f"build_system(parse_config({text!r}))\n"
+                "print(sorted({'numpy.f2py', 'numpy.testing'}"
+                " & set(sys.modules)))\n")
+        src = str(Path(frachp.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == "[]\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path, _ = small_config(tmp_path)
@@ -355,8 +381,14 @@ class TestSimulateCommand:
         ({"hamiltonian_expr": "p1**2/2 + log()"},
          r"hamiltonian_expr: cannot parse .* as an expression"),
         ({"dim": 0, "hamiltonian_expr": "p1**2/2"}, r"dim=0 must be >= 1"),
+        ({"system": "metric:custom", "dim": 2, "q0": "1.0, 0.0",
+          "p0": "0.0, 0.5", "metric_expr": "1/0, 0; 0, q1**2"},
+         r"metric_expr: '1/0' divides by zero"),
+        ({"hamiltonian_expr": "p1**2/2 + 0/0*q1"},
+         r"hamiltonian_expr: .* divides by zero"),
     ], ids=["code", "free-symbol", "q-beyond-dim", "p-in-gamma",
-            "metric-3x3", "metric-ragged", "no-argument", "dim-0"])
+            "metric-3x3", "metric-ragged", "no-argument", "dim-0",
+            "metric-zoo", "hamiltonian-nan"])
     def test_rejected_expression_text(self, tmp_path, capsys, overrides,
                                       match):
         pwned = tmp_path / "PWNED"

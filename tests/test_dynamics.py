@@ -14,6 +14,8 @@ from frachp.errors import (NoConvergence, NotPositiveDefinite,
                            SingularHessian)
 from frachp.specfun import gamma, hp_noise_coefficient
 
+from ._reference import metric_fields_reference
+
 
 def quadratic_lagrangian(g):
     """L = (1/2) v^T g v with a constant matrix g."""
@@ -202,6 +204,71 @@ class TestMetricMemo:
         b.metric_at([1.0, 0.0])
         assert a == b and hash(a) == hash(b)
         assert "_memo" not in repr(b)
+
+
+# A dense, non-diagonal 3-d metric, positive definite by diagonal
+# dominance, with two couplings.
+DENSE_METRIC = [["2 + sin(q1)**2", "cos(q2)/3", "exp(-q3**2)/10"],
+                ["cos(q2)/3", "1 + q1**2", "sin(q3)/5"],
+                ["exp(-q3**2)/10", "sin(q3)/5", "3/2 + cos(q1*q2)"]]
+DENSE_GAMMAS = ["cos(q1)*q3", "exp(q2/2)*sin(q3)"]
+
+
+def _metric_system(name):
+    from frachp.exprsys import metric_from_expressions
+    if name == "polar":
+        return polar_metric_system()
+    if name == "polar:custom":
+        return metric_from_expressions([["1", "0"], ["0", "q1**2"]],
+                                       ["cos(q2)"], 2)
+    return metric_from_expressions(DENSE_METRIC, DENSE_GAMMAS, 3)
+
+
+class TestClosedFormMetricFields:
+    """geodesic and noise_matrix against the numeric Christoffel oracle."""
+
+    @pytest.mark.parametrize("name", ["polar", "polar:custom", "dense-3d"])
+    def test_match_numeric_oracle(self, name):
+        sys = _metric_system(name)
+        rng = np.random.default_rng(21)
+        q = rng.uniform(0.5, 2.0, (50, sys.dim))
+        v = rng.uniform(-1.5, 1.5, (50, sys.dim))
+        want_geo, want_noise = metric_fields_reference(sys, q, v)
+        for got, want in ((sys.geodesic(q, v), want_geo),
+                          (sys.noise_matrix(q), want_noise)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_numeric_default_is_the_oracle(self):
+        dense = _metric_system("dense-3d")
+        sys = MetricSystem(3, dense.metric, dense.noise, dense.metric_grad)
+        q = np.random.default_rng(22).uniform(0.5, 2.0, (7, 3))
+        v = np.random.default_rng(23).uniform(-1.0, 1.0, (7, 3))
+        want_geo, want_noise = metric_fields_reference(sys, q, v)
+        assert np.array_equal(sys.geodesic(q, v), want_geo)
+        assert np.array_equal(sys.noise_matrix(q), want_noise)
+
+    def test_singular_metric_takes_the_numeric_default(self):
+        # det g = 0 identically: no closed form, and the default fails on
+        # the metric check as the step does.
+        from frachp.exprsys import metric_from_expressions
+        sys = metric_from_expressions([["1", "0"], ["0", "0"]],
+                                      ["cos(q2)"], 2)
+        q, v = np.array([1.0, 0.0]), np.array([0.0, 0.5])
+        with pytest.raises(NotPositiveDefinite):
+            sys.geodesic(q, v)
+        with pytest.raises(NotPositiveDefinite):
+            sys.noise_matrix(q)
+
+    def test_step_checks_the_metric_first(self):
+        # The closed forms would divide by r = 0; the step names the metric.
+        sys = polar_metric_system()
+        fields = assemble_hp_fields(sys, FractionalParams(0.6, 0.3, 0.8))
+        q = np.array([[0.0, 0.1]])
+        with pytest.raises(NotPositiveDefinite):
+            fields.step(q, q, q, 1e-3, 0.0, 1.0, np.zeros((1, 1)))
+        with pytest.raises(NotPositiveDefinite):
+            fields.diffusion_p(0.1, q)
 
 
 class TestGradientChecks:
@@ -423,8 +490,9 @@ class TestExpressionSystems:
         assert sys.noise.grad_matrix(q)[0, 0] == pytest.approx(-math.sin(1.0))
 
     def test_custom_polar_matches_builtin_bitwise(self):
-        # Both evaluate q1**2 and the gradients with the same numpy
-        # arithmetic, so they agree to the bit on every sample.
+        # Both evaluate q1**2, the gradients and the closed-form geodesic
+        # force and noise matrix with the same numpy arithmetic, so they
+        # agree to the bit on every sample.
         from frachp.exprsys import metric_from_expressions
         custom = metric_from_expressions([["1", "0"], ["0", "q1**2"]],
                                          ["cos(q2)"], 2)
@@ -434,6 +502,9 @@ class TestExpressionSystems:
         assert np.array_equal(custom.metric_grad(q), builtin.metric_grad(q))
         assert np.array_equal(custom.noise.grad_matrix(q),
                               builtin.noise.grad_matrix(q))
+        v = np.random.default_rng(24).uniform(-2.0, 2.0, (20_000, 2))
+        assert np.array_equal(custom.geodesic(q, v), builtin.geodesic(q, v))
+        assert np.array_equal(custom.noise_matrix(q), builtin.noise_matrix(q))
 
     @pytest.mark.parametrize("texts", [
         ["0", "1", "1/3", "-2/3"],
@@ -458,6 +529,26 @@ class TestExpressionSystems:
         assert got.shape == (9, len(exprs))
         assert _lambdify(qs, exprs, (len(exprs),))(q[0]).shape == (
             len(exprs),)
+
+    def test_numpy_module_lambdify_matches_numpy_string(self):
+        # _lambdify passes the numpy module, which keeps sympy from
+        # importing every numpy submodule; each whitelisted name gives the
+        # bits "numpy" gives, NaN and inf included.
+        import sympy
+        from frachp.exprsys import _CONSTANTS, _FUNCTIONS
+        q1 = sympy.Symbol("q1")
+        x = np.array([-1.0, 2.0, 1000.0, -1000.0, 0.5, -0.3, 0.0, -0.0,
+                      1e-300, np.nan, np.inf, -np.inf])
+        cases = [((q1,), sympy.sympify(f"{name}(q1)"), (x,))
+                 for name in sorted(_FUNCTIONS)]
+        cases += [((), sympy.sympify(name), ()) for name in sorted(_CONSTANTS)]
+        for args, expr, values in cases:
+            with np.errstate(all="ignore"):
+                got, want = (np.asarray(sympy.lambdify(args, expr,
+                                                       modules=m)(*values))
+                             for m in ([np], "numpy"))
+            assert got.dtype == want.dtype == float, expr
+            assert got.tobytes() == want.tobytes(), expr
 
     def test_custom_metric(self):
         from frachp.exprsys import metric_from_expressions

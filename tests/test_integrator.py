@@ -486,9 +486,12 @@ def _held_callables(sys):
         if getattr(sys, role, None) is not None:
             calls[role] = (getattr(sys, role), tail)
     for role, tail in (("metric", (n, n)), ("metric_at", (n, n)),
-                       ("metric_grad", (n, n, n))):
+                       ("metric_grad", (n, n, n)),
+                       ("noise_matrix", (n, sys.noise.m))):
         if hasattr(sys, role):
             calls[role] = (of_q(getattr(sys, role)), tail)
+    if isinstance(sys, MetricSystem):
+        calls["geodesic"] = (sys.geodesic, (n,))
     for a, (g, dg) in enumerate(zip(sys.noise.gamma, sys.noise.gamma_grad)):
         calls[f"gamma[{a}]"] = (of_q(g), ())
         calls[f"gamma_grad[{a}]"] = (of_q(dg), (n,))
@@ -629,7 +632,9 @@ class TestMetricEvaluations:
             calls.append(q.shape)
             return builtin.metric(q)
 
-        sys = MetricSystem(2, metric, builtin.noise, builtin.metric_grad)
+        # The built-in's closed forms, so that the two step alike.
+        sys = MetricSystem(2, metric, builtin.noise, builtin.metric_grad,
+                           builtin.geodesic, builtin.noise_matrix)
         init = initial_state(sys, [1.0, 0.0], p0=[0.0, 0.5])
         assert len(calls) == 1
         n = 500
