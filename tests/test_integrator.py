@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -525,6 +526,32 @@ class TestArrayContract:
             for i in range(5):
                 assert np.array_equal(out[i], fn(q[i], y[i])), (role, i)
 
+    @pytest.mark.parametrize("fallback", [False, True],
+                             ids=["analytic", "fallback"])
+    @pytest.mark.parametrize("name", list(ACTION_SYSTEMS))
+    def test_two_batch_axes(self, name, fallback):
+        # integrate_paths completes a (N+1, P, n) history in one call: row
+        # k must equal the (P, n) call of step k, and each entry its sample.
+        sys = ACTION_SYSTEMS[name]()
+        if fallback:
+            sys = _fallback_twin(sys)
+        n = sys.dim
+        rng = np.random.default_rng(13)
+        q = rng.uniform(0.5, 1.5, (3, 5, n))
+        x = rng.uniform(-1.0, 1.0, (3, 5, n))
+        calls = {"complete_state": (
+            lambda q, x: np.stack(complete_state(sys, q, x), axis=-2), (2, n))}
+        if isinstance(sys, MetricSystem):
+            calls["metric_at"] = (lambda q, x: sys.metric_at(q), (n, n))
+        for role, (fn, tail) in calls.items():
+            out = fn(q, x)
+            assert out.shape == (3, 5) + tail, role
+            for i in range(3):
+                assert np.array_equal(out[i], fn(q[i], x[i])), (role, i)
+                for j in range(5):
+                    assert np.array_equal(out[i, j], fn(q[i, j], x[i, j])), (
+                        role, i, j)
+
 
 class TestActionOnArrays:
     """evaluate_action against the step-by-step loop of the reference."""
@@ -727,6 +754,62 @@ class TestIntegratePaths:
                            match=r"at step \d+ \(s = .*\) on path 1$") as exc:
             integrate_paths(runs)
         assert exc.value.sample == 1
+
+    def test_earliest_lost_definiteness_wins(self):
+        # g_22 = q1: both paths run q1 through 0, path 1 (nearer) first.
+        sys = metric_from_expressions([["1", "0"], ["0", "q1"]],
+                                      ["cos(q2)"], 2)
+        fields = assemble_hp_fields(sys, REFERENCE)
+        grid = make_grid(0.0, 1e-3, 200, REFERENCE)
+        runs = [EulerRun(fields, grid, zero_path(1e-3, 200, 1),
+                         initial_state(sys, [q1, 0.0], p0=[-1.0, 0.0]),
+                         REFERENCE)
+                for q1 in (0.1, 0.05)]
+        steps = []
+        for run in runs:
+            with pytest.raises(NotPositiveDefinite) as alone:
+                integrate(run)
+            steps.append(int(re.search(r"at step (\d+) ", str(alone.value))[1]))
+        assert steps[1] < steps[0]
+        with pytest.raises(NotPositiveDefinite,
+                           match=rf"at step {steps[1]} \(s = .*\) on path 1$"
+                           ) as exc:
+            integrate_paths(runs)
+        assert exc.value.sample == 1
+
+    def test_landing_on_the_polar_origin_names_the_metric(self):
+        # q1 = 1e-3 + 1e-3 * (-1) is exactly r = 0, where g = diag(1, 0);
+        # a step from there would divide by r.
+        sys = polar_metric_system()
+        fields = assemble_hp_fields(sys, REFERENCE)
+        grid = make_grid(0.0, 1e-3, 100, REFERENCE)
+        init = initial_state(sys, [1e-3, 0.1], p0=[-1.0, 0.0])
+        assert init.v.tolist() == [-1.0, 0.0]
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"at q=\[0\.\s+0\.1\] at step 1 "
+                                 r"\(s = 0\.001\)$") as exc:
+            integrate(EulerRun(fields, grid, zero_path(1e-3, 100, 1), init,
+                               REFERENCE))
+        assert exc.value.sample == 0
+
+    def test_blowup_is_named_before_the_overflow(self):
+        # U = -q^8 from q0 = 1.5: p passes BLOWUP_LIMIT at step 16, and
+        # stepping on would overflow (a RuntimeWarning) at step 20.
+        sys = pendulum_system(potential=(lambda x: -x ** 8,
+                                         lambda x: -8.0 * x ** 7))
+        fields = assemble_hp_fields(sys, CLASSICAL)
+        grid = make_grid(0.0, 1e-2, 100, CLASSICAL)
+        run = EulerRun(fields, grid, zero_path(1e-2, 100, 1),
+                       initial_state(sys, [1.5], p0=[0.0]), CLASSICAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalBlowup) as exc:
+                integrate(run)
+        err = exc.value
+        assert (err.step, err.path, err.component) == (16, 0, "p")
+        assert str(err) == "non-finite or huge p at step 16 (s = 0.16)"
+        assert [a.tolist() for a in err.last_state] == [
+            [251.6803185166816], [30335782.076431744], [30335782.076431744]]
 
     def test_failed_legendre_names_path_and_step(self):
         # L = v^2/2 - v^3/3 + q: p grows as s, and dL/dv = v - v^2 has no
