@@ -16,8 +16,9 @@ action's L and gamma_a, `metric_at`, H and grad_p in the Legendre
 fallback): a value of shape tail alone, such as the 0.0 of
 `lambda q, v: 0.0`, is broadcast and must equal the value on the last
 sample; another shape or a TypeError raises BatchShapeError naming the
-callable.  The integrator's per-step calls pass the (P, n)
-stack of the P paths it steps together.
+callable.  The Euler step is called on the (P, n) stack of the P paths
+the integrator steps together, and `complete_state` once on the
+(N+1, P, n) history of a run.
 """
 
 from __future__ import annotations
@@ -210,15 +211,18 @@ class MetricSystem:
     (..., n, m) array g^-1(q) grad gamma_a(q) whose columns the noise
     drives; a system may give both in closed form, and otherwise they are
     taken numerically from `christoffel` and from `inverse_at` times
-    `NoiseCoupling.grad_matrix`.  A closed form need not check g: the
-    Euler step checks it at q first.
+    `NoiseCoupling.grad_matrix`.  A closed form need not check g:
+    `integrate_paths` checks every configuration a run visits in one
+    `metric_at` call, and the one-off drift and diffusion of `SdeFields`
+    check it first.
 
-    The system keeps the validated metric of the last configuration stack
-    it was asked about, and its inverse once asked for it, as read-only
-    arrays: an Euler step checks g at q, then p = g v at the q it steps
-    to, which the next step starts from.  So each distinct q is evaluated,
-    checked and inverted (if at all) once, and the metric callable must be
-    a pure function of q.
+    The system keeps the validated metric of the last configuration, or
+    stack of them (at most one batch axis), that it was asked about, and
+    its inverse once asked for it, as read-only arrays: the numeric
+    default takes `inverse_at` twice at the q of a step, and
+    `initial_state` asks for g at q0 twice.  A q with more batch axes,
+    such as a run's (N+1, P, n) history, is checked but not kept.  So the
+    metric callable must be a pure function of q.
     """
 
     dim: int
@@ -260,11 +264,12 @@ class MetricSystem:
         return self._entry(q)[1]
 
     def _entry(self, q) -> tuple:
-        """The memo entry for q; on a miss g is evaluated and checked."""
+        """The memo entry for q; on a miss g is evaluated and checked, and
+        kept if q has at most one batch axis (else the key is None)."""
         q = np.asarray(q, dtype=float)
-        key, memo = (q.shape, q.tobytes()), self._memo
-        if memo[0] == key:
-            return memo
+        key = (q.shape, q.tobytes()) if q.ndim <= 2 else None
+        if key is not None and self._memo[0] == key:
+            return self._memo
         n = self.dim
         g = _call_batched(self.metric, "metric", q.shape[:-1], (n, n), q)
         g_t = np.swapaxes(g, -1, -2)
@@ -288,9 +293,10 @@ class MetricSystem:
                         f"metric not positive definite at q={x}", i) from None
         g = g.view()  # read-only without freezing the callable's own array
         g.setflags(write=False)
-        memo = (key, g, None)
-        object.__setattr__(self, "_memo", memo)
-        return memo
+        entry = (key, g, None)
+        if key is not None:
+            object.__setattr__(self, "_memo", entry)
+        return entry
 
     def inverse_at(self, q: np.ndarray) -> np.ndarray:
         """np.linalg.inv of `metric_at(q)`, read-only, taken once per q."""
@@ -298,7 +304,8 @@ class MetricSystem:
         if g_inv is None:
             g_inv = np.linalg.inv(g)
             g_inv.setflags(write=False)
-            object.__setattr__(self, "_memo", (key, g, g_inv))
+            if key is not None:
+                object.__setattr__(self, "_memo", (key, g, g_inv))
         return g_inv
 
     def lagrangian(self, q, v):
@@ -455,19 +462,24 @@ def christoffel(sys: MetricSystem, q) -> np.ndarray:
 class SdeFields:
     """Assembled Ito-form right-hand sides for one system and parameter set.
 
-    step(q, v, p, h, damp, coef, inc) is one explicit Euler step from
-    samples (..., n) on increments (..., m); it returns the new (q, v, p).
-    q moves by h drift_q, x (p, or v for a metric system) by h drift_p
-    plus diffusion_p @ inc, and `complete_state` completes x at the new q.
-    damp and coef are damping(s) and noise_scale(s) at the left endpoint
-    s; both take arrays of s, so a caller takes them once over a grid.
+    step(*state, h, damp, coef, inc) is one explicit Euler step from
+    samples (..., n) on increments (..., m).  Its state is what the next
+    step reads, the components named by `carried`: q and x, the variable
+    the noise drives (p, or v for a metric system), and for a Lagrangian
+    system also v, which its force needs.  q moves by h drift_q and x by
+    h drift_p plus diffusion_p @ inc; a Lagrangian step then solves for v
+    at the new q.  The component left out (v = dH/dp, or p = g(q) v) is
+    the one `complete_state` gives, and no step reads it.  damp and coef
+    are damping(s) and noise_scale(s) at the left endpoint s; both take
+    arrays of s, so a caller takes them once over a grid.
 
     drift_q(s, q, y) and drift_p(s, q, y), where y is p for the
     Hamiltonian formulation and v for the others, return (..., n), and
     diffusion_p(s, q) returns the (..., n, m) noise matrix; q never
-    carries noise.  The system owns system.dim and system.noise.m, and
-    its type selects the formulation; params is the triple the
-    coefficients use.
+    carries noise.  For a metric system drift_p and diffusion_p check g
+    at q first; step does not.  The system owns system.dim and
+    system.noise.m, and its type selects the formulation; params is the
+    triple the coefficients use.
     """
 
     step: Callable
@@ -479,6 +491,13 @@ class SdeFields:
     system: SystemSpec = field(repr=False)
     params: FractionalParams
 
+    @property
+    def carried(self) -> str:
+        """The components step takes and returns, in its order."""
+        if isinstance(self.system, LagrangianSystem):
+            return "qpv"
+        return "qv" if isinstance(self.system, MetricSystem) else "qp"
+
 
 def _alpha_drift_factor(params: FractionalParams, s):
     """(alpha - 1)/(t_eval - s); s may be a float or an array of times."""
@@ -489,6 +508,10 @@ def _alpha_drift_factor(params: FractionalParams, s):
 
 def _given_velocity(q, v):  # velocity of the formulations with y = v
     return np.asarray(v, dtype=float)
+
+
+def _unchecked(q):  # the one-off fields' check of a system without g
+    return None
 
 
 def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
@@ -512,8 +535,7 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
     # velocity(q, y), force(q, y, damp) and noise_matrix(q) per formulation;
     # y is p for a Hamiltonian system and v otherwise, and the noise drives
     # x: p, or v for a metric system.
-    y_is_p = isinstance(sys, HamiltonianSystem)
-    x_is_p = not isinstance(sys, MetricSystem)
+    check = _unchecked
     if isinstance(sys, HamiltonianSystem):
         def velocity(q, p):
             return np.asarray(sys.grad_p(q, p), dtype=float)
@@ -534,33 +556,41 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
         noise_matrix = noise.grad_matrix
 
     elif isinstance(sys, MetricSystem):
-        velocity = _given_velocity
+        velocity, noise_matrix = _given_velocity, sys.noise_matrix
+        # The closed forms may divide by g unchecked: integrate_paths
+        # checks every q a run visits, and the one-off fields check first.
+        check = sys.metric_at
 
-        # g is checked at q before the closed forms divide by it; after
-        # step 1 that is a memo hit, as at the q complete_state just took.
         def force(q, v, damp):
-            sys._entry(q)
             v = np.asarray(v, dtype=float)
             return sys.geodesic(q, v) - damp * v
-
-        def noise_matrix(q):
-            sys._entry(q)
-            return sys.noise_matrix(q)
 
     else:
         raise TypeError(f"unsupported system type {type(sys)!r}")
 
-    def step(q, v, p, h, damp, coef, inc):
-        y, x = p if y_is_p else v, p if x_is_p else v
-        q_new = q + h * velocity(q, y)
-        x = (x + h * force(q, y, damp)
-             + ((coef * noise_matrix(q)) @ inc[..., None])[..., 0])
-        return (q_new, *complete_state(sys, q_new, x))
+    def euler(q, y, x, h, damp, coef, inc):
+        return (q + h * velocity(q, y),
+                x + h * force(q, y, damp)
+                + ((coef * noise_matrix(q)) @ inc[..., None])[..., 0])
 
-    return SdeFields(step, lambda s, q, y: velocity(q, y),
-                     lambda s, q, y: force(q, y, damping(s)),
-                     lambda s, q: noise_scale(s) * noise_matrix(q),
-                     damping, noise_scale, sys, params)
+    if isinstance(sys, LagrangianSystem):
+        def step(q, p, v, h, damp, coef, inc):
+            q, p = euler(q, v, p, h, damp, coef, inc)
+            return q, p, invert_legendre(sys, q, p)
+    else:
+        def step(q, x, h, damp, coef, inc):
+            return euler(q, x, x, h, damp, coef, inc)
+
+    def drift_p(s, q, y):
+        check(q)
+        return force(q, y, damping(s))
+
+    def diffusion_p(s, q):
+        check(q)
+        return noise_scale(s) * noise_matrix(q)
+
+    return SdeFields(step, lambda s, q, y: velocity(q, y), drift_p,
+                     diffusion_p, damping, noise_scale, sys, params)
 
 
 # ---------------------------------------------------------------------------

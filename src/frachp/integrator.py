@@ -28,6 +28,7 @@ from .noise import (WienerPath, _uniforms, coarsen, generate_path,
 from .specfun import gamma, step_weights
 
 BLOWUP_LIMIT = 1e12
+_BLOWUP_BLOCK = 256  # steps of the Euler loop between two blow-up tests
 
 
 def initial_state(sys: SystemSpec, q0, p0) -> PhaseState:
@@ -71,20 +72,75 @@ class EulerRun:
         check_singularity_guard(self.grid, self.params)
 
 
-def _blowup(states: np.ndarray, step: int, s: float,
+def _first_bad_row(parts, start: int, stop: int) -> int | None:
+    """The first of rows start..stop at which one of the (N+1, P, n)
+    histories in parts is not finite or exceeds BLOWUP_LIMIT, or None."""
+    bad = np.zeros(max(stop + 1 - start, 0), dtype=bool)
+    for a in parts:
+        # Written so that NaN fails the test as well as inf and huge values.
+        bad |= ~(np.abs(a[start:stop + 1]).max(axis=(1, 2)) <= BLOWUP_LIMIT)
+    return start + int(np.argmax(bad)) if bad.any() else None
+
+
+def _blowup(states: np.ndarray, step: int, grid: TimeGrid,
             batch: bool) -> NumericalBlowup:
     """NumericalBlowup naming the first failing path, its component and its
     (q, p, v) at the step before.
 
-    states is the (3, P, N+1, n) buffer of q, p and v, filled to `step`.
+    states is the (3, N+1, P, n) buffer of q, p and v, filled to `step`.
     """
-    bad = ~(np.abs(states[:, :, step]) <= BLOWUP_LIMIT)
+    bad = ~(np.abs(states[:, step]) <= BLOWUP_LIMIT)
     path = int(np.argmax(bad.any(axis=(0, 2))))
     comp = "qpv"[int(np.argmax(bad[:, path].any(axis=-1)))]
+    s = grid.point(step)
     on = f" on path {path}" if batch else ""
     return NumericalBlowup(
         step, f"non-finite or huge {comp} at step {step} (s = {s:.6g}){on}",
-        s, path, comp, tuple(states[:, path, step - 1].copy()))
+        s, path, comp, tuple(states[:, step - 1, path].copy()))
+
+
+def _at_step(exc: SampleError, step: int, grid: TimeGrid,
+             batch: bool) -> SampleError:
+    """exc with the step, and for a batch the path, that it failed at."""
+    on = f" on path {exc.sample}" if batch else ""
+    return type(exc)(f"{exc} at step {step} (s = {grid.point(step):.6g}){on}",
+                     exc.sample)
+
+
+def _complete_history(states: np.ndarray, fields: SdeFields, last: int,
+                      grid: TimeGrid, batch: bool) -> None:
+    """Fill the component `fields.step` does not carry on rows 1..last by
+    one `complete_state` call over rows 0..last, which for a metric system
+    also checks g at every q, q0 included.
+
+    If that call fails, rows 0..last are completed one at a time, as a
+    step-by-step run would, and the first failing row raises its error
+    (or a blow-up of a completed row before it, NumericalBlowup).
+    """
+    carried = fields.carried
+    if len(carried) == 3:
+        return
+    x = states["qpv".index(carried[1])]
+    missing = "pv".replace(carried[1], "")
+    out = states["qpv".index(missing)]
+
+    def complete(rows):
+        return complete_state(fields.system, states[0, rows],
+                              x[rows])["vp".index(missing)]
+
+    try:
+        out[1:last + 1] = complete(slice(0, last + 1))[1:]
+    except Exception:
+        for k in range(last + 1):
+            try:
+                row = complete(k)
+            except SampleError as exc:
+                raise _at_step(exc, k, grid, batch) from None
+            if k:
+                out[k] = row
+                if _first_bad_row(states, k, k) is not None:
+                    raise _blowup(states, k, grid, batch) from None
+        raise
 
 
 def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
@@ -92,16 +148,25 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
 
     The runs must share their grid and fields (and so their params), or
     GridMismatch is raised; their initial states and Wiener paths may
-    differ.  Each step advances the (P, n) stack of states on the (P, m)
-    increments of that step by `fields.step`; under the array contract of
-    `frachp.dynamics`, row i is what run i alone gives, bit for bit.  The
-    fractional coefficients damping(s) and noise_scale(s) are taken once
-    over the left endpoints of all steps.  A state that is not finite or
-    exceeds BLOWUP_LIMIT raises NumericalBlowup, which carries the failing
-    path's state at the step before.  A metric that stops being positive
-    definite raises NotPositiveDefinite, and a Legendre map that cannot be
-    inverted SingularHessian or NoConvergence.  Each names the step, and
-    the path when P > 1.
+    differ.  Each step advances the (P, n) stacks of the components that
+    `fields.step` carries on the (P, m) increments of that step; under
+    the array contract of `frachp.dynamics`, row i is what run i alone
+    gives, bit for bit.  The fractional coefficients damping(s) and
+    noise_scale(s) are taken once over the left endpoints of all steps.
+    The component no step reads (v = dH/dp, or p = g(q) v) is filled by
+    one `complete_state` call over the run's time-major (N+1, P, n)
+    history, which for a metric system also checks g at every q visited.
+
+    The loop runs with numpy floating-point warnings off and tests for a
+    blow-up once every _BLOWUP_BLOCK steps; the error is still the one of
+    the earliest failing step, as if each step were tested.  A state that
+    is not finite or exceeds BLOWUP_LIMIT raises NumericalBlowup, which
+    carries the failing path's state at the step before.  A metric that is
+    not positive definite at a q reached raises NotPositiveDefinite (at
+    step 0 for q0), and a Legendre map that cannot be inverted
+    SingularHessian or NoConvergence; at one step these win over a
+    blow-up.  Each names the step, and the path when P > 1 (the lowest
+    failing one).
     """
     if not runs:
         return ()
@@ -118,28 +183,41 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     damp = np.broadcast_to(fields.damping(s), s.shape)
     coef = np.broadcast_to(fields.noise_scale(s), s.shape)
     inc = np.stack([run.path.increments for run in runs], axis=1)  # (N, P, m)
-    # states[c, i, k] is component c (q, p, v) of path i at step k, so
-    # each path's history is one contiguous block.
-    states = np.empty((3, len(runs), n + 1, fields.system.dim))
-    states[:, :, 0] = [[getattr(run.initial, c) for run in runs]
-                       for c in "qpv"]
-    q, p, v = states[:, :, 0]
-    for k in range(n):
-        try:
-            q, v, p = fields.step(q, v, p, h, damp[k], coef[k], inc[k])
-        except SampleError as exc:
-            on = f" on path {exc.sample}" if batch else ""
-            raise type(exc)(
-                f"{exc} at step {k + 1} (s = {grid.point(k + 1):.6g}){on}",
-                exc.sample) from None
-        state = states[:, :, k + 1]
-        state[0], state[1], state[2] = q, p, v
-        # Written so that NaN fails the test as well as inf and huge values.
-        if not np.abs(state).max() <= BLOWUP_LIMIT:
-            raise _blowup(states, k + 1, grid.point(k + 1), batch)
+    # states[c, k, i] is component c (q, p, v) of path i at step k: time
+    # major, so the first failing row is the earliest failing step.
+    states = np.empty((3, n + 1, len(runs), fields.system.dim))
+    states[:, 0] = [[getattr(run.initial, c) for run in runs]
+                    for c in "qpv"]
+    carried = [states["qpv".index(c)] for c in fields.carried]
+    state = tuple(a[0] for a in carried)
+    end, failure = n, None  # rows 1..end hold the carried components
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            try:
+                state = fields.step(*state, h, damp[k], coef[k], inc[k])
+            except Exception as exc:  # raised below unless a row before failed
+                end, failure = k, exc
+                break
+            for a, x in zip(carried, state):
+                a[k + 1] = x
+            if ((k + 1) % _BLOWUP_BLOCK == 0 and _first_bad_row(
+                    carried, k + 2 - _BLOWUP_BLOCK, k + 1) is not None):
+                end = k + 1
+                break
+        bad = _first_bad_row(carried, 1, end)
+        last = end if bad is None else bad
+        _complete_history(states, fields, last, grid, batch)
+    bad = _first_bad_row(states, 1, last)
+    if bad is not None:
+        raise _blowup(states, bad, grid, batch)
+    if isinstance(failure, SampleError):
+        raise _at_step(failure, end + 1, grid, batch) from None
+    if failure is not None:
+        raise failure
     states.setflags(write=False)
-    return tuple(Trajectory(grid, q, v, p)
-                 for q, p, v in np.swapaxes(states, 0, 1))
+    q, p, v = states
+    return tuple(Trajectory(grid, q[:, i], v[:, i], p[:, i])
+                 for i in range(len(runs)))
 
 
 def integrate(run: EulerRun) -> Trajectory:

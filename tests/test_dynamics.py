@@ -190,6 +190,17 @@ class TestMetricMemo:
         assert calls == [(2,), (1, 2)]
         assert sys.metric_at(q[None]).shape == (1, 2, 2)
 
+    def test_two_batch_axes_are_not_kept(self):
+        # A run's (N+1, P, n) history is checked once and not held on to.
+        sys = polar_metric_system()
+        q = np.array([1.0, 0.2])
+        sys.inverse_at(q)
+        kept = sys._memo
+        history = np.random.default_rng(6).uniform(0.5, 2.0, (4, 3, 2))
+        assert np.array_equal(sys.metric_at(history), sys.metric(history))
+        assert sys.inverse_at(history).shape == (4, 3, 2, 2)
+        assert sys._memo is kept
+
     def test_failure_is_not_kept(self):
         sys = MetricSystem(1, lambda q: np.array([[-1.0]]),
                            NoiseCoupling.constant([1.0]),
@@ -260,13 +271,14 @@ class TestClosedFormMetricFields:
         with pytest.raises(NotPositiveDefinite):
             sys.noise_matrix(q)
 
-    def test_step_checks_the_metric_first(self):
-        # The closed forms would divide by r = 0; the step names the metric.
+    def test_one_off_fields_check_the_metric_first(self):
+        # The closed forms would divide by r = 0; a one-off evaluation
+        # names the metric (a run checks it over its whole history).
         sys = polar_metric_system()
         fields = assemble_hp_fields(sys, FractionalParams(0.6, 0.3, 0.8))
         q = np.array([[0.0, 0.1]])
         with pytest.raises(NotPositiveDefinite):
-            fields.step(q, q, q, 1e-3, 0.0, 1.0, np.zeros((1, 1)))
+            fields.drift_p(0.1, q, q)
         with pytest.raises(NotPositiveDefinite):
             fields.diffusion_p(0.1, q)
 

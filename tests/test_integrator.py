@@ -44,18 +44,24 @@ def pendulum_run(params, h, n, path=None, gamma="cos", q0=1.0, p0=0.0):
 
 
 def step_at(fields, s, q, v, p, h, inc):
-    """fields.step at time s, as a PhaseState."""
-    return PhaseState(*fields.step(q, v, p, h, fields.damping(s),
-                                   fields.noise_scale(s), np.asarray(inc)))
+    """fields.step at time s from (q, v, p), completed by complete_state
+    where the step does not carry v or p, as a PhaseState."""
+    state = {"q": q, "v": v, "p": p}
+    out = dict(zip(fields.carried, fields.step(
+        *(state[c] for c in fields.carried), h, fields.damping(s),
+        fields.noise_scale(s), np.asarray(inc))))
+    if len(out) == 2:
+        x = fields.carried[1]
+        out["v"], out["p"] = complete_state(fields.system, out["q"], out[x])
+    return PhaseState(out["q"], out["v"], out["p"])
 
 
 def drift_only_fields(drift):
-    """Hand-built pendulum fields whose step moves p (and v = p) by
-    h * drift(p) alone."""
+    """Hand-built pendulum fields whose step moves p by h * drift(p) alone;
+    the pendulum completes v = p."""
 
-    def step(q, v, p, h, damp, coef, inc):
-        p = p + h * drift(p)
-        return q, p, p
+    def step(q, p, h, damp, coef, inc):
+        return q, p + h * drift(p)
 
     return SdeFields(
         step=step, drift_q=lambda s, q, y: np.zeros_like(y),
@@ -93,6 +99,8 @@ class TestEulerStep:
     @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
     @pytest.mark.parametrize("case", list(STEP_CASES))
     def test_step_is_the_euler_formula_bitwise(self, case, stack):
+        # step carries q and x, and v for a Lagrangian system, solved at
+        # the new q as complete_state solves it.
         make, literal, q0, x0, (y_name, x_name) = STEP_CASES[case]
         sys = make()
         fields = assemble_hp_fields(sys, REFERENCE, eq15_literal=literal)
@@ -109,11 +117,17 @@ class TestEulerStep:
         q_new = q + h * fields.drift_q(s, q, y)
         x_new = (x + h * fields.drift_p(s, q, y)
                  + (fields.diffusion_p(s, q) @ inc[..., None])[..., 0])
-        want = (q_new, *complete_state(sys, q_new, x_new))
-        got = fields.step(q, v, p, h, damp, coef, inc)
-        for a, b in zip(got, want):
+        v_new, p_new = complete_state(sys, q_new, x_new)
+        new = {"q": q_new, "v": v_new, "p": p_new}
+        assert fields.carried == {"pp": "qp", "vp": "qpv",
+                                  "vv": "qv"}[y_name + x_name]
+        state = {"q": q, "v": v, "p": p}
+        got = fields.step(*(state[c] for c in fields.carried), h, damp, coef,
+                          inc)
+        assert len(got) == len(fields.carried)
+        for c, a in zip(fields.carried, got):
             assert a.shape == q.shape
-            assert np.array_equal(a, b)
+            assert np.array_equal(a, new[c]), c
 
     def test_hand_evaluated_pendulum_step(self):
         # alpha = beta = 1, x = 1, y = 0, h = 0.1, G = 0.05:
@@ -649,9 +663,9 @@ class TestInitialState:
 
 
 class TestMetricEvaluations:
-    """An Euler step evaluates the metric once per distinct q."""
+    """A run evaluates the metric once, over every q it visits."""
 
-    def test_one_metric_call_per_step(self):
+    def test_one_metric_call_per_run(self):
         builtin = polar_metric_system()
         calls = []
 
@@ -669,9 +683,10 @@ class TestMetricEvaluations:
         run = EulerRun(fields, make_grid(0.0, 1e-4, n, REFERENCE),
                        generate_path(1, 1e-4, n, 1), init, REFERENCE)
         counted = integrate(run)
-        # Step 1 takes q0 as a (1, 2) stack, a new key; then one q_new a
-        # step, which the next step starts from.
-        assert len(calls) == 1 + n + 1
+        # The closed forms take no g; completing p = g v checks g over
+        # the whole (N+1, P, n) history, q0 included, in one call.
+        assert calls == [(2,), (n + 1, 1, 2)]
+        assert sys._memo[0][0] == (2,)  # q0's, not the history's
         plain = integrate(EulerRun(
             assemble_hp_fields(builtin, REFERENCE), run.grid, run.path,
             initial_state(builtin, [1.0, 0.0], p0=[0.0, 0.5]), REFERENCE))
@@ -791,6 +806,20 @@ class TestIntegratePaths:
             integrate(EulerRun(fields, grid, zero_path(1e-3, 100, 1), init,
                                REFERENCE))
         assert exc.value.sample == 0
+
+    def test_hand_built_invalid_q0_is_named_at_step_0(self):
+        # initial_state would reject r = 0; a hand-built state reaches the
+        # run, whose one metric check covers q0 as row 0.
+        sys = polar_metric_system()
+        fields = assemble_hp_fields(sys, REFERENCE)
+        grid = make_grid(0.0, 1e-3, 50, REFERENCE)
+        runs = [EulerRun(fields, grid, zero_path(1e-3, 50, 1), init,
+                         REFERENCE)
+                for init in (initial_state(sys, [1.0, 0.1], p0=[0.0, 0.1]),
+                             PhaseState([0.0, 0.1], [0.0, 0.0], [0.0, 0.0]))]
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"at step 0 \(s = 0\) on path 1$"):
+            integrate_paths(runs)
 
     def test_blowup_is_named_before_the_overflow(self):
         # U = -q^8 from q0 = 1.5: p passes BLOWUP_LIMIT at step 16, and
