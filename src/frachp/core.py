@@ -9,6 +9,8 @@ numpy for the truth value of an array.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,23 +48,33 @@ class FractionalParams:
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
                 raise InvalidArgument(f"{name}={v} outside (0, 1]")
-        if not self.t_eval > 0.0:
-            raise InvalidArgument(f"t_eval={self.t_eval} must be positive")
+        if not 0.0 < self.t_eval < math.inf:
+            raise InvalidArgument(
+                f"t_eval={self.t_eval} must be positive and finite")
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_start + k*h for k = 0..n_steps."""
+    """Uniform grid t_start + k*h for k = 0..n_steps.
+
+    t_start must be finite, h positive and finite, and n_steps a whole
+    number (an int or numpy integer) of at least 1.
+    """
 
     t_start: float
     h: float
     n_steps: int
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise NonPositiveStep(f"h={self.h}")
+        if not math.isfinite(self.t_start):
+            raise InvalidArgument(f"t_start={self.t_start} must be finite")
+        if not 0.0 < self.h < math.inf:
+            raise NonPositiveStep(f"h={self.h} must be positive and finite")
+        if not isinstance(self.n_steps, numbers.Integral):
+            raise InvalidArgument(
+                f"n_steps={self.n_steps!r} must be a whole number")
         if self.n_steps < 1:
-            raise ZeroSteps(f"n_steps={self.n_steps}")
+            raise ZeroSteps(f"n_steps={self.n_steps} must be at least 1")
 
     @property
     def t_end(self) -> float:
@@ -83,7 +95,7 @@ class TimeGrid:
 def check_singularity_guard(grid: TimeGrid, params: FractionalParams) -> None:
     """Require the grid to end EPSILON_GUARD_STEPS * h before params.t_eval."""
     guard = EPSILON_GUARD_STEPS * grid.h
-    if grid.t_end > params.t_eval - guard:
+    if not grid.t_end <= params.t_eval - guard:  # NaN fails as well
         raise GridReachesSingularity(
             f"grid ends at {grid.t_end}, must stay below "
             f"t_eval - {EPSILON_GUARD_STEPS}h = {params.t_eval - guard}")

@@ -32,6 +32,12 @@ class TestFractionalParams:
         with pytest.raises(ValueError):
             FractionalParams(0.5, 0.5, 0.0)
 
+    @pytest.mark.parametrize("t_eval", [np.inf, np.nan])
+    def test_t_eval_finite(self, t_eval):
+        # inf used to pass: t_eval - 10 h is inf, so no grid met the guard.
+        with pytest.raises(InvalidArgument, match=f"t_eval={t_eval}"):
+            FractionalParams(0.6, 0.3, t_eval)
+
 
 class TestMakeGrid:
     def test_reference_grid(self):
@@ -55,6 +61,34 @@ class TestMakeGrid:
     def test_zero_steps(self):
         with pytest.raises(ZeroSteps):
             TimeGrid(0.0, 0.1, 0)
+
+    @pytest.mark.parametrize("args, error, name", [
+        ((0.0, np.nan, 10), NonPositiveStep, "h=nan"),
+        ((0.0, np.inf, 10), NonPositiveStep, "h=inf"),
+        ((np.nan, 1e-3, 10), InvalidArgument, "t_start=nan"),
+        ((-np.inf, 1e-3, 10), InvalidArgument, "t_start=-inf"),
+        ((0.0, 1e-3, 2.5), InvalidArgument, "n_steps=2.5"),
+        ((0.0, 1e-3, 10.0), InvalidArgument, "n_steps=10.0"),
+    ], ids=["h-nan", "h-inf", "t_start-nan", "t_start-inf", "n_steps-half",
+            "n_steps-float"])
+    def test_non_finite_or_fractional_grid_rejected(self, args, error, name):
+        # Each used to be accepted: nan <= 0.0 and 2.5 < 1 are False.
+        with pytest.raises(error, match=name):
+            TimeGrid(*args)
+
+    def test_numpy_integer_steps_accepted(self):
+        assert TimeGrid(0.0, 0.1, np.int64(3)).points.shape == (4,)
+
+    def test_nan_start_fails_before_the_guard(self):
+        # make_grid(nan, ...) used to pass check_singularity_guard, since
+        # nan > t_eval - 10 h is False.
+        with pytest.raises(InvalidArgument, match="t_start=nan"):
+            make_grid(np.nan, 1e-4, 100, FractionalParams(0.6, 0.3, 0.8))
+
+    def test_overflowing_end_fails_the_guard(self):
+        # t_end = 10 * 1e308 is inf, past any t_eval.
+        with pytest.raises(GridReachesSingularity):
+            make_grid(0.0, 1e308, 10, FractionalParams(0.6, 0.3, 0.8))
 
     def test_points_are_direct_formula(self):
         grid = TimeGrid(0.3, 1e-4, 7000)
