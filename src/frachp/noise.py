@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GridMismatch, IndivisibleFactor, InvalidArgument,
-                     NonPositiveStep, ZeroSteps)
+from .core import TimeGrid
+from .errors import GridMismatch, IndivisibleFactor, InvalidArgument
 
 RNG_VERSION = "frachp-rng-v1"
 
@@ -134,10 +134,7 @@ class WienerPath:
 
 
 def _check_table(h: float, n_steps: int, channels: int) -> None:
-    if h <= 0.0:
-        raise NonPositiveStep(f"h={h}")
-    if n_steps < 1:
-        raise ZeroSteps(f"n_steps={n_steps}")
+    TimeGrid(0.0, h, n_steps)  # the grid's checks of h and n_steps
     if channels < 1:
         raise InvalidArgument(f"channels={channels} must be >= 1")
 

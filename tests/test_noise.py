@@ -44,6 +44,10 @@ class TestGeneratePath:
     def test_input_validation(self):
         with pytest.raises(NonPositiveStep):
             generate_path(1, 0.0, 10, 1)
+        for h in (math.nan, math.inf):  # used to give NaN or inf increments
+            for make in (generate_path, lambda *a: zero_path(*a[1:])):
+                with pytest.raises(NonPositiveStep, match=f"h={h}"):
+                    make(1, h, 10, 1)
         with pytest.raises(ZeroSteps):
             generate_path(1, 0.1, 0, 1)
         with pytest.raises(ValueError):
