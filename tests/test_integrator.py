@@ -20,7 +20,8 @@ from frachp.errors import (BatchShapeError, BoundaryViolation, GridMismatch,
                            NumericalBlowup)
 from frachp.exprsys import (hamiltonian_from_expression,
                             metric_from_expressions)
-from frachp.integrator import (EulerRun, action_derivative, evaluate_action,
+from frachp.integrator import (BLOWUP_LIMIT, EulerRun, action_derivative,
+                               evaluate_action,
                                initial_state, integrate, integrate_paths,
                                random_admissible_perturbation,
                                stationarity_ratio, strong_convergence_order)
@@ -754,6 +755,32 @@ class TestIntegratePaths:
         assert str(err).endswith(f"at step {err.step} (s = {err.s:.6g}) "
                                  f"on path 2")
         assert "path" not in str(alone.value)
+
+    def test_blowup_after_the_first_block_names_the_earliest_step(self):
+        # The loop tests for a blow-up once per block of steps; the step
+        # it names is the first that a test after every step finds.
+        sys = pendulum_system(potential=(lambda x: -x ** 4,
+                                         lambda x: -4.0 * x ** 3))
+        fields = assemble_hp_fields(sys, CLASSICAL)
+        grid = make_grid(0.0, 1e-2, 600, CLASSICAL)
+        q0s = (0.3, 0.35, 0.1)
+
+        def first_blowup(q, p=0.0):  # the Euler recursion, step by step
+            for k in range(1, 601):
+                q, p = q + 1e-2 * p, p + 1e-2 * (4.0 * q ** 3)
+                if not max(abs(q), abs(p)) <= BLOWUP_LIMIT:
+                    return k
+            return None
+
+        assert [first_blowup(q) for q in q0s] == [320, 276, None]
+        runs = [EulerRun(fields, grid, zero_path(1e-2, 600, 1),
+                         initial_state(sys, [q0], p0=[0.0]), CLASSICAL)
+                for q0 in q0s]
+        with pytest.raises(NumericalBlowup) as exc:
+            integrate_paths(runs)
+        assert (exc.value.step, exc.value.path) == (276, 1)
+        q, p, v = exc.value.last_state
+        assert max(abs(q[0]), abs(p[0])) <= BLOWUP_LIMIT
 
     def test_lost_definiteness_names_path_and_step(self):
         # g_22 = q1 turns negative on path 1 only, which runs q1 through 0.
