@@ -188,23 +188,25 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     states = np.empty((3, n + 1, len(runs), fields.system.dim))
     states[:, 0] = [[getattr(run.initial, c) for run in runs]
                     for c in "qpv"]
-    carried = [states["qpv".index(c)] for c in fields.carried]
-    state = tuple(a[0] for a in carried)
-    end, failure = n, None  # rows 1..end hold the carried components
+    stepped = [states["qpv".index(c)] for c in fields.carried]
+    state = tuple(a[0] for a in stepped)
+    end, failure = n, None  # rows 1..end hold the stepped components
     with np.errstate(all="ignore"):
         for k in range(n):
             try:
                 state = fields.step(*state, h, damp[k], coef[k], inc[k])
-            except Exception as exc:  # raised below unless a row before failed
+            except Exception as exc:
+                # Raised below unless an earlier row failed, since a step
+                # from a row past a failure may raise anything.
                 end, failure = k, exc
                 break
-            for a, x in zip(carried, state):
+            for a, x in zip(stepped, state):
                 a[k + 1] = x
             if ((k + 1) % _BLOWUP_BLOCK == 0 and _first_bad_row(
-                    carried, k + 2 - _BLOWUP_BLOCK, k + 1) is not None):
+                    stepped, k + 2 - _BLOWUP_BLOCK, k + 1) is not None):
                 end = k + 1
                 break
-        bad = _first_bad_row(carried, 1, end)
+        bad = _first_bad_row(stepped, 1, end)
         last = end if bad is None else bad
         _complete_history(states, fields, last, grid, batch)
     bad = _first_bad_row(states, 1, last)

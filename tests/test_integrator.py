@@ -857,15 +857,55 @@ class TestIntegratePaths:
         grid = make_grid(0.0, 1e-2, 100, CLASSICAL)
         run = EulerRun(fields, grid, zero_path(1e-2, 100, 1),
                        initial_state(sys, [1.5], p0=[0.0]), CLASSICAL)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(NumericalBlowup) as exc:
                 integrate(run)
+        assert not [w for w in caught if w.category is RuntimeWarning]
         err = exc.value
         assert (err.step, err.path, err.component) == (16, 0, "p")
         assert str(err) == "non-finite or huge p at step 16 (s = 0.16)"
         assert [a.tolist() for a in err.last_state] == [
             [251.6803185166816], [30335782.076431744], [30335782.076431744]]
+
+    def test_rows_after_a_blowup_are_not_completed(self):
+        # The U = -q^8 run above: v = dH/dp is taken once, on rows 0..16.
+        base = pendulum_system(potential=(lambda x: -x ** 8,
+                                          lambda x: -8.0 * x ** 7))
+        shapes = []
+
+        def grad_p(q, p):
+            shapes.append(np.shape(p))
+            return base.grad_p(q, p)
+
+        sys = HamiltonianSystem(1, base.hamiltonian, base.noise,
+                                grad_q=base.grad_q, grad_p=grad_p)
+        grid = make_grid(0.0, 1e-2, 100, CLASSICAL)
+        run = EulerRun(assemble_hp_fields(sys, CLASSICAL), grid,
+                       zero_path(1e-2, 100, 1),
+                       initial_state(sys, [1.5], p0=[0.0]), CLASSICAL)
+        with pytest.raises(NumericalBlowup, match="p at step 16 "):
+            integrate(run)
+        assert [sh for sh in shapes if len(sh) == 3] == [(17, 1, 1)]
+
+    def test_completed_blowup_wins_over_a_later_metric_failure(self):
+        # g = 1/q: p = g v passes BLOWUP_LIMIT at q ~ 1e-15 (step 2), and g
+        # is negative one step later, so the one metric check fails; the
+        # run still names the blow-up of p, as a test at every step does.
+        sys = MetricSystem(1, lambda q: 1.0 / q[..., None],
+                           NoiseCoupling.constant([1.0]),
+                           geodesic=lambda q, v: np.zeros(np.shape(v)),
+                           noise_matrix=lambda q: np.zeros(np.shape(q) + (1,)))
+        grid = make_grid(0.0, 1e-3, 10, CLASSICAL)
+        q0 = 0.002 + 1e-15
+        run = EulerRun(assemble_hp_fields(sys, CLASSICAL), grid,
+                       zero_path(1e-3, 10, 1),
+                       initial_state(sys, [q0], p0=[-1.0 / q0]), CLASSICAL)
+        with pytest.raises(NumericalBlowup) as exc:
+            integrate(run)
+        assert (exc.value.step, exc.value.component) == (2, "p")
+        assert [a.tolist() for a in exc.value.last_state] == [
+            [0.001000000000001], [-999.9999999989999], [-1.0]]
 
     def test_failed_legendre_names_path_and_step(self):
         # L = v^2/2 - v^3/3 + q: p grows as s, and dL/dv = v - v^2 has no
