@@ -932,6 +932,73 @@ class TestIntegratePaths:
         assert exc.value.sample == 1
 
 
+def _two_channel_pendulum():
+    return HamiltonianSystem(
+        1, pendulum_system().hamiltonian,
+        NoiseCoupling((lambda q: np.cos(q[..., 0]),
+                       lambda q: np.sin(q[..., 0]) / 2),
+                      (lambda q: -np.sin(q), lambda q: np.cos(q) / 2)),
+        grad_q=pendulum_system().grad_q, grad_p=pendulum_system().grad_p)
+
+
+HISTORY_SYSTEMS = {
+    "lagrangian": (pendulum_lagrangian_system, [1.0], [0.3]),
+    "hamiltonian:custom": (lambda: hamiltonian_from_expression(
+        "p1**2/2 + p2**2/(2 + q1**2) + cos(q1) + q2**2/3", ["sin(q2)"], 2),
+        [1.0, 0.2], [0.1, 0.4]),
+    "metric-numeric": (lambda: MetricSystem(
+        2, polar_metric_system().metric, polar_metric_system().noise),
+        [1.0, 0.2], [0.1, 0.4]),
+    "two-channel": (_two_channel_pendulum, [1.0], [0.3]),
+    "metric:dense-3d": (lambda: metric_from_expressions(
+        [["2 + sin(q1)**2", "cos(q2)/3", "exp(-q3**2)/10"],
+         ["cos(q2)/3", "1 + q1**2", "sin(q3)/5"],
+         ["exp(-q3**2)/10", "sin(q3)/5", "3/2 + cos(q1*q2)"]],
+        ["cos(q1)*q3", "exp(q2/2)*sin(q3)"], 3),
+        [1.0, 0.2, -0.3], [0.1, 0.4, 0.2]),
+    "const": (lambda: pendulum_system(gamma_coupling="const"), [1.0], [0.3]),
+}
+
+
+class TestHistoryPins:
+    """Golden sha256 of the (q, p, v) histories of two noisy runs from two
+    starts, stepped together at fixed seeds: the step paths that the CSV
+    pins of `test_config_cli` do not run, to the bit."""
+
+    PINS = {
+        "lagrangian": "a2205da04be12763c04eabc48d2ad709"
+                      "11c6aad8f5c3110286f9b7b2f3016b8a",
+        "hamiltonian:custom": "bc4017485c380b262933f7deab2fce9a"
+                              "55f9274728bf86e85b0b851998e335ee",
+        "metric-numeric": "d12ecd63ebe5f9b9f264eac04bc9f9dd"
+                          "adf8b77791f2cbcbb4babeac43421ea6",
+        "two-channel": "ae79e8fd3dc58febf2dd357dd8a36425"
+                       "603141a9a0444ce8fdb7e5eac7c2852f",
+        "metric:dense-3d": "53242d77b73f4d9ba0bc32df5a753c2c"
+                           "567854629a10c29f32eeb156405b5dae",
+        "const": "9a8a40fbdd980926e010ca687697fcab"
+                 "717ce209144528d922bdf3f6545ab66f",
+    }
+
+    @pytest.mark.parametrize("name", list(HISTORY_SYSTEMS))
+    def test_history_bytes_are_pinned(self, name):
+        import hashlib
+        make, q0, p0 = HISTORY_SYSTEMS[name]
+        sys = make()
+        h, n = 1e-4, 1000
+        fields = assemble_hp_fields(sys, REFERENCE)
+        grid = make_grid(0.0, h, n, REFERENCE)
+        runs = [EulerRun(fields, grid, generate_path(seed, h, n, sys.noise.m),
+                         initial_state(sys, np.array(q0) * scale, p0),
+                         REFERENCE)
+                for seed, scale in ((11, 1.0), (12, 1.1))]
+        digest = hashlib.sha256()
+        for traj in integrate_paths(runs):
+            for c in "qpv":
+                digest.update(np.ascontiguousarray(getattr(traj, c)).tobytes())
+        assert digest.hexdigest() == self.PINS[name]
+
+
 class TestStationarity:
     def test_solution_is_near_critical_and_tightens(self):
         ratios = {}
