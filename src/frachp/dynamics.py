@@ -134,7 +134,10 @@ class NoiseCoupling:
                          for a, g in enumerate(self.gamma)], axis=-1)
 
     def grad_matrix(self, q: np.ndarray) -> np.ndarray:
-        """(..., n, m) array whose column a is the gradient of gamma_a."""
+        """(..., n, m) array whose column a is the gradient of gamma_a: for
+        m = 1 a view of that gradient with a trailing axis."""
+        if len(self.gamma_grad) == 1:
+            return self.gamma_grad[0](q)[..., None]
         cols = [g(q) for g in self.gamma_grad]  # np.stack is slower per step
         out = np.empty(np.shape(cols[0]) + (self.m,))
         for a, col in enumerate(cols):
@@ -221,8 +224,9 @@ class MetricSystem:
     its inverse once asked for it, as read-only arrays: the numeric
     default takes `inverse_at` twice at the q of a step, and
     `initial_state` asks for g at q0 twice.  A q with more batch axes,
-    such as a run's (N+1, P, n) history, is checked but not kept.  So the
-    metric callable must be a pure function of q.
+    such as a run's (N+1, P, n) history, and the (N, n) grid of q of the
+    action's `lagrangian` are checked but not kept.  So the metric
+    callable must be a pure function of q.
     """
 
     dim: int
@@ -263,11 +267,12 @@ class MetricSystem:
         """
         return self._entry(q)[1]
 
-    def _entry(self, q) -> tuple:
+    def _entry(self, q, keep: bool = True) -> tuple:
         """The memo entry for q; on a miss g is evaluated and checked, and
-        kept if q has at most one batch axis (else the key is None)."""
+        kept if `keep` and q has at most one batch axis (else the key is
+        None)."""
         q = np.asarray(q, dtype=float)
-        key = (q.shape, q.tobytes()) if q.ndim <= 2 else None
+        key = (q.shape, q.tobytes()) if keep and q.ndim <= 2 else None
         if key is not None and self._memo[0] == key:
             return self._memo
         n = self.dim
@@ -311,11 +316,12 @@ class MetricSystem:
     def lagrangian(self, q, v):
         """(1/2) g(q)(v, v) on samples of shape (..., n).
 
-        metric_at validates the metric of every sample.
+        The metric of every sample is checked as `metric_at` checks it, but
+        not kept: the action asks about a whole grid of q at once.
         """
         v = np.asarray(v, dtype=float)
-        return 0.5 * np.einsum("...i,...ij,...j->...", v, self.metric_at(q),
-                               v)
+        g = self._entry(q, keep=False)[1]
+        return 0.5 * np.einsum("...i,...ij,...j->...", v, g, v)
 
 
 SystemSpec = Union[HamiltonianSystem, LagrangianSystem, MetricSystem]
@@ -462,8 +468,8 @@ def christoffel(sys: MetricSystem, q) -> np.ndarray:
 class SdeFields:
     """Assembled Ito-form right-hand sides for one system and parameter set.
 
-    step(*state, h, damp, coef, inc) is one explicit Euler step from
-    samples (..., n) on increments (..., m).  Its state is what the next
+    step(*state, h, damp, coef, inc) is one explicit Euler step from float
+    arrays (..., n) on increments (..., m).  Its state is what the next
     step reads, the components named by `carried`: q and x, the variable
     the noise drives (p, or v for a metric system), and for a Lagrangian
     system also v, which its force needs.  q moves by h drift_q and x by
@@ -507,7 +513,7 @@ def _alpha_drift_factor(params: FractionalParams, s):
 
 
 def _given_velocity(q, v):  # velocity of the formulations with y = v
-    return np.asarray(v, dtype=float)
+    return v
 
 
 def _unchecked(q):  # the one-off fields' check of a system without g
@@ -537,12 +543,10 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
     # x: p, or v for a metric system.
     check = _unchecked
     if isinstance(sys, HamiltonianSystem):
-        def velocity(q, p):
-            return np.asarray(sys.grad_p(q, p), dtype=float)
+        velocity = sys.grad_p
 
-        def force(q, p, damp):
-            base = -np.asarray(sys.grad_q(q, p), dtype=float)
-            return base + damp * np.asarray(p)
+        def force(q, p, damp):  # bit for bit -grad_q + damp p
+            return damp * p - sys.grad_q(q, p)
 
         noise_matrix = noise.grad_matrix
 
@@ -562,7 +566,6 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
         check = sys.metric_at
 
         def force(q, v, damp):
-            v = np.asarray(v, dtype=float)
             return sys.geodesic(q, v) - damp * v
 
     else:
@@ -583,14 +586,15 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
 
     def drift_p(s, q, y):
         check(q)
-        return force(q, y, damping(s))
+        return force(q, np.asarray(y, dtype=float), damping(s))
 
     def diffusion_p(s, q):
         check(q)
         return noise_scale(s) * noise_matrix(q)
 
-    return SdeFields(step, lambda s, q, y: velocity(q, y), drift_p,
-                     diffusion_p, damping, noise_scale, sys, params)
+    return SdeFields(
+        step, lambda s, q, y: velocity(q, np.asarray(y, dtype=float)),
+        drift_p, diffusion_p, damping, noise_scale, sys, params)
 
 
 # ---------------------------------------------------------------------------

@@ -58,38 +58,40 @@ def _symbols(prefix: str, n: int):
 
 
 def _lambdify(args, exprs, shape: tuple, cse: bool = False):
-    """numpy function of arrays (..., n_i) whose columns are `args`.
+    """One generated numpy function of arrays (..., n_i) whose columns are
+    `args`: a tuple of symbols for one array, or a tuple of such tuples.
 
-    `exprs` are the row-major entries of a value of shape `shape`.  Entries
-    that are sympy Rationals (0, 1, 1/3) are taken once into a constant
-    row; the others are lambdified once, with their common subexpressions
-    taken once if `cse`, so other numbers such as pi keep going through
-    numpy.  A call reads the columns as x[..., j], fills one
-    (..., len(exprs)) array from the row and the lambdified entries, and
-    returns (...) + shape.
+    `exprs` are the row-major entries of its (...) + shape value.  It reads
+    the columns they use as x[..., j] and writes each entry into a zeroed
+    output, in the text sympy's NumPyPrinter gives it under
+    `lambdify(..., modules=[np])`, after the common subexpressions that
+    lambdify's `cse=True` takes if `cse`.  Rational entries (0, 1, 1/3)
+    are literals, and zero ones stay the output's +0.0.  So each entry is
+    the numpy expression lambdify runs, and only the printer's text runs.
     """
     import sympy
-    exprs = list(exprs)
-    live = [j for j, e in enumerate(exprs)
-            if not isinstance(e, sympy.Rational)]
-    fixed = [j for j in range(len(exprs)) if j not in live]
-    row = np.zeros(len(exprs))
-    # Lambdified, the constants take the values a call would give them.
-    row[fixed] = sympy.lambdify((), [exprs[j] for j in fixed],
-                                modules=[np])()
-    fn = sympy.lambdify(args, [exprs[j] for j in live], modules=[np],
-                        cse=cse)
-
-    def call(*arrays):
-        cols = [x[..., j] for x in arrays for j in range(x.shape[-1])]
-        batch = cols[0].shape
-        out = np.empty(batch + (len(exprs),))
-        out[...] = row
-        for j, val in zip(live, fn(*cols)):
-            out[..., j] = val
-        return out.reshape(batch + shape)
-
-    return call
+    from sympy.printing.numpy import NumPyPrinter
+    groups = (args,) if isinstance(args[0], sympy.Symbol) else args
+    subs, exprs = sympy.cse(list(exprs), list=False) if cse else ((), exprs)
+    printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
+                            "allow_unknown_functions": True,
+                            "user_functions": {}})  # as lambdify sets it
+    body = [f"{x} = {printer.doprint(e)}" for x, e in subs]
+    body.append(f"_out = _zeros(_x0.shape[:-1] + {tuple(shape)!r})")
+    for index, e in zip(np.ndindex(*shape), exprs):
+        if e != 0:
+            at = ", ".join(("...",) + tuple(map(str, index)))
+            body.append(f"_out[{at}] = {printer.doprint(e)}")
+    used = set().union(*(e.free_symbols for e in exprs),
+                       *(e.free_symbols for _, e in subs))
+    cols = [f"{x} = _x{i}[..., {j}]" for i, group in enumerate(groups)
+            for j, x in enumerate(group) if x in used]
+    source = "".join(f"    {line}\n" for line in cols + body)
+    namespace = {"_zeros": np.zeros, **{
+        name: getattr(np, name) for name in printer.module_imports["numpy"]}}
+    exec(f"def kernel({', '.join(f'_x{i}' for i in range(len(groups)))}):\n"
+         f"{source}    return _out\n", namespace)
+    return namespace["kernel"]
 
 
 def _noise(gammas, qs) -> NoiseCoupling:
@@ -115,11 +117,11 @@ def hamiltonian_from_expression(h_expr: str, gamma_exprs: list[str],
     qs, ps = _symbols("q", dim), _symbols("p", dim)
     h_sym = _parse(h_expr, "hamiltonian_expr", qs + ps)
     return HamiltonianSystem(
-        dim, _lambdify(qs + ps, [h_sym], ()),
+        dim, _lambdify((qs, ps), [h_sym], ()),
         noise_from_expressions(gamma_exprs, dim),
-        grad_q=_lambdify(qs + ps, [sympy.diff(h_sym, q) for q in qs],
+        grad_q=_lambdify((qs, ps), [sympy.diff(h_sym, q) for q in qs],
                          (dim,)),
-        grad_p=_lambdify(qs + ps, [sympy.diff(h_sym, p) for p in ps],
+        grad_p=_lambdify((qs, ps), [sympy.diff(h_sym, p) for p in ps],
                          (dim,)))
 
 
@@ -145,7 +147,7 @@ def _closed_forms(g, gammas, qs) -> dict:
                  / det)
     if any(e.has(sympy.zoo, sympy.nan) for e in geodesic + noise):
         return {}
-    return {"geodesic": _lambdify(qs + vs, geodesic, (n,), cse=True),
+    return {"geodesic": _lambdify((qs, vs), geodesic, (n,), cse=True),
             "noise_matrix": _lambdify(qs, noise, (n, m), cse=True)}
 
 

@@ -28,7 +28,7 @@ from .noise import (WienerPath, _uniforms, coarsen, generate_path,
 from .specfun import gamma, step_weights
 
 BLOWUP_LIMIT = 1e12
-_BLOWUP_BLOCK = 256  # steps of the Euler loop between two blow-up tests
+_BLOWUP_BLOCK = 256  # steps of the Euler loop written and tested at once
 
 
 def initial_state(sys: SystemSpec, q0, p0) -> PhaseState:
@@ -192,19 +192,23 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     state = tuple(a[0] for a in stepped)
     end, failure = n, None  # rows 1..end hold the stepped components
     with np.errstate(all="ignore"):
-        for k in range(n):
-            try:
-                state = fields.step(*state, h, damp[k], coef[k], inc[k])
-            except Exception as exc:
-                # Raised below unless an earlier row failed, since a step
-                # from a row past a failure may raise anything.
-                end, failure = k, exc
-                break
-            for a, x in zip(stepped, state):
-                a[k + 1] = x
-            if ((k + 1) % _BLOWUP_BLOCK == 0 and _first_bad_row(
-                    stepped, k + 2 - _BLOWUP_BLOCK, k + 1) is not None):
-                end = k + 1
+        for start in range(0, n, _BLOWUP_BLOCK):
+            block, rows = slice(start, start + _BLOWUP_BLOCK), []
+            for d, c, dw in zip(damp[block], coef[block], inc[block]):
+                try:
+                    state = fields.step(*state, h, d, c, dw)
+                except Exception as exc:
+                    # Raised below unless an earlier row failed, since a
+                    # step from a row past a failure may raise anything.
+                    failure = exc
+                    break
+                rows.append(state)
+            stop = start + len(rows)
+            for a, col in zip(stepped, zip(*rows)):
+                a[start + 1:stop + 1] = col
+            if failure is not None or _first_bad_row(
+                    stepped, start + 1, stop) is not None:
+                end = stop
                 break
         bad = _first_bad_row(stepped, 1, end)
         last = end if bad is None else bad
@@ -296,6 +300,15 @@ def _action_weights(grid: TimeGrid, t: float, alpha: float) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=8)
+def _midpoint_kernel(grid: TimeGrid, t: float, beta: float) -> np.ndarray:
+    """The stochastic action's kernel (t - s)^(beta-1) at the step
+    midpoints, read-only, per grid."""
+    kernel = (t - (grid.points[:-1] + 0.5 * grid.h)) ** (beta - 1.0)
+    kernel.setflags(write=False)
+    return kernel
+
+
 def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
                     params: FractionalParams,
                     path: WienerPath) -> float:
@@ -312,14 +325,11 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
     """
     grid = trajectory.grid
     path.check_aligned(grid, sys.noise.m)
-    t = params.t_eval
-    s = grid.points
-    h = grid.h
-    w_alpha = _action_weights(grid, t, params.alpha)
+    w_alpha = _action_weights(grid, params.t_eval, params.alpha)
 
     q, v, p = trajectory.q[:-1], trajectory.v[:-1], trajectory.p[:-1]
     q_next = trajectory.q[1:]
-    qdot = (q_next - q) / h
+    qdot = (q_next - q) / grid.h
 
     # Both sums run over the steps in grid order (a cumulative sum), so the
     # result does not depend on how numpy or BLAS blocks a reduction.
@@ -327,8 +337,7 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
                  + np.einsum("ki,ki->k", p, qdot - v))
     det = np.cumsum(integrand * w_alpha) / gamma(params.alpha)
 
-    s_mid = s[:-1] + 0.5 * h
-    kernel = (t - s_mid) ** (params.beta - 1.0)
+    kernel = _midpoint_kernel(grid, params.t_eval, params.beta)
     terms = (sys.noise.values(0.5 * (q + q_next)) * kernel[:, None]
              * path.increments)
     stoch = np.cumsum(terms.sum(axis=1)) / gamma(params.beta)
@@ -339,7 +348,7 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
         k = int(np.argmax(~np.isfinite(running)))
         raise NumericalBlowup(
             k + 1, f"discrete action is not finite from step {k + 1} "
-            f"(s = {s[k]:.6g}) on")
+            f"(s = {grid.point(k):.6g}) on")
     return value
 
 
@@ -368,28 +377,39 @@ def action_derivative(trajectory: Trajectory, sys: SystemSpec,
     return (plus - minus) / (2.0 * eps)
 
 
+@functools.lru_cache(maxsize=8)
+def _perturbation_bases(grid: TimeGrid) -> np.ndarray:
+    """sin and cos of j pi tau, j = 1, 2, 3, over the grid's normalized
+    times tau: the perturbations' modes, read-only, per grid."""
+    tau = (grid.points - grid.t_start) / (grid.t_end - grid.t_start)
+    bases = np.array([[f(j * math.pi * tau) for j in (1, 2, 3)]
+                      for f in (np.sin, np.cos)])
+    bases.setflags(write=False)
+    return bases
+
+
 def random_admissible_perturbation(grid: TimeGrid, dim: int, seed: int):
     """Smooth random (dq, dv, dp) with dq vanishing at both endpoints.
 
     dq is a short sine series in the normalized time, so it is C^1 and
     admissible; the triple is normalized to unit sup norm.
     """
-    n_modes = 3
+    n_modes = 3  # the modes of _perturbation_bases
     u = _uniforms(seed, 0, 3 * n_modes * dim).reshape(3, dim, n_modes)
     coeff = 2.0 * u - 1.0
-    tau = (grid.points - grid.t_start) / (grid.t_end - grid.t_start)
+    sin, cos = _perturbation_bases(grid)
 
     def series(c, basis):
         out = np.zeros((grid.n_steps + 1, dim))
         for j in range(n_modes):
-            out += np.outer(basis((j + 1) * math.pi * tau), c[:, j])
+            out += np.outer(basis[j], c[:, j])
         return out
 
-    dq = series(coeff[0], np.sin)
+    dq = series(coeff[0], sin)
     dq[0] = 0.0
     dq[-1] = 0.0  # sin(j*pi) is only zero up to rounding
-    dv = series(coeff[1], np.cos)
-    dp = series(coeff[2], np.cos)
+    dv = series(coeff[1], cos)
+    dp = series(coeff[2], cos)
     scale = max(np.max(np.abs(dq)), np.max(np.abs(dv)), np.max(np.abs(dp)))
     if scale == 0.0:
         raise NotApplicable("degenerate zero perturbation")

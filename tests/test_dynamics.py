@@ -542,25 +542,73 @@ class TestExpressionSystems:
         assert _lambdify(qs, exprs, (len(exprs),))(q[0]).shape == (
             len(exprs),)
 
-    def test_numpy_module_lambdify_matches_numpy_string(self):
-        # _lambdify passes the numpy module, which keeps sympy from
-        # importing every numpy submodule; each whitelisted name gives the
-        # bits "numpy" gives, NaN and inf included.
+    # Inputs on which numpy's functions are most likely to differ: NaN,
+    # +-inf, +-0, huge and tiny values, and points outside the real
+    # domains of log, sqrt, asin and acos.
+    SPECIAL = np.array([-1.0, 2.0, 1000.0, -1000.0, 0.5, -0.3, 0.0, -0.0,
+                        1e-300, np.nan, np.inf, -np.inf])
+
+    @staticmethod
+    def _assert_kernel_is_lambdify(args, exprs, shape, arrays, cse=False):
+        # The generated kernel against sympy's own lambdify of the same
+        # entries with modules="numpy", called on the columns the kernel
+        # reads, on one sample, a (P, n) stack and an (N+1, P, n) history.
+        import sympy
+        from frachp.exprsys import _lambdify
+        groups = (args,) if isinstance(args[0], sympy.Symbol) else args
+        kernel = _lambdify(args, exprs, shape, cse=cse)
+        oracle = sympy.lambdify([x for g in groups for x in g], exprs,
+                                modules="numpy", cse=cse)
+        for layout in (lambda a: a[3], lambda a: a,
+                       lambda a: a.reshape((3, 4, a.shape[-1]))):
+            xs = [layout(a) for a in arrays]
+            batch = xs[0].shape[:-1]
+            with np.errstate(all="ignore"):
+                got = kernel(*xs)
+                want = oracle(*(x[..., j] for x in xs
+                                for j in range(x.shape[-1])))
+            assert got.shape == batch + shape and got.dtype == float
+            flat = got.reshape(batch + (-1,))
+            for j, (e, w) in enumerate(zip(exprs, want)):
+                w = np.broadcast_to(np.asarray(w, dtype=float), batch)
+                assert flat[..., j].tobytes() == w.tobytes(), (e, batch)
+
+    def test_kernels_match_numpy_lambdify_bitwise(self):
+        # Each whitelisted function and constant gives the bits lambdify
+        # gives with modules="numpy", NaN, inf and signed zeros included.
         import sympy
         from frachp.exprsys import _CONSTANTS, _FUNCTIONS
-        q1 = sympy.Symbol("q1")
-        x = np.array([-1.0, 2.0, 1000.0, -1000.0, 0.5, -0.3, 0.0, -0.0,
-                      1e-300, np.nan, np.inf, -np.inf])
-        cases = [((q1,), sympy.sympify(f"{name}(q1)"), (x,))
-                 for name in sorted(_FUNCTIONS)]
-        cases += [((), sympy.sympify(name), ()) for name in sorted(_CONSTANTS)]
-        for args, expr, values in cases:
-            with np.errstate(all="ignore"):
-                got, want = (np.asarray(sympy.lambdify(args, expr,
-                                                       modules=m)(*values))
-                             for m in ([np], "numpy"))
-            assert got.dtype == want.dtype == float, expr
-            assert got.tobytes() == want.tobytes(), expr
+        qs = sympy.symbols("q1:3")
+        q = np.stack([np.linspace(-2.0, 2.0, 12), self.SPECIAL], axis=-1)
+        for name in sorted(_FUNCTIONS):
+            exprs = [sympy.sympify(f"{name}(q2)"),
+                     sympy.sympify(f"q1 * {name}(q2)")]
+            self._assert_kernel_is_lambdify(qs, exprs, (2,), [q])
+        for name in sorted(_CONSTANTS):
+            exprs = [sympy.sympify(name), sympy.sympify(f"{name} * q2")]
+            self._assert_kernel_is_lambdify(qs, exprs, (2,), [q])
+
+    def test_cse_kernels_match_lambdify_cse_bitwise(self):
+        # With cse, a kernel takes the common subexpressions lambdify's
+        # cse=True takes: the dense metric's noise matrix, and entries in
+        # two arrays with a Rational zero and a Rational literal.
+        import sympy
+        qs, vs = sympy.symbols("q1:4"), sympy.symbols("v1:4")
+        g = sympy.Matrix([[sympy.sympify(e) for e in row]
+                          for row in DENSE_METRIC])
+        gammas = [sympy.sympify(e) for e in DENSE_GAMMAS]
+        grad = sympy.Matrix(3, 2, lambda i, a: gammas[a].diff(qs[i]))
+        noise = list(g.adjugate() * grad / g.det())
+        rng = np.random.default_rng(25)
+        q = rng.uniform(0.5, 2.0, (12, 3))
+        self._assert_kernel_is_lambdify(qs, noise, (3, 2), [q], cse=True)
+        w = sympy.sin(qs[0] * vs[1]) / (1 + qs[1] ** 2)
+        exprs = [w ** 2 + vs[0] * w, sympy.S.Zero, sympy.Rational(-2, 3),
+                 sympy.sqrt(w + vs[2] ** 2)]
+        v = np.stack([self.SPECIAL, -self.SPECIAL, self.SPECIAL[::-1]],
+                     axis=-1)
+        self._assert_kernel_is_lambdify((qs, vs), exprs, (2, 2), [q, v],
+                                        cse=True)
 
     def test_custom_metric(self):
         from frachp.exprsys import metric_from_expressions

@@ -177,6 +177,59 @@ class TestEulerStep:
         assert np.allclose(a.v, b.v, atol=1e-10)
 
 
+def _counted(calls, name, fn):
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args)
+
+    return counted
+
+
+class TestStepCallBudget:
+    """One step makes each call its formula needs, once, and no other."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_hamiltonian(self, m):
+        base = pendulum_system() if m == 1 else _two_channel_pendulum()
+        calls = {}
+        sys = HamiltonianSystem(
+            1, _counted(calls, "hamiltonian", base.hamiltonian),
+            NoiseCoupling(
+                tuple(_counted(calls, f"gamma[{a}]", g)
+                      for a, g in enumerate(base.noise.gamma)),
+                tuple(_counted(calls, f"gamma_grad[{a}]", g)
+                      for a, g in enumerate(base.noise.gamma_grad))),
+            grad_q=_counted(calls, "grad_q", base.grad_q),
+            grad_p=_counted(calls, "grad_p", base.grad_p))
+        fields = assemble_hp_fields(sys, REFERENCE)
+        q, p = np.array([[1.0], [0.5]]), np.array([[0.3], [-0.2]])
+        fields.step(q, p, 1e-3, fields.damping(0.1), fields.noise_scale(0.1),
+                    np.full((2, m), 0.01))
+        assert calls == {"grad_q": 1, "grad_p": 1,
+                         **{f"gamma_grad[{a}]": 1 for a in range(m)}}
+
+    @pytest.mark.parametrize("name", ["polar", "polar:custom"])
+    def test_metric_closed_forms(self, name):
+        base = (polar_metric_system() if name == "polar" else
+                metric_from_expressions([["1", "0"], ["0", "q1**2"]],
+                                        ["cos(q2)"], 2))
+        calls = {}
+        sys = MetricSystem(
+            2, _counted(calls, "metric", base.metric),
+            NoiseCoupling(base.noise.gamma,
+                          (_counted(calls, "gamma_grad[0]",
+                                    base.noise.gamma_grad[0]),)),
+            _counted(calls, "metric_grad", base.metric_grad),
+            _counted(calls, "geodesic", base.geodesic),
+            _counted(calls, "noise_matrix", base.noise_matrix))
+        fields = assemble_hp_fields(sys, REFERENCE)
+        q, v = np.array([[1.0, 0.2], [1.5, -0.1]]), np.array([[0.3, 0.1],
+                                                              [0.0, 0.4]])
+        fields.step(q, v, 1e-3, fields.damping(0.1), fields.noise_scale(0.1),
+                    np.full((2, 1), 0.01))
+        assert calls == {"geodesic": 1, "noise_matrix": 1}
+
+
 class TestIntegrate:
     def test_reference_parameter_run_is_finite(self):
         path = generate_path(1, 1e-4, 7000, 1)
@@ -693,6 +746,38 @@ class TestMetricEvaluations:
             initial_state(builtin, [1.0, 0.0], p0=[0.0, 0.5]), REFERENCE))
         for c in "qvp":
             assert np.array_equal(getattr(counted, c), getattr(plain, c))
+
+
+    def test_action_keeps_no_grid_sized_metric(self):
+        # The action checks g on its (N, n) grid of q without keeping it;
+        # initial_state and the numeric default still hit the memo.
+        builtin = polar_metric_system()
+        calls = []
+
+        def metric(q):
+            calls.append(q.shape)
+            return builtin.metric(q)
+
+        sys = MetricSystem(2, metric, builtin.noise, builtin.metric_grad,
+                           builtin.geodesic, builtin.noise_matrix)
+        init = initial_state(sys, [1.0, 0.0], p0=[0.0, 0.5])
+        n = 300
+        grid = make_grid(0.0, 1e-4, n, REFERENCE)
+        path = generate_path(2, 1e-4, n, 1)
+        traj = integrate(EulerRun(assemble_hp_fields(sys, REFERENCE), grid,
+                                  path, init, REFERENCE))
+        calls.clear()
+        assert math.isfinite(evaluate_action(traj, sys, REFERENCE, path))
+        assert calls == [(n, 2)]
+        assert sys._memo[0][0] == (2,)  # q0's, from initial_state
+        assert sys._memo[1].shape == (2, 2)
+        numeric = MetricSystem(2, metric, builtin.noise, builtin.metric_grad)
+        calls.clear()
+        initial_state(numeric, [1.0, 0.0], p0=[0.0, 0.5])
+        q = np.array([[1.0, 0.2], [1.5, -0.1]])
+        numeric.geodesic(q, q)
+        numeric.noise_matrix(q)
+        assert calls == [(2,), (2, 2)]
 
 
 class TestIntegratePaths:
