@@ -674,7 +674,7 @@ def polar_metric_system(gamma_coupling: str = "cos") -> MetricSystem:
     """Plane in polar coordinates (r, theta): g = diag(1, r^2), r > 0.
 
     Its geodesic force and its cos(theta) noise matrix are given in closed
-    form, in the arithmetic of the lambdified `metric_from_expressions`
+    form, in the arithmetic of the generated `metric_from_expressions`
     forms, so the two systems step alike to the bit.
     """
 

@@ -47,7 +47,7 @@ def _parse(text: str, key: str, symbols):
         expr = None
     if not isinstance(expr, sympy.Expr):
         raise ParseError(f"{key}: cannot parse {text!r} as an expression")
-    if expr.has(sympy.zoo, sympy.nan):  # 1/0 or 0/0; lambdify fails on it
+    if expr.has(sympy.zoo, sympy.nan):  # 1/0 or 0/0; zoo has no numpy text
         raise ParseError(f"{key}: {text!r} divides by zero")
     return expr
 
@@ -131,7 +131,7 @@ def _closed_forms(g, gammas, qs) -> dict:
 
     -Gamma^i_jk v^j v^k = -g^il (d_k g_lj - d_l g_jk / 2) v^j v^k, and the
     noise matrix is g^-1 grad gamma_a, with g^-1 = adj(g) / det(g); both
-    are lambdified with cse.  Where an entry comes out zoo or nan, as they
+    are generated with cse.  Where an entry comes out zoo or nan, as they
     do where det(g) is identically 0, the dict is empty, so the system
     takes the numeric defaults and fails as they do.
     """
