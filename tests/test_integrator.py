@@ -747,7 +747,6 @@ class TestMetricEvaluations:
         for c in "qvp":
             assert np.array_equal(getattr(counted, c), getattr(plain, c))
 
-
     def test_action_keeps_no_grid_sized_metric(self):
         # The action checks g on its (N, n) grid of q without keeping it;
         # initial_state and the numeric default still hit the memo.
@@ -1018,12 +1017,13 @@ class TestIntegratePaths:
 
 
 def _two_channel_pendulum():
+    base = pendulum_system()
     return HamiltonianSystem(
-        1, pendulum_system().hamiltonian,
+        1, base.hamiltonian,
         NoiseCoupling((lambda q: np.cos(q[..., 0]),
                        lambda q: np.sin(q[..., 0]) / 2),
                       (lambda q: -np.sin(q), lambda q: np.cos(q) / 2)),
-        grad_q=pendulum_system().grad_q, grad_p=pendulum_system().grad_p)
+        grad_q=base.grad_q, grad_p=base.grad_p)
 
 
 HISTORY_SYSTEMS = {
