@@ -213,20 +213,11 @@ class MetricSystem:
     geodesic force -Gamma^i_jk(q) v^j v^k, and noise_matrix(q) the
     (..., n, m) array g^-1(q) grad gamma_a(q) whose columns the noise
     drives; a system may give both in closed form, and otherwise they are
-    taken numerically from `christoffel` and from `inverse_at` times
-    `NoiseCoupling.grad_matrix`.  A closed form need not check g:
-    `integrate_paths` checks every configuration a run visits in one
-    `metric_at` call, and the one-off drift and diffusion of `SdeFields`
-    check it first.
-
-    The system keeps the validated metric of the last configuration, or
-    stack of them (at most one batch axis), that it was asked about, and
-    its inverse once asked for it, as read-only arrays: the numeric
-    default takes `inverse_at` twice at the q of a step, and
-    `initial_state` asks for g at q0 twice.  A q with more batch axes,
-    such as a run's (N+1, P, n) history, and the (N, n) grid of q of the
-    action's `lagrangian` are checked but not kept.  So the metric
-    callable must be a pure function of q.
+    taken numerically, from the Christoffel symbols and from g^-1 times
+    `NoiseCoupling.grad_matrix`.  Neither form checks g: `metric_at` is
+    the one owner of that rule, `integrate_paths` checks every
+    configuration a run visits in one `metric_at` call, and the one-off
+    drift and diffusion of `SdeFields` check it first.
     """
 
     dim: int
@@ -237,9 +228,6 @@ class MetricSystem:
                                          compare=False)
     noise_matrix: Optional[Callable] = field(default=None, repr=False,
                                              compare=False)
-    # ((q.shape, q.bytes), g, g^-1 or None), replaced whole.
-    _memo: tuple = field(default=(None, None, None), init=False,
-                         repr=False, compare=False)
 
     def __post_init__(self):
         if self.metric_grad is None:
@@ -247,13 +235,17 @@ class MetricSystem:
                                partial(central_gradient, self.metric))
         if self.geodesic is None:
             def geodesic(q, v):
-                return -np.einsum("...ijk,...j,...k->...i",
-                                  christoffel(self, q), v, v)
+                q = np.asarray(q, dtype=float)
+                gamma = _christoffel(np.linalg.inv(self.metric(q)),
+                                     self.metric_grad(q))
+                return -np.einsum("...ijk,...j,...k->...i", gamma, v, v)
 
             object.__setattr__(self, "geodesic", geodesic)
         if self.noise_matrix is None:
             def noise_matrix(q):
-                return self.inverse_at(q) @ self.noise.grad_matrix(q)
+                q = np.asarray(q, dtype=float)
+                return (np.linalg.inv(self.metric(q))
+                        @ self.noise.grad_matrix(q))
 
             object.__setattr__(self, "noise_matrix", noise_matrix)
 
@@ -265,16 +257,7 @@ class MetricSystem:
         of 1), and positive definite; the error names the first that is
         not, with its flat batch index.
         """
-        return self._entry(q)[1]
-
-    def _entry(self, q, keep: bool = True) -> tuple:
-        """The memo entry for q; on a miss g is evaluated and checked, and
-        kept if `keep` and q has at most one batch axis (else the key is
-        None)."""
         q = np.asarray(q, dtype=float)
-        key = (q.shape, q.tobytes()) if keep and q.ndim <= 2 else None
-        if key is not None and self._memo[0] == key:
-            return self._memo
         n = self.dim
         g = _call_batched(self.metric, "metric", q.shape[:-1], (n, n), q)
         g_t = np.swapaxes(g, -1, -2)
@@ -298,29 +281,16 @@ class MetricSystem:
                         f"metric not positive definite at q={x}", i) from None
         g = g.view()  # read-only without freezing the callable's own array
         g.setflags(write=False)
-        entry = (key, g, None)
-        if key is not None:
-            object.__setattr__(self, "_memo", entry)
-        return entry
+        return g
 
     def inverse_at(self, q: np.ndarray) -> np.ndarray:
-        """np.linalg.inv of `metric_at(q)`, read-only, taken once per q."""
-        key, g, g_inv = self._entry(q)
-        if g_inv is None:
-            g_inv = np.linalg.inv(g)
-            g_inv.setflags(write=False)
-            if key is not None:
-                object.__setattr__(self, "_memo", (key, g, g_inv))
-        return g_inv
+        """np.linalg.inv of `metric_at(q)`."""
+        return np.linalg.inv(self.metric_at(q))
 
     def lagrangian(self, q, v):
-        """(1/2) g(q)(v, v) on samples of shape (..., n).
-
-        The metric of every sample is checked as `metric_at` checks it, but
-        not kept: the action asks about a whole grid of q at once.
-        """
-        v = np.asarray(v, dtype=float)
-        g = self._entry(q, keep=False)[1]
+        """(1/2) g(q)(v, v) on samples of shape (..., n), g checked as
+        `metric_at` checks it."""
+        v, g = np.asarray(v, dtype=float), self.metric_at(q)
         return 0.5 * np.einsum("...i,...ij,...j->...", v, g, v)
 
 
@@ -403,13 +373,7 @@ def complete_state(sys: SystemSpec, q, x) -> tuple[np.ndarray, np.ndarray]:
     """(v, p) at configurations q (..., n) from x, the variable the noise
     drives: p, giving v = dH/dp or the v solving dL/dv(q, v) = p, or for a
     metric system v, giving p = g(q) v.  x is returned as it is."""
-    if isinstance(sys, HamiltonianSystem):
-        return np.asarray(sys.grad_p(q, x), dtype=float), x
-    if isinstance(sys, LagrangianSystem):
-        return invert_legendre(sys, q, x), x
-    if isinstance(sys, MetricSystem):
-        return x, (sys.metric_at(q) @ x[..., None])[..., 0]
-    raise TypeError(f"unsupported system {type(sys)!r}")
+    return _formulation(sys).complete(q, x)
 
 
 def system_lagrangian(sys: SystemSpec, q, v):
@@ -445,11 +409,16 @@ def system_lagrangian(sys: SystemSpec, q, v):
 def christoffel(sys: MetricSystem, q) -> np.ndarray:
     """Gamma^i_jk = (1/2) g^il (dg_lj/dq^k + dg_lk/dq^j - dg_jk/dq^l).
 
-    q has shape (..., n); the result has shape (..., n, n, n).
+    q has shape (..., n); the result has shape (..., n, n, n).  g is
+    checked as `metric_at` checks it.
     """
     q = np.asarray(q, dtype=float)
-    g_inv = sys.inverse_at(q)
-    dg = np.asarray(sys.metric_grad(q), dtype=float)
+    return _christoffel(sys.inverse_at(q), sys.metric_grad(q))
+
+
+def _christoffel(g_inv, dg) -> np.ndarray:
+    """`christoffel` from g^-1 and dg_ij/dq^k, unchecked."""
+    dg = np.asarray(dg, dtype=float)
     # lower[..., l, j, k] = dg_lj/dq^k + dg_lk/dq^j - dg_jk/dq^l
     # The last term moves the last axis of dg to the front: two swapaxes
     # do that ~5 us faster per call than np.moveaxis.
@@ -458,6 +427,71 @@ def christoffel(sys: MetricSystem, q) -> np.ndarray:
     gamma = 0.5 * np.einsum("...il,...ljk->...ijk", g_inv, lower)
     # Symmetrize in (j, k) so the symmetry holds exactly as computed.
     return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
+
+
+# ---------------------------------------------------------------------------
+# Formulations
+# ---------------------------------------------------------------------------
+
+def _second(q, x):  # velocity where y = v, and from_p where x = p
+    return x
+
+
+def _unchecked(q):  # the one-off fields' check of a system without g
+    return None
+
+
+@dataclass(frozen=True)
+class _Formulation:
+    """The rules of one system type: the components `SdeFields.step`
+    carries, the velocity(q, y), force(q, y, damp) and noise_matrix(q) it
+    is built from (y is p for a Hamiltonian system, else v), the
+    completion (q, x) -> (v, p) of `complete_state`, the one-off fields'
+    check(q) of g, and from_p(q, p), the x of a state of momentum p."""
+
+    carried: str
+    velocity: Callable
+    force: Callable
+    noise_matrix: Callable
+    complete: Callable
+    check: Callable
+    from_p: Callable
+
+
+def _formulation(sys: SystemSpec) -> _Formulation:
+    """The formulation record of a system, by its type."""
+    if isinstance(sys, HamiltonianSystem):
+        def force(q, p, damp):  # bit for bit -grad_q + damp p
+            return damp * p - sys.grad_q(q, p)
+
+        def complete(q, p):
+            return np.asarray(sys.grad_p(q, p), dtype=float), p
+
+        return _Formulation("qp", sys.grad_p, force, sys.noise.grad_matrix,
+                            complete, _unchecked, _second)
+    if isinstance(sys, LagrangianSystem):
+        def force(q, v, damp):
+            base = np.asarray(sys.grad_q(q, v), dtype=float)
+            return base + damp * np.asarray(sys.grad_v(q, v), dtype=float)
+
+        def complete(q, p):
+            return invert_legendre(sys, q, p), p
+
+        return _Formulation("qpv", _second, force, sys.noise.grad_matrix,
+                            complete, _unchecked, _second)
+    if isinstance(sys, MetricSystem):
+        def force(q, v, damp):
+            return sys.geodesic(q, v) - damp * v
+
+        def complete(q, v):
+            return v, (sys.metric_at(q) @ v[..., None])[..., 0]
+
+        def from_p(q, p):
+            return np.linalg.solve(sys.metric_at(q), p)
+
+        return _Formulation("qv", _second, force, sys.noise_matrix, complete,
+                            sys.metric_at, from_p)
+    raise TypeError(f"unsupported system type {type(sys)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +518,8 @@ class SdeFields:
     diffusion_p(s, q) returns the (..., n, m) noise matrix; q never
     carries noise.  For a metric system drift_p and diffusion_p check g
     at q first; step does not.  The system owns system.dim and
-    system.noise.m, and its type selects the formulation; params is the
-    triple the coefficients use.
+    system.noise.m, and the formulation record of its type gives these
+    terms and `carried`; params is the triple the coefficients use.
     """
 
     step: Callable
@@ -500,9 +534,7 @@ class SdeFields:
     @property
     def carried(self) -> str:
         """The components step takes and returns, in its order."""
-        if isinstance(self.system, LagrangianSystem):
-            return "qpv"
-        return "qv" if isinstance(self.system, MetricSystem) else "qp"
+        return _formulation(self.system).carried
 
 
 def _alpha_drift_factor(params: FractionalParams, s):
@@ -510,14 +542,6 @@ def _alpha_drift_factor(params: FractionalParams, s):
     if params.alpha == 1.0:
         return 0.0
     return (params.alpha - 1.0) / (params.t_eval - s)
-
-
-def _given_velocity(q, v):  # velocity of the formulations with y = v
-    return v
-
-
-def _unchecked(q):  # the one-off fields' check of a system without g
-    return None
 
 
 def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
@@ -529,8 +553,10 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
     one obtained from the Hamiltonian form through the Legendre map; the
     other formulations ignore it.
     """
-    noise, damping = sys.noise, partial(_alpha_drift_factor, params)
-    if eq15_literal and isinstance(sys, MetricSystem):
+    form, damping = _formulation(sys), partial(_alpha_drift_factor, params)
+    velocity, force, check = form.velocity, form.force, form.check
+    noise_matrix = form.noise_matrix
+    if eq15_literal and form.carried == "qv":  # the metric-velocity form
         def noise_scale(s):
             return (gamma(params.beta) / gamma(params.alpha)
                     * power_kernel(params.t_eval, s, params.beta - 1.0))
@@ -538,48 +564,17 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
         def noise_scale(s):
             return hp_noise_coefficient(params, s)
 
-    # velocity(q, y), force(q, y, damp) and noise_matrix(q) per formulation;
-    # y is p for a Hamiltonian system and v otherwise, and the noise drives
-    # x: p, or v for a metric system.
-    check = _unchecked
-    if isinstance(sys, HamiltonianSystem):
-        velocity = sys.grad_p
-
-        def force(q, p, damp):  # bit for bit -grad_q + damp p
-            return damp * p - sys.grad_q(q, p)
-
-        noise_matrix = noise.grad_matrix
-
-    elif isinstance(sys, LagrangianSystem):
-        velocity = _given_velocity
-
-        def force(q, v, damp):
-            base = np.asarray(sys.grad_q(q, v), dtype=float)
-            return base + damp * np.asarray(sys.grad_v(q, v), dtype=float)
-
-        noise_matrix = noise.grad_matrix
-
-    elif isinstance(sys, MetricSystem):
-        velocity, noise_matrix = _given_velocity, sys.noise_matrix
-        # The closed forms may divide by g unchecked: integrate_paths
-        # checks every q a run visits, and the one-off fields check first.
-        check = sys.metric_at
-
-        def force(q, v, damp):
-            return sys.geodesic(q, v) - damp * v
-
-    else:
-        raise TypeError(f"unsupported system type {type(sys)!r}")
-
     def euler(q, y, x, h, damp, coef, inc):
         return (q + h * velocity(q, y),
                 x + h * force(q, y, damp)
                 + ((coef * noise_matrix(q)) @ inc[..., None])[..., 0])
 
-    if isinstance(sys, LagrangianSystem):
+    if len(form.carried) == 3:  # the step solves for v at the new q
+        complete = form.complete
+
         def step(q, p, v, h, damp, coef, inc):
             q, p = euler(q, v, p, h, damp, coef, inc)
-            return q, p, invert_legendre(sys, q, p)
+            return q, p, complete(q, p)[0]
     else:
         def step(q, x, h, damp, coef, inc):
             return euler(q, x, x, h, damp, coef, inc)
@@ -645,7 +640,7 @@ def pendulum_system(potential: str | tuple = "cos",
         return du(q)
 
     def grad_p(q, p):
-        return np.array(p, dtype=float)
+        return np.asarray(p, dtype=float)
 
     return HamiltonianSystem(1, h_fn, noise, grad_q=grad_q, grad_p=grad_p,
                              lagrangian=lagrangian)

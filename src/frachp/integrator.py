@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
                    check_singularity_guard, make_grid)
-from .dynamics import (MetricSystem, SdeFields, SystemSpec, complete_state,
+from .dynamics import (SdeFields, SystemSpec, _formulation, complete_state,
                        system_lagrangian)
 from .errors import (BoundaryViolation, GridMismatch, IndivisibleFactor,
                      InvalidArgument, NotApplicable, NumericalBlowup,
@@ -35,10 +35,9 @@ def initial_state(sys: SystemSpec, q0, p0) -> PhaseState:
     """The (q, v, p) sample that `complete_state` gives at q0 from p0, so
     p is p0; a metric system, completed from v, first solves g(q0) v0 = p0."""
     q = np.atleast_1d(np.asarray(q0, dtype=float))
-    x = np.atleast_1d(np.asarray(p0, dtype=float))
-    if isinstance(sys, MetricSystem):
-        x = np.linalg.solve(sys.metric_at(q), x)
-    return PhaseState(q, *complete_state(sys, q, x))
+    form = _formulation(sys)
+    x = form.from_p(q, np.atleast_1d(np.asarray(p0, dtype=float)))
+    return PhaseState(q, *form.complete(q, x))
 
 
 @dataclass(frozen=True, eq=False)

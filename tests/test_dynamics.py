@@ -146,7 +146,8 @@ class TestChristoffel:
 
 
 class TestMetricMemo:
-    """MetricSystem keeps the checked metric of the last q and its inverse."""
+    """MetricSystem evaluates and checks g, and inverts it, at every call:
+    it keeps no memo."""
 
     def test_in_place_change_of_q_is_seen(self):
         sys = polar_metric_system()
@@ -162,10 +163,10 @@ class TestMetricMemo:
                            NoiseCoupling.constant([1.0]),
                            metric_grad=lambda q: np.zeros((2, 2, 2)))
         q = np.array([0.3, 0.5])
-        for arr in (sys.metric_at(q), sys.inverse_at(q)):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0, 0] = 7.0
+        g = sys.metric_at(q)
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 7.0
         assert g_user.flags.writeable  # the callable's array stays as it was
 
     def test_inverse_is_numpy_inv_bitwise(self):
@@ -173,33 +174,16 @@ class TestMetricMemo:
         q = np.random.default_rng(5).uniform(0.5, 3.0, (7, 2))
         assert np.array_equal(sys.inverse_at(q),
                               np.linalg.inv(sys.metric(q)))
-        assert sys.inverse_at(q) is sys.inverse_at(q.copy())
 
-    def test_shape_is_part_of_the_key(self):
-        calls = []
-
-        def metric(q):
-            calls.append(q.shape)
-            return polar_metric_system().metric(q)
-
-        sys = MetricSystem(2, metric, NoiseCoupling.constant([1.0]))
-        q = np.array([1.0, 0.2])
-        sys.metric_at(q)
-        sys.metric_at(q[None])
-        sys.inverse_at(q[None])
-        assert calls == [(2,), (1, 2)]
-        assert sys.metric_at(q[None]).shape == (1, 2, 2)
-
-    def test_two_batch_axes_are_not_kept(self):
-        # A run's (N+1, P, n) history is checked once and not held on to.
+    def test_batches_keep_their_shape(self):
+        # One sample with a batch axis of one, and a run's (N+1, P, n)
+        # history.
         sys = polar_metric_system()
         q = np.array([1.0, 0.2])
-        sys.inverse_at(q)
-        kept = sys._memo
+        assert sys.metric_at(q[None]).shape == (1, 2, 2)
         history = np.random.default_rng(6).uniform(0.5, 2.0, (4, 3, 2))
         assert np.array_equal(sys.metric_at(history), sys.metric(history))
         assert sys.inverse_at(history).shape == (4, 3, 2, 2)
-        assert sys._memo is kept
 
     def test_failure_is_not_kept(self):
         sys = MetricSystem(1, lambda q: np.array([[-1.0]]),
@@ -260,16 +244,23 @@ class TestClosedFormMetricFields:
         assert np.array_equal(sys.noise_matrix(q), want_noise)
 
     def test_singular_metric_takes_the_numeric_default(self):
-        # det g = 0 identically: no closed form, and the default fails on
-        # the metric check as the step does.
+        # det g = 0 identically: no closed form.  The default inverts g
+        # unchecked, as the closed forms divide by it; the one-off fields
+        # and initial_state check g first and name it.
         from frachp.exprsys import metric_from_expressions
+        from frachp.integrator import initial_state
         sys = metric_from_expressions([["1", "0"], ["0", "0"]],
                                       ["cos(q2)"], 2)
         q, v = np.array([1.0, 0.0]), np.array([0.0, 0.5])
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(np.linalg.LinAlgError):
             sys.geodesic(q, v)
+        fields = assemble_hp_fields(sys, FractionalParams(0.6, 0.3, 0.8))
         with pytest.raises(NotPositiveDefinite):
-            sys.noise_matrix(q)
+            fields.drift_p(0.1, q, v)
+        with pytest.raises(NotPositiveDefinite):
+            fields.diffusion_p(0.1, q)
+        with pytest.raises(NotPositiveDefinite):
+            initial_state(sys, q, p0=v)
 
     def test_one_off_fields_check_the_metric_first(self):
         # The closed forms would divide by r = 0; a one-off evaluation
@@ -536,8 +527,10 @@ class TestExpressionSystems:
         got = _lambdify(qs, exprs, (len(exprs),))(q)
         every = sympy.lambdify(qs, exprs, modules="numpy")(q[:, 0], q[:, 1])
         for j, want in enumerate(every):
+            # Bytes, so that a sign of zero counts.
             col = np.broadcast_to(np.asarray(want, dtype=float), (9,))
-            assert np.array_equal(got[:, j], col, equal_nan=True), texts[j]
+            assert (np.ascontiguousarray(got[:, j]).tobytes()
+                    == np.ascontiguousarray(col).tobytes()), texts[j]
         assert got.shape == (9, len(exprs))
         assert _lambdify(qs, exprs, (len(exprs),))(q[0]).shape == (
             len(exprs),)

@@ -1,5 +1,6 @@
 import math
 import re
+import types
 import warnings
 
 import numpy as np
@@ -716,6 +717,22 @@ class TestInitialState:
             assert np.array_equal(init.p, p0)
 
 
+class TestFormulationDispatch:
+    """One function tells the system types apart."""
+
+    def test_unsupported_system_is_named_alike(self):
+        # Every attribute of a pendulum system, but none of the three types.
+        fake = types.SimpleNamespace(**vars(pendulum_system()))
+        want = f"unsupported system type {type(fake)!r}"
+        q = np.array([1.0])
+        for call in (lambda: complete_state(fake, q, q),
+                     lambda: assemble_hp_fields(fake, REFERENCE),
+                     lambda: initial_state(fake, q, p0=q)):
+            with pytest.raises(TypeError) as exc:
+                call()
+            assert str(exc.value) == want
+
+
 class TestMetricEvaluations:
     """A run evaluates the metric once, over every q it visits."""
 
@@ -730,8 +747,9 @@ class TestMetricEvaluations:
         # The built-in's closed forms, so that the two step alike.
         sys = MetricSystem(2, metric, builtin.noise, builtin.metric_grad,
                            builtin.geodesic, builtin.noise_matrix)
+        # initial_state solves g(q0) v0 = p0, then completes p = g v.
         init = initial_state(sys, [1.0, 0.0], p0=[0.0, 0.5])
-        assert len(calls) == 1
+        assert calls == [(2,), (2,)]
         n = 500
         fields = assemble_hp_fields(sys, REFERENCE)
         run = EulerRun(fields, make_grid(0.0, 1e-4, n, REFERENCE),
@@ -739,8 +757,7 @@ class TestMetricEvaluations:
         counted = integrate(run)
         # The closed forms take no g; completing p = g v checks g over
         # the whole (N+1, P, n) history, q0 included, in one call.
-        assert calls == [(2,), (n + 1, 1, 2)]
-        assert sys._memo[0][0] == (2,)  # q0's, not the history's
+        assert calls == [(2,), (2,), (n + 1, 1, 2)]
         plain = integrate(EulerRun(
             assemble_hp_fields(builtin, REFERENCE), run.grid, run.path,
             initial_state(builtin, [1.0, 0.0], p0=[0.0, 0.5]), REFERENCE))
@@ -748,8 +765,8 @@ class TestMetricEvaluations:
             assert np.array_equal(getattr(counted, c), getattr(plain, c))
 
     def test_action_keeps_no_grid_sized_metric(self):
-        # The action checks g on its (N, n) grid of q without keeping it;
-        # initial_state and the numeric default still hit the memo.
+        # The action checks g on its (N, n) grid of q in one call, and
+        # the numeric default takes g once per call.
         builtin = polar_metric_system()
         calls = []
 
@@ -768,15 +785,13 @@ class TestMetricEvaluations:
         calls.clear()
         assert math.isfinite(evaluate_action(traj, sys, REFERENCE, path))
         assert calls == [(n, 2)]
-        assert sys._memo[0][0] == (2,)  # q0's, from initial_state
-        assert sys._memo[1].shape == (2, 2)
         numeric = MetricSystem(2, metric, builtin.noise, builtin.metric_grad)
         calls.clear()
         initial_state(numeric, [1.0, 0.0], p0=[0.0, 0.5])
         q = np.array([[1.0, 0.2], [1.5, -0.1]])
         numeric.geodesic(q, q)
         numeric.noise_matrix(q)
-        assert calls == [(2,), (2, 2)]
+        assert calls == [(2,), (2,), (2, 2), (2, 2)]
 
 
 class TestIntegratePaths:
@@ -897,6 +912,41 @@ class TestIntegratePaths:
                 integrate(run)
             steps.append(int(re.search(r"at step (\d+) ", str(alone.value))[1]))
         assert steps[1] < steps[0]
+        with pytest.raises(NotPositiveDefinite,
+                           match=rf"at step {steps[1]} \(s = .*\) on path 1$"
+                           ) as exc:
+            integrate_paths(runs)
+        assert exc.value.sample == 1
+
+    def test_numeric_default_losing_definiteness_names_path_and_step(self):
+        # g = diag(1, q1) given alone, so the step inverts g unchecked; the
+        # run's one metric check names the first q1 <= 0.  With alpha = 1
+        # and v = (-1, 0) the force vanishes, so q1 falls by h each step;
+        # path 1 starts nearer 0 and fails first.
+        def metric(q):
+            g = np.zeros(np.shape(q)[:-1] + (2, 2))
+            g[..., 0, 0] = 1.0
+            g[..., 1, 1] = q[..., 0]
+            return g
+
+        sys = MetricSystem(2, metric, NoiseCoupling.constant([1.0]))
+        h, n, q1s = 1e-3, 100, (0.08, 0.05)
+
+        def first_failure(q1):  # the Euler recursion, step by step
+            for k in range(1, n + 1):
+                q1 = q1 + h * -1.0
+                if q1 <= 0.0:
+                    return k
+            return None
+
+        steps = [first_failure(q1) for q1 in q1s]
+        assert 40 < steps[1] < steps[0] < n
+        fields = assemble_hp_fields(sys, CLASSICAL)
+        grid = make_grid(0.0, h, n, CLASSICAL)
+        runs = [EulerRun(fields, grid, zero_path(h, n, 1),
+                         initial_state(sys, [q1, 0.0], p0=[-1.0, 0.0]),
+                         CLASSICAL)
+                for q1 in q1s]
         with pytest.raises(NotPositiveDefinite,
                            match=rf"at step {steps[1]} \(s = .*\) on path 1$"
                            ) as exc:
