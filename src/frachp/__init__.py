@@ -9,8 +9,7 @@ from .dynamics import (HamiltonianSystem, LagrangianSystem, MetricSystem,
                        pendulum_lagrangian_system, pendulum_system,
                        polar_metric_system)
 from .fracint import (SampledFunction, VolterraCoefficients, bank_account,
-                      fractional_wiener_integral, rl_integral,
-                      solve_fractional_black_scholes, volterra_paths)
+                      fractional_wiener_integral, rl_integral, volterra_paths)
 from .integrator import (EulerRun, action_derivative, evaluate_action,
                          initial_state, integrate, integrate_paths,
                          random_admissible_perturbation, stationarity_ratio,

@@ -137,8 +137,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     init = _initial_state(cfg, system)
     slope, hs, errors = strong_convergence_order(
         fields, init, params, base_h=cfg.h, levels=cfg.levels,
-        n_paths=cfg.n_paths, seed=cfg.seed, t_end=cfg.t_end,
-        return_errors=True)
+        n_paths=cfg.n_paths, seed=cfg.seed, t_end=cfg.t_end)
     outdir = _outdir(cfg)
     _write_csv(outdir / "convergence.csv", "h,mean_error", "%.17g,%.17g",
                np.column_stack([hs, errors]))

@@ -166,7 +166,3 @@ class Trajectory:
     def states(self) -> tuple[PhaseState, ...]:
         """Per-step PhaseState view, built on demand."""
         return tuple(map(PhaseState, self.q, self.v, self.p))
-
-    def component(self, name: str) -> np.ndarray:
-        """The (N+1, n) array of q, v or p."""
-        return {"q": self.q, "v": self.v, "p": self.p}[name]

@@ -605,39 +605,30 @@ def _builtin_coupling(name: str, cos: NoiseCoupling) -> NoiseCoupling:
     raise InvalidArgument(f"gamma_coupling={name!r} is not 'cos' or 'const'")
 
 
-def _pendulum_parts(potential, gamma_coupling: str):
-    """(U, U', L, coupling) shared by both pendulum builders.
-
-    U and U' are numpy functions of the coordinate, applied elementwise to
-    arrays; L(q, v) = v^2/2 - U(q).
-    """
-    if potential == "cos":
-        u, du = np.cos, (lambda x: -np.sin(x))
-    else:
-        u, du = potential
+def _pendulum_parts(gamma_coupling: str):
+    """(L, coupling) shared by both pendulum builders: L(q, v) = v^2/2 -
+    cos q."""
 
     def lagrangian(q, v):
-        return 0.5 * v[..., 0] ** 2 - u(q[..., 0])
+        return 0.5 * v[..., 0] ** 2 - np.cos(q[..., 0])
 
-    noise = _builtin_coupling(gamma_coupling, NoiseCoupling.cos_q())
-    return u, du, lagrangian, noise
+    return lagrangian, _builtin_coupling(gamma_coupling,
+                                         NoiseCoupling.cos_q())
 
 
-def pendulum_system(potential: str | tuple = "cos",
-                    gamma_coupling: str = "cos") -> HamiltonianSystem:
-    """Noisy pendulum: H = p^2/2 + U(q) on the line, gamma(q) = cos q.
+def pendulum_system(gamma_coupling: str = "cos") -> HamiltonianSystem:
+    """Noisy pendulum: H = p^2/2 + cos q on the line, gamma(q) = cos q.
 
-    potential: "cos" for U(q) = cos q, or a (U, U') pair of elementwise
-    numpy functions.  gamma_coupling: "cos" or "const" (constant coupling
-    turns the noise off).
+    gamma_coupling: "cos" or "const" (constant coupling turns the noise
+    off).
     """
-    u, du, lagrangian, noise = _pendulum_parts(potential, gamma_coupling)
+    lagrangian, noise = _pendulum_parts(gamma_coupling)
 
     def h_fn(q, p):
-        return 0.5 * p[..., 0] ** 2 + u(q[..., 0])
+        return 0.5 * p[..., 0] ** 2 + np.cos(q[..., 0])
 
     def grad_q(q, p):
-        return du(q)
+        return -np.sin(q)
 
     def grad_p(q, p):
         return np.asarray(p, dtype=float)
@@ -650,10 +641,10 @@ def pendulum_lagrangian_system(gamma_coupling: str = "cos"
                                ) -> LagrangianSystem:
     """The pendulum as a Lagrangian system, L = v^2/2 - cos q; the coupling
     as for `pendulum_system`."""
-    _, du, lagrangian, noise = _pendulum_parts("cos", gamma_coupling)
+    lagrangian, noise = _pendulum_parts(gamma_coupling)
 
     def grad_q(q, v):
-        return -du(q)
+        return np.sin(q)
 
     def grad_v(q, v):
         return np.array(v, dtype=float)

@@ -103,22 +103,15 @@ def _noise(gammas, qs) -> NoiseCoupling:
               for e in gammas))
 
 
-def noise_from_expressions(exprs: list[str], dim: int) -> NoiseCoupling:
-    """Couplings gamma_a(q1..qn) from expression strings, with their
-    symbolic gradients."""
-    qs = _symbols("q", dim)
-    return _noise([_parse(text, "gamma_expr", qs) for text in exprs], qs)
-
-
 def hamiltonian_from_expression(h_expr: str, gamma_exprs: list[str],
                                 dim: int) -> HamiltonianSystem:
     """HamiltonianSystem from H(q1..qn, p1..pn) expression text."""
     import sympy
     qs, ps = _symbols("q", dim), _symbols("p", dim)
     h_sym = _parse(h_expr, "hamiltonian_expr", qs + ps)
+    gammas = [_parse(text, "gamma_expr", qs) for text in gamma_exprs]
     return HamiltonianSystem(
-        dim, _lambdify((qs, ps), [h_sym], ()),
-        noise_from_expressions(gamma_exprs, dim),
+        dim, _lambdify((qs, ps), [h_sym], ()), _noise(gammas, qs),
         grad_q=_lambdify((qs, ps), [sympy.diff(h_sym, q) for q in qs],
                          (dim,)),
         grad_p=_lambdify((qs, ps), [sympy.diff(h_sym, p) for p in ps],

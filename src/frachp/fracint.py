@@ -230,11 +230,3 @@ def _fold_history(x: np.ndarray, inc: np.ndarray, mu: np.ndarray,
         x[r:r + rows, start:start + count] += np.fft.irfft(f, size)[
             :, span - 1:span - 1 + count]
 
-
-def solve_fractional_black_scholes(coeffs: VolterraCoefficients, beta: float,
-                                   grid: TimeGrid,
-                                   path: WienerPath) -> SampledFunction:
-    """Price path X on the grid for a single Wiener path (first channel)."""
-    path.check_aligned(grid)
-    x = volterra_paths(coeffs, beta, grid, path.increments[:, 0][None, :])
-    return SampledFunction(grid, x[0])

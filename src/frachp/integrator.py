@@ -189,7 +189,9 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
                     for c in "qpv"]
     stepped = [states["qpv".index(c)] for c in fields.carried]
     state = tuple(a[0] for a in stepped)
-    end, failure = n, None  # rows 1..end hold the stepped components
+    # Rows 1..end hold the stepped components; bad is the first of them
+    # that is not finite or huge.
+    end, failure, bad = n, None, None
     with np.errstate(all="ignore"):
         for start in range(0, n, _BLOWUP_BLOCK):
             block, rows = slice(start, start + _BLOWUP_BLOCK), []
@@ -205,11 +207,10 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
             stop = start + len(rows)
             for a, col in zip(stepped, zip(*rows)):
                 a[start + 1:stop + 1] = col
-            if failure is not None or _first_bad_row(
-                    stepped, start + 1, stop) is not None:
+            bad = _first_bad_row(stepped, start + 1, stop)
+            if failure is not None or bad is not None:
                 end = stop
                 break
-        bad = _first_bad_row(stepped, 1, end)
         last = end if bad is None else bad
         _complete_history(states, fields, last, grid, batch)
     bad = _first_bad_row(states, 1, last)
@@ -233,14 +234,15 @@ def integrate(run: EulerRun) -> Trajectory:
 def strong_convergence_order(fields: SdeFields, initial: PhaseState,
                              params: FractionalParams, base_h: float,
                              levels: int, n_paths: int, seed: int,
-                             t_end: float, return_errors: bool = False):
+                             t_end: float):
     """Fit the strong order of the Euler scheme by grid coarsening.
 
     For each path the finest Wiener path (step base_h) is generated once
     and coarsened by powers of two; terminal-state errors at the coarse
     levels are measured against the finest run sharing the same Brownian
-    path.  Each level integrates all paths in one batch.  Returns the
-    least-squares slope of log(mean error) vs log(h); the grids start at 0.
+    path.  Each level integrates all paths in one batch.  Returns
+    (slope, hs, errors): the least-squares slope of log(mean error) vs
+    log(h), the coarse steps and their mean errors; the grids start at 0.
     t_end/base_h must be a whole multiple of 2^(levels-1), to within
     rounding, or IndivisibleFactor is raised.
     """
@@ -282,9 +284,7 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
         raise NotApplicable("all terminal errors are zero (degenerate fields)")
     hs = np.array([base_h * 2 ** l for l in range(1, levels)])
     slope = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
-    if return_errors:
-        return slope, hs, errors
-    return slope
+    return slope, hs, errors
 
 
 # ---------------------------------------------------------------------------

@@ -64,28 +64,26 @@ _ACK_SPLIT = 0.02425
 
 
 def normal_inv_cdf(u: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF, Acklam's rational approximation."""
+    """Inverse standard normal CDF, Acklam's rational approximation.
+
+    The central rational is taken over the whole array, and only the
+    draws in the tails are then patched with the tail rational.
+    """
     u = np.asarray(u, dtype=float)
     a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    out = np.empty_like(u)
-
-    lo = u < _ACK_SPLIT
-    hi = u > 1.0 - _ACK_SPLIT
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        out[mid] = num * q / den
-    for mask, sign, p in ((lo, 1.0, u[lo]), (hi, -1.0, 1.0 - u[hi])):
-        if np.any(mask):
-            q = np.sqrt(-2.0 * np.log(p))
-            num = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-                   + c[5])
-            den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-            out[mask] = sign * num / den
+    q = u - 0.5
+    r = q * q
+    num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
+    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+    out = np.divide(num * q, den, out=np.empty_like(u))
+    tail = np.flatnonzero((u < _ACK_SPLIT) | (u > 1.0 - _ACK_SPLIT))
+    t = u.flat[tail]
+    low = t < 0.5
+    q = np.sqrt(-2.0 * np.log(np.where(low, t, 1.0 - t)))
+    num = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
+           + c[5])
+    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+    out.flat[tail] = np.where(low, 1.0, -1.0) * num / den
     return out
 
 
@@ -98,6 +96,9 @@ class WienerPath:
 
     def __post_init__(self):
         inc = np.array(self.increments, dtype=float)  # (n_steps, channels)
+        if inc.ndim != 2:
+            raise InvalidArgument(f"increments=shape {inc.shape} is not "
+                                  f"(n_steps, channels)")
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 

@@ -130,7 +130,7 @@ class TestTrajectory:
         grid = TimeGrid(0.0, 0.1, 1)
         traj = Trajectory(grid, [[1.0], [4.0]], [[2.0], [5.0]],
                           [[3.0], [6.0]])
-        assert np.array_equal(traj.component("p"), [[3.0], [6.0]])
+        assert np.array_equal(traj.p, [[3.0], [6.0]])
 
 
 def _euler_run():

@@ -12,8 +12,7 @@ from frachp.errors import (BadChannel, GridMismatch, InvalidOrder,
                            NegativeRate)
 from frachp.fracint import (SampledFunction, VolterraCoefficients,
                             bank_account, fractional_wiener_integral,
-                            rl_integral, solve_fractional_black_scholes,
-                            volterra_paths)
+                            rl_integral, volterra_paths)
 from frachp.noise import generate_path, spawn_substream
 from frachp.specfun import gamma, step_weights
 
@@ -268,14 +267,6 @@ class TestVolterra:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-    def test_single_path_wrapper(self):
-        grid = TimeGrid(0.0, 0.01, 50)
-        path = generate_path(4, 0.01, 50, 1)
-        coeffs = VolterraCoefficients(mu=0.05, sigma=0.1, x0=1.0)
-        sf = solve_fractional_black_scholes(coeffs, 0.5, grid, path)
-        assert sf.values[0] == 1.0
-        assert np.all(np.isfinite(sf.values))
 
     def test_sampled_coefficients(self):
         grid = TimeGrid(0.0, 0.01, 50)

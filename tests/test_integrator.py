@@ -45,6 +45,15 @@ def pendulum_run(params, h, n, path=None, gamma="cos", q0=1.0, p0=0.0):
     return sys, fields, EulerRun(fields, grid, path, init, params)
 
 
+def falling_pendulum(k):
+    """The noisy pendulum with U(q) = -q^k in place of cos q: H = p^2/2 -
+    q^k, which blows up in finite time."""
+    return HamiltonianSystem(
+        1, lambda q, p: 0.5 * p[..., 0] ** 2 - q[..., 0] ** k,
+        NoiseCoupling.cos_q(), grad_q=lambda q, p: -float(k) * q ** (k - 1),
+        grad_p=lambda q, p: np.asarray(p, dtype=float))
+
+
 def step_at(fields, s, q, v, p, h, inc):
     """fields.step at time s from (q, v, p), completed by complete_state
     where the step does not carry v or p, as a PhaseState."""
@@ -237,22 +246,22 @@ class TestIntegrate:
         _, _, run = pendulum_run(REFERENCE, 1e-4, 7000, path)
         traj = integrate(run)
         assert len(traj.states) == 7001
-        assert np.all(np.isfinite(traj.component("p")))
+        assert np.all(np.isfinite(traj.p))
 
     def test_bitwise_determinism(self):
         path = generate_path(42, 1e-3, 500, 1)
         _, _, run1 = pendulum_run(REFERENCE, 1e-3, 500, path)
         _, _, run2 = pendulum_run(REFERENCE, 1e-3, 500, path)
         a, b = integrate(run1), integrate(run2)
-        assert np.array_equal(a.component("p"), b.component("p"))
-        assert np.array_equal(a.component("q"), b.component("q"))
+        assert np.array_equal(a.p, b.p)
+        assert np.array_equal(a.q, b.q)
 
     def test_momentum_constraint_along_trajectory(self):
         # p = dL/dv = v for the pendulum at every accepted sample
         path = generate_path(3, 1e-3, 500, 1)
         _, _, run = pendulum_run(REFERENCE, 1e-3, 500, path)
         traj = integrate(run)
-        assert np.allclose(traj.component("p"), traj.component("v"),
+        assert np.allclose(traj.p, traj.v,
                            atol=1e-10)
 
     def test_first_step_q_ignores_noise(self):
@@ -339,9 +348,9 @@ class TestStrongConvergence:
         sys = pendulum_system(gamma_coupling="const")
         fields = assemble_hp_fields(sys, CLASSICAL)
         init = initial_state(sys, [1.0], p0=[0.0])
-        slope = strong_convergence_order(fields, init, CLASSICAL,
-                                         base_h=2e-4, levels=4, n_paths=1,
-                                         seed=0, t_end=0.4)
+        slope, _, _ = strong_convergence_order(fields, init, CLASSICAL,
+                                               base_h=2e-4, levels=4,
+                                               n_paths=1, seed=0, t_end=0.4)
         # Self-referencing against the finest Euler level inflates the
         # fitted slope above the ideal 1 (error ~ h - h_ref), so accept a
         # window around [1, log2(3)] rather than exactly 1.
@@ -818,8 +827,8 @@ class TestIntegratePaths:
         for i, (run, traj) in enumerate(zip(runs, batch)):
             alone = integrate(run)
             for c in "qvp":
-                assert np.array_equal(traj.component(c),
-                                      alone.component(c)), (i, c)
+                assert np.array_equal(getattr(traj, c),
+                                      getattr(alone, c)), (i, c)
 
     def test_runs_must_share_grid_and_fields(self):
         sys = pendulum_system()
@@ -836,8 +845,7 @@ class TestIntegratePaths:
     def test_blowup_names_path_and_step(self):
         # U = -q^4 blows up in finite time, the sooner the larger q0 is;
         # only path 2 starts far enough out to do so on this grid.
-        sys = pendulum_system(potential=(lambda x: -x ** 4,
-                                         lambda x: -4.0 * x ** 3))
+        sys = falling_pendulum(4)
         fields = assemble_hp_fields(sys, CLASSICAL)
         grid = make_grid(0.0, 1e-2, 200, CLASSICAL)
         runs = [EulerRun(fields, grid, generate_path(i, 1e-2, 200, 1),
@@ -858,8 +866,7 @@ class TestIntegratePaths:
     def test_blowup_after_the_first_block_names_the_earliest_step(self):
         # The loop tests for a blow-up once per block of steps; the step
         # it names is the first that a test after every step finds.
-        sys = pendulum_system(potential=(lambda x: -x ** 4,
-                                         lambda x: -4.0 * x ** 3))
+        sys = falling_pendulum(4)
         fields = assemble_hp_fields(sys, CLASSICAL)
         grid = make_grid(0.0, 1e-2, 600, CLASSICAL)
         q0s = (0.3, 0.35, 0.1)
@@ -985,8 +992,7 @@ class TestIntegratePaths:
     def test_blowup_is_named_before_the_overflow(self):
         # U = -q^8 from q0 = 1.5: p passes BLOWUP_LIMIT at step 16, and
         # stepping on would overflow (a RuntimeWarning) at step 20.
-        sys = pendulum_system(potential=(lambda x: -x ** 8,
-                                         lambda x: -8.0 * x ** 7))
+        sys = falling_pendulum(8)
         fields = assemble_hp_fields(sys, CLASSICAL)
         grid = make_grid(0.0, 1e-2, 100, CLASSICAL)
         run = EulerRun(fields, grid, zero_path(1e-2, 100, 1),
@@ -1004,8 +1010,7 @@ class TestIntegratePaths:
 
     def test_rows_after_a_blowup_are_not_completed(self):
         # The U = -q^8 run above: v = dH/dp is taken once, on rows 0..16.
-        base = pendulum_system(potential=(lambda x: -x ** 8,
-                                          lambda x: -8.0 * x ** 7))
+        base = falling_pendulum(8)
         shapes = []
 
         def grad_p(q, p):

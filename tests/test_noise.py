@@ -1,10 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from frachp.errors import IndivisibleFactor, NonPositiveStep, ZeroSteps
-from frachp.noise import coarsen, generate_path, spawn_substream, zero_path
+from frachp.errors import (IndivisibleFactor, InvalidArgument,
+                           NonPositiveStep, ZeroSteps)
+from frachp.noise import (_ACK_SPLIT, WienerPath, _uniforms, coarsen,
+                          generate_path, normal_inv_cdf, spawn_substream,
+                          zero_path)
 
 from ._reference import ks_statistic
 
@@ -52,6 +56,26 @@ class TestGeneratePath:
             generate_path(1, 0.1, 0, 1)
         with pytest.raises(ValueError):
             generate_path(1, 0.1, 10, 0)
+
+
+def test_normal_inv_cdf_pinned():
+    # Golden sha256 of the normals at both split points, their float
+    # neighbours, 0.5 and 10^5 stream draws: the central and tail
+    # rationals, and where one hands over to the other, to the bit.
+    edges = [f(x) for x in (_ACK_SPLIT, 1.0 - _ACK_SPLIT)
+             for f in (lambda x: np.nextafter(x, 0.0), float,
+                       lambda x: np.nextafter(x, 1.0))] + [0.5]
+    u = np.concatenate([edges, _uniforms(2024, 0, 100_000)])
+    assert hashlib.sha256(normal_inv_cdf(u).tobytes()).hexdigest() == (
+        "287366d9f0b01a18b3db4621ea5ef0d10728dde913ecffd2b1bb63b5933edf91")
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 1, 1)])
+def test_wiener_table_must_be_2d(shape):
+    # A 1-D table used to fail later, with an IndexError from `channels`.
+    with pytest.raises(InvalidArgument,
+                       match=rf"increments=shape \({shape[0]},"):
+        WienerPath(0.1, np.zeros(shape))
 
 
 class TestCoarsen:
