@@ -31,6 +31,13 @@ def _frozen_vector(name: str, x) -> np.ndarray:
     return a
 
 
+def check_whole(name: str, value) -> None:
+    """Raise InvalidArgument naming `name` unless `value` is a whole number,
+    an int or a numpy integer; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgument(f"{name}={value!r} must be a whole number")
+
+
 @dataclass(frozen=True)
 class FractionalParams:
     """The triple (alpha, beta, t_eval) parameterizing every fractional kernel.
@@ -58,7 +65,7 @@ class TimeGrid:
     """Uniform grid t_start + k*h for k = 0..n_steps.
 
     t_start must be finite, h positive and finite, and n_steps a whole
-    number (an int or numpy integer) of at least 1.
+    number (`check_whole`) of at least 1.
     """
 
     t_start: float
@@ -70,9 +77,7 @@ class TimeGrid:
             raise InvalidArgument(f"t_start={self.t_start} must be finite")
         if not 0.0 < self.h < math.inf:
             raise NonPositiveStep(f"h={self.h} must be positive and finite")
-        if not isinstance(self.n_steps, numbers.Integral):
-            raise InvalidArgument(
-                f"n_steps={self.n_steps!r} must be a whole number")
+        check_whole("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ZeroSteps(f"n_steps={self.n_steps} must be at least 1")
 

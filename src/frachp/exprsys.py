@@ -3,11 +3,21 @@
 Coordinates are named q1..qn and p1..pn; gradients are produced by symbolic
 differentiation, so custom systems satisfy the same analytic-gradient
 checks as the built-ins.
+
+Deriving a system's kernel sources imports sympy; assembling the system
+from them does not.  The sources are cached in $XDG_CACHE_HOME/frachp
+(~/.cache/frachp by default), so a rerun of the same text skips sympy.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import json
+import os
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -23,17 +33,15 @@ _TOKEN = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|\*\*|[-+*/()]"
                     r"|(?P<name>[A-Za-z_]\w*)(?P<call>\s*\()?|(?P<bad>\S)")
 
 
-def _parse(text: str, key: str, symbols):
-    """sympify the text of config key `key`, an expression in `symbols`.
-
-    sympify evaluates its input as Python, so every token is checked first:
-    any other name or character is a ParseError naming it, which keeps
-    config text from running code or bringing in free symbols.  Malformed
-    text is a ParseError too.
-    """
-    import sympy
-    allowed = {str(x) for x in symbols} | _CONSTANTS
-    for m in _TOKEN.finditer(text):
+def _check(texts: list[str], key: str, prefixes: str, dim: int) -> None:
+    """Raise a ParseError naming the first token of config key `key`'s
+    texts that is not a number, + - * / ** ( ), a coordinate (a prefix and
+    1..dim), a constant or a called function.  Every text passes this check
+    before sympify or the cache sees it, so config text cannot run code or
+    bring in free symbols."""
+    allowed = {f"{c}{i}" for c in prefixes for i in range(1, dim + 1)}
+    allowed |= _CONSTANTS
+    for text, m in ((t, m) for t in texts for m in _TOKEN.finditer(t)):
         name = m["name"]
         ok = name is None or name in (_FUNCTIONS if m["call"] else allowed)
         if m["bad"] or not ok:
@@ -41,6 +49,11 @@ def _parse(text: str, key: str, symbols):
                 f"{key}: cannot parse {text!r}: {m['bad'] or name!r} is not "
                 f"a number, + - * / ** ( ), {', '.join(sorted(allowed))} or "
                 f"a called elementary function")
+
+
+def _parse(text: str, key: str):
+    """sympify config key `key`'s text, which `_check` has passed."""
+    import sympy
     try:
         expr = sympy.sympify(text)
     except (sympy.SympifyError, TypeError):
@@ -57,9 +70,10 @@ def _symbols(prefix: str, n: int):
     return sympy.symbols(f"{prefix}1:{n + 1}")
 
 
-def _lambdify(args, exprs, shape: tuple, cse: bool = False):
-    """One generated numpy function of arrays (..., n_i) whose columns are
-    `args`: a tuple of symbols for one array, or a tuple of such tuples.
+def _source(args, exprs, shape: tuple, cse: bool = False) -> list:
+    """[source, numpy names] of one generated numpy function of arrays
+    (..., n_i) whose columns are `args`: a tuple of symbols for one array,
+    or a tuple of such tuples.
 
     `exprs` are the row-major entries of its (...) + shape value.  It reads
     the columns they use as x[..., j] and writes each entry into a zeroed
@@ -87,40 +101,104 @@ def _lambdify(args, exprs, shape: tuple, cse: bool = False):
     cols = [f"{x} = _x{i}[..., {j}]" for i, group in enumerate(groups)
             for j, x in enumerate(group) if x in used]
     source = "".join(f"    {line}\n" for line in cols + body)
-    namespace = {"_zeros": np.zeros, **{
-        name: getattr(np, name) for name in printer.module_imports["numpy"]}}
-    exec(f"def kernel({', '.join(f'_x{i}' for i in range(len(groups)))}):\n"
-         f"{source}    return _out\n", namespace)
+    return [f"def kernel({', '.join(f'_x{i}' for i in range(len(groups)))}):"
+            f"\n{source}    return _out\n",
+            sorted(printer.module_imports["numpy"])]
+
+
+def _compile(text: str, numpy_names: list[str]):
+    """The kernel a `_source` text defines, with its numpy names bound."""
+    namespace = {"_zeros": np.zeros,
+                 **{name: getattr(np, name) for name in numpy_names}}
+    exec(text, namespace)
     return namespace["kernel"]
 
 
-def _noise(gammas, qs) -> NoiseCoupling:
-    """Couplings from sympy expressions gamma_a(qs), with their symbolic
-    gradients."""
-    return NoiseCoupling(
-        tuple(_lambdify(qs, [e], ()) for e in gammas),
-        tuple(_lambdify(qs, [e.diff(q) for q in qs], (len(qs),))
-              for e in gammas))
+def _cached(key: list, derive) -> dict:
+    """derive()'s kernel sources for `key`, from its cache entry if a sound
+    one exists, else derived and stored.  The entry holds `key`, sympy's
+    version (its release file, read without importing sympy) and this
+    module's digest; it is read only if it and its directory are the
+    user's and not group- or world-writable.  A bad cache is a quiet miss.
+    """
+    spec = importlib.util.find_spec("sympy")
+    if spec is None:
+        return derive()  # which fails as importing sympy does
+    try:  # TypeError: a key json cannot write; RuntimeError: no home
+        release = Path(spec.origin).with_name("release.py")
+        key = [*key, release.read_text(encoding="utf-8"),
+               hashlib.sha256(Path(__file__).read_bytes()).hexdigest()]
+        name = hashlib.sha256(json.dumps(key).encode()).hexdigest()
+        home = Path(os.environ.get("XDG_CACHE_HOME", ""))
+        if not home.is_absolute():  # unset, empty or relative: ignored
+            home = Path.home() / ".cache"
+        path = home / "frachp" / f"{name}.json"
+    except (OSError, ValueError, TypeError, RuntimeError):
+        return derive()
+    try:
+        with open(path, "rb") as fh:
+            if all(st.st_uid == os.getuid() and not st.st_mode & 0o022
+                   for st in (os.fstat(fh.fileno()), path.parent.stat())):
+                entry = json.loads(fh.read())
+                if entry["key"] == key:
+                    return entry["kernels"]
+    except (OSError, ValueError, LookupError, TypeError):
+        pass
+    kernels = derive()
+    try:
+        path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(".tmp", dir=path.parent)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                json.dump({"key": key, "kernels": kernels}, fh)
+            os.replace(tmp, path)
+        except OSError:
+            os.unlink(tmp)
+            raise
+    except OSError:
+        pass
+    return kernels
+
+
+def _noise_sources(gammas, qs) -> list:
+    """Sources of couplings gamma_a(qs), then of their symbolic gradients."""
+    return [[_source(qs, [e], ()) for e in gammas],
+            [_source(qs, [e.diff(q) for q in qs], (len(qs),)) for e in gammas]]
+
+
+def _assemble(cls, dim: int, sources: dict):
+    """The `cls` system whose kernels `sources` holds by field name."""
+    noise = NoiseCoupling(*([_compile(*k) for k in part]
+                            for part in sources["noise"]))
+    return cls(dim, noise=noise, **{name: _compile(*k) for name, k
+                                    in sources.items() if name != "noise"})
+
+
+def _derive_hamiltonian(h_expr: str, gamma_exprs: list[str],
+                        dim: int) -> dict:
+    qs, ps = _symbols("q", dim), _symbols("p", dim)
+    h_sym = _parse(h_expr, "hamiltonian_expr")
+    gammas = [_parse(text, "gamma_expr") for text in gamma_exprs]
+    dh = [h_sym.diff(x) for x in qs + ps]
+    return {"hamiltonian": _source((qs, ps), [h_sym], ()),
+            "grad_q": _source((qs, ps), dh[:dim], (dim,)),
+            "grad_p": _source((qs, ps), dh[dim:], (dim,)),
+            "noise": _noise_sources(gammas, qs)}
 
 
 def hamiltonian_from_expression(h_expr: str, gamma_exprs: list[str],
                                 dim: int) -> HamiltonianSystem:
     """HamiltonianSystem from H(q1..qn, p1..pn) expression text."""
-    import sympy
-    qs, ps = _symbols("q", dim), _symbols("p", dim)
-    h_sym = _parse(h_expr, "hamiltonian_expr", qs + ps)
-    gammas = [_parse(text, "gamma_expr", qs) for text in gamma_exprs]
-    return HamiltonianSystem(
-        dim, _lambdify((qs, ps), [h_sym], ()), _noise(gammas, qs),
-        grad_q=_lambdify((qs, ps), [sympy.diff(h_sym, q) for q in qs],
-                         (dim,)),
-        grad_p=_lambdify((qs, ps), [sympy.diff(h_sym, p) for p in ps],
-                         (dim,)))
+    _check([h_expr], "hamiltonian_expr", "qp", dim)
+    _check(gamma_exprs, "gamma_expr", "q", dim)
+    return _assemble(HamiltonianSystem, dim, _cached(
+        ["hamiltonian_from_expression", dim, h_expr, list(gamma_exprs)],
+        lambda: _derive_hamiltonian(h_expr, gamma_exprs, dim)))
 
 
 def _closed_forms(g, gammas, qs) -> dict:
-    """The geodesic and noise_matrix of a MetricSystem with metric g(qs)
-    and couplings gammas, as sympy derives them once.
+    """Sources of the geodesic and noise_matrix of a MetricSystem with
+    metric g(qs) and couplings gammas, as sympy derives them once.
 
     -Gamma^i_jk v^j v^k = -g^il (d_k g_lj - d_l g_jk / 2) v^j v^k, and the
     noise matrix is g^-1 grad gamma_a, with g^-1 = adj(g) / det(g); both
@@ -140,25 +218,35 @@ def _closed_forms(g, gammas, qs) -> dict:
                  / det)
     if any(e.has(sympy.zoo, sympy.nan) for e in geodesic + noise):
         return {}
-    return {"geodesic": _lambdify((qs, vs), geodesic, (n,), cse=True),
-            "noise_matrix": _lambdify(qs, noise, (n, m), cse=True)}
+    return {"geodesic": _source((qs, vs), geodesic, (n,), cse=True),
+            "noise_matrix": _source(qs, noise, (n, m), cse=True)}
+
+
+def _derive_metric(rows: list[list[str]], gamma_exprs: list[str],
+                   dim: int) -> dict:
+    import sympy
+    qs = _symbols("q", dim)
+    g_sym = sympy.Matrix([[_parse(e, "metric_expr") for e in row]
+                          for row in rows])
+    gammas = [_parse(text, "gamma_expr") for text in gamma_exprs]
+    # metric_grad[i, j, k] = d g_ij / d q_k
+    return {"metric": _source(qs, list(g_sym), (dim, dim)),
+            "metric_grad": _source(qs, [g.diff(q) for g in g_sym
+                                        for q in qs], (dim, dim, dim)),
+            "noise": _noise_sources(gammas, qs),
+            **_closed_forms(g_sym, gammas, qs)}
 
 
 def metric_from_expressions(rows: list[list[str]], gamma_exprs: list[str],
                             dim: int) -> MetricSystem:
     """MetricSystem from an n x n table of g_ij(q1..qn) expression strings,
     with the closed-form geodesic and noise_matrix of `_closed_forms`."""
-    import sympy
-    qs = _symbols("q", dim)
     if len(rows) != dim or any(len(row) != dim for row in rows):
         raise ParseError(f"metric_expr: rows of {[len(r) for r in rows]} "
                          f"entries, need {dim} rows of {dim} for dim = {dim}")
-    g_sym = sympy.Matrix([[_parse(e, "metric_expr", qs) for e in row]
-                          for row in rows])
-    gammas = [_parse(text, "gamma_expr", qs) for text in gamma_exprs]
-    # metric_grad[i, j, k] = d g_ij / d q_k
-    return MetricSystem(
-        dim, _lambdify(qs, list(g_sym), (dim, dim)), _noise(gammas, qs),
-        metric_grad=_lambdify(qs, [g.diff(q) for g in g_sym for q in qs],
-                              (dim, dim, dim)),
-        **_closed_forms(g_sym, gammas, qs))
+    _check([e for row in rows for e in row], "metric_expr", "q", dim)
+    _check(gamma_exprs, "gamma_expr", "q", dim)
+    return _assemble(MetricSystem, dim, _cached(
+        ["metric_from_expressions", dim, [list(row) for row in rows],
+         list(gamma_exprs)],
+        lambda: _derive_metric(rows, gamma_exprs, dim)))

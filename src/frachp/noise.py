@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeGrid
+from .core import TimeGrid, check_whole
 from .errors import GridMismatch, IndivisibleFactor, InvalidArgument
 
 RNG_VERSION = "frachp-rng-v1"
@@ -136,6 +136,7 @@ class WienerPath:
 
 def _check_table(h: float, n_steps: int, channels: int) -> None:
     TimeGrid(0.0, h, n_steps)  # the grid's checks of h and n_steps
+    check_whole("channels", channels)
     if channels < 1:
         raise InvalidArgument(f"channels={channels} must be >= 1")
 
@@ -178,6 +179,7 @@ def coarsen(path: WienerPath, factor: int) -> WienerPath:
     Coarse increment k is the (pairwise) sum of fine increments
     k*factor .. (k+1)*factor - 1.
     """
+    check_whole("factor", factor)
     if factor < 2 or path.n_steps % factor != 0:
         raise IndivisibleFactor(
             f"factor {factor} does not divide n_steps={path.n_steps}")

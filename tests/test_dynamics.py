@@ -520,11 +520,12 @@ class TestExpressionSystems:
         # Rational entries are filled from one row, the others are
         # lambdified; every entry is as lambdifying the whole list gives it.
         import sympy
-        from frachp.exprsys import _lambdify
+        from frachp.exprsys import _compile, _source
         qs = sympy.symbols("q1:3")
         exprs = [sympy.sympify(t) for t in texts]
         q = np.random.default_rng(4).uniform(-2.0, 2.0, (9, 2))
-        got = _lambdify(qs, exprs, (len(exprs),))(q)
+        kernel = _compile(*_source(qs, exprs, (len(exprs),)))
+        got = kernel(q)
         every = sympy.lambdify(qs, exprs, modules="numpy")(q[:, 0], q[:, 1])
         for j, want in enumerate(every):
             # Bytes, so that a sign of zero counts.
@@ -532,8 +533,7 @@ class TestExpressionSystems:
             assert (np.ascontiguousarray(got[:, j]).tobytes()
                     == np.ascontiguousarray(col).tobytes()), texts[j]
         assert got.shape == (9, len(exprs))
-        assert _lambdify(qs, exprs, (len(exprs),))(q[0]).shape == (
-            len(exprs),)
+        assert kernel(q[0]).shape == (len(exprs),)
 
     # Inputs on which numpy's functions are most likely to differ: NaN,
     # +-inf, +-0, huge and tiny values, and points outside the real
@@ -547,9 +547,9 @@ class TestExpressionSystems:
         # entries with modules="numpy", called on the columns the kernel
         # reads, on one sample, a (P, n) stack and an (N+1, P, n) history.
         import sympy
-        from frachp.exprsys import _lambdify
+        from frachp.exprsys import _compile, _source
         groups = (args,) if isinstance(args[0], sympy.Symbol) else args
-        kernel = _lambdify(args, exprs, shape, cse=cse)
+        kernel = _compile(*_source(args, exprs, shape, cse=cse))
         oracle = sympy.lambdify([x for g in groups for x in g], exprs,
                                 modules="numpy", cse=cse)
         for layout in (lambda a: a[3], lambda a: a,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from frachp.core import TimeGrid
 from frachp.errors import (IndivisibleFactor, InvalidArgument,
                            NonPositiveStep, ZeroSteps)
 from frachp.noise import (_ACK_SPLIT, WienerPath, _uniforms, coarsen,
@@ -111,6 +112,27 @@ class TestCoarsen:
             coarsen(p, 3)
         with pytest.raises(IndivisibleFactor):
             coarsen(p, 1)
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda: generate_path(1, 0.1, 4, 1.5), "channels"),
+    (lambda: generate_path(1, 0.1, 4, True), "channels"),
+    (lambda: zero_path(0.1, 4, 1.5), "channels"),
+    (lambda: coarsen(generate_path(1, 0.1, 4), 2.0), "factor"),
+    (lambda: TimeGrid(0.0, 0.1, True), "n_steps"),
+], ids=["generate-float", "generate-bool", "zero-float", "coarsen-float",
+        "grid-bool"])
+def test_counts_must_be_whole_numbers(call, key):
+    # These used to raise a bare TypeError from numpy, or (the grid) pass.
+    with pytest.raises(InvalidArgument,
+                       match=rf"^{key}=\S+ must be a whole number$"):
+        call()
+
+
+def test_numpy_integer_counts_are_whole_numbers():
+    path = generate_path(1, 0.1, 4, np.int64(2))
+    assert path.channels == 2
+    assert coarsen(path, np.int64(2)).n_steps == 2
 
 
 class TestSpawnSubstream:
