@@ -142,7 +142,8 @@ def _cached(key: list, derive) -> dict:
                 entry = json.loads(fh.read())
                 if entry["key"] == key:
                     return entry["kernels"]
-    except (OSError, ValueError, LookupError, TypeError):
+    except (OSError, ValueError, LookupError, TypeError,
+            AttributeError):  # no os.getuid, as on Windows: never trusted
         pass
     kernels = derive()
     try:
