@@ -32,8 +32,8 @@ def _frozen_vector(name: str, x) -> np.ndarray:
 
 
 def check_whole(name: str, value) -> None:
-    """Raise InvalidArgument naming `name` unless `value` is a whole number,
-    an int or a numpy integer; a bool is neither."""
+    """Raise InvalidArgument naming `name` unless `value` is an int or a
+    numpy integer, and not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidArgument(f"{name}={value!r} must be a whole number")
 

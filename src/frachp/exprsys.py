@@ -2,11 +2,8 @@
 
 Coordinates are named q1..qn and p1..pn; gradients are produced by symbolic
 differentiation, so custom systems satisfy the same analytic-gradient
-checks as the built-ins.
-
-Deriving a system's kernel sources imports sympy; assembling the system
-from them does not.  The sources are cached in $XDG_CACHE_HOME/frachp
-(~/.cache/frachp by default), so a rerun of the same text skips sympy.
+checks as the built-ins.  Only deriving a system's kernel sources imports
+sympy, and `_cached` keeps them on disk, so a rerun of a text skips sympy.
 """
 
 from __future__ import annotations
@@ -36,9 +33,8 @@ _TOKEN = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|\*\*|[-+*/()]"
 def _check(texts: list[str], key: str, prefixes: str, dim: int) -> None:
     """Raise a ParseError naming the first token of config key `key`'s
     texts that is not a number, + - * / ** ( ), a coordinate (a prefix and
-    1..dim), a constant or a called function.  Every text passes this check
-    before sympify or the cache sees it, so config text cannot run code or
-    bring in free symbols."""
+    1..dim), a constant or a called function.  sympify runs text as Python,
+    so this check runs first, and before the cache is looked up."""
     allowed = {f"{c}{i}" for c in prefixes for i in range(1, dim + 1)}
     allowed |= _CONSTANTS
     for text, m in ((t, m) for t in texts for m in _TOKEN.finditer(t)):
@@ -71,9 +67,8 @@ def _symbols(prefix: str, n: int):
 
 
 def _source(args, exprs, shape: tuple, cse: bool = False) -> list:
-    """[source, numpy names] of one generated numpy function of arrays
-    (..., n_i) whose columns are `args`: a tuple of symbols for one array,
-    or a tuple of such tuples.
+    """[source, numpy names] of a numpy function of arrays (..., n_i) whose
+    columns are `args`: a tuple of symbols for one array, or of such tuples.
 
     `exprs` are the row-major entries of its (...) + shape value.  It reads
     the columns they use as x[..., j] and writes each entry into a zeroed
@@ -115,35 +110,28 @@ def _compile(text: str, numpy_names: list[str]):
 
 
 def _cached(key: list, derive) -> dict:
-    """derive()'s kernel sources for `key`, from its cache entry if a sound
-    one exists, else derived and stored.  The entry holds `key`, sympy's
-    version (its release file, read without importing sympy) and this
+    """derive()'s kernel sources for `key`, from a sound cache entry or
+    derived and stored.  An entry's key adds sympy's release file and this
     module's digest; it is read only if it and its directory are the
-    user's and not group- or world-writable.  A bad cache is a quiet miss.
-    """
-    spec = importlib.util.find_spec("sympy")
-    if spec is None:
-        return derive()  # which fails as importing sympy does
-    try:  # TypeError: a key json cannot write; RuntimeError: no home
-        release = Path(spec.origin).with_name("release.py")
-        key = [*key, release.read_text(encoding="utf-8"),
+    user's and not group- or world-writable.  A bad cache is a quiet miss."""
+    try:  # on no sympy, a numpy dim (for json) or no home: derive only
+        init = Path(importlib.util.find_spec("sympy").origin)  # unimported
+        key = [*key, init.with_name("release.py").read_text("utf-8"),
                hashlib.sha256(Path(__file__).read_bytes()).hexdigest()]
         name = hashlib.sha256(json.dumps(key).encode()).hexdigest()
-        home = Path(os.environ.get("XDG_CACHE_HOME", ""))
-        if not home.is_absolute():  # unset, empty or relative: ignored
-            home = Path.home() / ".cache"
+        home = os.environ.get("XDG_CACHE_HOME", "")  # used if absolute
+        home = Path(home) if os.path.isabs(home) else Path.home() / ".cache"
         path = home / "frachp" / f"{name}.json"
-    except (OSError, ValueError, TypeError, RuntimeError):
+    except (OSError, ValueError, TypeError, AttributeError, RuntimeError):
         return derive()
-    try:
+    try:  # AttributeError: no os.getuid, as on Windows: never trusted
         with open(path, "rb") as fh:
             if all(st.st_uid == os.getuid() and not st.st_mode & 0o022
                    for st in (os.fstat(fh.fileno()), path.parent.stat())):
                 entry = json.loads(fh.read())
                 if entry["key"] == key:
                     return entry["kernels"]
-    except (OSError, ValueError, LookupError, TypeError,
-            AttributeError):  # no os.getuid, as on Windows: never trusted
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
         pass
     kernels = derive()
     try:
@@ -175,8 +163,7 @@ def _assemble(cls, dim: int, sources: dict):
                                     in sources.items() if name != "noise"})
 
 
-def _derive_hamiltonian(h_expr: str, gamma_exprs: list[str],
-                        dim: int) -> dict:
+def _derive_hamiltonian(h_expr, gamma_exprs, dim) -> dict:
     qs, ps = _symbols("q", dim), _symbols("p", dim)
     h_sym = _parse(h_expr, "hamiltonian_expr")
     gammas = [_parse(text, "gamma_expr") for text in gamma_exprs]
@@ -223,8 +210,7 @@ def _closed_forms(g, gammas, qs) -> dict:
             "noise_matrix": _source(qs, noise, (n, m), cse=True)}
 
 
-def _derive_metric(rows: list[list[str]], gamma_exprs: list[str],
-                   dim: int) -> dict:
+def _derive_metric(rows, gamma_exprs, dim) -> dict:
     import sympy
     qs = _symbols("q", dim)
     g_sym = sympy.Matrix([[_parse(e, "metric_expr") for e in row]

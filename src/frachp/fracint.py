@@ -16,7 +16,6 @@ O(P N log^2 N) for P paths of N steps.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -71,19 +70,6 @@ def rl_integral(f: SampledFunction, beta: float, t: float) -> float:
     return float(np.dot(f.values[:-1], w) / gamma(beta))
 
 
-@functools.lru_cache(maxsize=8)
-def _wiener_kernel(grid: TimeGrid, t: float, beta: float) -> np.ndarray:
-    """`fractional_wiener_integral`'s kernel kappa, read-only, per grid."""
-    s = grid.points
-    if grid.t_end >= t - _END_TOL * max(1.0, abs(t)):
-        # Endpoint touches t: RMS weight keeps sum_k kappa_k^2 h exact.
-        kappa = np.sqrt(step_weights(t, s, beta) / grid.h)
-    else:
-        kappa = (t - s[:-1]) ** ((beta - 1.0) / 2.0)
-    kappa.setflags(write=False)
-    return kappa
-
-
 def fractional_wiener_integral(g: SampledFunction, beta: float, t: float,
                                path: WienerPath, channel: int = 0) -> float:
     """Ito-sum approximation of the fractional Wiener integral of g.
@@ -98,7 +84,12 @@ def fractional_wiener_integral(g: SampledFunction, beta: float, t: float,
     if not (0 <= channel < path.channels):
         raise BadChannel(f"channel {channel} of {path.channels}")
     path.check_aligned(g.grid)
-    kappa = _wiener_kernel(g.grid, t, beta)
+    s = g.grid.points
+    if g.grid.t_end >= t - _END_TOL * max(1.0, abs(t)):
+        # Endpoint touches t: RMS weight keeps sum_k kappa_k^2 h exact.
+        kappa = np.sqrt(step_weights(t, s, beta) / g.grid.h)
+    else:
+        kappa = (t - s[:-1]) ** ((beta - 1.0) / 2.0)
     total = np.dot(g.values[:-1] * kappa, path.increments[:, channel])
     return float(total / gamma((beta + 1.0) / 2.0))
 

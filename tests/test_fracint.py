@@ -141,19 +141,6 @@ class TestFractionalWienerIntegral:
             / gamma((beta + 1.0) / 2.0) ** 2
         assert np.var(vals) == pytest.approx(predicted, rel=0.1)
 
-    @pytest.mark.parametrize("n", [1000, 700], ids=["touches-t", "guarded"])
-    def test_kernel_is_cached_per_grid_and_read_only(self, n):
-        # Both kernels, as the integral took them afresh on every call.
-        beta, t, h = 0.3, 0.8, 8e-4
-        grid = TimeGrid(0.0, h, n)
-        s = grid.points
-        fresh = (np.sqrt(step_weights(t, s, beta) / h) if n == 1000
-                 else (t - s[:-1]) ** ((beta - 1.0) / 2.0))
-        kappa = fracint._wiener_kernel(TimeGrid(0.0, h, n), t, beta)
-        assert kappa is fracint._wiener_kernel(grid, t, beta)
-        assert kappa.tobytes() == fresh.tobytes()
-        assert not kappa.flags.writeable
-
 
 class TestBankAccount:
     def test_zero_rate(self):

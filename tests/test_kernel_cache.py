@@ -238,6 +238,23 @@ def test_parse_errors_are_the_same_with_a_warm_cache(kernel_cache, builder,
     assert sorted(kernel_cache.glob("*.json")) == entries
 
 
+@pytest.mark.parametrize("builder, args, bad", [
+    (hamiltonian_from_expression, ("p1**2/2 + cos(q1", ["x"], 1),
+     "gamma_expr: cannot parse 'x': 'x' is not"),
+    (metric_from_expressions, ([["1", "q1**"], ["0", "y"]], ["cos(q2)"], 2),
+     "metric_expr: cannot parse 'y': 'y' is not"),
+], ids=["hamiltonian-then-gamma", "metric-entries"])
+def test_token_errors_precede_syntax_errors(builder, args, bad):
+    # Every text's token check runs before any text is sympified, so with
+    # several bad texts a later one's token is reported before an earlier
+    # one's malformed syntax, the same on a cold and on a warm cache.
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            builder(*args)
+        assert str(err.value).startswith(bad)
+        BUILDS["polar"][0](*BUILDS["polar"][1])
+
+
 @pytest.mark.parametrize("xdg", [None, "", "relative/cache"])
 def test_cache_falls_back_to_home(tmp_path, monkeypatch, xdg):
     # XDG_CACHE_HOME unset, empty or relative means ~/.cache.
