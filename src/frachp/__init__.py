@@ -8,7 +8,7 @@ from .dynamics import (HamiltonianSystem, LagrangianSystem, MetricSystem,
                        christoffel, invert_legendre, legendre_transform,
                        pendulum_lagrangian_system, pendulum_system,
                        polar_metric_system)
-from .fracint import (SampledFunction, VolterraCoefficients, bank_account,
+from .fracint import (SampledFunction, VolterraCoefficients,
                       fractional_wiener_integral, rl_integral, volterra_paths)
 from .integrator import (EulerRun, action_derivative, evaluate_action,
                          initial_state, integrate, integrate_paths,

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GridReachesSingularity, InvalidArgument,
-                     NonPositiveStep, ZeroSteps)
+from .errors import GridReachesSingularity, InvalidArgument
 
 # The grid must stop this many steps short of the kernel evaluation time
 # t_eval: (t - s)^(beta - alpha) is unbounded as s -> t_eval when beta < alpha.
@@ -38,6 +37,13 @@ def check_whole(name: str, value) -> None:
         raise InvalidArgument(f"{name}={value!r} must be a whole number")
 
 
+def check_order(name: str, value: float) -> None:
+    """Raise InvalidArgument naming `name` unless the fractional order
+    `value` lies in (0, 1]; NaN fails."""
+    if not 0.0 < value <= 1.0:
+        raise InvalidArgument(f"{name}={value} outside (0, 1]")
+
+
 @dataclass(frozen=True)
 class FractionalParams:
     """The triple (alpha, beta, t_eval) parameterizing every fractional kernel.
@@ -51,10 +57,8 @@ class FractionalParams:
     t_eval: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not (0.0 < v <= 1.0):
-                raise InvalidArgument(f"{name}={v} outside (0, 1]")
+        check_order("alpha", self.alpha)
+        check_order("beta", self.beta)
         if not 0.0 < self.t_eval < math.inf:
             raise InvalidArgument(
                 f"t_eval={self.t_eval} must be positive and finite")
@@ -76,10 +80,10 @@ class TimeGrid:
         if not math.isfinite(self.t_start):
             raise InvalidArgument(f"t_start={self.t_start} must be finite")
         if not 0.0 < self.h < math.inf:
-            raise NonPositiveStep(f"h={self.h} must be positive and finite")
+            raise InvalidArgument(f"h={self.h} must be positive and finite")
         check_whole("n_steps", self.n_steps)
         if self.n_steps < 1:
-            raise ZeroSteps(f"n_steps={self.n_steps} must be at least 1")
+            raise InvalidArgument(f"n_steps={self.n_steps} must be at least 1")
 
     @property
     def t_end(self) -> float:

@@ -31,8 +31,7 @@ import numpy as np
 
 from .core import FractionalParams
 from .errors import (BatchShapeError, InvalidArgument, NoConvergence,
-                     NoiseShapeUnsupported, NotPositiveDefinite,
-                     SingularHessian)
+                     NotPositiveDefinite, SingularHessian)
 from .specfun import gamma, hp_noise_coefficient, power_kernel
 
 _FD_BASE_STEP = 1e-6
@@ -119,8 +118,9 @@ class NoiseCoupling:
             grads = (partial(central_gradient, g) for g in self.gamma)
         object.__setattr__(self, "gamma_grad", tuple(grads))
         if len(self.gamma) != len(self.gamma_grad) or len(self.gamma) == 0:
-            raise NoiseShapeUnsupported(
-                "need matching, nonempty gamma and gradient lists")
+            raise InvalidArgument(
+                f"gamma={len(self.gamma)} couplings, {len(self.gamma_grad)} "
+                f"gradients: need as many, and at least one")
 
     @property
     def m(self) -> int:

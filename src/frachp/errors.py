@@ -6,50 +6,17 @@ class FracHPError(Exception):
 
 
 class InvalidArgument(FracHPError, ValueError):
-    """A library argument outside its domain; the message names it."""
+    """A library argument outside its domain; the message names it, and
+    starts with `name=` where the value prints on one line."""
 
 
-# -- grids and kernels -------------------------------------------------------
-
-class NonPositiveStep(FracHPError):
-    pass
-
-
-class ZeroSteps(FracHPError):
-    pass
-
+# -- two objects that do not fit together -----------------------------------
 
 class GridReachesSingularity(FracHPError):
     """The time grid runs into the (t - s) kernel singularity."""
 
 
-class KernelSingularity(FracHPError):
-    """A power kernel was evaluated at or past t - s = 0."""
-
-
-class NonPositiveArgument(FracHPError):
-    """Gamma function called outside its supported positive domain."""
-
-
-# -- fractional integrals ----------------------------------------------------
-
-class InvalidOrder(FracHPError):
-    """Fractional order outside (0, 1]."""
-
-
 class GridMismatch(FracHPError):
-    pass
-
-
-class BadChannel(FracHPError):
-    pass
-
-
-class NegativeRate(FracHPError):
-    pass
-
-
-class IndivisibleFactor(FracHPError):
     pass
 
 
@@ -78,10 +45,6 @@ class NotPositiveDefinite(SampleError):
     """A metric sample is not symmetric positive definite."""
 
 
-class NoiseShapeUnsupported(FracHPError):
-    """Noise coupling does not have the q-only, momentum-equation-only shape."""
-
-
 class BatchShapeError(FracHPError):
     """A batched Lagrangian or coupling returned neither (...) nor ()."""
 
@@ -105,12 +68,8 @@ class NumericalBlowup(FracHPError):
         super().__init__(message or f"non-finite or huge state at step {step}")
 
 
-class BoundaryViolation(FracHPError):
-    """Perturbation dq does not vanish at both endpoints."""
-
-
 class NotApplicable(FracHPError):
-    """Requested diagnostic is degenerate for the given inputs."""
+    """A diagnostic's computed result is degenerate."""
 
 
 # -- configuration -----------------------------------------------------------

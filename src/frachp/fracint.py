@@ -21,9 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import TimeGrid
-from .errors import (BadChannel, GridMismatch, InvalidArgument, InvalidOrder,
-                     NegativeRate)
+from .core import TimeGrid, check_order, check_whole
+from .errors import GridMismatch, InvalidArgument
 from .noise import WienerPath
 from .specfun import gamma, step_weights
 
@@ -48,12 +47,9 @@ class SampledFunction:
         object.__setattr__(self, "values", v)
 
 
-def _check_order(beta: float) -> None:
-    if not (0.0 < beta <= 1.0):
-        raise InvalidOrder(f"order {beta} outside (0, 1]")
-
-
 def _check_span(grid: TimeGrid, t: float) -> None:
+    if not np.isfinite(t):
+        raise InvalidArgument(f"t={t} must be finite")
     if grid.t_end > t + _END_TOL * max(1.0, abs(t)):
         raise GridMismatch(f"grid end {grid.t_end} exceeds t = {t}")
 
@@ -64,7 +60,7 @@ def rl_integral(f: SampledFunction, beta: float, t: float) -> float:
     Product rectangle rule: left-endpoint samples, exact kernel integral per
     step.  The grid may reach t; the rule absorbs the endpoint singularity.
     """
-    _check_order(beta)
+    check_order("beta", beta)
     _check_span(f.grid, t)
     w = step_weights(t, f.grid.points, beta)
     return float(np.dot(f.values[:-1], w) / gamma(beta))
@@ -79,10 +75,12 @@ def fractional_wiener_integral(g: SampledFunction, beta: float, t: float,
     at the left endpoint when the grid stops short of t, and the per-step
     RMS kernel when the grid reaches t.
     """
-    _check_order(beta)
+    check_order("beta", beta)
     _check_span(g.grid, t)
-    if not (0 <= channel < path.channels):
-        raise BadChannel(f"channel {channel} of {path.channels}")
+    check_whole("channel", channel)
+    if not 0 <= channel < path.channels:
+        raise InvalidArgument(f"channel={channel} outside the path's "
+                              f"{path.channels} channels")
     path.check_aligned(g.grid)
     s = g.grid.points
     if g.grid.t_end >= t - _END_TOL * max(1.0, abs(t)):
@@ -92,18 +90,6 @@ def fractional_wiener_integral(g: SampledFunction, beta: float, t: float,
         kappa = (t - s[:-1]) ** ((beta - 1.0) / 2.0)
     total = np.dot(g.values[:-1] * kappa, path.increments[:, channel])
     return float(total / gamma((beta + 1.0) / 2.0))
-
-
-def bank_account(rate: Callable[[float], float], t: float, h: float) -> float:
-    """A_t = exp(int_0^t r(s) ds), trapezoidal rule with step ~h."""
-    if not 0.0 < t < np.inf:  # written so that NaN fails it too
-        raise InvalidArgument(f"t={t} must be positive and finite")
-    n = max(1, round(t / h))
-    s = np.linspace(0.0, t, n + 1)
-    r = np.array([rate(x) for x in s])
-    if np.any(r < 0.0):
-        raise NegativeRate("interest rate must be nonnegative on [0, t]")
-    return float(np.exp(np.trapezoid(r, s)))
 
 
 CoefficientLike = Callable[[float], float] | Sequence[float] | float
@@ -123,21 +109,27 @@ def _grid_samples(c: CoefficientLike, grid: TimeGrid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class VolterraCoefficients:
-    """Coefficients of the fractional Black-Scholes Volterra equation."""
+    """Coefficients of the fractional Black-Scholes Volterra equation:
+    x0 > 0 and, at every grid point, mu, sigma >= 0, all finite."""
 
     mu: CoefficientLike
     sigma: CoefficientLike
     x0: float
 
     def __post_init__(self):
-        if not self.x0 > 0.0:
-            raise InvalidArgument(f"x0={self.x0} must be positive")
+        if not 0.0 < self.x0 < np.inf:
+            raise InvalidArgument(f"x0={self.x0} must be positive and finite")
 
     def sampled(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
         mu = _grid_samples(self.mu, grid)
         sg = _grid_samples(self.sigma, grid)
-        if np.any(mu < 0.0) or np.any(sg < 0.0):
-            raise NegativeRate("mu and sigma must be nonnegative")
+        for name, vals in (("mu", mu), ("sigma", sg)):
+            bad = ~((vals >= 0.0) & (vals < np.inf))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise InvalidArgument(
+                    f"{name}={vals[k]} at s = {grid.point(k)} must be "
+                    f"nonnegative and finite")
         return mu, sg
 
 
@@ -160,7 +152,7 @@ def volterra_paths(coeffs: VolterraCoefficients, beta: float, grid: TimeGrid,
     one FFT product over all paths.  That is O(P N log^2 N) and exact up
     to FFT rounding.
     """
-    _check_order(beta)
+    check_order("beta", beta)
     inc = np.atleast_2d(np.asarray(increments, dtype=float))
     if inc.shape[1] != grid.n_steps:
         raise GridMismatch("increment table does not match the grid")

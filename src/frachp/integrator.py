@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
-                   check_singularity_guard, make_grid)
+                   check_singularity_guard, check_whole, make_grid)
 from .dynamics import (SdeFields, SystemSpec, _formulation, complete_state,
                        system_lagrangian)
-from .errors import (BoundaryViolation, GridMismatch, IndivisibleFactor,
-                     InvalidArgument, NotApplicable, NumericalBlowup,
-                     SampleError)
+from .errors import (GridMismatch, InvalidArgument, NotApplicable,
+                     NumericalBlowup, SampleError)
 from .noise import (WienerPath, _uniforms, coarsen, generate_path,
                     spawn_substream)
 from .specfun import gamma, step_weights
@@ -244,8 +243,10 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
     (slope, hs, errors): the least-squares slope of log(mean error) vs
     log(h), the coarse steps and their mean errors; the grids start at 0.
     t_end/base_h must be a whole multiple of 2^(levels-1), to within
-    rounding, or IndivisibleFactor is raised.
+    rounding, or InvalidArgument is raised.
     """
+    check_whole("levels", levels)
+    check_whole("n_paths", n_paths)
     if levels < 3:
         raise InvalidArgument(f"levels={levels} must be >= 3")
     if n_paths < 1:
@@ -255,7 +256,7 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
     top_factor = 2 ** (levels - 1)
     if (not math.isclose(ratio, n_fine, rel_tol=1e-12)
             or n_fine % top_factor != 0 or n_fine < top_factor):
-        raise IndivisibleFactor(
+        raise InvalidArgument(
             f"t_end/h = {ratio:.12g} steps (h = {base_h!r}, "
             f"t_end = {t_end!r}) is not a whole multiple of "
             f"2^(levels-1) = {top_factor} (levels = {levels})")
@@ -367,7 +368,8 @@ def action_derivative(trajectory: Trajectory, sys: SystemSpec,
     """
     dq, dv, dp = (np.asarray(a, dtype=float) for a in perturbation)
     if np.any(dq[0] != 0.0) or np.any(dq[-1] != 0.0):
-        raise BoundaryViolation("dq must vanish at both endpoints")
+        raise InvalidArgument(
+            "perturbation dq must vanish at both endpoints")
     eps = 1e-5
     plus = evaluate_action(_shift_trajectory(trajectory, dq, dv, dp, eps),
                            sys, params, path)
@@ -419,8 +421,10 @@ def stationarity_ratio(trajectory: Trajectory, sys: SystemSpec,
                        params: FractionalParams, path: WienerPath,
                        n_perturbations: int = 20, seed: int = 0) -> float:
     """Max |action derivative| over seeded unit-norm admissible perturbations."""
+    check_whole("n_perturbations", n_perturbations)
     if n_perturbations < 1:
-        raise NotApplicable("need at least one perturbation")
+        raise InvalidArgument(
+            f"n_perturbations={n_perturbations} must be >= 1")
     worst = 0.0
     for i in range(n_perturbations):
         pert = random_admissible_perturbation(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeGrid, check_whole
-from .errors import GridMismatch, IndivisibleFactor, InvalidArgument
+from .errors import GridMismatch, InvalidArgument
 
 RNG_VERSION = "frachp-rng-v1"
 
@@ -42,7 +42,7 @@ def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """`count` uniforms in (0, 1) from counters start..start+count-1."""
     counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + counters * _GOLDEN
+        state = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + counters * _GOLDEN
     bits = _finalize(state)
     # 53 random bits, shifted into the open interval (0, 1).
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
@@ -128,11 +128,6 @@ class WienerPath:
             raise GridMismatch(f"path has {self.channels} channels, "
                                f"system expects {channels}")
 
-    @property
-    def terminal(self) -> np.ndarray:
-        """W(T) per channel, summed pairwise for coarsening invariance."""
-        return _pairwise_sum(self.increments[None, :, :])[0]
-
 
 def _check_table(h: float, n_steps: int, channels: int) -> None:
     TimeGrid(0.0, h, n_steps)  # the grid's checks of h and n_steps
@@ -144,6 +139,7 @@ def _check_table(h: float, n_steps: int, channels: int) -> None:
 def generate_path(seed: int, h: float, n_steps: int,
                   channels: int = 1) -> WienerPath:
     """Deterministic Wiener increment table for (seed, h, n_steps, channels)."""
+    check_whole("seed", seed)
     _check_table(h, n_steps, channels)
     u = _uniforms(seed, 0, n_steps * channels)
     inc = normal_inv_cdf(u).reshape(n_steps, channels) * np.sqrt(h)
@@ -181,8 +177,9 @@ def coarsen(path: WienerPath, factor: int) -> WienerPath:
     """
     check_whole("factor", factor)
     if factor < 2 or path.n_steps % factor != 0:
-        raise IndivisibleFactor(
-            f"factor {factor} does not divide n_steps={path.n_steps}")
+        raise InvalidArgument(
+            f"factor={factor} must be at least 2 and divide "
+            f"n_steps={path.n_steps}")
     n_coarse = path.n_steps // factor
     grouped = path.increments.reshape(n_coarse, factor, path.channels)
     inc = _pairwise_sum(grouped)
@@ -191,8 +188,11 @@ def coarsen(path: WienerPath, factor: int) -> WienerPath:
 
 def spawn_substream(seed: int, index: int) -> int:
     """Deterministic child seed for per-trajectory streams."""
-    base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _SUBSTREAM_SALT
+    check_whole("seed", seed)
+    check_whole("index", index)
+    base = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) ^ _SUBSTREAM_SALT
     with np.errstate(over="ignore"):
-        child = _finalize(base + np.uint64(index & 0xFFFFFFFFFFFFFFFF) * _MIX2)
+        child = _finalize(
+            base + np.uint64(int(index) & 0xFFFFFFFFFFFFFFFF) * _MIX2)
     return int(child)
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .core import FractionalParams
-from .errors import KernelSingularity, NonPositiveArgument
+from .errors import InvalidArgument
 
 # Lanczos coefficients, g = 7.
 _LANCZOS_G = 7.0
@@ -35,7 +35,7 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 def gamma(x: float) -> float:
     """Euler gamma function for positive real x."""
     if not x > 0.0:
-        raise NonPositiveArgument(f"gamma requires x > 0, got {x}")
+        raise InvalidArgument(f"x={x} must be positive")
     if x < 0.5:
         # Reflection keeps the Lanczos series in its accurate range.
         return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
@@ -50,11 +50,11 @@ def gamma(x: float) -> float:
 def power_kernel(t: float, s: float, exponent: float):
     """(t - s)^exponent; t and s may be floats or numpy arrays.
 
-    Raises KernelSingularity when any t - s <= 0.
+    Raises InvalidArgument unless every t - s > 0 (a NaN fails).
     """
     dt = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
-    if np.any(dt <= 0.0):
-        raise KernelSingularity(f"t - s = {dt} not positive")
+    if not np.all(dt > 0.0):
+        raise InvalidArgument(f"t={t} must exceed s: t - s = {dt}")
     out = np.exp(exponent * np.log(dt))
     return float(out) if out.ndim == 0 else out
 

@@ -12,8 +12,8 @@ def rk4_terminal(fields, q0, p0, t_start, t_end, n_steps):
     """Classical RK4 on the drift-only (q, p) system; noise must be off.
 
     Used as a high-order reference for the explicit Euler scheme.  Works on
-    the same drift callables the Euler integrator uses, but is an entirely
-    different discretization.
+    the fields' drift_q and drift_p, which the Euler loop does not call
+    (it runs fields.step), and is an entirely different discretization.
     """
     h = (t_end - t_start) / n_steps
     q = np.array(q0, dtype=float)

@@ -1,17 +1,25 @@
+import ast
+import builtins
+import importlib
+import pathlib
+import typing
+
 import numpy as np
 import pytest
 
+import frachp
 from frachp.core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
                          make_grid)
-from frachp.dynamics import (assemble_hp_fields, pendulum_lagrangian_system,
-                             pendulum_system)
+from frachp.dynamics import (NoiseCoupling, assemble_hp_fields,
+                             pendulum_lagrangian_system, pendulum_system)
 from frachp.errors import (FracHPError, GridReachesSingularity,
-                           InvalidArgument, NonPositiveStep, ZeroSteps)
+                           InvalidArgument)
 from frachp.fracint import (SampledFunction, VolterraCoefficients,
-                            bank_account)
-from frachp.integrator import (EulerRun, initial_state,
-                               strong_convergence_order)
-from frachp.noise import generate_path, zero_path
+                            fractional_wiener_integral, rl_integral)
+from frachp.integrator import (EulerRun, initial_state, integrate,
+                               stationarity_ratio, strong_convergence_order)
+from frachp.noise import coarsen, generate_path, spawn_substream, zero_path
+from frachp.specfun import gamma, power_kernel
 
 
 class TestFractionalParams:
@@ -55,25 +63,25 @@ class TestMakeGrid:
             make_grid(0.0, 0.1, 9, FractionalParams(0.5, 0.5, 0.8))
 
     def test_nonpositive_step(self):
-        with pytest.raises(NonPositiveStep):
+        with pytest.raises(InvalidArgument, match="^h=0.0 "):
             make_grid(0.0, 0.0, 10, FractionalParams(0.5, 0.5, 0.8))
 
     def test_zero_steps(self):
-        with pytest.raises(ZeroSteps):
+        with pytest.raises(InvalidArgument, match="^n_steps=0 "):
             TimeGrid(0.0, 0.1, 0)
 
-    @pytest.mark.parametrize("args, error, name", [
-        ((0.0, np.nan, 10), NonPositiveStep, "h=nan"),
-        ((0.0, np.inf, 10), NonPositiveStep, "h=inf"),
-        ((np.nan, 1e-3, 10), InvalidArgument, "t_start=nan"),
-        ((-np.inf, 1e-3, 10), InvalidArgument, "t_start=-inf"),
-        ((0.0, 1e-3, 2.5), InvalidArgument, "n_steps=2.5"),
-        ((0.0, 1e-3, 10.0), InvalidArgument, "n_steps=10.0"),
+    @pytest.mark.parametrize("args, name", [
+        ((0.0, np.nan, 10), "h=nan"),
+        ((0.0, np.inf, 10), "h=inf"),
+        ((np.nan, 1e-3, 10), "t_start=nan"),
+        ((-np.inf, 1e-3, 10), "t_start=-inf"),
+        ((0.0, 1e-3, 2.5), "n_steps=2.5"),
+        ((0.0, 1e-3, 10.0), "n_steps=10.0"),
     ], ids=["h-nan", "h-inf", "t_start-nan", "t_start-inf", "n_steps-half",
             "n_steps-float"])
-    def test_non_finite_or_fractional_grid_rejected(self, args, error, name):
+    def test_non_finite_or_fractional_grid_rejected(self, args, name):
         # Each used to be accepted: nan <= 0.0 and 2.5 < 1 are False.
-        with pytest.raises(error, match=name):
+        with pytest.raises(InvalidArgument, match=name):
             TimeGrid(*args)
 
     def test_numpy_integer_steps_accepted(self):
@@ -166,6 +174,26 @@ def test_array_holders_compare_by_identity(build):
     assert hash(a) == hash(a)
 
 
+def _ones():
+    return SampledFunction(TimeGrid(0.0, 0.1, 5), np.ones(6))
+
+
+def _wiener(beta=0.5, t=1.0, channel=0):
+    return fractional_wiener_integral(_ones(), beta, t,
+                                      generate_path(1, 0.1, 5, 2), channel)
+
+
+def _volterra(mu=0.1, sigma=0.2):
+    coeffs = VolterraCoefficients(mu=mu, sigma=sigma, x0=1.0)
+    return coeffs.sampled(TimeGrid(0.0, 0.1, 2))
+
+
+def _stationarity(n_perturbations):
+    run = _euler_run()
+    return stationarity_ratio(integrate(run), run.fields.system, run.params,
+                              run.path, n_perturbations)
+
+
 def _convergence(levels=3, n_paths=2):
     sys = pendulum_system()
     params = FractionalParams(1.0, 1.0, 10.0)
@@ -178,16 +206,39 @@ def _convergence(levels=3, n_paths=2):
 INVALID_ARGUMENTS = {
     "levels": (lambda: _convergence(levels=2), "levels"),
     "n_paths=0": (lambda: _convergence(n_paths=0), "n_paths"),
+    "levels=3.5": (lambda: _convergence(levels=3.5), "levels"),
+    "n_paths=1.5": (lambda: _convergence(n_paths=1.5), "n_paths"),
     "gamma_coupling": (lambda: pendulum_lagrangian_system("sin"),
                        "gamma_coupling"),
-    "bank_account t=0": (lambda: bank_account(lambda s: 0.0, 0.0, 0.1), "t"),
-    "bank_account t=nan": (lambda: bank_account(lambda s: 0.0, np.nan, 0.1),
-                           "t"),
-    "bank_account t=inf": (lambda: bank_account(lambda s: 0.0, np.inf, 0.1),
-                           "t"),
+    "rl_integral t=nan": (lambda: rl_integral(_ones(), 0.5, np.nan), "t"),
+    "rl_integral t=inf": (lambda: rl_integral(_ones(), 0.5, np.inf), "t"),
+    "rl_integral beta": (lambda: rl_integral(_ones(), 1.5, 1.0), "beta"),
+    "wiener_integral t=nan": (lambda: _wiener(t=np.nan), "t"),
+    "wiener_integral beta": (lambda: _wiener(beta=0.0), "beta"),
+    "wiener_integral channel=2": (lambda: _wiener(channel=2), "channel"),
+    "wiener_integral channel=0.5": (lambda: _wiener(channel=0.5), "channel"),
     "x0": (lambda: VolterraCoefficients(mu=0.0, sigma=0.0, x0=-1.0), "x0"),
+    "x0=inf": (lambda: VolterraCoefficients(mu=0.0, sigma=0.0, x0=np.inf),
+               "x0"),
+    "mu negative": (lambda: _volterra(mu=lambda s: -1.0), "mu"),
+    "mu nan sample": (lambda: _volterra(mu=[0.1, np.nan, 0.1]), "mu"),
+    "sigma=inf": (lambda: _volterra(sigma=np.inf), "sigma"),
+    "sigma=nan": (lambda: _volterra(sigma=np.nan), "sigma"),
+    "TimeGrid h": (lambda: TimeGrid(0.0, -0.1, 10), "h"),
+    "TimeGrid n_steps": (lambda: TimeGrid(0.0, 0.1, 0), "n_steps"),
+    "gamma x": (lambda: gamma(-1.3), "x"),
+    "power_kernel t": (lambda: power_kernel(0.5, 0.7, -0.3), "t"),
+    "power_kernel t=nan": (lambda: power_kernel(np.nan, 0.0, -0.3), "t"),
+    "generate_path seed": (lambda: generate_path(1.5, 0.1, 4), "seed"),
     "generate_path channels": (lambda: generate_path(1, 0.1, 10, 0),
                                "channels"),
+    "spawn_substream seed": (lambda: spawn_substream(1.5, 0), "seed"),
+    "spawn_substream index": (lambda: spawn_substream(1, 0.5), "index"),
+    "coarsen factor": (lambda: coarsen(generate_path(1, 0.1, 10), 3),
+                       "factor"),
+    "NoiseCoupling gamma": (lambda: NoiseCoupling((np.cos,), ()), "gamma"),
+    "n_perturbations": (lambda: _stationarity(0), "n_perturbations"),
+    "n_perturbations=1.5": (lambda: _stationarity(1.5), "n_perturbations"),
     "zero_path channels=0": (lambda: zero_path(0.1, 10, 0), "channels"),
     "zero_path channels=-1": (lambda: zero_path(0.1, 10, -1), "channels"),
     "FractionalParams alpha": (lambda: FractionalParams(0.0, 0.5, 1.0),
@@ -214,3 +265,46 @@ def test_invalid_argument_is_a_frachp_error(call, name):
         call()
     assert isinstance(exc.value, FracHPError)
     assert isinstance(exc.value, ValueError)
+
+
+# The only raises of an error outside the hierarchy, as (module, function,
+# class): parse_config turns _parse_bool's ValueError into a ParseError,
+# and _formulation's TypeError is a caller passing a non-system object.
+RAISES_OUTSIDE_HIERARCHY = {("config", "_parse_bool", "ValueError"),
+                            ("dynamics", "_formulation", "TypeError")}
+
+
+def _raise_calls(node, where):
+    """(innermost enclosing function, called name) of each `raise C(...)`
+    under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, ast.FunctionDef) else where
+        if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
+            yield inner, child.exc.func.id
+        yield from _raise_calls(child, inner)
+
+
+def _raised_classes():
+    """(module, function, class) of every `raise C(...)` in frachp; for a
+    helper that builds the error, its return type is the class."""
+    for path in sorted(pathlib.Path(frachp.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"frachp.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for where, name in _raise_calls(tree, "<module>"):
+            called = getattr(module, name, None) or getattr(builtins, name)
+            if not isinstance(called, type):
+                called = typing.get_type_hints(called)["return"]
+            yield path.stem, where, called
+
+
+def test_every_raised_error_is_in_the_hierarchy():
+    seen = set()
+    for module, where, cls in _raised_classes():
+        if not issubclass(cls, Exception):
+            continue  # SystemExit: the CLI's exit status, not an error
+        site = (module, where, cls.__name__)
+        if site in RAISES_OUTSIDE_HIERARCHY:
+            seen.add(site)
+        else:
+            assert issubclass(cls, FracHPError), site
+    assert seen == RAISES_OUTSIDE_HIERARCHY

@@ -15,8 +15,8 @@ from frachp.dynamics import (HamiltonianSystem, LagrangianSystem,
                              legendre_transform, pendulum_lagrangian_system,
                              pendulum_system, polar_metric_system,
                              system_lagrangian)
-from frachp.errors import (BatchShapeError, BoundaryViolation, GridMismatch,
-                           GridReachesSingularity, IndivisibleFactor,
+from frachp.errors import (BatchShapeError, GridMismatch,
+                           GridReachesSingularity, InvalidArgument,
                            NoConvergence, NotApplicable, NotPositiveDefinite,
                            NumericalBlowup)
 from frachp.exprsys import (hamiltonian_from_expression,
@@ -380,7 +380,7 @@ class TestStrongConvergence:
         sys = pendulum_system()
         fields = assemble_hp_fields(sys, CLASSICAL)
         init = initial_state(sys, [1.0], p0=[0.0])
-        with pytest.raises(IndivisibleFactor,
+        with pytest.raises(InvalidArgument,
                            match=rf"t_end = {t_end!r}.*levels = 4"):
             strong_convergence_order(fields, init, CLASSICAL, 2e-4, 4, 1, 0,
                                      t_end=t_end)
@@ -517,7 +517,8 @@ class TestAction:
         traj = integrate(run)
         n1 = traj.grid.n_steps + 1
         bad = (np.ones((n1, 1)), np.zeros((n1, 1)), np.zeros((n1, 1)))
-        with pytest.raises(BoundaryViolation):
+        with pytest.raises(InvalidArgument,
+                           match="^perturbation dq must vanish"):
             action_derivative(traj, sys, REFERENCE, path, bad)
 
 
