@@ -92,12 +92,17 @@ class TestCoarsen:
         b = coarsen(p, 4)
         assert np.array_equal(a.increments, b.increments)
         assert a.h == b.h
-        # Any split of a full collapse sums W(T) bit for bit the same.
+
+    def test_terminal_invariant(self):
+        # W(T) is the full collapse; any coarsening first sums it bit for
+        # bit the same.
         p = generate_path(33, 0.1, 1024, 2)
-        for factor in (2, 4, 8):
-            assert np.array_equal(
-                coarsen(coarsen(p, factor), 1024 // factor).increments,
-                coarsen(p, 1024).increments)
+        terminal = coarsen(p, 1024).increments[0]
+        for factor in (2, 4, 8, 1024):
+            c = coarsen(p, factor)
+            if c.n_steps > 1:
+                c = coarsen(c, c.n_steps)
+            assert np.array_equal(c.increments[0], terminal)
 
     def test_coarse_variance(self):
         h, factor = 0.001, 4
