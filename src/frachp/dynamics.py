@@ -508,10 +508,15 @@ class SdeFields:
     the noise drives (p, or v for a metric system), and for a Lagrangian
     system also v, which its force needs.  q moves by h drift_q and x by
     h drift_p plus diffusion_p @ inc; a Lagrangian step then solves for v
-    at the new q.  The component left out (v = dH/dp, or p = g(q) v) is
-    the one `complete_state` gives, and no step reads it.  damp and coef
-    are damping(s) and noise_scale(s) at the left endpoint s; both take
-    arrays of s, so a caller takes them once over a grid.
+    at the new q.  inc=None stands for increments that are all zero: x
+    moves by h drift_p alone, and the noise matrix is not evaluated.  That
+    gives the bits of zero increments, except where the noise matrix is
+    not finite (zero increments give NaN there) or x + h drift_p is -0.0
+    (the noise term's +0.0 turns it into 0.0).  The component left out
+    (v = dH/dp, or p = g(q) v) is the one `complete_state` gives, and no
+    step reads it.  damp and coef are damping(s) and noise_scale(s) at the
+    left endpoint s; both take arrays of s, so a caller takes them once
+    over a grid.
 
     drift_q(s, q, y) and drift_p(s, q, y), where y is p for the
     Hamiltonian formulation and v for the others, return (..., n), and
@@ -565,9 +570,11 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
             return hp_noise_coefficient(params, s)
 
     def euler(q, y, x, h, damp, coef, inc):
-        return (q + h * velocity(q, y),
-                x + h * force(q, y, damp)
-                + ((coef * noise_matrix(q)) @ inc[..., None])[..., 0])
+        q_new, x_new = q + h * velocity(q, y), x + h * force(q, y, damp)
+        if inc is None:  # no increment drives the step: the noise is 0
+            return q_new, x_new
+        return (q_new,
+                x_new + ((coef * noise_matrix(q)) @ inc[..., None])[..., 0])
 
     if len(form.carried) == 3:  # the step solves for v at the new q
         complete = form.complete

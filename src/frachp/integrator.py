@@ -149,7 +149,10 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     differ.  Each step advances the (P, n) stacks of the components that
     `fields.step` carries on the (P, m) increments of that step; under
     the array contract of `frachp.dynamics`, row i is what run i alone
-    gives, bit for bit.  The fractional coefficients damping(s) and
+    gives, bit for bit.  When no increment of the (N, P, m) table is
+    nonzero, as on `zero_path`, each step gets inc=None and makes the
+    drift-only update without evaluating the noise matrix (see
+    `SdeFields`).  The fractional coefficients damping(s) and
     noise_scale(s) are taken once over the left endpoints of all steps.
     The component no step reads (v = dH/dp, or p = g(q) v) is filled by
     one `complete_state` call over the run's time-major (N+1, P, n)
@@ -181,6 +184,8 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     damp = np.broadcast_to(fields.damping(s), s.shape)
     coef = np.broadcast_to(fields.noise_scale(s), s.shape)
     inc = np.stack([run.path.increments for run in runs], axis=1)  # (N, P, m)
+    if not inc.any():  # no increment drives the batch: drift-only steps
+        inc = [None] * n
     # states[c, k, i] is component c (q, p, v) of path i at step k: time
     # major, so the first failing row is the earliest failing step.
     states = np.empty((3, n + 1, len(runs), fields.system.dim))

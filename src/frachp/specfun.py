@@ -33,18 +33,33 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 def gamma(x: float) -> float:
-    """Euler gamma function for positive real x."""
-    if not x > 0.0:
-        raise InvalidArgument(f"x={x} must be positive")
+    """Euler gamma function for positive finite real x.
+
+    Where gamma(x) overflows a float, past x ~ 171.62 or below x ~ 5.6e-309,
+    InvalidArgument is raised, as it is for x <= 0 and a non-finite x.
+    """
+    if not 0.0 < x < math.inf:
+        raise InvalidArgument(f"x={x} must be positive and finite")
     if x < 0.5:
         # Reflection keeps the Lanczos series in its accurate range.
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
+        value = math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
+    else:
+        z = x - 1.0
+        acc = _LANCZOS_C[0]
+        for i, c in enumerate(_LANCZOS_C[1:], start=1):
+            acc += c / (z + i)
+        t = z + _LANCZOS_G + 0.5
+        try:
+            return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
+        except OverflowError:  # t^(z + 1/2) overflows from x ~ 142.4
+            value = math.inf
+        if x < 172.0:  # the power in two halves, each finite to x ~ 280
+            half = t ** (0.5 * (z + 0.5))
+            value = _SQRT_TWO_PI * half * math.exp(-t) * acc * half
+    if value < math.inf:
+        return value
+    raise InvalidArgument(f"x={x} is out of range: gamma(x) overflows a "
+                          f"float")
 
 
 def power_kernel(t: float, s: float, exponent: float):

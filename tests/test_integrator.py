@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import types
@@ -217,6 +218,10 @@ class TestStepCallBudget:
                     np.full((2, m), 0.01))
         assert calls == {"grad_q": 1, "grad_p": 1,
                          **{f"gamma_grad[{a}]": 1 for a in range(m)}}
+        calls.clear()  # inc=None: the drift-only step
+        fields.step(q, p, 1e-3, fields.damping(0.1), fields.noise_scale(0.1),
+                    None)
+        assert calls == {"grad_q": 1, "grad_p": 1}
 
     @pytest.mark.parametrize("name", ["polar", "polar:custom"])
     def test_metric_closed_forms(self, name):
@@ -238,6 +243,10 @@ class TestStepCallBudget:
         fields.step(q, v, 1e-3, fields.damping(0.1), fields.noise_scale(0.1),
                     np.full((2, 1), 0.01))
         assert calls == {"geodesic": 1, "noise_matrix": 1}
+        calls.clear()  # inc=None: the drift-only step
+        fields.step(q, v, 1e-3, fields.damping(0.1), fields.noise_scale(0.1),
+                    None)
+        assert calls == {"geodesic": 1}
 
 
 class TestIntegrate:
@@ -831,6 +840,35 @@ class TestIntegratePaths:
                 assert np.array_equal(getattr(traj, c),
                                       getattr(alone, c)), (i, c)
 
+    @pytest.mark.parametrize("name", ["pendulum-cos", "pendulum-lagrangian",
+                                      "metric-polar", "metric-custom"])
+    def test_drift_only_run_equals_its_driven_batch_row(self, name):
+        # Alone, a zero path steps with inc=None; next to a generated path
+        # it goes through the noise term on zero increments.
+        runs = self._runs(ACTION_SYSTEMS[name]())
+        zero = dataclasses.replace(runs[0], path=zero_path(
+            runs[0].grid.h, runs[0].grid.n_steps, runs[0].path.channels))
+        alone = integrate(zero)
+        row = integrate_paths([zero, runs[1]])[0]
+        for c in "qvp":
+            assert np.array_equal(getattr(alone, c), getattr(row, c)), c
+
+    def test_zero_paths_never_evaluate_the_noise(self):
+        def no_noise(q):
+            raise AssertionError("noise evaluated on a zero path")
+
+        base = pendulum_system()
+        sys = HamiltonianSystem(1, base.hamiltonian,
+                                NoiseCoupling(base.noise.gamma, (no_noise,)),
+                                grad_q=base.grad_q, grad_p=base.grad_p)
+        runs = self._runs(sys)
+        zero = [dataclasses.replace(run, path=zero_path(1e-3, 200, 1))
+                for run in runs]
+        for traj in integrate_paths(zero):
+            assert np.all(np.isfinite(traj.p))
+        with pytest.raises(AssertionError, match="noise evaluated"):
+            integrate_paths(runs)
+
     def test_runs_must_share_grid_and_fields(self):
         sys = pendulum_system()
         runs = self._runs(sys)
@@ -1121,15 +1159,33 @@ class TestHistoryPins:
                  "717ce209144528d922bdf3f6545ab66f",
     }
 
-    @pytest.mark.parametrize("name", list(HISTORY_SYSTEMS))
-    def test_history_bytes_are_pinned(self, name):
+    # The same runs on zero paths, which step without the noise term.  The
+    # pendulum variants all give the noise-free pendulum's bits.
+    ZERO_PINS = {
+        "lagrangian": "9a8a40fbdd980926e010ca687697fcab"
+                      "717ce209144528d922bdf3f6545ab66f",
+        "hamiltonian:custom": "173ba3e91559ad304e6d11405d8c09f0"
+                              "97e20ffafbeff6d72929a3a108271324",
+        "metric-numeric": "1f47b5d16382f24401d9d18e52378d17"
+                          "52ddde3e190e70ef5b59b1c446014f83",
+        "two-channel": "9a8a40fbdd980926e010ca687697fcab"
+                       "717ce209144528d922bdf3f6545ab66f",
+        "metric:dense-3d": "2de3f25a5da2673e9942417429130c79"
+                           "280a715f5cee3225ea5cfc39e5713a5f",
+        "const": "9a8a40fbdd980926e010ca687697fcab"
+                 "717ce209144528d922bdf3f6545ab66f",
+    }
+
+    @staticmethod
+    def _digest(name, path):
+        """sha256 of the histories of the two runs on path(seed, h, n, m)."""
         import hashlib
         make, q0, p0 = HISTORY_SYSTEMS[name]
         sys = make()
         h, n = 1e-4, 1000
         fields = assemble_hp_fields(sys, REFERENCE)
         grid = make_grid(0.0, h, n, REFERENCE)
-        runs = [EulerRun(fields, grid, generate_path(seed, h, n, sys.noise.m),
+        runs = [EulerRun(fields, grid, path(seed, h, n, sys.noise.m),
                          initial_state(sys, np.array(q0) * scale, p0),
                          REFERENCE)
                 for seed, scale in ((11, 1.0), (12, 1.1))]
@@ -1137,7 +1193,16 @@ class TestHistoryPins:
         for traj in integrate_paths(runs):
             for c in "qpv":
                 digest.update(np.ascontiguousarray(getattr(traj, c)).tobytes())
-        assert digest.hexdigest() == self.PINS[name]
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("name", list(HISTORY_SYSTEMS))
+    def test_history_bytes_are_pinned(self, name):
+        assert self._digest(name, generate_path) == self.PINS[name]
+
+    @pytest.mark.parametrize("name", list(HISTORY_SYSTEMS))
+    def test_zero_path_history_bytes_are_pinned(self, name):
+        digest = self._digest(name, lambda seed, h, n, m: zero_path(h, n, m))
+        assert digest == self.ZERO_PINS[name]
 
 
 class TestStationarity:
@@ -1151,6 +1216,14 @@ class TestStationarity:
                                            n_perturbations=10, seed=7)
         assert ratios[5e-4] <= 5e-3
         assert ratios[2.5e-4] < ratios[5e-4]
+
+    def test_reference_action_ratio_is_pinned(self):
+        # The action-check run of the reference config, seed 1.
+        h, n = 1e-4, 7000
+        sys, _, run = pendulum_run(REFERENCE, h, n, gamma="const")
+        ratio = stationarity_ratio(integrate(run), sys, REFERENCE, run.path,
+                                   n_perturbations=20, seed=1)
+        assert repr(ratio) == "5.696714766578736e-05"
 
     def test_frozen_trajectory_is_not_critical(self):
         h, n = 5e-4, 1400

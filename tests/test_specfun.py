@@ -38,6 +38,31 @@ class TestGamma:
         with pytest.raises(InvalidArgument, match="^x=-1.3 "):
             gamma(-1.3)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite(self, x):
+        with pytest.raises(InvalidArgument, match=f"^x={x} "):
+            gamma(x)
+
+    def test_large_arguments_match_math_gamma(self):
+        # t^(z + 1/2) overflows from x ~ 142.4; gamma(x) only at ~171.62.
+        for x in [142.0, 142.5, 150.0, *np.linspace(143.0, 171.6, 60)]:
+            assert gamma(float(x)) == pytest.approx(math.gamma(float(x)),
+                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("x", [171.7, 200.0, 1e300, 5e-309, 5e-324])
+    def test_overflow_names_x(self, x):
+        with pytest.raises(InvalidArgument, match="overflows") as exc:
+            gamma(x)
+        assert str(exc.value).startswith(f"x={x} ")
+
+    def test_bits_below_the_overflow_are_pinned(self):
+        # The bits of the unsplit Lanczos formula, which the package's
+        # orders in (0, 1] take.
+        pins = {0.3: "2.9915689876875904", 0.6: "1.489192248812818",
+                1.0: "0.9999999999999998", 7.5: "1871.2543057977916",
+                142.0: "1.8981437590760007e+243"}
+        assert {x: repr(gamma(x)) for x in pins} == pins
+
     @given(st.floats(min_value=0.1, max_value=9.0))
     def test_recurrence(self, x):
         assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-11)
