@@ -433,7 +433,7 @@ def _christoffel(g_inv, dg) -> np.ndarray:
 # Formulations
 # ---------------------------------------------------------------------------
 
-def _second(q, x):  # velocity where y = v, and from_p where x = p
+def _second(q, x):  # y_of, velocity or from_p where it returns x
     return x
 
 
@@ -443,13 +443,15 @@ def _unchecked(q):  # the one-off fields' check of a system without g
 
 @dataclass(frozen=True)
 class _Formulation:
-    """The rules of one system type: the components `SdeFields.step`
-    carries, the velocity(q, y), force(q, y, damp) and noise_matrix(q) it
-    is built from (y is p for a Hamiltonian system, else v), the
-    completion (q, x) -> (v, p) of `complete_state`, the one-off fields'
-    check(q) of g, and from_p(q, p), the x of a state of momentum p."""
+    """The rules of one system type: the components (q, x) `SdeFields.step`
+    carries, x being the variable the noise drives; y_of(q, x), the y that
+    velocity(q, y) and force(q, y, damp) read (p for a Hamiltonian system,
+    else v, which a Lagrangian one solves for from p); noise_matrix(q); the
+    completion (q, x) -> (v, p) of `complete_state`; the one-off fields'
+    check(q) of g; and from_p(q, p), the x of a state of momentum p."""
 
     carried: str
+    y_of: Callable
     velocity: Callable
     force: Callable
     noise_matrix: Callable
@@ -467,8 +469,9 @@ def _formulation(sys: SystemSpec) -> _Formulation:
         def complete(q, p):
             return np.asarray(sys.grad_p(q, p), dtype=float), p
 
-        return _Formulation("qp", sys.grad_p, force, sys.noise.grad_matrix,
-                            complete, _unchecked, _second)
+        return _Formulation("qp", _second, sys.grad_p, force,
+                            sys.noise.grad_matrix, complete, _unchecked,
+                            _second)
     if isinstance(sys, LagrangianSystem):
         def force(q, v, damp):
             base = np.asarray(sys.grad_q(q, v), dtype=float)
@@ -477,8 +480,9 @@ def _formulation(sys: SystemSpec) -> _Formulation:
         def complete(q, p):
             return invert_legendre(sys, q, p), p
 
-        return _Formulation("qpv", _second, force, sys.noise.grad_matrix,
-                            complete, _unchecked, _second)
+        return _Formulation("qp", partial(invert_legendre, sys), _second,
+                            force, sys.noise.grad_matrix, complete,
+                            _unchecked, _second)
     if isinstance(sys, MetricSystem):
         def force(q, v, damp):
             return sys.geodesic(q, v) - damp * v
@@ -489,8 +493,8 @@ def _formulation(sys: SystemSpec) -> _Formulation:
         def from_p(q, p):
             return np.linalg.solve(sys.metric_at(q), p)
 
-        return _Formulation("qv", _second, force, sys.noise_matrix, complete,
-                            sys.metric_at, from_p)
+        return _Formulation("qv", _second, _second, force, sys.noise_matrix,
+                            complete, sys.metric_at, from_p)
     raise TypeError(f"unsupported system type {type(sys)!r}")
 
 
@@ -502,19 +506,19 @@ def _formulation(sys: SystemSpec) -> _Formulation:
 class SdeFields:
     """Assembled Ito-form right-hand sides for one system and parameter set.
 
-    step(*state, h, damp, coef, inc) is one explicit Euler step from float
-    arrays (..., n) on increments (..., m).  Its state is what the next
-    step reads, the components named by `carried`: q and x, the variable
-    the noise drives (p, or v for a metric system), and for a Lagrangian
-    system also v, which its force needs.  q moves by h drift_q and x by
-    h drift_p plus diffusion_p @ inc; a Lagrangian step then solves for v
-    at the new q.  inc=None stands for increments that are all zero: x
-    moves by h drift_p alone, and the noise matrix is not evaluated.  That
-    gives the bits of zero increments, except where the noise matrix is
-    not finite (zero increments give NaN there) or x + h drift_p is -0.0
-    (the noise term's +0.0 turns it into 0.0).  The component left out
-    (v = dH/dp, or p = g(q) v) is the one `complete_state` gives, and no
-    step reads it.  damp and coef are damping(s) and noise_scale(s) at the
+    step(q, x, h, damp, coef, inc) is one explicit Euler step from float
+    arrays (..., n) on increments (..., m), returning the new (q, x): x is
+    the variable the noise drives, p, or v for a metric system, and
+    `carried` names the two.  The step reads y = y_of(q, x) of the
+    formulation record (x itself, or for a Lagrangian system the v that
+    solves dL/dv(q, v) = p); q moves by h drift_q and x by h drift_p plus
+    diffusion_p @ inc.  inc=None stands for increments that are all zero:
+    x moves by h drift_p alone, and the noise matrix is not evaluated.
+    That gives the bits of zero increments, except where the noise matrix
+    is not finite (zero increments give NaN there) or x + h drift_p is
+    -0.0 (the noise term's +0.0 turns it into 0.0).  The other component
+    (v, or p = g(q) v) is the one `complete_state` gives, and no step
+    reads it.  damp and coef are damping(s) and noise_scale(s) at the
     left endpoint s; both take arrays of s, so a caller takes them once
     over a grid.
 
@@ -555,13 +559,18 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
 
     eq15_literal switches the metric-velocity noise coefficient to the
     printed variant Gamma(beta)/Gamma(alpha) (t-s)^(beta-1) instead of the
-    one obtained from the Hamiltonian form through the Legendre map; the
-    other formulations ignore it.
+    one obtained from the Hamiltonian form through the Legendre map; for
+    another system it raises InvalidArgument.
     """
     form, damping = _formulation(sys), partial(_alpha_drift_factor, params)
-    velocity, force, check = form.velocity, form.force, form.check
-    noise_matrix = form.noise_matrix
-    if eq15_literal and form.carried == "qv":  # the metric-velocity form
+    y_of, velocity, force = form.y_of, form.velocity, form.force
+    noise_matrix, check = form.noise_matrix, form.check
+    if eq15_literal:
+        if form.carried != "qv":  # not the metric-velocity form
+            raise InvalidArgument(
+                f"eq15_literal=True applies to a MetricSystem only, not to "
+                f"a {type(sys).__name__}")
+
         def noise_scale(s):
             return (gamma(params.beta) / gamma(params.alpha)
                     * power_kernel(params.t_eval, s, params.beta - 1.0))
@@ -569,22 +578,13 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
         def noise_scale(s):
             return hp_noise_coefficient(params, s)
 
-    def euler(q, y, x, h, damp, coef, inc):
+    def step(q, x, h, damp, coef, inc):
+        y = y_of(q, x)
         q_new, x_new = q + h * velocity(q, y), x + h * force(q, y, damp)
         if inc is None:  # no increment drives the step: the noise is 0
             return q_new, x_new
         return (q_new,
                 x_new + ((coef * noise_matrix(q)) @ inc[..., None])[..., 0])
-
-    if len(form.carried) == 3:  # the step solves for v at the new q
-        complete = form.complete
-
-        def step(q, p, v, h, damp, coef, inc):
-            q, p = euler(q, v, p, h, damp, coef, inc)
-            return q, p, complete(q, p)[0]
-    else:
-        def step(q, x, h, damp, coef, inc):
-            return euler(q, x, x, h, damp, coef, inc)
 
     def drift_p(s, q, y):
         check(q)

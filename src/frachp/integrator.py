@@ -115,11 +115,8 @@ def _complete_history(states: np.ndarray, fields: SdeFields, last: int,
     step-by-step run would, and the first failing row raises its error
     (or a blow-up of a completed row before it, NumericalBlowup).
     """
-    carried = fields.carried
-    if len(carried) == 3:
-        return
-    x = states["qpv".index(carried[1])]
-    missing = "pv".replace(carried[1], "")
+    x = states["qpv".index(fields.carried[1])]
+    missing = "pv".replace(fields.carried[1], "")
     out = states["qpv".index(missing)]
 
     def complete(rows):
@@ -146,17 +143,17 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
 
     The runs must share their grid and fields (and so their params), or
     GridMismatch is raised; their initial states and Wiener paths may
-    differ.  Each step advances the (P, n) stacks of the components that
-    `fields.step` carries on the (P, m) increments of that step; under
-    the array contract of `frachp.dynamics`, row i is what run i alone
-    gives, bit for bit.  When no increment of the (N, P, m) table is
-    nonzero, as on `zero_path`, each step gets inc=None and makes the
-    drift-only update without evaluating the noise matrix (see
+    differ.  Each step advances the (P, n) stacks of q and x, the
+    components `fields.step` carries, on the (P, m) increments of that
+    step; under the array contract of `frachp.dynamics`, row i is what
+    run i alone gives, bit for bit.  When no increment of the (N, P, m)
+    table is nonzero, as on `zero_path`, each step gets inc=None and makes
+    the drift-only update without evaluating the noise matrix (see
     `SdeFields`).  The fractional coefficients damping(s) and
     noise_scale(s) are taken once over the left endpoints of all steps.
-    The component no step reads (v = dH/dp, or p = g(q) v) is filled by
-    one `complete_state` call over the run's time-major (N+1, P, n)
-    history, which for a metric system also checks g at every q visited.
+    The component no step carries (v, or p = g(q) v) is filled by one
+    `complete_state` call over the run's time-major (N+1, P, n) history,
+    which for a metric system also checks g at every q visited.
 
     The loop runs with numpy floating-point warnings off and tests for a
     blow-up once every _BLOWUP_BLOCK steps; the error is still the one of
@@ -193,9 +190,9 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
                     for c in "qpv"]
     stepped = [states["qpv".index(c)] for c in fields.carried]
     state = tuple(a[0] for a in stepped)
-    # Rows 1..end hold the stepped components; bad is the first of them
-    # that is not finite or huge.
-    end, failure, bad = n, None, None
+    # Rows 1..last are completed: all of them, or those up to the first
+    # stepped row that is not finite or huge, or up to a failed step.
+    last, failure = n, None
     with np.errstate(all="ignore"):
         for start in range(0, n, _BLOWUP_BLOCK):
             block, rows = slice(start, start + _BLOWUP_BLOCK), []
@@ -204,7 +201,9 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
                     state = fields.step(*state, h, d, c, dw)
                 except Exception as exc:
                     # Raised below unless an earlier row failed, since a
-                    # step from a row past a failure may raise anything.
+                    # step from a row past a failure may raise anything; a
+                    # failed Legendre solve at the step's own row is named
+                    # when that row, the last, is completed.
                     failure = exc
                     break
                 rows.append(state)
@@ -213,15 +212,12 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
                 a[start + 1:stop + 1] = col
             bad = _first_bad_row(stepped, start + 1, stop)
             if failure is not None or bad is not None:
-                end = stop
+                last = stop if bad is None else bad
                 break
-        last = end if bad is None else bad
         _complete_history(states, fields, last, grid, batch)
     bad = _first_bad_row(states, 1, last)
     if bad is not None:
         raise _blowup(states, bad, grid, batch)
-    if isinstance(failure, SampleError):
-        raise _at_step(failure, end + 1, grid, batch) from None
     if failure is not None:
         raise failure
     states.setflags(write=False)

@@ -451,6 +451,15 @@ def test_metric_not_positive_definite_at_q0(tmp_path, capsys, metric):
                        r"definite at q=\[1\. 0\.\]$")
 
 
+def test_eq15_literal_rejected_for_pendulum(tmp_path, capsys):
+    # The key names a metric-velocity coefficient: a pendulum run rejects
+    # it before writing a manifest that records it.
+    assert_cli_rejects(tmp_path, capsys, "simulate",
+                       REFERENCE_TEXT + "eq15_literal = true\n",
+                       r"^frachp simulate: error: eq15_literal=True applies "
+                       r"to a MetricSystem only, not to a HamiltonianSystem$")
+
+
 class TestConvergenceCommand:
     def test_slope_and_csv(self, tmp_path, capsys):
         cfg_path, _ = small_config(
@@ -523,6 +532,16 @@ class TestActionCheckCommand:
         assert main(["action-check", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert "not gated" in out and "mean |dA|" in out
+
+    def test_noisy_runs_every_path(self, tmp_path, capsys):
+        # The noisy branch runs the n_paths that its manifest records, past
+        # 100 as well.
+        cfg_path, _ = small_config(tmp_path, gamma="cos", n_paths=101,
+                                   n_steps=4)
+        assert main(["action-check", "--config", str(cfg_path)]) == 0
+        assert "(noisy, 101 paths)" in capsys.readouterr().out
+        assert "n_paths = 101" in \
+            (tmp_path / "out" / "run_manifest").read_text()
 
 
 class TestVolterraCommand:

@@ -10,8 +10,8 @@ from frachp.dynamics import (HamiltonianSystem, LagrangianSystem,
                              legendre_transform, pendulum_lagrangian_system,
                              pendulum_system, polar_metric_system,
                              system_lagrangian)
-from frachp.errors import (NoConvergence, NotPositiveDefinite,
-                           SingularHessian)
+from frachp.errors import (InvalidArgument, NoConvergence,
+                           NotPositiveDefinite, SingularHessian)
 from frachp.specfun import gamma, hp_noise_coefficient
 
 from ._reference import metric_fields_reference
@@ -462,6 +462,17 @@ class TestAssembly:
         # drift is unchanged by the switch
         v = np.array([0.3, -0.4])
         assert np.allclose(lit.drift_p(s, q, v), std.drift_p(s, q, v))
+
+    @pytest.mark.parametrize("make", [pendulum_system,
+                                      pendulum_lagrangian_system],
+                             ids=["hamiltonian", "lagrangian"])
+    def test_eq15_literal_needs_a_metric_system(self, make):
+        # The printed coefficient belongs to the metric-velocity form, so
+        # another system rejects the switch rather than ignoring it.
+        with pytest.raises(InvalidArgument,
+                           match=r"^eq15_literal=True applies to a "
+                                 r"MetricSystem only"):
+            assemble_hp_fields(make(), self.params, eq15_literal=True)
 
 
 class TestNoiseCouplingChecks:

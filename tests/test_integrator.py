@@ -56,16 +56,13 @@ def falling_pendulum(k):
 
 
 def step_at(fields, s, q, v, p, h, inc):
-    """fields.step at time s from (q, v, p), completed by complete_state
-    where the step does not carry v or p, as a PhaseState."""
+    """fields.step at time s from (q, v, p), completed by complete_state,
+    as a PhaseState."""
     state = {"q": q, "v": v, "p": p}
-    out = dict(zip(fields.carried, fields.step(
-        *(state[c] for c in fields.carried), h, fields.damping(s),
-        fields.noise_scale(s), np.asarray(inc))))
-    if len(out) == 2:
-        x = fields.carried[1]
-        out["v"], out["p"] = complete_state(fields.system, out["q"], out[x])
-    return PhaseState(out["q"], out["v"], out["p"])
+    q, x = fields.step(*(state[c] for c in fields.carried), h,
+                       fields.damping(s), fields.noise_scale(s),
+                       np.asarray(inc))
+    return PhaseState(q, *complete_state(fields.system, q, x))
 
 
 def drift_only_fields(drift):
@@ -111,8 +108,8 @@ class TestEulerStep:
     @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
     @pytest.mark.parametrize("case", list(STEP_CASES))
     def test_step_is_the_euler_formula_bitwise(self, case, stack):
-        # step carries q and x, and v for a Lagrangian system, solved at
-        # the new q as complete_state solves it.
+        # step carries q and x; a Lagrangian system solves for its v at q
+        # as complete_state solves it.
         make, literal, q0, x0, (y_name, x_name) = STEP_CASES[case]
         sys = make()
         fields = assemble_hp_fields(sys, REFERENCE, eq15_literal=literal)
@@ -131,7 +128,7 @@ class TestEulerStep:
                  + (fields.diffusion_p(s, q) @ inc[..., None])[..., 0])
         v_new, p_new = complete_state(sys, q_new, x_new)
         new = {"q": q_new, "v": v_new, "p": p_new}
-        assert fields.carried == {"pp": "qp", "vp": "qpv",
+        assert fields.carried == {"pp": "qp", "vp": "qp",
                                   "vv": "qv"}[y_name + x_name]
         state = {"q": q, "v": v, "p": p}
         got = fields.step(*(state[c] for c in fields.carried), h, damp, coef,
@@ -1085,9 +1082,11 @@ class TestIntegratePaths:
         assert [a.tolist() for a in exc.value.last_state] == [
             [0.001000000000001], [-999.9999999989999], [-1.0]]
 
-    def test_failed_legendre_names_path_and_step(self):
+    @pytest.mark.parametrize("n", [100, 26])
+    def test_failed_legendre_names_path_and_step(self, n):
         # L = v^2/2 - v^3/3 + q: p grows as s, and dL/dv = v - v^2 has no
         # root v once p passes 1/4; path 1 gets there, path 0 stays below.
+        # At n = 26 the failing row is the last, which no step reads.
         sys = LagrangianSystem(
             1, lambda q, v: 0.5 * v[..., 0] ** 2 - v[..., 0] ** 3 / 3.0
             + q[..., 0], NoiseCoupling.constant([1.0]),
@@ -1095,14 +1094,15 @@ class TestIntegratePaths:
             grad_v=lambda q, v: v - v ** 2,
             v_hessian=lambda q, v: (1.0 - 2.0 * v)[..., None])
         fields = assemble_hp_fields(sys, CLASSICAL)
-        grid = make_grid(0.0, 1e-2, 100, CLASSICAL)
-        runs = [EulerRun(fields, grid, zero_path(1e-2, 100, 1),
+        grid = make_grid(0.0, 1e-2, n, CLASSICAL)
+        runs = [EulerRun(fields, grid, zero_path(1e-2, n, 1),
                          initial_state(sys, [0.0], p0=[p0]), CLASSICAL)
                 for p0 in (-1.0, 0.0)]
         with pytest.raises(NoConvergence) as alone:
             integrate(runs[1])
         step = re.search(r"at step (\d+) \(s = ", str(alone.value))
         assert step and "path" not in str(alone.value)
+        assert step[1] == "26"  # the last row when n = 26
         with pytest.raises(NoConvergence,
                            match=rf"at step {step[1]} \(s = .*\) on path 1$"
                            ) as exc:
