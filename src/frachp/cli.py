@@ -20,7 +20,7 @@ from .config import RunConfig, config_lines, parse_config
 from .core import FractionalParams, TimeGrid, Trajectory, make_grid
 from .dynamics import (assemble_hp_fields, pendulum_system,
                        polar_metric_system)
-from .errors import ConfigError, FracHPError, ParseError
+from .errors import ConfigError, FracHPError
 from .fracint import VolterraCoefficients, volterra_paths
 from .integrator import (EulerRun, initial_state, integrate,
                          integrate_paths, stationarity_ratio,
@@ -32,26 +32,21 @@ STATIONARITY_GATE = 1e-3
 
 
 def build_system(cfg: RunConfig):
+    """The system `cfg.system` names; RunConfig has checked the name and
+    that a custom system has its expression."""
     if cfg.system == "pendulum":
         return pendulum_system(gamma_coupling=cfg.gamma)
     if cfg.system == "metric:polar":
         return polar_metric_system(gamma_coupling=cfg.gamma)
+    gammas = list(cfg.gamma_expr) or ["cos(q1)"]
     if cfg.system == "hamiltonian:custom":
         from .exprsys import hamiltonian_from_expression
-        if not cfg.hamiltonian_expr:
-            raise ParseError("hamiltonian:custom needs hamiltonian_expr")
-        gammas = list(cfg.gamma_expr) or ["cos(q1)"]
         return hamiltonian_from_expression(cfg.hamiltonian_expr, gammas,
                                            cfg.dim)
-    if cfg.system == "metric:custom":
-        from .exprsys import metric_from_expressions
-        if not cfg.metric_expr:
-            raise ParseError("metric:custom needs metric_expr")
-        rows = [[e.strip() for e in row.split(",")]
-                for row in cfg.metric_expr.split(";")]
-        gammas = list(cfg.gamma_expr) or ["cos(q1)"]
-        return metric_from_expressions(rows, gammas, cfg.dim)
-    raise ParseError(f"unknown system {cfg.system!r}")
+    from .exprsys import metric_from_expressions
+    rows = [[e.strip() for e in row.split(",")]
+            for row in cfg.metric_expr.split(";")]
+    return metric_from_expressions(rows, gammas, cfg.dim)
 
 
 def _initial_state(cfg: RunConfig, system):

@@ -9,7 +9,12 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .errors import MissingKey, ParseError, UnknownKey
+from .core import FractionalParams, TimeGrid
+from .errors import InvalidArgument, MissingKey, ParseError, UnknownKey
+from .fracint import VolterraCoefficients
+
+# The `system` names `cli.build_system` builds.
+_SYSTEMS = ("pendulum", "metric:polar", "hamiltonian:custom", "metric:custom")
 
 
 def _parse_bool(text: str) -> bool:
@@ -64,21 +69,22 @@ class RunConfig:
             floats = {float: (v,), tuple[float, ...]: v}.get(f.type, ())
             if not all(map(math.isfinite, floats)):
                 raise ParseError(f"{f.name}={v} must be finite")
-        # Every check is written so that NaN fails it.
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not (0.0 < v <= 1.0):
-                raise ParseError(f"{name}={v} outside (0, 1]")
-        for name in ("t_eval", "h", "t_end", "x0"):
-            v = getattr(self, name)
-            if not v > 0.0:
-                raise ParseError(f"{name}={v} must be positive")
-        for name in ("mu", "sigma"):
-            v = getattr(self, name)
-            if not v >= 0.0:
-                raise ParseError(f"{name}={v} must be nonnegative")
-        if self.n_steps < 1:
-            raise ParseError(f"n_steps={self.n_steps} must be >= 1")
+        # The library types own the range rules of the values they hold.
+        try:
+            FractionalParams(self.alpha, self.beta, self.t_eval)
+            TimeGrid(0.0, self.h, self.n_steps)
+            VolterraCoefficients(self.mu, self.sigma, self.x0)
+        except InvalidArgument as exc:
+            raise ParseError(str(exc)) from None
+        if self.system not in _SYSTEMS:
+            raise ParseError(f"unknown system {self.system!r}")
+        for system, key in (("hamiltonian:custom", "hamiltonian_expr"),
+                            ("metric:custom", "metric_expr")):
+            if self.system == system and not getattr(self, key):
+                raise ParseError(f"{system} needs {key}")
+        # Keys that no library type holds.
+        if not self.t_end > 0.0:
+            raise ParseError(f"t_end={self.t_end} must be positive")
         if self.n_paths < 1:
             raise ParseError(f"n_paths={self.n_paths} must be >= 1")
         if self.dim < 1:

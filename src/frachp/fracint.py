@@ -16,8 +16,9 @@ O(P N log^2 N) for P paths of N steps.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -92,45 +93,24 @@ def fractional_wiener_integral(g: SampledFunction, beta: float, t: float,
     return float(total / gamma((beta + 1.0) / 2.0))
 
 
-CoefficientLike = Callable[[float], float] | Sequence[float] | float
-
-
-def _grid_samples(c: CoefficientLike, grid: TimeGrid) -> np.ndarray:
-    """Values at the grid points of a callable, a constant, or grid samples."""
-    if callable(c):
-        return np.array([c(s) for s in grid.points])
-    if np.isscalar(c):
-        return np.full(grid.n_steps + 1, float(c))
-    vals = np.asarray(c, dtype=float)
-    if vals.shape != (grid.n_steps + 1,):
-        raise GridMismatch("coefficient samples do not match the grid")
-    return vals
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VolterraCoefficients:
-    """Coefficients of the fractional Black-Scholes Volterra equation:
-    x0 > 0 and, at every grid point, mu, sigma >= 0, all finite."""
+    """Constant coefficients of the fractional Black-Scholes Volterra
+    equation: mu, sigma >= 0 and x0 > 0, each a finite real number."""
 
-    mu: CoefficientLike
-    sigma: CoefficientLike
+    mu: float
+    sigma: float
     x0: float
 
     def __post_init__(self):
-        if not 0.0 < self.x0 < np.inf:
-            raise InvalidArgument(f"x0={self.x0} must be positive and finite")
-
-    def sampled(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        mu = _grid_samples(self.mu, grid)
-        sg = _grid_samples(self.sigma, grid)
-        for name, vals in (("mu", mu), ("sigma", sg)):
-            bad = ~((vals >= 0.0) & (vals < np.inf))
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise InvalidArgument(
-                    f"{name}={vals[k]} at s = {grid.point(k)} must be "
-                    f"nonnegative and finite")
-        return mu, sg
+        for name, sign in (("mu", "nonnegative"), ("sigma", "nonnegative"),
+                           ("x0", "positive")):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real):  # a callable, an array
+                raise InvalidArgument(f"{name}={v!r} must be a real number")
+            if not (math.isfinite(v)
+                    and (v > 0.0 if sign == "positive" else v >= 0.0)):
+                raise InvalidArgument(f"{name}={v} must be {sign} and finite")
 
 
 def volterra_paths(coeffs: VolterraCoefficients, beta: float, grid: TimeGrid,
@@ -139,7 +119,7 @@ def volterra_paths(coeffs: VolterraCoefficients, beta: float, grid: TimeGrid,
 
     increments has shape (n_paths, N); returns X of shape (n_paths, N+1),
 
-        X_m = x0 + sum_{j<m} X_j (mu_j a_{m-1-j} + sigma_j dW_j b_{m-1-j}),
+        X_m = x0 + sum_{j<m} X_j (mu a_{m-1-j} + sigma dW_j b_{m-1-j}),
 
     where a_d = w_d / Gamma(beta) and b_d = sqrt(w_d / h) / Gamma((beta+1)/2)
     come from the exact kernel integral w_d of a step at lag d.  On the
@@ -156,49 +136,48 @@ def volterra_paths(coeffs: VolterraCoefficients, beta: float, grid: TimeGrid,
     inc = np.atleast_2d(np.asarray(increments, dtype=float))
     if inc.shape[1] != grid.n_steps:
         raise GridMismatch("increment table does not match the grid")
-    mu, sg = coeffs.sampled(grid)
+    mu, sigma = coeffs.mu, coeffs.sigma
     n = grid.n_steps
     w = step_weights(grid.t_end, grid.points, beta)
     # Weights by time, as the direct loop reads them: step j before
     # target m has weight index n - m + j.
     wd = w / gamma(beta)
     ws = np.sqrt(w / grid.h) / gamma((beta + 1.0) / 2.0)
+    a, b = mu * wd, sigma * ws
 
     x = np.full((inc.shape[0], n + 1), float(coeffs.x0))
     spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for lo in range(0, n + 1, _BLOCK):
         end = min(lo + _BLOCK, n + 1)
-        _solve_block(x, inc, mu, sg, wd, ws, lo, end)
+        _solve_block(x, inc, a, b, lo, end)
         if end <= n:
             runs = end // _BLOCK
             span = _BLOCK * (runs & -runs)  # the aligned run ending here
-            _fold_history(x, inc, mu, sg, wd, ws, spectra, end, span,
+            _fold_history(x, inc, mu, sigma, wd, ws, spectra, end, span,
                           min(span, n + 1 - end))
     return x
 
 
-def _solve_block(x: np.ndarray, inc: np.ndarray, mu: np.ndarray,
-                 sg: np.ndarray, wd: np.ndarray, ws: np.ndarray,
-                 lo: int, end: int) -> None:
+def _solve_block(x: np.ndarray, inc: np.ndarray, a: np.ndarray,
+                 b: np.ndarray, lo: int, end: int) -> None:
     """Finish X at the points [lo, end), whose history before lo is in X.
 
     Target m adds the steps [lo, m) of its own block by two dot products
-    over contiguous weight slices.
+    over contiguous slices of the weight rows a = mu wd and b = sigma ws.
     """
     n = inc.shape[1]
     x_inc = np.empty((x.shape[0], end - lo))   # X_j dW_j of the block
     for m in range(lo, end):
         if m > lo:
             k = slice(n - m + lo, n)
-            x[:, m] += (x[:, lo:m] @ (mu[lo:m] * wd[k])
-                        + x_inc[:, :m - lo] @ (sg[lo:m] * ws[k]))
+            x[:, m] += x[:, lo:m] @ a[k] + x_inc[:, :m - lo] @ b[k]
         if m < n:
             x_inc[:, m - lo] = x[:, m] * inc[:, m]
 
 
-def _fold_history(x: np.ndarray, inc: np.ndarray, mu: np.ndarray,
-                  sg: np.ndarray, wd: np.ndarray, ws: np.ndarray,
-                  spectra: dict, start: int, span: int, count: int) -> None:
+def _fold_history(x: np.ndarray, inc: np.ndarray, mu: float, sigma: float,
+                  wd: np.ndarray, ws: np.ndarray, spectra: dict,
+                  start: int, span: int, count: int) -> None:
     """Add the steps [start - span, start) to X at [start, start + count).
 
     The lags run from 0 to span + count - 2, so a cyclic convolution of any
@@ -216,9 +195,9 @@ def _fold_history(x: np.ndarray, inc: np.ndarray, mu: np.ndarray,
     rows = max(1, _FFT_ELEMENTS // size)
     for r in range(0, x.shape[0], rows):
         xs = x[r:r + rows, src]
-        f = np.fft.rfft(xs * mu[src], size)
+        f = np.fft.rfft(xs * mu, size)
         f *= f_drift
-        f += np.fft.rfft(xs * inc[r:r + rows, src] * sg[src], size) * f_noise
+        f += np.fft.rfft(xs * inc[r:r + rows, src] * sigma, size) * f_noise
         x[r:r + rows, start:start + count] += np.fft.irfft(f, size)[
             :, span - 1:span - 1 + count]
 

@@ -84,7 +84,8 @@ def volterra_reference(coeffs, beta, grid, increments):
     vector taken at t_end.
     """
     inc = np.atleast_2d(np.asarray(increments, dtype=float))
-    mu, sg = coeffs.sampled(grid)
+    mu = np.full(grid.n_steps + 1, coeffs.mu)
+    sg = np.full(grid.n_steps + 1, coeffs.sigma)
     s = grid.points
     h = grid.h
     g_beta = gamma(beta)

@@ -143,6 +143,39 @@ class TestParseConfig:
         assert again == cfg
 
 
+@pytest.mark.parametrize("command", ["volterra", "simulate"])
+@pytest.mark.parametrize("line", [
+    "alpha = 1.5", "beta = 0", "t_eval = -0.8", "h = -0.001", "n_steps = 0",
+    "x0 = 0", "mu = -0.1", "sigma = -0.2", "t_end = 0", "n_paths = 0",
+    "gamma = sin",
+])
+def test_config_rule_names_key(tmp_path, capsys, command, line):
+    # Each range rule has one owner, the library type that holds the value
+    # (FractionalParams, TimeGrid, VolterraCoefficients) or RunConfig for
+    # a key no type holds; every command rejects the value before output.
+    key = line.split(" = ")[0]
+    text = "\n".join(row for row in REFERENCE_TEXT.splitlines()
+                     if not row.startswith(f"{key} ")) + f"\n{line}\n"
+    assert_cli_rejects(tmp_path, capsys, command, text,
+                       rf"^frachp {command}: error: {key}=")
+
+
+@pytest.mark.parametrize("command", ["volterra", "simulate"])
+@pytest.mark.parametrize("system, match", [
+    ("nonsense", r"unknown system 'nonsense'"),
+    ("hamiltonian:custom", r"hamiltonian:custom needs hamiltonian_expr"),
+    ("metric:custom", r"metric:custom needs metric_expr"),
+], ids=["unknown", "hamiltonian-no-expr", "metric-no-expr"])
+def test_system_rule_applies_to_every_command(tmp_path, capsys, command,
+                                              system, match):
+    # volterra builds no system, yet records `system` in its manifest.
+    text = REFERENCE_TEXT.replace("system = pendulum", f"system = {system}")
+    with pytest.raises(ParseError, match=f"^{match}$"):
+        parse_config(text)
+    assert_cli_rejects(tmp_path, capsys, command, text,
+                       rf"^frachp {command}: error: {match}$")
+
+
 _KEYS = [f.name for f in dataclasses.fields(RunConfig)]
 _VALUES = st.one_of(
     st.sampled_from(["0.5", "1", "0", "-1", "7000", "nan", "inf", "1e400",

@@ -158,8 +158,6 @@ ARRAY_HOLDERS = {
     "EulerRun": _euler_run,
     "SampledFunction": lambda: SampledFunction(TimeGrid(0.0, 0.1, 2),
                                                [1.0, 2.0, 3.0]),
-    "VolterraCoefficients": lambda: VolterraCoefficients(
-        mu=np.full(3, 0.1), sigma=np.full(3, 0.2), x0=1.0),
 }
 
 
@@ -181,11 +179,6 @@ def _ones():
 def _wiener(beta=0.5, t=1.0, channel=0):
     return fractional_wiener_integral(_ones(), beta, t,
                                       generate_path(1, 0.1, 5, 2), channel)
-
-
-def _volterra(mu=0.1, sigma=0.2):
-    coeffs = VolterraCoefficients(mu=mu, sigma=sigma, x0=1.0)
-    return coeffs.sampled(TimeGrid(0.0, 0.1, 2))
 
 
 def _stationarity(n_perturbations):
@@ -220,10 +213,14 @@ INVALID_ARGUMENTS = {
     "x0": (lambda: VolterraCoefficients(mu=0.0, sigma=0.0, x0=-1.0), "x0"),
     "x0=inf": (lambda: VolterraCoefficients(mu=0.0, sigma=0.0, x0=np.inf),
                "x0"),
-    "mu negative": (lambda: _volterra(mu=lambda s: -1.0), "mu"),
-    "mu nan sample": (lambda: _volterra(mu=[0.1, np.nan, 0.1]), "mu"),
-    "sigma=inf": (lambda: _volterra(sigma=np.inf), "sigma"),
-    "sigma=nan": (lambda: _volterra(sigma=np.nan), "sigma"),
+    "mu negative": (lambda: VolterraCoefficients(mu=-1.0, sigma=0.2, x0=1.0),
+                    "mu"),
+    "mu=nan": (lambda: VolterraCoefficients(mu=np.nan, sigma=0.2, x0=1.0),
+               "mu"),
+    "sigma=inf": (lambda: VolterraCoefficients(mu=0.1, sigma=np.inf, x0=1.0),
+                  "sigma"),
+    "sigma=nan": (lambda: VolterraCoefficients(mu=0.1, sigma=np.nan, x0=1.0),
+                  "sigma"),
     "TimeGrid h": (lambda: TimeGrid(0.0, -0.1, 10), "h"),
     "TimeGrid n_steps": (lambda: TimeGrid(0.0, 0.1, 0), "n_steps"),
     "gamma x": (lambda: gamma(-1.3), "x"),

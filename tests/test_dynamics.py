@@ -145,6 +145,46 @@ class TestChristoffel:
             sys.metric_at(q)
 
 
+def _skewed_metric(scale, skew):
+    """scale * diag(1, 1), with skew * q1 added above the diagonal only."""
+    def metric(q):
+        g = np.zeros(np.shape(q)[:-1] + (2, 2))
+        g[..., 0, 0] = g[..., 1, 1] = scale
+        g[..., 0, 1] = skew * q[..., 0]
+        return g
+
+    return MetricSystem(2, metric, NoiseCoupling.constant([1.0]))
+
+
+class TestMetricSymmetry:
+    """metric_at accepts an asymmetry up to 1e-12 of the largest entry,
+    or of 1, and names the first sample beyond it."""
+
+    # q1 = 0 is symmetric; 1e-4 gives 1e-13 of skew, 1.0 and 2.0 beyond.
+    Q = np.array([[0.0, 0.0], [1e-4, 0.1], [1.0, 0.5], [2.0, 0.0]])
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 2, 2)],
+                             ids=["one-axis", "two-axes"])
+    def test_asymmetry_beyond_tolerance_names_sample(self, shape):
+        sys = _skewed_metric(2.0, 1e-9)
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"^metric is not symmetric at "
+                                 r"q=\[1\.\s+0\.5\]$") as exc:
+            sys.metric_at(self.Q.reshape(shape))
+        assert exc.value.sample == 2
+
+    @pytest.mark.parametrize("scale, skew", [(2.0, 1e-9), (1e6, 1e-3)],
+                             ids=["unit", "large-entries"])
+    def test_asymmetry_within_tolerance_passes(self, scale, skew):
+        # 1e-13 of skew against 2 (tolerance 2e-12), and 1e-7 against 1e6
+        # (tolerance 1e-6): g comes back as the callable gave it.
+        sys = _skewed_metric(scale, skew)
+        q = self.Q[:2]
+        g = sys.metric_at(q)
+        assert g[1, 0, 1] != g[1, 1, 0]
+        assert np.array_equal(g, sys.metric(q))
+
+
 class TestMetricMemo:
     """MetricSystem evaluates and checks g, and inverts it, at every call:
     it keeps no memo."""

@@ -141,6 +141,11 @@ class TestFractionalWienerIntegral:
         assert np.var(vals) == pytest.approx(predicted, rel=0.1)
 
 
+# Coefficient sets the recursion is checked on against the per-step
+# reference, by name.
+COEFFICIENTS = {"constant": VolterraCoefficients(mu=0.05, sigma=0.3, x0=1.0)}
+
+
 class TestVolterra:
     def test_no_dynamics(self):
         grid = TimeGrid(0.0, 0.01, 50)
@@ -164,19 +169,12 @@ class TestVolterra:
         se = xt.std(ddof=1) / math.sqrt(len(xt))
         assert abs(xt.mean() - 1.0) <= 3.0 * se
 
-    @pytest.mark.parametrize("sampled", [False, True],
-                             ids=["constant", "sampled"])
+    @pytest.mark.parametrize("coeffs", COEFFICIENTS.values(),
+                             ids=COEFFICIENTS.keys())
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 1.0])
-    def test_matches_per_step_reference(self, beta, sampled, monkeypatch):
+    def test_matches_per_step_reference(self, beta, coeffs, monkeypatch):
         n, h = 2000, 5e-4
         grid = TimeGrid(0.0, h, n)
-        if sampled:
-            s = grid.points
-            coeffs = VolterraCoefficients(mu=0.1 + 0.05 * np.sin(3.0 * s),
-                                          sigma=0.3 + 0.15 * np.cos(2.0 * s),
-                                          x0=1.0)
-        else:
-            coeffs = VolterraCoefficients(mu=0.05, sigma=0.3, x0=1.0)
         inc = np.vstack([
             generate_path(spawn_substream(21, i), h, n, 1).increments[:, 0]
             for i in range(8)])
@@ -194,22 +192,14 @@ class TestVolterra:
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
     @pytest.mark.parametrize("n_paths", [1, 8])
-    @pytest.mark.parametrize("sampled", [False, True],
-                             ids=["constant", "sampled"])
+    @pytest.mark.parametrize("coeffs", COEFFICIENTS.values(),
+                             ids=COEFFICIENTS.keys())
     @pytest.mark.parametrize("n", [1, 2, fracint._BLOCK - 1, fracint._BLOCK,
                                    fracint._BLOCK + 1,
                                    2 * fracint._BLOCK + 1, 1001])
-    def test_matches_reference_across_block_edges(self, n, sampled,
-                                                  n_paths):
+    def test_matches_reference_across_block_edges(self, n, coeffs, n_paths):
         h = 1e-3
         grid = TimeGrid(0.0, h, n)
-        if sampled:
-            s = grid.points
-            coeffs = VolterraCoefficients(mu=0.1 + 0.05 * np.sin(3.0 * s),
-                                          sigma=0.3 + 0.15 * np.cos(2.0 * s),
-                                          x0=1.0)
-        else:
-            coeffs = VolterraCoefficients(mu=0.05, sigma=0.3, x0=1.0)
         inc = np.vstack([
             generate_path(spawn_substream(22, i), h, n, 1).increments[:, 0]
             for i in range(n_paths)])
@@ -250,29 +240,27 @@ class TestVolterra:
         finally:
             gc.enable()
 
-    def test_sampled_coefficients(self):
-        grid = TimeGrid(0.0, 0.01, 50)
-        mu_samples = np.full(51, 0.1)
-        coeffs = VolterraCoefficients(mu=mu_samples, sigma=0.0, x0=1.0)
-        x = volterra_paths(coeffs, 1.0, grid, np.zeros((1, 50)))
-        const = VolterraCoefficients(mu=0.1, sigma=0.0, x0=1.0)
-        y = volterra_paths(const, 1.0, grid, np.zeros((1, 50)))
-        assert np.allclose(x, y, rtol=1e-14)
-
-    def test_sampled_coefficients_round_trip(self):
-        # 7001 distinct samples on h = 1e-4 come back exactly, with no
-        # sample replaced by its left neighbour.
-        grid = TimeGrid(0.0, 1e-4, 7000)
-        mu_samples = 0.1 + np.arange(7001) * 1e-6
-        coeffs = VolterraCoefficients(mu=mu_samples, sigma=0.0, x0=1.0)
-        mu, _ = coeffs.sampled(grid)
-        assert np.array_equal(mu, mu_samples)
-
     def test_negative_coefficients_rejected(self):
-        grid = TimeGrid(0.0, 0.01, 10)
-        coeffs = VolterraCoefficients(mu=lambda s: -1.0, sigma=0.0, x0=1.0)
         with pytest.raises(InvalidArgument, match="^mu=-1.0 "):
-            volterra_paths(coeffs, 0.5, grid, np.zeros((1, 10)))
+            VolterraCoefficients(mu=-1.0, sigma=0.0, x0=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("mu", lambda s: 0.1), ("sigma", lambda s: 0.2),
+        ("mu", np.full(11, 0.1)), ("sigma", [0.2] * 11)],
+        ids=["callable-mu", "callable-sigma", "array-mu", "list-sigma"])
+    def test_non_constant_coefficients_rejected(self, name, value):
+        # The coefficients are constants: a callable or grid samples fail
+        # at construction, naming the field, not later inside numpy.
+        kwargs = {"mu": 0.1, "sigma": 0.2, "x0": 1.0, name: value}
+        with pytest.raises(InvalidArgument,
+                           match=f"^{name}=.* must be a real number$"):
+            VolterraCoefficients(**kwargs)
+
+    def test_compare_by_value(self):
+        a = VolterraCoefficients(mu=0.1, sigma=0.2, x0=1.0)
+        assert a == VolterraCoefficients(mu=0.1, sigma=0.2, x0=1.0)
+        assert hash(a) == hash(VolterraCoefficients(0.1, 0.2, 1.0))
+        assert a != VolterraCoefficients(mu=0.1, sigma=0.3, x0=1.0)
 
     def test_x0_positive(self):
         with pytest.raises(ValueError):

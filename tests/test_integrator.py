@@ -809,6 +809,30 @@ class TestMetricEvaluations:
         numeric.noise_matrix(q)
         assert calls == [(2,), (2,), (2, 2), (2, 2)]
 
+    def test_history_only_batch_failure_is_reraised(self):
+        # A metric that keeps the array contract on (n,) and (P, n) but
+        # not on the (N+1, P, n) history: each row completes on its own,
+        # so the bulk completion's BatchShapeError is raised as it is.
+        builtin = polar_metric_system()
+
+        def metric(q):
+            if q.ndim > 2:
+                return builtin.metric(q[0])
+            return builtin.metric(q)
+
+        sys = MetricSystem(2, metric, builtin.noise, builtin.metric_grad,
+                           builtin.geodesic, builtin.noise_matrix)
+        init = initial_state(sys, [1.0, 0.0], p0=[0.0, 0.5])
+        n = 50
+        fields = assemble_hp_fields(sys, REFERENCE)
+        grid = make_grid(0.0, 1e-4, n, REFERENCE)
+        runs = [EulerRun(fields, grid, generate_path(seed, 1e-4, n, 1), init,
+                         REFERENCE) for seed in (1, 2)]
+        with pytest.raises(BatchShapeError,
+                           match=rf"metric .* returned shape \(2, 2, 2\) "
+                                 rf"for a batch of shape \({n + 1}, 2\)"):
+            integrate_paths(runs)
+
 
 class TestIntegratePaths:
     """One Euler loop over a (P, n) stack equals P single-path runs."""
