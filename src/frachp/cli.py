@@ -71,22 +71,55 @@ def _write_manifest(cfg: RunConfig, outdir: Path, extra: dict | None = None):
     (outdir / "run_manifest").write_text(body, encoding="utf-8")
 
 
-def _write_csv(path: Path, header: str, fmt: str, rows) -> None:
-    """Write `header`, then `fmt % row` for each row, each line ending in
-    "\\n": "%d" for a step or path count, "%.17g" (exact) for a value."""
+_CSV_CHUNK = 1024  # rows formatted by one % operation
+
+
+def _write_csv(path: Path, header: str, columns) -> None:
+    """Write `header`, then one line per row of the equal-length columns,
+    each line ending in "\\n": an integer column prints as "%d" (a step or
+    path count), a float column as "%.17g" (exact).
+
+    Rows go out in chunks of _CSV_CHUNK, each formatted by one % over a
+    flat list.  A float column whose float64 bytes equal an earlier
+    column's is not formatted again: the earlier column's text of the
+    chunk is printed through "%s" in both places.
+    """
+    cols = [c if c.dtype.kind in "iu" else c.astype(float, copy=False)
+            for c in map(np.asarray, columns)]
+    width = len(cols)
+    # first[j]: the first float column with column j's bytes, else j.
+    first = list(range(width))
+    for j, c in enumerate(cols):
+        if c.dtype.kind == "f":
+            first[j] = next(i for i in range(j + 1)
+                            if cols[i].dtype.kind == "f"
+                            and np.array_equal(cols[i].view(np.uint64),
+                                               c.view(np.uint64)))
+    shared = {i for j, i in enumerate(first) if i != j}
+    row = ",".join("%s" if i in shared
+                   else "%d" if cols[i].dtype.kind in "iu" else "%.17g"
+                   for i in first) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(fmt % tuple(row) + "\n"
-                      for row in np.asarray(rows, dtype=float).tolist())
+        for lo in range(0, len(cols[0]), _CSV_CHUNK):
+            part = {i: cols[i][lo:lo + _CSV_CHUNK].tolist()
+                    for i in set(first)}
+            for i in shared:
+                part[i] = ("%.17g\n" * len(part[i])
+                           % tuple(part[i])).splitlines()
+            rows = len(part[0])
+            flat = [None] * (rows * width)
+            for j, i in enumerate(first):
+                flat[j::width] = part[i]
+            fh.write(row * rows % tuple(flat))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     n = traj.dim
     header = ",".join(["step", "s"] + [f"{c}_{i + 1}" for c in "qpv"
                                        for i in range(n)])
-    _write_csv(path, header, "%d" + ",%.17g" * (3 * n + 1),
-               np.column_stack([np.arange(len(traj.q)), traj.grid.points,
-                                traj.q, traj.p, traj.v]))
+    _write_csv(path, header, [np.arange(len(traj.q)), traj.grid.points,
+                              *traj.q.T, *traj.p.T, *traj.v.T])
 
 
 def _hp_run(cfg: RunConfig):
@@ -134,8 +167,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
         fields, init, params, base_h=cfg.h, levels=cfg.levels,
         n_paths=cfg.n_paths, seed=cfg.seed, t_end=cfg.t_end)
     outdir = _outdir(cfg)
-    _write_csv(outdir / "convergence.csv", "h,mean_error", "%.17g,%.17g",
-               np.column_stack([hs, errors]))
+    _write_csv(outdir / "convergence.csv", "h,mean_error", [hs, errors])
     _write_manifest(cfg, outdir, {"fitted_slope": f"{slope:.6g}"})
     print(f"convergence: fitted strong-order slope = {slope:.4f}")
     return 0
@@ -191,12 +223,11 @@ def cmd_volterra(cfg: RunConfig) -> int:
 
     outdir = _outdir(cfg)
     _write_csv(outdir / "summary.csv", "n_paths,mean_XT,var_XT",
-               "%d,%.17g,%.17g", [[cfg.n_paths, mean, var]])
+               [[cfg.n_paths], [mean], [var]])
     if cfg.n_paths <= 32:
         for i, x_i in enumerate(x):
             _write_csv(outdir / f"path_{i:04d}.csv", "step,s,X",
-                       "%d,%.17g,%.17g", np.column_stack(
-                           [np.arange(x_i.size), grid.points, x_i]))
+                       [np.arange(x_i.size), grid.points, x_i])
 
     t_end = grid.t_end
     print(f"volterra: {cfg.n_paths} paths, mean X(T) = {mean:.6g}, "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeGrid, check_order, check_whole
-from .errors import GridMismatch, InvalidArgument
+from .errors import GridMismatch, InvalidArgument, NumericalBlowup
 from .noise import WienerPath
 from .specfun import gamma, step_weights
 
@@ -131,6 +131,11 @@ def volterra_paths(coeffs: VolterraCoefficients, beta: float, grid: TimeGrid,
     aligned run of 2^l blocks adds its history to the next 2^l blocks with
     one FFT product over all paths.  That is O(P N log^2 N) and exact up
     to FFT rounding.
+
+    X is tested once, after the recursion: if some X is not finite,
+    NumericalBlowup names the first grid index at which one is, and the
+    lowest path that is not finite there.  A finite X has no bound, unlike
+    the HP integrator's states: x0 exp(mu T) may legitimately pass 1e12.
     """
     check_order("beta", beta)
     inc = np.atleast_2d(np.asarray(increments, dtype=float))
@@ -147,14 +152,23 @@ def volterra_paths(coeffs: VolterraCoefficients, beta: float, grid: TimeGrid,
 
     x = np.full((inc.shape[0], n + 1), float(coeffs.x0))
     spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for lo in range(0, n + 1, _BLOCK):
-        end = min(lo + _BLOCK, n + 1)
-        _solve_block(x, inc, a, b, lo, end)
-        if end <= n:
-            runs = end // _BLOCK
-            span = _BLOCK * (runs & -runs)  # the aligned run ending here
-            _fold_history(x, inc, mu, sigma, wd, ws, spectra, end, span,
-                          min(span, n + 1 - end))
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        for lo in range(0, n + 1, _BLOCK):
+            end = min(lo + _BLOCK, n + 1)
+            _solve_block(x, inc, a, b, lo, end)
+            if end <= n:
+                runs = end // _BLOCK
+                span = _BLOCK * (runs & -runs)  # the aligned run ending here
+                _fold_history(x, inc, mu, sigma, wd, ws, spectra, end, span,
+                              min(span, n + 1 - end))
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = ~finite
+        m = int(np.argmax(bad.any(axis=0)))
+        path, s = int(np.argmax(bad[:, m])), grid.point(m)
+        raise NumericalBlowup(
+            m, f"non-finite X at step {m} (s = {s:.6g}) on path {path}", s,
+            path)
     return x
 
 

@@ -150,7 +150,8 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     table is nonzero, as on `zero_path`, each step gets inc=None and makes
     the drift-only update without evaluating the noise matrix (see
     `SdeFields`).  The fractional coefficients damping(s) and
-    noise_scale(s) are taken once over the left endpoints of all steps.
+    noise_scale(s) are taken once over the left endpoints of all steps,
+    and each step gets them, and h, as 0-d arrays.
     The component no step carries (v, or p = g(q) v) is filled by one
     `complete_state` call over the run's time-major (N+1, P, n) history,
     which for a metric system also checks g at every q visited.
@@ -176,7 +177,11 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
                     f"run {i} has other {name} than run 0; a batch of runs "
                     f"shares its grid, fields and params")
     fields, grid = first.fields, first.grid
-    n, h, batch = grid.n_steps, grid.h, len(runs) > 1
+    # h and each step's coefficients go to the step as 0-d arrays, which
+    # multiply an array faster than a Python float or a numpy scalar does
+    # and give the same bits.
+    n, batch = grid.n_steps, len(runs) > 1
+    h = np.asarray(grid.h, dtype=float)
     s = grid.points[:-1]
     damp = np.broadcast_to(fields.damping(s), s.shape)
     coef = np.broadcast_to(fields.noise_scale(s), s.shape)
@@ -195,10 +200,11 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     last, failure = n, None
     with np.errstate(all="ignore"):
         for start in range(0, n, _BLOWUP_BLOCK):
-            block, rows = slice(start, start + _BLOWUP_BLOCK), []
-            for d, c, dw in zip(damp[block], coef[block], inc[block]):
+            rows = []
+            for k in range(start, min(start + _BLOWUP_BLOCK, n)):
                 try:
-                    state = fields.step(*state, h, d, c, dw)
+                    state = fields.step(*state, h, damp[k, ...],
+                                        coef[k, ...], inc[k])
                 except Exception as exc:
                     # Raised below unless an earlier row failed, since a
                     # step from a row past a failure may raise anything; a

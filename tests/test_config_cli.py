@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frachp
-from frachp.cli import main
+from frachp.cli import _write_csv, main, write_trajectory_csv
 from frachp.config import RunConfig, config_lines, parse_config
-from frachp.core import Trajectory, make_grid
+from frachp.core import TimeGrid, Trajectory, make_grid
 from frachp.errors import ConfigError, MissingKey, ParseError, UnknownKey
 from frachp.integrator import initial_state
 
@@ -200,6 +200,75 @@ def test_any_text_parses_or_raises_config_error(base, lines):
     assert isinstance(cfg, RunConfig)
 
 
+def row_rule_bytes(header, fmt, rows):
+    """The CSV bytes of the writer's former rule: `fmt % row` over the rows
+    taken as floats."""
+    lines = [header] + [fmt % tuple(row) for row in
+                        np.asarray(rows, dtype=float).tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestWriteCsv:
+    """The chunked column writer against the former per-row rule, across
+    the chunk edges, with columns that repeat another's bytes."""
+
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2051])
+    def test_columns_match_the_row_rule(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        zero = rows // 2
+        p = rng.normal(size=rows)
+        p[zero] = 0.0
+        v = p.copy()                    # bitwise equal: printed once
+        w = p.copy()                    # differs from p by one -0.0 only
+        w[zero] = -0.0
+        e = rng.normal(size=rows) * 1e300
+        e[::3], e[1::5], e[2::7] = np.nan, np.inf, -np.inf
+        e2 = e.copy()                   # bitwise equal, nan and inf included
+        cols = [np.arange(rows), np.linspace(0.0, 0.1, rows), p, v, w, e, e2]
+        _write_csv(tmp_path / "c.csv", "step,s,p,v,w,e,e2", cols)
+        got = (tmp_path / "c.csv").read_bytes()
+        assert got == row_rule_bytes("step,s,p,v,w,e,e2",
+                                     "%d" + ",%.17g" * 6,
+                                     np.column_stack(cols))
+        p_text, w_text = got.splitlines()[1 + zero].split(b",")[2:5:2]
+        assert (p_text, w_text) == (b"0", b"-0")
+
+    @pytest.mark.parametrize("rows", [2, 1023, 1024, 1025, 2051])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_trajectory_matches_the_row_rule(self, tmp_path, dim, rows):
+        # As the Hamiltonian pendulum, v is p bitwise; as the polar metric,
+        # p_1 is v_1, and here p_2 is v_2 but for one -0.0.
+        rng = np.random.default_rng(dim * rows)
+        q, p = rng.normal(size=(2, rows, dim))
+        v = p.copy()
+        if dim == 2:
+            p[rows // 2, 1] = 0.0
+            v[:, 1] = p[:, 1]
+            v[rows // 2, 1] = -0.0
+        traj = Trajectory(TimeGrid(0.0, 1e-3, rows - 1), q, v, p)
+        write_trajectory_csv(tmp_path / "t.csv", traj)
+        header = ",".join(["step", "s"] + [f"{c}_{i + 1}" for c in "qpv"
+                                           for i in range(dim)])
+        assert (tmp_path / "t.csv").read_bytes() == row_rule_bytes(
+            header, "%d" + ",%.17g" * (3 * dim + 1),
+            np.column_stack([np.arange(rows), traj.grid.points, q, p, v]))
+
+    @pytest.mark.parametrize("mean, var", [(1.0000000000000002, 0.25),
+                                           (0.0, 0.0), (np.nan, np.nan)])
+    def test_summary_table(self, tmp_path, mean, var):
+        _write_csv(tmp_path / "s.csv", "n_paths,mean_XT,var_XT",
+                   [[8], [mean], [var]])
+        assert (tmp_path / "s.csv").read_bytes() == row_rule_bytes(
+            "n_paths,mean_XT,var_XT", "%d,%.17g,%.17g", [[8, mean, var]])
+
+    def test_convergence_table(self, tmp_path):
+        hs = np.array([0.0008, 0.0016, 0.0032])
+        errors = np.array([1.5e-5, 3.0000000000000001e-5, 0.0016])
+        _write_csv(tmp_path / "c.csv", "h,mean_error", [hs, errors])
+        assert (tmp_path / "c.csv").read_bytes() == row_rule_bytes(
+            "h,mean_error", "%.17g,%.17g", np.column_stack([hs, errors]))
+
+
 class TestSimulateCommand:
     def test_outputs_and_manifest(self, tmp_path, capsys):
         cfg_path, base = small_config(tmp_path)
@@ -232,6 +301,26 @@ class TestSimulateCommand:
             "trajectory_deterministic.csv": "3107e0380aef759351a926ebe7ae8077"
                                             "25a6ea92566201ac7b50be0e54701ced",
         }
+
+    def test_writes_each_trajectory_through_its_hook(self, tmp_path,
+                                                     monkeypatch):
+        # The benchmark's tracer and self-test wrap write_trajectory_csv
+        # per file, so simulate must call it as (path, traj), once a file.
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append((args, kwargs))
+            return write_trajectory_csv(*args, **kwargs)
+
+        monkeypatch.setattr("frachp.cli.write_trajectory_csv", recorder)
+        cfg_path, _ = small_config(tmp_path, n_steps=10, plot="false")
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        assert [(args[0], kwargs) for args, kwargs in calls] == [
+            (out / "trajectory.csv", {}),
+            (out / "trajectory_deterministic.csv", {})]
+        assert all(len(args) == 2 and isinstance(args[1], Trajectory)
+                   for args, _ in calls)
 
     def test_reference_svg_bytes_are_pinned(self, tmp_path):
         # Golden sha256 of the four orbit plots of the same run: the
@@ -613,6 +702,20 @@ class TestVolterraCommand:
             "path_0000.csv": "c284c550427c0cc258df9fec8c0d951a"
                              "823bbf44b89448bf5d2d831e8d5b5322",
         }
+
+    def test_overflow_is_an_error(self, tmp_path, capsys):
+        # mu = 1e6 overflows the recursion at step 73: exit 1 with one line
+        # naming the step, and no summary or path files of NaN.
+        cfg_path, _ = small_config(tmp_path, beta=0.5, h=0.00025,
+                                   n_steps=200, n_paths=8, mu=1e6,
+                                   sigma=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["volterra", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("frachp volterra: error: non-finite X at step 73 "
+                       "(s = 0.01825) on path 0\n")
+        assert not (tmp_path / "out").exists()
 
     def test_no_singularity_guard(self, tmp_path):
         # the recursion uses the outer time t_{k+1}, so the grid may reach

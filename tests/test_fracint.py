@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from frachp import fracint
 from frachp.core import TimeGrid
-from frachp.errors import GridMismatch, InvalidArgument
+from frachp.errors import GridMismatch, InvalidArgument, NumericalBlowup
 from frachp.fracint import (SampledFunction, VolterraCoefficients,
                             fractional_wiener_integral, rl_integral,
                             volterra_paths)
@@ -239,6 +239,41 @@ class TestVolterra:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_overflow_names_step_and_path(self):
+        # mu = 1e6 overflows every path from step 73 on; no RuntimeWarning
+        # comes before the error.
+        h, n = 0.00025, 200
+        grid = TimeGrid(0.0, h, n)
+        inc = np.vstack([
+            generate_path(spawn_substream(1, i), h, n, 1).increments[:, 0]
+            for i in range(8)])
+        coeffs = VolterraCoefficients(mu=1e6, sigma=0.2, x0=1.0)
+        with pytest.raises(NumericalBlowup,
+                           match=r"^non-finite X at step 73 \(s = 0.01825\) "
+                                 r"on path 0$") as info:
+            volterra_paths(coeffs, 0.5, grid, inc)
+        assert (info.value.step, info.value.path) == (73, 0)
+        assert info.value.s == grid.point(73)
+
+    def test_overflow_names_the_lowest_failing_path(self):
+        # Path 0 is never driven; paths 1 and 2 overflow at step 2, when
+        # X_1 ~ 1e200 meets a second increment of 1e200.
+        grid = TimeGrid(0.0, 0.01, 5)
+        inc = np.zeros((3, 5))
+        inc[1:] = 1e200
+        coeffs = VolterraCoefficients(mu=0.0, sigma=1.0, x0=1.0)
+        with pytest.raises(NumericalBlowup) as info:
+            volterra_paths(coeffs, 0.5, grid, inc)
+        assert (info.value.step, info.value.path) == (2, 1)
+
+    def test_huge_finite_values_pass(self):
+        # X(T) ~ 1.1e17, past the HP integrator's 1e12, is finite and is
+        # returned.
+        grid = TimeGrid(0.0, 1e-3, 1000)
+        coeffs = VolterraCoefficients(mu=40.0, sigma=0.0, x0=1.0)
+        x = volterra_paths(coeffs, 1.0, grid, np.zeros((1, 1000)))
+        assert 1e16 < x[0, -1] < np.inf
 
     def test_negative_coefficients_rejected(self):
         with pytest.raises(InvalidArgument, match="^mu=-1.0 "):

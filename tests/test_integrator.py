@@ -1229,6 +1229,35 @@ class TestHistoryPins:
         assert digest == self.ZERO_PINS[name]
 
 
+class TestZeroDimCoefficients:
+    """`integrate_paths` hands the step h, damp and coef as 0-d float64
+    arrays; the step must give the bits it gives on Python floats."""
+
+    @pytest.mark.parametrize("driven", [True, False],
+                             ids=["inc", "inc-None"])
+    @pytest.mark.parametrize("name", list(HISTORY_SYSTEMS))
+    def test_step_bits_do_not_depend_on_the_scalar_type(self, name, driven):
+        make, q0, p0 = HISTORY_SYSTEMS[name]
+        sys = make()
+        fields = assemble_hp_fields(sys, REFERENCE)
+        starts = [initial_state(sys, np.array(q0) * scale, p0)
+                  for scale in (1.0, 1.1)]
+        state = [np.stack([getattr(st, c) for st in starts])
+                 for c in fields.carried]
+        inc = (np.random.default_rng(5).normal(size=(2, sys.noise.m)) * 0.01
+               if driven else None)
+        s, h = 0.1, 1e-4
+        floats = (h, float(fields.damping(s)), float(fields.noise_scale(s)))
+        arrays = tuple(np.asarray(c, dtype=float) for c in floats)
+        assert all(type(c) is float for c in floats)
+        assert all(a.shape == () for a in arrays)
+        by_float = fields.step(*state, *floats, inc)
+        by_array = fields.step(*state, *arrays, inc)
+        for a, b in zip(by_float, by_array):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestStationarity:
     def test_solution_is_near_critical_and_tightens(self):
         ratios = {}
