@@ -220,6 +220,31 @@ class TestStepCallBudget:
                     None)
         assert calls == {"grad_q": 1, "grad_p": 1}
 
+    def test_lagrangian(self):
+        # grad_v = v: the Newton solve for v from p takes one residual and
+        # no Hessian, and the force reads grad_v once more.
+        base = pendulum_lagrangian_system()
+        calls = {}
+        sys = LagrangianSystem(
+            1, _counted(calls, "lagrangian", base.lagrangian),
+            NoiseCoupling(
+                tuple(_counted(calls, "gamma[0]", g)
+                      for g in base.noise.gamma),
+                tuple(_counted(calls, "gamma_grad[0]", g)
+                      for g in base.noise.gamma_grad)),
+            grad_q=_counted(calls, "grad_q", base.grad_q),
+            grad_v=_counted(calls, "grad_v", base.grad_v),
+            v_hessian=_counted(calls, "v_hessian", base.v_hessian))
+        fields = assemble_hp_fields(sys, REFERENCE)
+        q, p = np.array([[1.0], [0.5]]), np.array([[0.3], [-0.2]])
+        fields.step(q, p, 1e-3, fields.damping(0.1), fields.noise_scale(0.1),
+                    np.full((2, 1), 0.01))
+        assert calls == {"grad_v": 2, "grad_q": 1, "gamma_grad[0]": 1}
+        calls.clear()  # inc=None: the drift-only step
+        fields.step(q, p, 1e-3, fields.damping(0.1), fields.noise_scale(0.1),
+                    None)
+        assert calls == {"grad_v": 2, "grad_q": 1}
+
     @pytest.mark.parametrize("name", ["polar", "polar:custom"])
     def test_metric_closed_forms(self, name):
         base = (polar_metric_system() if name == "polar" else
