@@ -134,15 +134,8 @@ class NoiseCoupling:
                          for a, g in enumerate(self.gamma)], axis=-1)
 
     def grad_matrix(self, q: np.ndarray) -> np.ndarray:
-        """(..., n, m) array whose column a is the gradient of gamma_a: for
-        m = 1 a view of that gradient with a trailing axis."""
-        if len(self.gamma_grad) == 1:
-            return self.gamma_grad[0](q)[..., None]
-        cols = [g(q) for g in self.gamma_grad]  # np.stack is slower per step
-        out = np.empty(np.shape(cols[0]) + (self.m,))
-        for a, col in enumerate(cols):
-            out[..., a] = col
-        return out
+        """(..., n, m) array whose column a is the gradient of gamma_a."""
+        return np.stack([g(q) for g in self.gamma_grad], axis=-1)
 
     @classmethod
     def constant(cls, values) -> "NoiseCoupling":
@@ -446,15 +439,18 @@ class _Formulation:
     """The rules of one system type: the components (q, x) `SdeFields.step`
     carries, x being the variable the noise drives; y_of(q, x), the y that
     velocity(q, y) and force(q, y, damp) read (p for a Hamiltonian system,
-    else v, which a Lagrangian one solves for from p); noise_matrix(q); the
-    completion (q, x) -> (v, p) of `complete_state`; the one-off fields'
-    check(q) of g; and from_p(q, p), the x of a state of momentum p."""
+    else v, which a Lagrangian one solves for from p); noise_matrix(q) and
+    noise_column(q), its column 0 as (..., n), which the step reads when
+    m = 1; the completion (q, x) -> (v, p) of `complete_state`; the one-off
+    fields' check(q) of g; and from_p(q, p), the x of a state of momentum
+    p."""
 
     carried: str
     y_of: Callable
     velocity: Callable
     force: Callable
     noise_matrix: Callable
+    noise_column: Callable
     complete: Callable
     check: Callable
     from_p: Callable
@@ -470,8 +466,8 @@ def _formulation(sys: SystemSpec) -> _Formulation:
             return np.asarray(sys.grad_p(q, p), dtype=float), p
 
         return _Formulation("qp", _second, sys.grad_p, force,
-                            sys.noise.grad_matrix, complete, _unchecked,
-                            _second)
+                            sys.noise.grad_matrix, sys.noise.gamma_grad[0],
+                            complete, _unchecked, _second)
     if isinstance(sys, LagrangianSystem):
         def force(q, v, damp):
             base = np.asarray(sys.grad_q(q, v), dtype=float)
@@ -481,8 +477,9 @@ def _formulation(sys: SystemSpec) -> _Formulation:
             return invert_legendre(sys, q, p), p
 
         return _Formulation("qp", partial(invert_legendre, sys), _second,
-                            force, sys.noise.grad_matrix, complete,
-                            _unchecked, _second)
+                            force, sys.noise.grad_matrix,
+                            sys.noise.gamma_grad[0], complete, _unchecked,
+                            _second)
     if isinstance(sys, MetricSystem):
         def force(q, v, damp):
             return sys.geodesic(q, v) - damp * v
@@ -490,11 +487,14 @@ def _formulation(sys: SystemSpec) -> _Formulation:
         def complete(q, v):
             return v, (sys.metric_at(q) @ v[..., None])[..., 0]
 
+        def noise_column(q):
+            return sys.noise_matrix(q)[..., 0]
+
         def from_p(q, p):
             return np.linalg.solve(sys.metric_at(q), p)
 
         return _Formulation("qv", _second, _second, force, sys.noise_matrix,
-                            complete, sys.metric_at, from_p)
+                            noise_column, complete, sys.metric_at, from_p)
     raise TypeError(f"unsupported system type {type(sys)!r}")
 
 
@@ -512,11 +512,16 @@ class SdeFields:
     `carried` names the two.  The step reads y = y_of(q, x) of the
     formulation record (x itself, or for a Lagrangian system the v that
     solves dL/dv(q, v) = p); q moves by h drift_q and x by h drift_p plus
-    diffusion_p @ inc.  inc=None stands for increments that are all zero:
-    x moves by h drift_p alone, and the noise matrix is not evaluated.
-    That gives the bits of zero increments, except where the noise matrix
-    is not finite (zero increments give NaN there) or x + h drift_p is
-    -0.0 (the noise term's +0.0 turns it into 0.0).  The other component
+    the noise term: for one channel (m = 1) the product of coef times the
+    noise matrix's one column with inc, and for m > 1 diffusion_p @ inc.
+    The product has the bits of the one-term matmul except where x + h
+    drift_p and the product are both -0.0: the matmul adds the term to
+    +0.0 and so gives 0.0 there, the product -0.0.  inc=None stands for
+    increments that are all zero: x moves by h drift_p alone, and the
+    noise matrix is not evaluated.  That gives the bits of zero
+    increments, except where the noise matrix is not finite (zero
+    increments give NaN there) or x + h drift_p is -0.0 and the noise term
+    of zero increments +0.0 (the sum is 0.0).  The other component
     (v, or p = g(q) v) is the one `complete_state` gives, and no step
     reads it.  damp and coef are damping(s) and noise_scale(s) at the
     left endpoint s; both take arrays of s, so a caller takes them once
@@ -578,13 +583,21 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
         def noise_scale(s):
             return hp_noise_coefficient(params, s)
 
+    if sys.noise.m == 1:  # one term: a product, not a matmul
+        column = form.noise_column
+
+        def noise_term(q, coef, inc):
+            return (coef * column(q)) * inc
+    else:  # m terms, summed as BLAS sums them
+        def noise_term(q, coef, inc):
+            return ((coef * noise_matrix(q)) @ inc[..., None])[..., 0]
+
     def step(q, x, h, damp, coef, inc):
         y = y_of(q, x)
         q_new, x_new = q + h * velocity(q, y), x + h * force(q, y, damp)
         if inc is None:  # no increment drives the step: the noise is 0
             return q_new, x_new
-        return (q_new,
-                x_new + ((coef * noise_matrix(q)) @ inc[..., None])[..., 0])
+        return q_new, x_new + noise_term(q, coef, inc)
 
     def drift_p(s, q, y):
         check(q)

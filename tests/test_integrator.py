@@ -185,6 +185,105 @@ class TestEulerStep:
         assert np.allclose(a.v, b.v, atol=1e-10)
 
 
+# One-channel systems of each formulation; "const" has a zero noise column.
+ONE_CHANNEL_SYSTEMS = {
+    "hamiltonian": pendulum_system,
+    "lagrangian": pendulum_lagrangian_system,
+    "lagrangian-fd": _fd_pendulum_lagrangian,
+    "metric": polar_metric_system,
+    "metric:custom": lambda: metric_from_expressions(
+        [["1", "0"], ["0", "q1**2"]], ["cos(q2)"], 2),
+    "metric-numeric": lambda: MetricSystem(
+        2, polar_metric_system().metric, polar_metric_system().noise),
+    "const": lambda: pendulum_system(gamma_coupling="const"),
+}
+
+
+def _signed_zeros(rng, a):
+    """a with a random quarter of its entries set to +0.0 or -0.0."""
+    a = a.copy()
+    hit = rng.random(a.shape) < 0.25
+    a[hit] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[hit]
+    return a
+
+
+def _is_neg_zero(a):
+    return (a == 0.0) & np.signbit(a)
+
+
+def _matmul_step(fields, s, q, x, h, inc):
+    """The step as it was before one channel became a product: the drift
+    update plus the (P, n, 1) @ (P, 1, 1) matmul of the noise matrix.
+    Returns (x of the matmul step, drift update of x, noise product)."""
+    _, drift = fields.step(q, x, h, fields.damping(s), fields.noise_scale(s),
+                           None)
+    noise = fields.diffusion_p(s, q)
+    return (drift + (noise @ inc[..., None])[..., 0], drift,
+            noise[..., 0] * inc)
+
+
+class TestOneChannelNoise:
+    """With one channel the step's noise term is the product column * inc.
+    It has the matmul's bits except where the drift update of x is -0.0
+    and the product is -0.0: the matmul adds its one term to +0.0, so it
+    gives +0.0 where the product keeps -0.0."""
+
+    @staticmethod
+    def _check(fields, s, q, x, h, inc):
+        """Assert step = the matmul step outside the declared class;
+        return the mask of elements that differ."""
+        want, drift, prod = _matmul_step(fields, s, q, x, h, inc)
+        q_got, got = fields.step(q, x, h, fields.damping(s),
+                                 fields.noise_scale(s), inc)
+        q_want, _ = fields.step(q, x, h, fields.damping(s),
+                                fields.noise_scale(s), None)
+        assert q_got.tobytes() == q_want.tobytes()
+        assert got.shape == want.shape == x.shape
+        differ = got.view(np.int64) != want.view(np.int64)
+        in_class = (_is_neg_zero(drift) & _is_neg_zero(prod)
+                    & _is_neg_zero(got) & (want == 0.0) & ~np.signbit(want))
+        assert not (differ & ~in_class).any(), np.argwhere(differ & ~in_class)
+        return differ
+
+    @pytest.mark.parametrize("params", [REFERENCE, CLASSICAL],
+                             ids=["reference", "classical"])
+    @pytest.mark.parametrize("name", list(ONE_CHANNEL_SYSTEMS))
+    def test_product_is_the_matmul_outside_the_signed_zero_class(self, name,
+                                                                 params):
+        sys = ONE_CHANNEL_SYSTEMS[name]()
+        assert sys.noise.m == 1
+        fields = assemble_hp_fields(sys, params)
+        rng = np.random.default_rng(24)
+        P, n = 64, sys.dim
+        q = rng.uniform(-2.0, 2.0, (P, n))
+        if n == 2:  # polar: r > 0, with theta's sine at +-0.0 in places
+            q[:, 0] = rng.uniform(0.5, 2.0, P)
+            q[:, 1] = _signed_zeros(rng, q[:, 1])
+        else:
+            q = _signed_zeros(rng, q)
+        x = _signed_zeros(rng, rng.normal(size=(P, n)))
+        inc = _signed_zeros(rng, rng.normal(scale=0.01, size=(P, 1)))
+        assert (_is_neg_zero(inc)).any() and (inc == 0.0).sum() > 1
+        for h in (1e-4, 0.0):  # h = 0: the drift update is x itself
+            self._check(fields, 0.1, q, x, h, inc)
+
+    def test_constructed_case_is_in_the_class(self):
+        # alpha = beta = 1: damp is 0.0 and coef 1.0.  With grad_q and the
+        # coupling gradient +0.0 and p = -0.0, the drift update is
+        # -0.0 + h (0.0 * -0.0 - 0.0) = -0.0, and the product 1.0 * 0.0
+        # * inc is -0.0 for inc < 0.
+        sys = HamiltonianSystem(
+            1, lambda q, p: 0.5 * p[..., 0] ** 2,
+            NoiseCoupling.constant([1.0]),
+            grad_q=lambda q, p: np.zeros(np.shape(q)),
+            grad_p=lambda q, p: np.asarray(p, dtype=float))
+        fields = assemble_hp_fields(sys, CLASSICAL)
+        q, p = np.array([[1.0], [1.0]]), np.array([[-0.0], [-0.0]])
+        inc = np.array([[-0.01], [0.01]])
+        differ = self._check(fields, 0.0, q, p, 1e-3, inc)
+        assert differ.tolist() == [[True], [False]]
+
+
 def _counted(calls, name, fn):
     def counted(*args):
         calls[name] = calls.get(name, 0) + 1
@@ -372,6 +471,18 @@ class TestIntegrate:
         with pytest.raises(GridMismatch):
             EulerRun(fields, grid, zero_path(1e-3, 99, 1),
                      initial_state(sys, [1.0], p0=[0.0]), CLASSICAL)
+
+    def test_path_with_more_channels_than_the_noise_rejected(self):
+        # n = 2, m = 1: a (P, 2) increment would broadcast through the
+        # one-channel product, so the run must refuse a 2-channel path.
+        sys = polar_metric_system()
+        fields = assemble_hp_fields(sys, REFERENCE)
+        grid = make_grid(0.0, 1e-3, 100, REFERENCE)
+        with pytest.raises(GridMismatch,
+                           match="path has 2 channels, system expects 1"):
+            EulerRun(fields, grid, generate_path(3, 1e-3, 100, 2),
+                     initial_state(sys, [1.0, 0.2], p0=[0.1, 0.4]),
+                     REFERENCE)
 
 
 class TestStrongConvergence:
