@@ -211,33 +211,23 @@ def _is_neg_zero(a):
     return (a == 0.0) & np.signbit(a)
 
 
-def _matmul_step(fields, s, q, x, h, inc):
-    """The step as it was before one channel became a product: the drift
-    update plus the (P, n, 1) @ (P, 1, 1) matmul of the noise matrix.
-    Returns (x of the matmul step, drift update of x, noise product)."""
-    _, drift = fields.step(q, x, h, fields.damping(s), fields.noise_scale(s),
-                           None)
-    noise = fields.diffusion_p(s, q)
-    return (drift + (noise @ inc[..., None])[..., 0], drift,
-            noise[..., 0] * inc)
-
-
 class TestOneChannelNoise:
     """With one channel the step's noise term is the product column * inc.
-    It has the matmul's bits except where the drift update of x is -0.0
-    and the product is -0.0: the matmul adds its one term to +0.0, so it
-    gives +0.0 where the product keeps -0.0."""
+    It has the bits of the (P, n, 1) @ (P, 1, 1) matmul except where the
+    drift update of x is -0.0 and the product is -0.0: the matmul adds its
+    one term to +0.0, so it gives +0.0 where the product keeps -0.0."""
 
     @staticmethod
     def _check(fields, s, q, x, h, inc):
-        """Assert step = the matmul step outside the declared class;
-        return the mask of elements that differ."""
-        want, drift, prod = _matmul_step(fields, s, q, x, h, inc)
-        q_got, got = fields.step(q, x, h, fields.damping(s),
-                                 fields.noise_scale(s), inc)
-        q_want, _ = fields.step(q, x, h, fields.damping(s),
-                                fields.noise_scale(s), None)
-        assert q_got.tobytes() == q_want.tobytes()
+        """Assert that step equals its matmul form, the oracle, outside the
+        declared class; return the mask of the elements that differ."""
+        damp, coef = fields.damping(s), fields.noise_scale(s)
+        q_drift, drift = fields.step(q, x, h, damp, coef, None)
+        noise = fields.diffusion_p(s, q)  # coef times the noise matrix
+        want = drift + (noise @ inc[..., None])[..., 0]
+        prod = noise[..., 0] * inc
+        q_got, got = fields.step(q, x, h, damp, coef, inc)
+        assert q_got.tobytes() == q_drift.tobytes()
         assert got.shape == want.shape == x.shape
         differ = got.view(np.int64) != want.view(np.int64)
         in_class = (_is_neg_zero(drift) & _is_neg_zero(prod)
@@ -263,7 +253,7 @@ class TestOneChannelNoise:
             q = _signed_zeros(rng, q)
         x = _signed_zeros(rng, rng.normal(size=(P, n)))
         inc = _signed_zeros(rng, rng.normal(scale=0.01, size=(P, 1)))
-        assert (_is_neg_zero(inc)).any() and (inc == 0.0).sum() > 1
+        assert _is_neg_zero(inc).any() and (inc == 0.0).sum() > 1
         for h in (1e-4, 0.0):  # h = 0: the drift update is x itself
             self._check(fields, 0.1, q, x, h, inc)
 
