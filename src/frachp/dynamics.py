@@ -30,8 +30,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import FractionalParams
-from .errors import (BatchShapeError, InvalidArgument, NoConvergence,
-                     NotPositiveDefinite, SingularHessian)
+from .errors import (BatchShapeError, GridMismatch, InvalidArgument,
+                     NoConvergence, NotPositiveDefinite, SingularHessian)
 from .specfun import gamma, hp_noise_coefficient, power_kernel
 
 _FD_BASE_STEP = 1e-6
@@ -507,7 +507,8 @@ class SdeFields:
     """Assembled Ito-form right-hand sides for one system and parameter set.
 
     step(q, x, h, damp, coef, inc) is one explicit Euler step from float
-    arrays (..., n) on increments (..., m), returning the new (q, x): x is
+    arrays (..., n) on increments (..., m), returning the new (q, x)
+    (increments of another last axis raise GridMismatch): x is
     the variable the noise drives, p, or v for a metric system, and
     `carried` names the two.  The step reads y = y_of(q, x) of the
     formulation record (x itself, or for a Lagrangian system the v that
@@ -583,6 +584,7 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
         def noise_scale(s):
             return hp_noise_coefficient(params, s)
 
+    channels = (sys.noise.m,)  # the last axis of the increments
     if sys.noise.m == 1:  # one term: a product, not a matmul
         column = form.noise_column
 
@@ -593,6 +595,9 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
             return ((coef * noise_matrix(q)) @ inc[..., None])[..., 0]
 
     def step(q, x, h, damp, coef, inc):
+        if inc is not None and inc.shape[-1:] != channels:
+            raise GridMismatch(f"increments of shape {inc.shape}: system "
+                               f"expects {sys.noise.m} channels")
         y = y_of(q, x)
         q_new, x_new = q + h * velocity(q, y), x + h * force(q, y, damp)
         if inc is None:  # no increment drives the step: the noise is 0

@@ -2,7 +2,9 @@
 
 Output is byte-stable for fixed data: the viewBox is computed from data
 bounds rounded outward to 2 significant digits, and the polyline points
-are space-separated pixel pairs from one repeated "%.2f,%.2f" format.
+are space-separated pixel pairs with the bytes of "%.2f,%.2f", formatted
+in numpy where `_points` can prove those bytes and by Python's `%`
+elsewhere.  The title is escaped as XML text.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 MAX_POINTS = 100_000
 _W, _H = 640, 520
 _MARGIN = 40
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _round_sig(x: float, up: bool) -> float:
@@ -33,6 +36,37 @@ def _bounds(a: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """The text " ".join("%.2f,%.2f" % xy for xy in zip(px, py)).
+
+    c = 100 v lies within spacing(c)/2 of the exact product and c - r is
+    exact, so if | |c - r| - 1/2 | > spacing(c), r = rint(c) is the cent
+    that "%.2f" rounds v to, and not a tie.  Other values go to `%`.
+    """
+    v = np.column_stack([px, py]).ravel()
+    # No warning on NaN or inf, and v < 1000 keeps 100 v finite.
+    if np.all(~np.signbit(v) & (v < 1000.0)):
+        c = 100.0 * v
+        r = np.rint(c)
+        if np.all((c < 99999.5)
+                  & (np.abs(np.abs(c - r) - 0.5) > np.spacing(c))):
+            cents = r.astype(np.int32)
+            del v, c, r  # a smaller peak while the text is built
+            text = np.empty((cents.size, 7), dtype=np.uint8)  # ddd.dd,
+            digits = cents
+            for j in (5, 4, 2, 1):
+                tens = digits // 10
+                text[:, j] = digits - 10 * tens + ord("0")
+                digits = tens
+            text[:, 0], text[:, 3] = digits + ord("0"), ord(".")
+            text[0::2, 6], text[1::2, 6] = ord(","), ord(" ")
+            keep = np.ones(text.shape, dtype=bool)
+            keep[:, 0], keep[:, 1] = cents >= 10000, cents >= 1000
+            keep[-1:, 6] = False  # no separator after the last pair
+            return text[keep].tobytes().decode("ascii")
+    return " ".join(["%.2f,%.2f"] * px.size) % tuple(v.tolist())
+
+
 def orbit_svg(xs, ys, title: str = "") -> str:
     """SVG document with the (xs, ys) orbit as a single polyline."""
     xs = np.asarray(xs, dtype=float)
@@ -47,8 +81,7 @@ def orbit_svg(xs, ys, title: str = "") -> str:
     span = _W - 2 * _MARGIN
     px = _MARGIN + (xs - x_lo) / (x_hi - x_lo) * span
     py = (_H - _MARGIN) - (ys - y_lo) / (y_hi - y_lo) * (_H - 2 * _MARGIN)
-    points = (" ".join(["%.2f,%.2f"] * px.size)
-              % tuple(np.column_stack([px, py]).ravel().tolist()))
+    points = _points(px, py)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -62,7 +95,8 @@ def orbit_svg(xs, ys, title: str = "") -> str:
     ]
     if title:
         lines.append(f'<text x="{_W // 2}" y="24" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{title}</text>')
+                     f'font-family="sans-serif" font-size="14">'
+                     f'{title.translate(_XML_TEXT)}</text>')
     lines.append(f'<polyline fill="none" stroke="black" stroke-width="0.6" '
                  f'points="{points}"/>')
     lines.append("</svg>")

@@ -474,6 +474,27 @@ class TestIntegrate:
                      initial_state(sys, [1.0, 0.2], p0=[0.1, 0.4]),
                      REFERENCE)
 
+    @pytest.mark.parametrize("name, width", [
+        ("polar", 2), ("pendulum", 2), ("pendulum", 0),
+        ("two-channel", 1), ("two-channel", 3)])
+    def test_step_on_increments_of_another_width_rejected(self, name, width):
+        # A one-channel step would broadcast a (2, 2) increment to a
+        # (2, 2) x, and the m = 2 matmul raised a bare ValueError.
+        sys = {"polar": polar_metric_system, "pendulum": pendulum_system,
+               "two-channel": _two_channel_pendulum}[name]()
+        fields = assemble_hp_fields(sys, REFERENCE)
+        q = np.tile(np.linspace(0.5, 1.0, sys.dim), (2, 1))
+        x = np.full((2, sys.dim), 0.1)
+        with pytest.raises(GridMismatch,
+                           match=rf"shape \(2, {width}\): system expects "
+                                 rf"{sys.noise.m} channels"):
+            fields.step(q, x, 1e-3, fields.damping(0.1),
+                        fields.noise_scale(0.1), np.full((2, width), 0.01))
+        q_new, x_new = fields.step(q, x, 1e-3, fields.damping(0.1),
+                                   fields.noise_scale(0.1),
+                                   np.full((2, sys.noise.m), 0.01))
+        assert q_new.shape == x_new.shape == (2, sys.dim)
+
 
 class TestStrongConvergence:
     def test_deterministic_euler_order_one(self):
