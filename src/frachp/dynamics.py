@@ -208,9 +208,8 @@ class MetricSystem:
     drives; a system may give both in closed form, and otherwise they are
     taken numerically, from the Christoffel symbols and from g^-1 times
     `NoiseCoupling.grad_matrix`.  Neither form checks g: `metric_at` is
-    the one owner of that rule, `integrate_paths` checks every
-    configuration a run visits in one `metric_at` call, and the one-off
-    drift and diffusion of `SdeFields` check it first.
+    the one owner of that rule, and `integrate_paths` checks every
+    configuration a run visits in one `metric_at` call.
     """
 
     dim: int
@@ -275,10 +274,6 @@ class MetricSystem:
         g = g.view()  # read-only without freezing the callable's own array
         g.setflags(write=False)
         return g
-
-    def inverse_at(self, q: np.ndarray) -> np.ndarray:
-        """np.linalg.inv of `metric_at(q)`."""
-        return np.linalg.inv(self.metric_at(q))
 
     def lagrangian(self, q, v):
         """(1/2) g(q)(v, v) on samples of shape (..., n), g checked as
@@ -406,7 +401,7 @@ def christoffel(sys: MetricSystem, q) -> np.ndarray:
     checked as `metric_at` checks it.
     """
     q = np.asarray(q, dtype=float)
-    return _christoffel(sys.inverse_at(q), sys.metric_grad(q))
+    return _christoffel(np.linalg.inv(sys.metric_at(q)), sys.metric_grad(q))
 
 
 def _christoffel(g_inv, dg) -> np.ndarray:
@@ -430,10 +425,6 @@ def _second(q, x):  # y_of, velocity or from_p where it returns x
     return x
 
 
-def _unchecked(q):  # the one-off fields' check of a system without g
-    return None
-
-
 @dataclass(frozen=True)
 class _Formulation:
     """The rules of one system type: the components (q, x) `SdeFields.step`
@@ -441,9 +432,8 @@ class _Formulation:
     velocity(q, y) and force(q, y, damp) read (p for a Hamiltonian system,
     else v, which a Lagrangian one solves for from p); noise_matrix(q) and
     noise_column(q), its column 0 as (..., n), which the step reads when
-    m = 1; the completion (q, x) -> (v, p) of `complete_state`; the one-off
-    fields' check(q) of g; and from_p(q, p), the x of a state of momentum
-    p."""
+    m = 1; the completion (q, x) -> (v, p) of `complete_state`; and
+    from_p(q, p), the x of a state of momentum p."""
 
     carried: str
     y_of: Callable
@@ -452,7 +442,6 @@ class _Formulation:
     noise_matrix: Callable
     noise_column: Callable
     complete: Callable
-    check: Callable
     from_p: Callable
 
 
@@ -467,7 +456,7 @@ def _formulation(sys: SystemSpec) -> _Formulation:
 
         return _Formulation("qp", _second, sys.grad_p, force,
                             sys.noise.grad_matrix, sys.noise.gamma_grad[0],
-                            complete, _unchecked, _second)
+                            complete, _second)
     if isinstance(sys, LagrangianSystem):
         def force(q, v, damp):
             base = np.asarray(sys.grad_q(q, v), dtype=float)
@@ -478,8 +467,7 @@ def _formulation(sys: SystemSpec) -> _Formulation:
 
         return _Formulation("qp", partial(invert_legendre, sys), _second,
                             force, sys.noise.grad_matrix,
-                            sys.noise.gamma_grad[0], complete, _unchecked,
-                            _second)
+                            sys.noise.gamma_grad[0], complete, _second)
     if isinstance(sys, MetricSystem):
         def force(q, v, damp):
             return sys.geodesic(q, v) - damp * v
@@ -494,7 +482,7 @@ def _formulation(sys: SystemSpec) -> _Formulation:
             return np.linalg.solve(sys.metric_at(q), p)
 
         return _Formulation("qv", _second, _second, force, sys.noise_matrix,
-                            noise_column, complete, sys.metric_at, from_p)
+                            noise_column, complete, from_p)
     raise TypeError(f"unsupported system type {type(sys)!r}")
 
 
@@ -508,33 +496,33 @@ class SdeFields:
 
     step(q, x, h, damp, coef, inc) is one explicit Euler step from float
     arrays (..., n) on increments (..., m), returning the new (q, x)
-    (increments of another last axis raise GridMismatch): x is
-    the variable the noise drives, p, or v for a metric system, and
-    `carried` names the two.  The step reads y = y_of(q, x) of the
-    formulation record (x itself, or for a Lagrangian system the v that
-    solves dL/dv(q, v) = p); q moves by h drift_q and x by h drift_p plus
-    the noise term: for one channel (m = 1) the product of coef times the
-    noise matrix's one column with inc, and for m > 1 diffusion_p @ inc.
-    The product has the bits of the one-term matmul except where x + h
-    drift_p and the product are both -0.0: the matmul adds the term to
-    +0.0 and so gives 0.0 there, the product -0.0.  inc=None stands for
-    increments that are all zero: x moves by h drift_p alone, and the
-    noise matrix is not evaluated.  That gives the bits of zero
-    increments, except where the noise matrix is not finite (zero
-    increments give NaN there) or x + h drift_p is -0.0 and the noise term
-    of zero increments +0.0 (the sum is 0.0).  The other component
-    (v, or p = g(q) v) is the one `complete_state` gives, and no step
-    reads it.  damp and coef are damping(s) and noise_scale(s) at the
-    left endpoint s; both take arrays of s, so a caller takes them once
-    over a grid.
+    (increments of another last axis raise GridMismatch): x is the
+    variable the noise drives, p, or v for a metric system, and `carried`
+    names the two.  The step reads y = y_of(q, x) of the formulation
+    record (x itself, or for a Lagrangian system the v that solves
+    dL/dv(q, v) = p); q moves by h drift_q(q, y) and x by
+    h drift_p(q, y, damp) plus the noise term: for one channel (m = 1) the
+    product of coef times the noise matrix's one column with inc, and for
+    m > 1 (coef diffusion_p(q)) @ inc.  The product has the bits of the
+    one-term matmul except where x + h drift_p and the product are both
+    -0.0: the matmul adds the term to +0.0 and so gives 0.0 there, the
+    product -0.0.  inc=None stands for increments that are all zero: x
+    moves by h drift_p alone, and the noise matrix is not evaluated.  That
+    gives the bits of zero increments, except where the noise matrix is
+    not finite (zero increments give NaN there) or x + h drift_p is -0.0
+    and the noise term of zero increments +0.0 (the sum is 0.0).  The
+    other component (v, or p = g(q) v) is the one `complete_state` gives,
+    and no step reads it.  damp and coef are damping(s) and noise_scale(s)
+    at the left endpoint s; both take arrays of s, so a caller takes them
+    once over a grid.
 
-    drift_q(s, q, y) and drift_p(s, q, y), where y is p for the
-    Hamiltonian formulation and v for the others, return (..., n), and
-    diffusion_p(s, q) returns the (..., n, m) noise matrix; q never
-    carries noise.  For a metric system drift_p and diffusion_p check g
-    at q first; step does not.  The system owns system.dim and
-    system.noise.m, and the formulation record of its type gives these
-    terms and `carried`; params is the triple the coefficients use.
+    drift_q, drift_p and diffusion_p, the terms step composes, are the
+    formulation record's velocity, force and noise_matrix: y is p for the
+    Hamiltonian formulation and v for the others, drift_q and drift_p
+    return (..., n), diffusion_p the (..., n, m) noise matrix, and q never
+    carries noise.  None checks g; a run checks every q it visits.  The
+    system owns dim and noise.m, the record of its type gives these terms
+    and `carried`, and params is the triple the coefficients use.
     """
 
     step: Callable
@@ -570,7 +558,7 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
     """
     form, damping = _formulation(sys), partial(_alpha_drift_factor, params)
     y_of, velocity, force = form.y_of, form.velocity, form.force
-    noise_matrix, check = form.noise_matrix, form.check
+    noise_matrix = form.noise_matrix
     if eq15_literal:
         if form.carried != "qv":  # not the metric-velocity form
             raise InvalidArgument(
@@ -604,17 +592,8 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
             return q_new, x_new
         return q_new, x_new + noise_term(q, coef, inc)
 
-    def drift_p(s, q, y):
-        check(q)
-        return force(q, np.asarray(y, dtype=float), damping(s))
-
-    def diffusion_p(s, q):
-        check(q)
-        return noise_scale(s) * noise_matrix(q)
-
-    return SdeFields(
-        step, lambda s, q, y: velocity(q, np.asarray(y, dtype=float)),
-        drift_p, diffusion_p, damping, noise_scale, sys, params)
+    return SdeFields(step, velocity, force, noise_matrix, damping,
+                     noise_scale, sys, params)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Output is byte-stable for fixed data: the viewBox is computed from data
 bounds rounded outward to 2 significant digits, and the polyline points
 are space-separated pixel pairs with the bytes of "%.2f,%.2f", formatted
 in numpy where `_points` can prove those bytes and by Python's `%`
-elsewhere.  The title is escaped as XML text.
+elsewhere.  The title is XML-escaped; bounds of no finite span raise.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import InvalidArgument
 
 MAX_POINTS = 100_000
 _W, _H = 640, 520
@@ -28,11 +30,14 @@ def _round_sig(x: float, up: bool) -> float:
     return fn(abs(x) / scale) * scale * (1 if x > 0 else -1)
 
 
-def _bounds(a: np.ndarray) -> tuple[float, float]:
-    lo = _round_sig(float(np.min(a)), up=False)
-    hi = _round_sig(float(np.max(a)), up=True)
+def _bounds(a: np.ndarray, name: str) -> tuple[float, float]:
+    a_min, a_max = float(np.min(a)), float(np.max(a))
+    lo, hi = _round_sig(a_min, up=False), _round_sig(a_max, up=True)
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
+    if not math.isfinite(hi - lo):  # also when lo or hi is not
+        raise InvalidArgument(f"{name}=[{a_min:.6g}, {a_max:.6g}] rounds "
+                              f"out to [{lo:.6g}, {hi:.6g}]: no finite span")
     return lo, hi
 
 
@@ -75,8 +80,8 @@ def orbit_svg(xs, ys, title: str = "") -> str:
     if xs.size > MAX_POINTS:
         stride = int(math.ceil(xs.size / MAX_POINTS))
         xs, ys = xs[::stride], ys[::stride]
-    x_lo, x_hi = _bounds(xs)
-    y_lo, y_hi = _bounds(ys)
+    x_lo, x_hi = _bounds(xs, "xs")
+    y_lo, y_hi = _bounds(ys, "ys")
 
     span = _W - 2 * _MARGIN
     px = _MARGIN + (xs - x_lo) / (x_hi - x_lo) * span
@@ -104,5 +109,6 @@ def orbit_svg(xs, ys, title: str = "") -> str:
 
 
 def write_orbit(path, xs, ys, title: str = "") -> None:
+    text = orbit_svg(xs, ys, title)  # a bad input raises before path opens
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(orbit_svg(xs, ys, title))
+        fh.write(text)

@@ -12,15 +12,15 @@ def rk4_terminal(fields, q0, p0, t_start, t_end, n_steps):
     """Classical RK4 on the drift-only (q, p) system; noise must be off.
 
     Used as a high-order reference for the explicit Euler scheme.  Works on
-    the fields' drift_q and drift_p, which the Euler loop does not call
-    (it runs fields.step), and is an entirely different discretization.
+    the terms fields.step composes, drift_q(q, p) and drift_p(q, p,
+    damping(s)), but is an entirely different discretization.
     """
     h = (t_end - t_start) / n_steps
     q = np.array(q0, dtype=float)
     p = np.array(p0, dtype=float)
 
     def rhs(s, q, p):
-        return fields.drift_q(s, q, p), fields.drift_p(s, q, p)
+        return fields.drift_q(q, p), fields.drift_p(q, p, fields.damping(s))
 
     for k in range(n_steps):
         s = t_start + k * h
@@ -35,7 +35,8 @@ def rk4_terminal(fields, q0, p0, t_start, t_end, n_steps):
 
 def metric_fields_reference(sys, q, v):
     """(-Gamma(q)(v, v), g^-1(q) grad gamma(q)) of a MetricSystem, taken
-    numerically from `christoffel`, `inverse_at` and `grad_matrix`.
+    numerically from `christoffel`, the inverse of `metric_at` and
+    `grad_matrix`.
 
     The oracle for the closed forms a system gives as geodesic and
     noise_matrix.
@@ -43,7 +44,8 @@ def metric_fields_reference(sys, q, v):
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     geodesic = -np.einsum("...ijk,...j,...k->...i", christoffel(sys, q), v, v)
-    return geodesic, sys.inverse_at(q) @ sys.noise.grad_matrix(q)
+    return (geodesic,
+            np.linalg.inv(sys.metric_at(q)) @ sys.noise.grad_matrix(q))
 
 
 def action_reference(trajectory, sys, params, path) -> float:

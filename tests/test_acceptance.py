@@ -103,7 +103,7 @@ def test_c04_alpha_equals_beta_collapse():
         s = rng.uniform(0.0, 0.79)
         q = rng.uniform(-3.0, 3.0, size=1)
         assert hp_noise_coefficient(params, s) == 1.0
-        assert np.array_equal(fields.diffusion_p(s, q),
+        assert np.array_equal(fields.noise_scale(s) * fields.diffusion_p(q),
                               system.noise.grad_matrix(q))
     report("C04", "alpha == beta: diffusion equals d(gamma)/dq bitwise "
            "(coefficient exactly 1.0) at 100 random (s, q)",

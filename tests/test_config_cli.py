@@ -16,8 +16,10 @@ import frachp
 from frachp.cli import _write_csv, main, write_trajectory_csv
 from frachp.config import RunConfig, config_lines, parse_config
 from frachp.core import TimeGrid, Trajectory, make_grid
-from frachp.errors import ConfigError, MissingKey, ParseError, UnknownKey
+from frachp.errors import (ConfigError, InvalidArgument, MissingKey,
+                           ParseError, UnknownKey)
 from frachp.integrator import initial_state
+from frachp.svgplot import write_orbit
 
 REFERENCE_TEXT = """\
 # pendulum run at the reference parameter set
@@ -434,6 +436,22 @@ class TestSimulateCommand:
         cfg_path, _ = small_config(tmp_path, plot="false")
         main(["simulate", "--config", str(cfg_path)])
         assert not list((tmp_path / "out").glob("*.svg"))
+
+    @pytest.mark.parametrize("xs, ys, match", [
+        ([-1e308, 1e308], [0.0, 1.0], r"^xs=\[-1e\+308, 1e\+308\]"),
+        ([0.0, 1.75e308], [0.0, 1.0], r"^xs=.*\[0, inf\]"),
+        ([0.0, 1.0], [-1e308, 1e308], r"^ys="),
+    ], ids=["span-overflows", "bound-overflows", "ys"])
+    def test_orbit_range_overflow_writes_no_svg(self, tmp_path, xs, ys,
+                                                match):
+        # Finite data whose rounded bounds or span are not finite floats
+        # raise, with no warning, before the file is opened.
+        path = tmp_path / "orbit.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgument, match=match):
+                write_orbit(path, xs, ys)
+        assert not path.exists()
 
     def test_validation_error_before_outputs(self, tmp_path, capsys):
         cfg_path, _ = small_config(tmp_path, alpha=1.5)

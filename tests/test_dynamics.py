@@ -186,8 +186,8 @@ class TestMetricSymmetry:
 
 
 class TestMetricMemo:
-    """MetricSystem evaluates and checks g, and inverts it, at every call:
-    it keeps no memo."""
+    """MetricSystem evaluates and checks g at every call: it keeps no
+    memo."""
 
     def test_in_place_change_of_q_is_seen(self):
         sys = polar_metric_system()
@@ -195,7 +195,6 @@ class TestMetricMemo:
         assert sys.metric_at(q)[1, 1] == 2.25
         q[0] = 2.0
         assert sys.metric_at(q)[1, 1] == 4.0
-        assert np.array_equal(sys.inverse_at(q), np.diag([1.0, 0.25]))
 
     def test_arrays_are_read_only(self):
         g_user = np.diag([2.0, 3.0])
@@ -209,12 +208,6 @@ class TestMetricMemo:
             g[0, 0] = 7.0
         assert g_user.flags.writeable  # the callable's array stays as it was
 
-    def test_inverse_is_numpy_inv_bitwise(self):
-        sys = polar_metric_system()
-        q = np.random.default_rng(5).uniform(0.5, 3.0, (7, 2))
-        assert np.array_equal(sys.inverse_at(q),
-                              np.linalg.inv(sys.metric(q)))
-
     def test_batches_keep_their_shape(self):
         # One sample with a batch axis of one, and a run's (N+1, P, n)
         # history.
@@ -223,7 +216,6 @@ class TestMetricMemo:
         assert sys.metric_at(q[None]).shape == (1, 2, 2)
         history = np.random.default_rng(6).uniform(0.5, 2.0, (4, 3, 2))
         assert np.array_equal(sys.metric_at(history), sys.metric(history))
-        assert sys.inverse_at(history).shape == (4, 3, 2, 2)
 
     def test_failure_is_not_kept(self):
         sys = MetricSystem(1, lambda q: np.array([[-1.0]]),
@@ -231,7 +223,7 @@ class TestMetricMemo:
                            metric_grad=lambda q: np.zeros((1, 1, 1)))
         for _ in range(2):
             with pytest.raises(NotPositiveDefinite):
-                sys.inverse_at([0.0])
+                sys.metric_at([0.0])
 
     def test_memo_is_not_compared(self):
         a = polar_metric_system()
@@ -285,8 +277,8 @@ class TestClosedFormMetricFields:
 
     def test_singular_metric_takes_the_numeric_default(self):
         # det g = 0 identically: no closed form.  The default inverts g
-        # unchecked, as the closed forms divide by it; the one-off fields
-        # and initial_state check g first and name it.
+        # unchecked, as the closed forms divide by it; initial_state
+        # checks g first and names it.
         from frachp.exprsys import metric_from_expressions
         from frachp.integrator import initial_state
         sys = metric_from_expressions([["1", "0"], ["0", "0"]],
@@ -294,24 +286,8 @@ class TestClosedFormMetricFields:
         q, v = np.array([1.0, 0.0]), np.array([0.0, 0.5])
         with pytest.raises(np.linalg.LinAlgError):
             sys.geodesic(q, v)
-        fields = assemble_hp_fields(sys, FractionalParams(0.6, 0.3, 0.8))
-        with pytest.raises(NotPositiveDefinite):
-            fields.drift_p(0.1, q, v)
-        with pytest.raises(NotPositiveDefinite):
-            fields.diffusion_p(0.1, q)
         with pytest.raises(NotPositiveDefinite):
             initial_state(sys, q, p0=v)
-
-    def test_one_off_fields_check_the_metric_first(self):
-        # The closed forms would divide by r = 0; a one-off evaluation
-        # names the metric (a run checks it over its whole history).
-        sys = polar_metric_system()
-        fields = assemble_hp_fields(sys, FractionalParams(0.6, 0.3, 0.8))
-        q = np.array([[0.0, 0.1]])
-        with pytest.raises(NotPositiveDefinite):
-            fields.drift_p(0.1, q, q)
-        with pytest.raises(NotPositiveDefinite):
-            fields.diffusion_p(0.1, q)
 
 
 class TestGradientChecks:
@@ -406,35 +382,24 @@ class TestAssembly:
         fields = assemble_hp_fields(pendulum_system(), self.params)
         s, q, p = 0.2, np.array([1.0]), np.array([0.7])
         expect = math.sin(1.0) + 0.7 * (0.6 - 1.0) / (0.8 - 0.2)
-        assert fields.drift_p(s, q, p)[0] == pytest.approx(expect, rel=1e-12)
-        coef = hp_noise_coefficient(self.params, s)
-        assert fields.diffusion_p(s, q)[0, 0] == pytest.approx(
-            -coef * math.sin(1.0), rel=1e-12)
-        assert fields.drift_q(s, q, p)[0] == 0.7
+        assert fields.drift_p(q, p, fields.damping(s))[0] == pytest.approx(
+            expect, rel=1e-12)
+        assert fields.noise_scale(s) == hp_noise_coefficient(self.params, s)
+        assert fields.diffusion_p(q)[0, 0] == pytest.approx(-math.sin(1.0),
+                                                            rel=1e-12)
+        assert fields.drift_q(q, p)[0] == 0.7
 
     def test_alpha_one_drops_fractional_drift(self):
         params = FractionalParams(1.0, 1.0, 10.0)
         fields = assemble_hp_fields(pendulum_system(), params)
-        q, p = np.array([1.0]), np.array([0.7])
-        # s-independent classical fields
-        assert fields.drift_p(0.1, q, p) == fields.drift_p(5.0, q, p)
-        assert fields.diffusion_p(0.1, q) == fields.diffusion_p(5.0, q)
+        for s in (0.1, 5.0):  # s-independent classical coefficients
+            assert fields.damping(s) == 0.0
+            assert fields.noise_scale(s) == 1.0
 
     def test_constant_gamma_kills_diffusion(self):
         fields = assemble_hp_fields(
             pendulum_system(gamma_coupling="const"), self.params)
-        assert not fields.diffusion_p(0.3, np.array([1.2])).any()
-
-    def test_alpha_equals_beta_collapse_bitwise(self):
-        params = FractionalParams(0.6, 0.6, 0.8)
-        sys = pendulum_system()
-        fields = assemble_hp_fields(sys, params)
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            s = rng.uniform(0.0, 0.79)
-            q = rng.uniform(-3, 3, 1)
-            assert np.array_equal(fields.diffusion_p(s, q),
-                                  sys.noise.grad_matrix(q))
+        assert not fields.diffusion_p(np.array([1.2])).any()
 
     def test_lagrangian_vs_hamiltonian_route(self):
         lsys = pendulum_lagrangian_system()
@@ -447,11 +412,13 @@ class TestAssembly:
             q = rng.uniform(-2, 2, 1)
             v = rng.uniform(-2, 2, 1)
             p, _ = legendre_transform(lsys, q, v)
-            assert np.allclose(f_l.drift_p(s, q, v), f_h.drift_p(s, q, p),
+            assert np.allclose(f_l.drift_p(q, v, f_l.damping(s)),
+                               f_h.drift_p(q, p, f_h.damping(s)),
                                rtol=1e-8, atol=1e-8)
-            assert np.allclose(f_l.diffusion_p(s, q), f_h.diffusion_p(s, q),
+            assert np.allclose(f_l.noise_scale(s) * f_l.diffusion_p(q),
+                               f_h.noise_scale(s) * f_h.diffusion_p(q),
                                rtol=1e-8)
-            assert np.allclose(f_l.drift_q(s, q, v), f_h.drift_q(s, q, p),
+            assert np.allclose(f_l.drift_q(q, v), f_h.drift_q(q, p),
                                rtol=1e-8)
 
     def test_metric_momentum_form_identity(self):
@@ -483,10 +450,11 @@ class TestAssembly:
         gam = christoffel(sys, q)
         geo = -np.einsum("ijk,j,k->i", gam, v, v)
         expect = geo - (0.6 - 1.0) / (0.8 - s) * v
-        assert np.allclose(fields.drift_p(s, q, v), expect, rtol=1e-12)
+        assert np.allclose(fields.drift_p(q, v, fields.damping(s)), expect,
+                           rtol=1e-12)
         coef = hp_noise_coefficient(self.params, s)
         g_inv = np.linalg.inv(sys.metric_at(q))
-        assert np.allclose(fields.diffusion_p(s, q),
+        assert np.allclose(fields.noise_scale(s) * fields.diffusion_p(q),
                            coef * g_inv @ sys.noise.grad_matrix(q),
                            rtol=1e-12)
 
@@ -497,11 +465,13 @@ class TestAssembly:
         s, q = 0.1, np.array([1.5, 0.2])
         ratio = (gamma(0.3) / gamma(0.6)) * (0.8 - s) ** (0.3 - 1.0) \
             / ((gamma(0.6) / gamma(0.3)) * (0.8 - s) ** (0.3 - 0.6))
-        assert np.allclose(lit.diffusion_p(s, q),
-                           ratio * std.diffusion_p(s, q), rtol=1e-12)
+        assert np.allclose(lit.noise_scale(s) * lit.diffusion_p(q),
+                           ratio * std.noise_scale(s) * std.diffusion_p(q),
+                           rtol=1e-12)
         # drift is unchanged by the switch
         v = np.array([0.3, -0.4])
-        assert np.allclose(lit.drift_p(s, q, v), std.drift_p(s, q, v))
+        assert np.allclose(lit.drift_p(q, v, lit.damping(s)),
+                           std.drift_p(q, v, std.damping(s)))
 
     @pytest.mark.parametrize("make", [pendulum_system,
                                       pendulum_lagrangian_system],

@@ -73,9 +73,9 @@ def drift_only_fields(drift):
         return q, p + h * drift(p)
 
     return SdeFields(
-        step=step, drift_q=lambda s, q, y: np.zeros_like(y),
-        drift_p=lambda s, q, y: drift(y),
-        diffusion_p=lambda s, q: np.zeros(np.shape(q) + (1,)),
+        step=step, drift_q=lambda q, y: np.zeros_like(y),
+        drift_p=lambda q, y, damp: drift(y),
+        diffusion_p=lambda q: np.zeros(np.shape(q) + (1,)),
         damping=lambda s: 0.0, noise_scale=lambda s: 1.0,
         system=pendulum_system(), params=CLASSICAL)
 
@@ -123,9 +123,9 @@ class TestEulerStep:
         v, p = complete_state(sys, q, x0)
         y, x = ({"v": v, "p": p}[c] for c in (y_name, x_name))
         damp, coef = fields.damping(s), fields.noise_scale(s)
-        q_new = q + h * fields.drift_q(s, q, y)
-        x_new = (x + h * fields.drift_p(s, q, y)
-                 + (fields.diffusion_p(s, q) @ inc[..., None])[..., 0])
+        q_new = q + h * fields.drift_q(q, y)
+        x_new = (x + h * fields.drift_p(q, y, damp)
+                 + ((coef * fields.diffusion_p(q)) @ inc[..., None])[..., 0])
         v_new, p_new = complete_state(sys, q_new, x_new)
         new = {"q": q_new, "v": v_new, "p": p_new}
         assert fields.carried == {"pp": "qp", "vp": "qp",
@@ -223,7 +223,7 @@ class TestOneChannelNoise:
         declared class; return the mask of the elements that differ."""
         damp, coef = fields.damping(s), fields.noise_scale(s)
         q_drift, drift = fields.step(q, x, h, damp, coef, None)
-        noise = fields.diffusion_p(s, q)  # coef times the noise matrix
+        noise = coef * fields.diffusion_p(q)
         want = drift + (noise @ inc[..., None])[..., 0]
         prod = noise[..., 0] * inc
         q_got, got = fields.step(q, x, h, damp, coef, inc)
