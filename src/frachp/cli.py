@@ -20,7 +20,7 @@ from .config import RunConfig, config_lines, parse_config
 from .core import FractionalParams, TimeGrid, Trajectory, make_grid
 from .dynamics import (assemble_hp_fields, pendulum_system,
                        polar_metric_system)
-from .errors import ConfigError, FracHPError
+from .errors import FracHPError
 from .fracint import VolterraCoefficients, volterra_paths
 from .integrator import (EulerRun, initial_state, integrate,
                          integrate_paths, stationarity_ratio,
@@ -47,16 +47,6 @@ def build_system(cfg: RunConfig):
     rows = [[e.strip() for e in row.split(",")]
             for row in cfg.metric_expr.split(";")]
     return metric_from_expressions(rows, gammas, cfg.dim)
-
-
-def _initial_state(cfg: RunConfig, system):
-    """initial_state from q0 and p0, each checked against the dimension."""
-    for key in ("q0", "p0"):
-        n = len(getattr(cfg, key))
-        if n != system.dim:
-            raise ConfigError(f"{key} has {n} entries, but system "
-                              f"{cfg.system!r} has dimension {system.dim}")
-    return initial_state(system, cfg.q0, p0=cfg.p0)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -129,7 +119,7 @@ def _hp_run(cfg: RunConfig):
     system = build_system(cfg)
     fields = assemble_hp_fields(system, params,
                                 eq15_literal=cfg.eq15_literal)
-    return params, grid, system, fields, _initial_state(cfg, system)
+    return params, grid, system, fields, initial_state(system, cfg.q0, cfg.p0)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -162,9 +152,9 @@ def cmd_convergence(cfg: RunConfig) -> int:
     system = build_system(cfg)
     fields = assemble_hp_fields(system, params,
                                 eq15_literal=cfg.eq15_literal)
-    init = _initial_state(cfg, system)
+    init = initial_state(system, cfg.q0, p0=cfg.p0)
     slope, hs, errors = strong_convergence_order(
-        fields, init, params, base_h=cfg.h, levels=cfg.levels,
+        fields, init, base_h=cfg.h, levels=cfg.levels,
         n_paths=cfg.n_paths, seed=cfg.seed, t_end=cfg.t_end)
     outdir = _outdir(cfg)
     _write_csv(outdir / "convergence.csv", "h,mean_error", [hs, errors])

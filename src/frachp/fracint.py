@@ -139,8 +139,8 @@ def volterra_paths(coeffs: VolterraCoefficients, beta: float, grid: TimeGrid,
     """
     check_order("beta", beta)
     inc = np.atleast_2d(np.asarray(increments, dtype=float))
-    if inc.shape[1] != grid.n_steps:
-        raise GridMismatch("increment table does not match the grid")
+    if inc.ndim != 2 or inc.shape[1] != grid.n_steps:
+        raise GridMismatch(f"increments {inc.shape}, not (P, {grid.n_steps})")
     mu, sigma = coeffs.mu, coeffs.sigma
     n = grid.n_steps
     w = step_weights(grid.t_end, grid.points, beta)

@@ -32,11 +32,15 @@ _BLOWUP_BLOCK = 256  # steps of the Euler loop written and tested at once
 
 def initial_state(sys: SystemSpec, q0, p0) -> PhaseState:
     """The (q, v, p) sample that `complete_state` gives at q0 from p0, so
-    p is p0; a metric system, completed from v, first solves g(q0) v0 = p0."""
-    q = np.atleast_1d(np.asarray(q0, dtype=float))
+    p is p0; a metric system, completed from v, first solves g(q0) v0 = p0.
+    A q0 or p0 without sys.dim entries raises GridMismatch."""
+    q, p = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (q0, p0))
+    for name, a in (("q0", q), ("p0", p)):
+        if a.size != sys.dim:
+            raise GridMismatch(f"{name} has {a.size} entries, but the "
+                               f"system has dimension {sys.dim}")
     form = _formulation(sys)
-    x = form.from_p(q, np.atleast_1d(np.asarray(p0, dtype=float)))
-    return PhaseState(q, *form.complete(q, x))
+    return PhaseState(q, *form.complete(q, form.from_p(q, p)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,32 +111,31 @@ def _at_step(exc: SampleError, step: int, grid: TimeGrid,
 
 def _complete_history(states: np.ndarray, fields: SdeFields, last: int,
                       grid: TimeGrid, batch: bool) -> None:
-    """Fill the component `fields.step` does not carry on rows 1..last by
-    one `complete_state` call over rows 0..last, which for a metric system
-    also checks g at every q, q0 included.
+    """Write v and p on rows 1..last as one `complete_state` call over rows
+    0..last returns them (the carried one unchanged, the other filled),
+    which for a metric system also checks g at every q, q0 included.
 
     If that call fails, rows 0..last are completed one at a time, as a
     step-by-step run would, and the first failing row raises its error
     (or a blow-up of a completed row before it, NumericalBlowup).
     """
+    q, p, v = states
     x = states["qpv".index(fields.carried[1])]
-    missing = "pv".replace(fields.carried[1], "")
-    out = states["qpv".index(missing)]
 
     def complete(rows):
-        return complete_state(fields.system, states[0, rows],
-                              x[rows])["vp".index(missing)]
+        return complete_state(fields.system, q[rows], x[rows])
 
     try:
-        out[1:last + 1] = complete(slice(0, last + 1))[1:]
+        v_all, p_all = complete(slice(0, last + 1))
+        v[1:last + 1], p[1:last + 1] = v_all[1:], p_all[1:]
     except Exception:
         for k in range(last + 1):
             try:
-                row = complete(k)
+                v_k, p_k = complete(k)
             except SampleError as exc:
                 raise _at_step(exc, k, grid, batch) from None
             if k:
-                out[k] = row
+                v[k], p[k] = v_k, p_k
                 if _first_bad_row(states, k, k) is not None:
                     raise _blowup(states, k, grid, batch) from None
         raise
@@ -238,17 +241,16 @@ def integrate(run: EulerRun) -> Trajectory:
 
 
 def strong_convergence_order(fields: SdeFields, initial: PhaseState,
-                             params: FractionalParams, base_h: float,
-                             levels: int, n_paths: int, seed: int,
-                             t_end: float):
+                             base_h: float, levels: int, n_paths: int,
+                             seed: int, t_end: float):
     """Fit the strong order of the Euler scheme by grid coarsening.
 
     For each path the finest Wiener path (step base_h) is generated once
     and coarsened by powers of two; terminal-state errors at the coarse
     levels are measured against the finest run sharing the same Brownian
-    path.  Each level integrates all paths in one batch.  Returns
-    (slope, hs, errors): the least-squares slope of log(mean error) vs
-    log(h), the coarse steps and their mean errors; the grids start at 0.
+    path.  Each level integrates all paths in one batch, at fields.params.
+    Returns (slope, hs, errors): the least-squares slope of log(mean error)
+    vs log(h), the coarse steps and their mean errors; grids start at 0.
     t_end/base_h must be a whole multiple of 2^(levels-1), to within
     rounding, or InvalidArgument is raised.
     """
@@ -268,7 +270,7 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
             f"t_end = {t_end!r}) is not a whole multiple of "
             f"2^(levels-1) = {top_factor} (levels = {levels})")
 
-    grids = [make_grid(0.0, base_h * 2 ** l, n_fine // 2 ** l, params)
+    grids = [make_grid(0.0, base_h * 2 ** l, n_fine // 2 ** l, fields.params)
              for l in range(levels)]
     fine = [generate_path(spawn_substream(seed, i), base_h, n_fine,
                           fields.system.noise.m) for i in range(n_paths)]
@@ -278,7 +280,7 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
         paths = fine if level == 0 else [coarsen(f, 2 ** level)
                                          for f in fine]
         return [np.concatenate([t.q[-1], t.p[-1]]) for t in integrate_paths(
-            [EulerRun(fields, grids[level], path, initial, params)
+            [EulerRun(fields, grids[level], path, initial, fields.params)
              for path in paths])]
 
     ref = terminals(0)
@@ -327,11 +329,15 @@ def evaluate_action(trajectory: Trajectory, sys: SystemSpec,
     increments, kernel (t - s)^(beta-1) at the step midpoint.  Both parts
     are evaluated on whole-grid arrays: one call of the Lagrangian and one
     of each coupling, under the array contract of `frachp.dynamics`.
-    A non-finite action raises NumericalBlowup naming the first step from
+    A trajectory or path that does not fit sys raises GridMismatch; a
+    non-finite action raises NumericalBlowup naming the first step from
     which the running sum is not finite.
     """
     grid = trajectory.grid
     path.check_aligned(grid, sys.noise.m)
+    if trajectory.dim != sys.dim:
+        raise GridMismatch(f"trajectory has dimension {trajectory.dim}, "
+                           f"system has {sys.dim}")
     w_alpha = _action_weights(grid, params.t_eval, params.alpha)
 
     q, v, p = trajectory.q[:-1], trajectory.v[:-1], trajectory.p[:-1]

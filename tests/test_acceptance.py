@@ -168,7 +168,7 @@ def test_c07_strong_convergence_order():
     system = pendulum_system()
     fields = assemble_hp_fields(system, params)
     init = initial_state(system, [1.0], p0=[0.0])
-    slope, _, _ = strong_convergence_order(fields, init, params, base_h=2e-4,
+    slope, _, _ = strong_convergence_order(fields, init, base_h=2e-4,
                                            levels=4, n_paths=64, seed=1,
                                            t_end=0.4)
     assert slope >= 0.45

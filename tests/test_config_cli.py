@@ -441,7 +441,9 @@ class TestSimulateCommand:
         ([-1e308, 1e308], [0.0, 1.0], r"^xs=\[-1e\+308, 1e\+308\]"),
         ([0.0, 1.75e308], [0.0, 1.0], r"^xs=.*\[0, inf\]"),
         ([0.0, 1.0], [-1e308, 1e308], r"^ys="),
-    ], ids=["span-overflows", "bound-overflows", "ys"])
+        ([], [], r"^xs=\(0,\), ys=\(0,\)"),
+        ([0.0, 1.0, 2.0], [1.0], r"^xs=\(3,\), ys=\(1,\)"),
+    ], ids=["span-overflows", "bound-overflows", "ys", "empty", "unequal"])
     def test_orbit_range_overflow_writes_no_svg(self, tmp_path, xs, ys,
                                                 match):
         # Finite data whose rounded bounds or span are not finite floats

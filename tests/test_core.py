@@ -191,7 +191,7 @@ def _convergence(levels=3, n_paths=2):
     sys = pendulum_system()
     params = FractionalParams(1.0, 1.0, 10.0)
     strong_convergence_order(assemble_hp_fields(sys, params),
-                             initial_state(sys, [1.0], [0.0]), params,
+                             initial_state(sys, [1.0], [0.0]),
                              1e-2, levels, n_paths, 0, t_end=0.32)
 
 

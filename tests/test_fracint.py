@@ -51,6 +51,11 @@ class TestRlIntegral:
         with pytest.raises(GridMismatch):
             rl_integral(const_sample(1.0, 0.1, 10), 0.5, 0.5)
 
+    def test_values_must_match_the_grid(self):
+        with pytest.raises(GridMismatch,
+                           match="^10 values for 11 grid points$"):
+            SampledFunction(TimeGrid(0.0, 0.1, 10), np.ones(10))
+
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=25)
     def test_linearity(self, a, b):
@@ -274,6 +279,16 @@ class TestVolterra:
         coeffs = VolterraCoefficients(mu=40.0, sigma=0.0, x0=1.0)
         x = volterra_paths(coeffs, 1.0, grid, np.zeros((1, 1000)))
         assert 1e16 < x[0, -1] < np.inf
+
+    @pytest.mark.parametrize("shape", [(2, 10, 1), (2, 9)],
+                             ids=["3-d", "wrong-N"])
+    def test_increment_table_must_be_paths_by_steps(self, shape):
+        # A (2, 10, 1) table used to fail inside numpy's broadcasting.
+        coeffs = VolterraCoefficients(mu=0.1, sigma=0.2, x0=1.0)
+        with pytest.raises(GridMismatch,
+                           match=rf"^increments \({shape[0]}, .*\(P, 10\)"):
+            volterra_paths(coeffs, 0.5, TimeGrid(0.0, 0.1, 10),
+                           np.zeros(shape))
 
     def test_negative_coefficients_rejected(self):
         with pytest.raises(InvalidArgument, match="^mu=-1.0 "):

@@ -431,6 +431,15 @@ class TestIntegrate:
                      CLASSICAL)
         assert (exc.value.step, exc.value.component) == (0, c)
 
+    def test_initial_state_of_another_dimension_rejected(self):
+        # A hand-built PhaseState does not pass through initial_state.
+        _, fields, run = pendulum_run(CLASSICAL, 0.1, 5)
+        with pytest.raises(GridMismatch,
+                           match="^initial state dimension mismatch$"):
+            EulerRun(fields, run.grid, run.path,
+                     PhaseState([1.0, 2.0], [0.0, 0.0], [0.0, 0.0]),
+                     CLASSICAL)
+
     def test_raw_grid_reaching_t_eval_rejected(self):
         # A TimeGrid built directly skips make_grid; EulerRun still guards.
         params = FractionalParams(0.6, 0.3, 1.0)
@@ -501,7 +510,7 @@ class TestStrongConvergence:
         sys = pendulum_system(gamma_coupling="const")
         fields = assemble_hp_fields(sys, CLASSICAL)
         init = initial_state(sys, [1.0], p0=[0.0])
-        slope, _, _ = strong_convergence_order(fields, init, CLASSICAL,
+        slope, _, _ = strong_convergence_order(fields, init,
                                                base_h=2e-4, levels=4,
                                                n_paths=1, seed=0, t_end=0.4)
         # Self-referencing against the finest Euler level inflates the
@@ -514,7 +523,7 @@ class TestStrongConvergence:
         with pytest.raises(NotApplicable):
             strong_convergence_order(fields,
                                      PhaseState([0.0], [0.0], [0.0]),
-                                     CLASSICAL, base_h=1e-2, levels=3,
+                                     base_h=1e-2, levels=3,
                                      n_paths=2, seed=0, t_end=0.32)
 
     def test_levels_validation(self):
@@ -522,7 +531,7 @@ class TestStrongConvergence:
         fields = assemble_hp_fields(sys, CLASSICAL)
         init = initial_state(sys, [1.0], p0=[0.0])
         with pytest.raises(ValueError):
-            strong_convergence_order(fields, init, CLASSICAL, 1e-3, 2, 4, 0,
+            strong_convergence_order(fields, init, 1e-3, 2, 4, 0,
                                      t_end=0.4)
 
 
@@ -535,7 +544,7 @@ class TestStrongConvergence:
         init = initial_state(sys, [1.0], p0=[0.0])
         with pytest.raises(InvalidArgument,
                            match=rf"t_end = {t_end!r}.*levels = 4"):
-            strong_convergence_order(fields, init, CLASSICAL, 2e-4, 4, 1, 0,
+            strong_convergence_order(fields, init, 2e-4, 4, 1, 0,
                                      t_end=t_end)
 
 
@@ -598,6 +607,18 @@ class TestAction:
                            match="path has 2 channels, system expects 1"):
             evaluate_action(traj, sys, CLASSICAL,
                             generate_path(1, 1e-3, 500, 2))
+
+    def test_trajectory_dimension_must_match_the_system(self):
+        # A pendulum trajectory scored against the 2-d polar system used to
+        # raise a bare IndexError, from both calls.
+        _, _, run = pendulum_run(CLASSICAL, 1e-3, 100)
+        traj, polar = integrate(run), polar_metric_system()
+        match = "trajectory has dimension 1, system has 2"
+        with pytest.raises(GridMismatch, match=match):
+            evaluate_action(traj, polar, CLASSICAL, run.path)
+        with pytest.raises(GridMismatch, match=match):
+            stationarity_ratio(traj, polar, CLASSICAL, run.path,
+                               n_perturbations=1)
 
     def test_constant_gamma_stochastic_term(self):
         # alpha = beta = 1, gamma == c: stochastic term is c W(T)
@@ -878,6 +899,20 @@ class TestInitialState:
             assert np.allclose(init.p, p0, rtol=1e-15, atol=0.0)
         else:
             assert np.array_equal(init.p, p0)
+
+    @pytest.mark.parametrize("system, q0, p0, key, n, dim", [
+        (polar_metric_system, [1.0, 0.2], [0.1], "p0", 1, 2),
+        (polar_metric_system, [1.0], [0.0, 1.0], "q0", 1, 2),
+        (pendulum_system, [1.0, 2.0], [0.0, 0.0], "q0", 2, 1),
+    ], ids=["polar-p0", "polar-q0", "pendulum-2d"])
+    def test_vectors_of_another_dimension_rejected(self, system, q0, p0,
+                                                   key, n, dim):
+        # These raised numpy's "solve1" ValueError, named v for q0, and
+        # built a 2-d state for the 1-d pendulum.
+        with pytest.raises(GridMismatch, match=f"^{key} has {n} entries, "
+                                               f"but the system has "
+                                               f"dimension {dim}$"):
+            initial_state(system(), q0, p0=p0)
 
 
 class TestFormulationDispatch:
