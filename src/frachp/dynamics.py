@@ -23,6 +23,9 @@ the integrator steps together, and `complete_state` once on the
 
 from __future__ import annotations
 
+import ast
+import math
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Union
@@ -101,6 +104,158 @@ def _fd_partial(f, which: int):
 
 
 # ---------------------------------------------------------------------------
+# Kernels: one per-entry text, bound to numpy arrays or rendered on floats
+# ---------------------------------------------------------------------------
+
+def _compile(spec: dict, numpy_names) -> Callable:
+    """The numpy function of a kernel record, with its numpy names bound.
+
+    spec holds "args", the names of the columns of each array argument
+    (..., n_i); "subs", [name, text] pairs computed in order; "shape", the
+    tail of the value; and "entries", the text of each of its row-major
+    entries, or None for a zero.  The function reads the columns the texts
+    use as x[..., j] and writes each entry into a zeroed output, so a zero
+    entry stays +0.0.  Its `spec` attribute is the record, which
+    `assemble_hp_fields` renders as a float lane.
+    """
+    groups, subs = spec["args"], spec["subs"]
+    entries, shape = spec["entries"], tuple(spec["shape"])
+    used = set(re.findall(r"[A-Za-z_]\w*", " ".join(
+        [t for _, t in subs] + [e for e in entries if e is not None])))
+    body = [f"{x} = _x{i}[..., {j}]" for i, group in enumerate(groups)
+            for j, x in enumerate(group) if x in used]
+    body += [f"{x} = {t}" for x, t in subs]
+    body.append(f"_out = _zeros(_x0.shape[:-1] + {shape!r})")
+    for index, e in zip(np.ndindex(*shape), entries):
+        if e is not None:
+            at = ", ".join(("...",) + tuple(map(str, index)))
+            body.append(f"_out[{at}] = {e}")
+    source = "".join(f"    {line}\n" for line in body)
+    args = ", ".join(f"_x{i}" for i in range(len(groups)))
+    namespace = {"_zeros": np.zeros,
+                 **{name: getattr(np, name) for name in numpy_names}}
+    exec(f"def kernel({args}):\n{source}    return _out\n", namespace)
+    kernel = namespace["kernel"]
+    kernel.spec = spec
+    return kernel
+
+
+def _builtin(args, shape, *entries) -> Callable:
+    """A built-in kernel of arguments `args`, such as ["q1"], ["p1"]."""
+    return _compile({"args": list(args), "subs": [], "shape": list(shape),
+                     "entries": list(entries)}, ("sin", "cos"))
+
+
+# numpy's float64 sin, cos and sqrt give math's bits on the CPUs measured
+# (the tests' TestLaneFunctions checks the one they run on); + - * / are
+# correctly rounded in both, and pi and e are the same doubles.
+_LANE_CALLS = frozenset(("sin", "cos", "sqrt"))
+_LANE_CONSTANTS = {"pi": math.pi, "e": math.e}
+
+
+def _lane_node(node, names: dict):
+    """An entry's parsed text on float lanes, its names renamed by `names`
+    and x**2 written x*x, as numpy's square computes it; None if it uses
+    anything but numbers, names, + - * /, the power 2 and one-argument
+    sin, cos and sqrt."""
+    if isinstance(node, ast.BinOp):
+        left, right = (_lane_node(a, names) for a in (node.left, node.right))
+        if left is None or right is None:
+            return None
+        if isinstance(node.op, ast.Pow):
+            two = isinstance(right, ast.Constant) and right.value == 2
+            return ast.BinOp(left, ast.Mult(), left) if two else None
+        if isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+            return ast.BinOp(left, node.op, right)
+        return None
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub,
+                                                              ast.UAdd)):
+        operand = _lane_node(node.operand, names)
+        return None if operand is None else ast.UnaryOp(node.op, operand)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _LANE_CALLS and len(node.args) == 1
+            and not node.keywords):
+        arg = _lane_node(node.args[0], names)
+        return None if arg is None else ast.Call(node.func, [arg], [])
+    if isinstance(node, ast.Name) and node.id in names:
+        return ast.Name(names[node.id])
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node
+    return None
+
+
+_LANE_STEP = """\
+def lanes(q, x, h, damp, coef, inc):
+    {state} = *q, *x
+    rows = []
+    push = rows.extend
+    if inc is None:
+        for d in damp:
+{drift_subs}
+            {state} = {drift}
+            push(({state}))
+    else:
+        for d, c, w in zip(damp, coef, inc):
+{driven_subs}
+            {state} = {driven}
+            push(({state}))
+    return rows
+"""
+
+
+def _lane_step(n: int, velocity: str, force: str, kernels: dict):
+    """The Euler step of `SdeFields.step` on one path's Python floats, for
+    rows of coefficients, or None if a kernel has no lane form.
+
+    velocity and force are templates of entry j of the formulation's terms
+    in {x} (x_j) and the entries {V} and {F} of its kernels; kernels maps
+    V, F and C, the noise column, to the callables.  The text unrolls the
+    n components in the step's term order: q + h (velocity), then
+    x + h (force), then + (c (column)) w, with a zero entry as 0.0.
+    lanes(q, x, h, damp, coef, inc) takes one path's q and x as n floats,
+    h, and lists of damp, coef and increments (inc=None: drift-only), and
+    returns the flat list of each row's q and x.
+    """
+    qs, xs = [f"q_{j}" for j in range(n)], [f"x_{j}" for j in range(n)]
+    entries, subs = {}, {}
+    for role, kernel in kernels.items():
+        spec = getattr(kernel, "spec", None)
+        if (spec is None or len(spec["args"]) != (1 if role == "C" else 2)
+                or any(len(a) != n for a in (spec["entries"],
+                                             *spec["args"]))):
+            return None
+        names = {c: c for c in _LANE_CONSTANTS}
+        for group, lane in zip(spec["args"], (qs, xs)):  # C reads q only
+            names.update(zip(group, lane))
+        names.update((name, f"{role}_{name}") for name, _ in spec["subs"])
+        nodes = [_lane_node(ast.parse(text or "0.0", mode="eval").body, names)
+                 for text in [t for _, t in spec["subs"]] + spec["entries"]]
+        if None in nodes:
+            return None
+        lane = [ast.unparse(node) for node in nodes]
+        subs[role] = [f"            {names[name]} = {text}"
+                      for (name, _), text in zip(spec["subs"], lane)]
+        entries[role] = lane[len(spec["subs"]):]
+    terms = [{"x": x, **{role: e[j] for role, e in entries.items()}}
+             for j, x in enumerate(xs)]
+    drift = [f"{q} + h * ({velocity.format(**t)})" for q, t in zip(qs, terms)]
+    drift += [f"{x} + h * ({force.format(**t)})" for x, t in zip(xs, terms)]
+    driven = drift[:n] + [f"{moved} + (c * ({t['C']})) * w"
+                          for moved, t in zip(drift[n:], terms)]
+    text = _LANE_STEP.format(
+        state=", ".join(qs + xs), drift=", ".join(drift),
+        driven=", ".join(driven),
+        drift_subs="\n".join(line for role in subs if role != "C"
+                             for line in subs[role]),
+        driven_subs="\n".join(line for lines in subs.values()
+                              for line in lines))
+    namespace = {**_LANE_CONSTANTS,
+                 **{name: getattr(math, name) for name in _LANE_CALLS}}
+    exec(text, namespace)
+    return namespace["lanes"]
+
+
+# ---------------------------------------------------------------------------
 # Noise couplings
 # ---------------------------------------------------------------------------
 
@@ -138,17 +293,24 @@ class NoiseCoupling:
         return np.stack([g(q) for g in self.gamma_grad], axis=-1)
 
     @classmethod
-    def constant(cls, values) -> "NoiseCoupling":
-        """Constant couplings; gradients vanish, so the noise drops out."""
+    def constant(cls, values, dim: Optional[int] = None) -> "NoiseCoupling":
+        """Constant couplings; gradients vanish, so the noise drops out.
+
+        Given dim, each gradient is the kernel of dim zero entries, which
+        float lanes render; else it is zero on q of any dimension.
+        """
         vals = np.atleast_1d(np.asarray(values, dtype=float))
+        zero = ((lambda q: np.zeros(np.shape(q))) if dim is None else
+                _builtin([[f"q{i + 1}" for i in range(dim)]], [dim],
+                         *[None] * dim))
         return cls(tuple((lambda q, c=c: np.full(np.shape(q)[:-1], c))
-                         for c in vals),
-                   tuple((lambda q: np.zeros(np.shape(q))) for _ in vals))
+                         for c in vals), (zero,) * len(vals))
 
     @classmethod
     def cos_q(cls) -> "NoiseCoupling":
         """The pendulum coupling gamma(q) = cos q on a 1-d configuration."""
-        return cls((lambda q: np.cos(q[..., 0]),), (lambda q: -np.sin(q),))
+        return cls((lambda q: np.cos(q[..., 0]),),
+                   (_builtin([["q1"]], [1], "-sin(q1)"),))
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +594,11 @@ class _Formulation:
     velocity(q, y) and force(q, y, damp) read (p for a Hamiltonian system,
     else v, which a Lagrangian one solves for from p); noise_matrix(q) and
     noise_column(q), its column 0 as (..., n), which the step reads when
-    m = 1; the completion (q, x) -> (v, p) of `complete_state`; and
-    from_p(q, p), the x of a state of momentum p."""
+    m = 1; the completion (q, x) -> (v, p) of `complete_state`;
+    from_p(q, p), the x of a state of momentum p; and, where y is x, the
+    lane form of velocity and force: entry j of each as a template over
+    {x} and the entries {V} and {F} of the kernels, with the kernels V, F
+    and C, the noise column, that `_lane_step` renders (else None)."""
 
     carried: str
     y_of: Callable
@@ -443,6 +608,7 @@ class _Formulation:
     noise_column: Callable
     complete: Callable
     from_p: Callable
+    lane: Optional[tuple] = None
 
 
 def _formulation(sys: SystemSpec) -> _Formulation:
@@ -456,7 +622,10 @@ def _formulation(sys: SystemSpec) -> _Formulation:
 
         return _Formulation("qp", _second, sys.grad_p, force,
                             sys.noise.grad_matrix, sys.noise.gamma_grad[0],
-                            complete, _second)
+                            complete, _second,
+                            ("{V}", "d * {x} - ({F})",
+                             {"V": sys.grad_p, "F": sys.grad_q,
+                              "C": sys.noise.gamma_grad[0]}))
     if isinstance(sys, LagrangianSystem):
         def force(q, v, damp):
             base = np.asarray(sys.grad_q(q, v), dtype=float)
@@ -482,7 +651,9 @@ def _formulation(sys: SystemSpec) -> _Formulation:
             return np.linalg.solve(sys.metric_at(q), p)
 
         return _Formulation("qv", _second, _second, force, sys.noise_matrix,
-                            noise_column, complete, from_p)
+                            noise_column, complete, from_p,
+                            ("{x}", "({F}) - d * {x}",
+                             {"F": sys.geodesic, "C": sys.noise_matrix}))
     raise TypeError(f"unsupported system type {type(sys)!r}")
 
 
@@ -523,6 +694,17 @@ class SdeFields:
     carries noise.  None checks g; a run checks every q it visits.  The
     system owns dim and noise.m, the record of its type gives these terms
     and `carried`, and params is the triple the coefficients use.
+
+    step.unchecked is the same step without the width check, which
+    `integrate_paths` calls once `EulerRun` has checked the path.  lanes,
+    if not None, is that step on one path's Python floats over a block of
+    rows (see `_lane_step`), with `step`'s bits wherever no float
+    operation raises.  `assemble_hp_fields` builds it for a Hamiltonian
+    or metric system with one channel whose every kernel the step calls
+    (grad_p, grad_q and the coupling gradient, or geodesic and
+    noise_matrix) is a kernel record that uses only numbers, + - * /, the
+    power 2, sin, cos and sqrt: the built-in pendulum and polar metric,
+    and such expression systems.
     """
 
     step: Callable
@@ -533,6 +715,7 @@ class SdeFields:
     noise_scale: Callable
     system: SystemSpec = field(repr=False)
     params: FractionalParams
+    lanes: Optional[Callable] = field(default=None, repr=False)
 
     @property
     def carried(self) -> str:
@@ -573,39 +756,49 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
             return hp_noise_coefficient(params, s)
 
     channels = (sys.noise.m,)  # the last axis of the increments
+    lanes = None
     if sys.noise.m == 1:  # one term: a product, not a matmul
         column = form.noise_column
 
         def noise_term(q, coef, inc):
             return (coef * column(q)) * inc
+
+        if form.lane is not None:
+            lanes = _lane_step(sys.dim, *form.lane)
     else:  # m terms, summed as BLAS sums them
         def noise_term(q, coef, inc):
             return ((coef * noise_matrix(q)) @ inc[..., None])[..., 0]
 
-    def step(q, x, h, damp, coef, inc):
-        if inc is not None and inc.shape[-1:] != channels:
-            raise GridMismatch(f"increments of shape {inc.shape}: system "
-                               f"expects {sys.noise.m} channels")
+    def unchecked(q, x, h, damp, coef, inc):
         y = y_of(q, x)
         q_new, x_new = q + h * velocity(q, y), x + h * force(q, y, damp)
         if inc is None:  # no increment drives the step: the noise is 0
             return q_new, x_new
         return q_new, x_new + noise_term(q, coef, inc)
 
+    def step(q, x, h, damp, coef, inc):
+        if inc is not None and inc.shape[-1:] != channels:
+            raise GridMismatch(f"increments of shape {inc.shape}: system "
+                               f"expects {sys.noise.m} channels")
+        return unchecked(q, x, h, damp, coef, inc)
+
+    step.unchecked = unchecked
     return SdeFields(step, velocity, force, noise_matrix, damping,
-                     noise_scale, sys, params)
+                     noise_scale, sys, params, lanes)
 
 
 # ---------------------------------------------------------------------------
 # Built-in systems
 # ---------------------------------------------------------------------------
 
-def _builtin_coupling(name: str, cos: NoiseCoupling) -> NoiseCoupling:
-    """The "cos" coupling given, or the noise-free "const" one."""
+def _builtin_coupling(name: str, cos: NoiseCoupling,
+                      dim: int) -> NoiseCoupling:
+    """The "cos" coupling given, or the noise-free "const" one on q of
+    dimension dim."""
     if name == "cos":
         return cos
     if name == "const":
-        return NoiseCoupling.constant([1.0])
+        return NoiseCoupling.constant([1.0], dim)
     raise InvalidArgument(f"gamma_coupling={name!r} is not 'cos' or 'const'")
 
 
@@ -617,7 +810,7 @@ def _pendulum_parts(gamma_coupling: str):
         return 0.5 * v[..., 0] ** 2 - np.cos(q[..., 0])
 
     return lagrangian, _builtin_coupling(gamma_coupling,
-                                         NoiseCoupling.cos_q())
+                                         NoiseCoupling.cos_q(), 1)
 
 
 def pendulum_system(gamma_coupling: str = "cos") -> HamiltonianSystem:
@@ -631,12 +824,8 @@ def pendulum_system(gamma_coupling: str = "cos") -> HamiltonianSystem:
     def h_fn(q, p):
         return 0.5 * p[..., 0] ** 2 + np.cos(q[..., 0])
 
-    def grad_q(q, p):
-        return -np.sin(q)
-
-    def grad_p(q, p):
-        return np.asarray(p, dtype=float)
-
+    grad_q = _builtin([["q1"], ["p1"]], [1], "-sin(q1)")
+    grad_p = _builtin([["q1"], ["p1"]], [1], "p1")
     return HamiltonianSystem(1, h_fn, noise, grad_q=grad_q, grad_p=grad_p,
                              lagrangian=lagrangian)
 
@@ -667,37 +856,16 @@ def polar_metric_system(gamma_coupling: str = "cos") -> MetricSystem:
     form, in the arithmetic of the generated `metric_from_expressions`
     forms, so the two systems step alike to the bit.
     """
-
-    def metric(q):
-        g = np.zeros(np.shape(q)[:-1] + (2, 2))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = q[..., 0] ** 2
-        return g
-
-    def metric_grad(q):
-        dg = np.zeros(np.shape(q)[:-1] + (2, 2, 2))
-        dg[..., 1, 1, 0] = 2.0 * q[..., 0]
-        return dg
-
-    def geodesic(q, v):  # Gamma^1_22 = -r, Gamma^2_12 = Gamma^2_21 = 1/r
-        out = np.empty(np.shape(v))
-        out[..., 0] = q[..., 0] * v[..., 1] ** 2
-        out[..., 1] = -2 * v[..., 0] * v[..., 1] / q[..., 0]
-        return out
-
-    def cos_theta_grad(q):
-        grad = np.zeros(np.shape(q))
-        grad[..., 1] = -np.sin(q[..., 1])
-        return grad
-
-    def cos_theta_noise(q):  # g^-1 grad cos(theta)
-        out = np.zeros(np.shape(q) + (1,))
-        out[..., 1, 0] = -np.sin(q[..., 1]) / q[..., 0] ** 2
-        return out
-
+    qs, qv = [["q1", "q2"]], [["q1", "q2"], ["v1", "v2"]]
+    metric = _builtin(qs, [2, 2], "1", None, None, "q1**2")
+    metric_grad = _builtin(qs, [2, 2, 2], *[None] * 6, "2*q1", None)
+    # Gamma^1_22 = -r, Gamma^2_12 = Gamma^2_21 = 1/r
+    geodesic = _builtin(qv, [2], "q1*v2**2", "-2*v1*v2/q1")
+    cos_theta_noise = _builtin(qs, [2, 1], None,  # g^-1 grad cos(theta)
+                               "-sin(q2)/q1**2")
     cos_theta = NoiseCoupling((lambda q: np.cos(q[..., 1]),),
-                              (cos_theta_grad,))
-    noise = _builtin_coupling(gamma_coupling, cos_theta)
+                              (_builtin(qs, [2], None, "-sin(q2)"),))
+    noise = _builtin_coupling(gamma_coupling, cos_theta, 2)
     return MetricSystem(
         2, metric, noise, metric_grad=metric_grad, geodesic=geodesic,
         noise_matrix=cos_theta_noise if noise is cos_theta else None)

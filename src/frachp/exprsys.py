@@ -16,9 +16,7 @@ import re
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from .dynamics import HamiltonianSystem, MetricSystem, NoiseCoupling
+from .dynamics import HamiltonianSystem, MetricSystem, NoiseCoupling, _compile
 from .errors import ParseError
 
 # Besides numbers, + - * / ** and parentheses, expression text may use its
@@ -67,16 +65,17 @@ def _symbols(prefix: str, n: int):
 
 
 def _source(args, exprs, shape: tuple, cse: bool = False) -> list:
-    """[source, numpy names] of a numpy function of arrays (..., n_i) whose
+    """[kernel record, numpy names] of a function of arrays (..., n_i) whose
     columns are `args`: a tuple of symbols for one array, or of such tuples.
 
-    `exprs` are the row-major entries of its (...) + shape value.  It reads
-    the columns they use as x[..., j] and writes each entry into a zeroed
-    output, in the text sympy's NumPyPrinter gives it under
+    `exprs` are the row-major entries of its (...) + shape value.  Each
+    entry is recorded in the text sympy's NumPyPrinter gives it under
     `lambdify(..., modules=[np])`, after the common subexpressions that
     lambdify's `cse=True` takes if `cse`.  Rational entries (0, 1, 1/3)
-    are literals, and zero ones stay the output's +0.0.  So each entry is
-    the numpy expression lambdify runs, and only the printer's text runs.
+    are literals, and zero ones are None.  `_compile` (`dynamics`) binds
+    the record to numpy, so each entry is the numpy expression lambdify
+    runs, and only the printer's text runs; the float lanes render the
+    same text.
     """
     import sympy
     from sympy.printing.numpy import NumPyPrinter
@@ -85,35 +84,21 @@ def _source(args, exprs, shape: tuple, cse: bool = False) -> list:
     printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
                             "allow_unknown_functions": True,
                             "user_functions": {}})  # as lambdify sets it
-    body = [f"{x} = {printer.doprint(e)}" for x, e in subs]
-    body.append(f"_out = _zeros(_x0.shape[:-1] + {tuple(shape)!r})")
-    for index, e in zip(np.ndindex(*shape), exprs):
-        if e != 0:
-            at = ", ".join(("...",) + tuple(map(str, index)))
-            body.append(f"_out[{at}] = {printer.doprint(e)}")
-    used = set().union(*(e.free_symbols for e in exprs),
-                       *(e.free_symbols for _, e in subs))
-    cols = [f"{x} = _x{i}[..., {j}]" for i, group in enumerate(groups)
-            for j, x in enumerate(group) if x in used]
-    source = "".join(f"    {line}\n" for line in cols + body)
-    return [f"def kernel({', '.join(f'_x{i}' for i in range(len(groups)))}):"
-            f"\n{source}    return _out\n",
-            sorted(printer.module_imports["numpy"])]
-
-
-def _compile(text: str, numpy_names: list[str]):
-    """The kernel a `_source` text defines, with its numpy names bound."""
-    namespace = {"_zeros": np.zeros,
-                 **{name: getattr(np, name) for name in numpy_names}}
-    exec(text, namespace)
-    return namespace["kernel"]
+    kernel = {"args": [[str(x) for x in group] for group in groups],
+              "subs": [[str(x), printer.doprint(e)] for x, e in subs],
+              "shape": list(shape),
+              "entries": [printer.doprint(e) if e != 0 else None
+                          for e in exprs]}
+    return [kernel, sorted(printer.module_imports["numpy"])]
 
 
 def _cached(key: list, derive) -> dict:
     """derive()'s kernel sources for `key`, from a sound cache entry or
     derived and stored.  An entry's key adds sympy's release file and this
     module's digest; it is read only if it and its directory are the
-    user's and not group- or world-writable.  A bad cache is a quiet miss."""
+    user's and not group- or world-writable.  A bad cache is a quiet miss.
+    An entry holds kernel records, not code: `_compile` turns them into
+    numpy functions, and float lanes, when it loads them."""
     try:  # on no sympy, a numpy dim (for json) or no home: derive only
         init = Path(importlib.util.find_spec("sympy").origin)  # unimported
         key = [*key, init.with_name("release.py").read_text("utf-8"),

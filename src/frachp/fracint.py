@@ -42,8 +42,10 @@ class SampledFunction:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).copy()
         if v.shape != (self.grid.n_steps + 1,):
+            got = (f"{v.size} values" if v.ndim == 1 else
+                   f"values of shape {v.shape}")
             raise GridMismatch(
-                f"{v.shape[0]} values for {self.grid.n_steps + 1} grid points")
+                f"{got} for {self.grid.n_steps + 1} grid points")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -28,6 +28,10 @@ from .specfun import gamma, step_weights
 
 BLOWUP_LIMIT = 1e12
 _BLOWUP_BLOCK = 256  # steps of the Euler loop written and tested at once
+# Float lanes step one path at a time, so their cost grows with P, while
+# the numpy step's barely does: at N = 2000 they were faster up to P = 16
+# and slower from P = 32 (pendulum) or P = 24 (polar metric) on.
+_LANE_PATHS = 16
 
 
 def initial_state(sys: SystemSpec, q0, p0) -> PhaseState:
@@ -77,11 +81,16 @@ class EulerRun:
 def _first_bad_row(parts, start: int, stop: int) -> int | None:
     """The first of rows start..stop at which one of the (N+1, P, n)
     histories in parts is not finite or exceeds BLOWUP_LIMIT, or None."""
+    # Written so that NaN fails the test as well as inf and huge values.
+    # One maximum per history clears the usual case faster than the maxima
+    # of each row.
+    if all(np.abs(a[start:stop + 1]).max(initial=0.0) <= BLOWUP_LIMIT
+           for a in parts):
+        return None
     bad = np.zeros(max(stop + 1 - start, 0), dtype=bool)
     for a in parts:
-        # Written so that NaN fails the test as well as inf and huge values.
         bad |= ~(np.abs(a[start:stop + 1]).max(axis=(1, 2)) <= BLOWUP_LIMIT)
-    return start + int(np.argmax(bad)) if bad.any() else None
+    return start + int(np.argmax(bad))
 
 
 def _blowup(states: np.ndarray, step: int, grid: TimeGrid,
@@ -141,6 +150,28 @@ def _complete_history(states: np.ndarray, fields: SdeFields, last: int,
         raise
 
 
+def _lane_block(lanes, stepped, start: int, stop: int, h: float, damp,
+                coef, inc) -> bool:
+    """Step rows start+1..stop of the (N+1, P, n) histories in `stepped`
+    with the float lanes of `SdeFields`, on the (N, P, 1) increments inc
+    (None: drift-only), and write them; False if a lane raises where numpy
+    gives inf or NaN: a float division by zero, or math's sin, cos or sqrt
+    outside its domain.  The paths run one at a time, each written before
+    the next, so one path's floats are alive at once."""
+    d, c = damp[start:stop].tolist(), coef[start:stop].tolist()
+    paths = zip(*(a[start].tolist() for a in stepped))  # each path's (q, x)
+    for i, (q, x) in enumerate(paths):
+        w = None if inc is None else inc[start:stop, i, 0].tolist()
+        try:
+            rows = lanes(q, x, h, d, c, w)
+        except (ArithmeticError, ValueError):
+            return False
+        rows = np.array(rows).reshape(stop - start, len(stepped), -1)
+        for j, a in enumerate(stepped):
+            a[start + 1:stop + 1, i] = rows[:, j]
+    return True
+
+
 def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     """Iterate the Euler scheme for P runs at once; one Trajectory per run.
 
@@ -154,10 +185,19 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     the drift-only update without evaluating the noise matrix (see
     `SdeFields`).  The fractional coefficients damping(s) and
     noise_scale(s) are taken once over the left endpoints of all steps,
-    and each step gets them, and h, as 0-d arrays.
+    and each step gets them, and h, as 0-d arrays.  The step is
+    `fields.step` without its width check (`step.unchecked`), since
+    EulerRun has checked each path.
     The component no step carries (v, or p = g(q) v) is filled by one
     `complete_state` call over the run's time-major (N+1, P, n) history,
     which for a metric system also checks g at every q visited.
+
+    Where `fields.lanes` is not None and P is at most _LANE_PATHS, each
+    block of _BLOWUP_BLOCK steps runs every path as a lane of Python
+    floats, with the step's bits; a block in which a lane raises (a
+    division by zero, math's sin, cos or sqrt outside its domain) is
+    redone from its first row with the numpy step, so every outcome,
+    error included, is the numpy loop's.
 
     The loop runs with numpy floating-point warnings off and tests for a
     blow-up once every _BLOWUP_BLOCK steps; the error is still the one of
@@ -180,6 +220,9 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
                     f"run {i} has other {name} than run 0; a batch of runs "
                     f"shares its grid, fields and params")
     fields, grid = first.fields, first.grid
+    # EulerRun has checked each path's width: step without the check.
+    step = getattr(fields.step, "unchecked", fields.step)
+    lanes = fields.lanes if len(runs) <= _LANE_PATHS else None
     # h and each step's coefficients go to the step as 0-d arrays, which
     # multiply an array faster than a Python float or a numpy scalar does
     # and give the same bits.
@@ -189,7 +232,8 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     damp = np.broadcast_to(fields.damping(s), s.shape)
     coef = np.broadcast_to(fields.noise_scale(s), s.shape)
     inc = np.stack([run.path.increments for run in runs], axis=1)  # (N, P, m)
-    if not inc.any():  # no increment drives the batch: drift-only steps
+    driven = inc.any()
+    if not driven:  # no increment drives the batch: drift-only steps
         inc = [None] * n
     # states[c, k, i] is component c (q, p, v) of path i at step k: time
     # major, so the first failing row is the earliest failing step.
@@ -197,28 +241,32 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     states[:, 0] = [[getattr(run.initial, c) for run in runs]
                     for c in "qpv"]
     stepped = [states["qpv".index(c)] for c in fields.carried]
-    state = tuple(a[0] for a in stepped)
     # Rows 1..last are completed: all of them, or those up to the first
     # stepped row that is not finite or huge, or up to a failed step.
     last, failure = n, None
     with np.errstate(all="ignore"):
         for start in range(0, n, _BLOWUP_BLOCK):
-            rows = []
-            for k in range(start, min(start + _BLOWUP_BLOCK, n)):
-                try:
-                    state = fields.step(*state, h, damp[k, ...],
-                                        coef[k, ...], inc[k])
-                except Exception as exc:
-                    # Raised below unless an earlier row failed, since a
-                    # step from a row past a failure may raise anything; a
-                    # failed Legendre solve at the step's own row is named
-                    # when that row, the last, is completed.
-                    failure = exc
-                    break
-                rows.append(state)
-            stop = start + len(rows)
-            for a, col in zip(stepped, zip(*rows)):
-                a[start + 1:stop + 1] = col
+            stop = min(start + _BLOWUP_BLOCK, n)
+            if lanes is None or not _lane_block(
+                    lanes, stepped, start, stop, grid.h, damp, coef,
+                    inc if driven else None):
+                rows, state = [], tuple(a[start] for a in stepped)
+                for k in range(start, stop):
+                    try:
+                        state = step(*state, h, damp[k, ...], coef[k, ...],
+                                     inc[k])
+                    except Exception as exc:
+                        # Raised below unless an earlier row failed, since
+                        # a step from a row past a failure may raise
+                        # anything; a failed Legendre solve at the step's
+                        # own row is named when that row, the last, is
+                        # completed.
+                        failure = exc
+                        break
+                    rows.append(state)
+                stop = start + len(rows)
+                for a, col in zip(stepped, zip(*rows)):
+                    a[start + 1:stop + 1] = col
             bad = _first_bad_row(stepped, start + 1, stop)
             if failure is not None or bad is not None:
                 last = stop if bad is None else bad

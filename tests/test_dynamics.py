@@ -631,3 +631,40 @@ class TestExpressionSystems:
         gam = christoffel(sys, [2.0, 0.1])
         assert gam[0, 1, 1] == pytest.approx(-2.0)
         assert gam[1, 0, 1] == pytest.approx(0.5)
+
+
+class TestLaneFunctions:
+    """Float lanes call math's sin, cos and sqrt where the numpy step calls
+    numpy's.  numpy may send float64 sin and cos to its own SIMD code on
+    some CPUs; then this test fails by name, before any history pin."""
+
+    @staticmethod
+    def _sample():
+        rng = np.random.default_rng(16)
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.concatenate([
+            [0.0, -0.0, 1e300, -1e300, tiny, -tiny, 1e-310, -1e-310,
+             np.finfo(float).max, -np.finfo(float).max],
+            tiny * rng.integers(1, 2 ** 52, 64),      # subnormals
+            np.arange(-64, 65) * math.pi,             # multiples of pi
+            np.arange(-64, 65) * (math.pi / 2),
+            rng.uniform(-10.0, 10.0, 4096),
+            rng.standard_normal(4096) * 10.0 ** rng.uniform(-300, 300, 4096),
+        ])
+        return np.concatenate([x, -x])
+
+    @pytest.mark.parametrize("name", ["sin", "cos", "sqrt"])
+    def test_numpy_float64_is_math_bitwise(self, name):
+        x = self._sample()
+        if name == "sqrt":
+            x = np.abs(x)  # math.sqrt raises below 0; a lane falls back
+        want = np.array([getattr(math, name)(v) for v in x.tolist()])
+        # Contiguous, a strided column as a kernel reads x[..., j], and the
+        # short arrays of a small batch.
+        cases = [(x, want), (np.stack([x, -x], axis=-1)[..., 0], want)]
+        cases += [(x[i:i + k], want[i:i + k])
+                  for k in (1, 2, 3, 16) for i in range(0, 48, 7)]
+        for a, ref in cases:
+            differ = (getattr(np, name)(a).view(np.int64)
+                      != ref.view(np.int64))
+            assert not differ.any(), (name, a[differ][:5])

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,15 @@ class TestRlIntegral:
         with pytest.raises(GridMismatch,
                            match="^10 values for 11 grid points$"):
             SampledFunction(TimeGrid(0.0, 0.1, 10), np.ones(10))
+
+    @pytest.mark.parametrize("values, shape", [(1.0, "()"),
+                                               (np.ones((11, 1)), "(11, 1)")])
+    def test_values_of_another_shape_are_named(self, values, shape):
+        # A scalar has no length for the message to name: its shape is.
+        with pytest.raises(GridMismatch,
+                           match=rf"^values of shape {re.escape(shape)} "
+                                 rf"for 11 grid points$"):
+            SampledFunction(TimeGrid(0.0, 0.1, 10), values)
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=25)

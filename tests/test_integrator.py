@@ -27,7 +27,7 @@ from frachp.integrator import (BLOWUP_LIMIT, EulerRun, action_derivative,
                                initial_state, integrate, integrate_paths,
                                random_admissible_perturbation,
                                stationarity_ratio, strong_convergence_order)
-from frachp.noise import generate_path, zero_path
+from frachp.noise import WienerPath, generate_path, zero_path
 from frachp.specfun import step_weights
 
 from ._reference import action_reference, rk4_terminal
@@ -1438,6 +1438,205 @@ class TestZeroDimCoefficients:
         for a, b in zip(by_float, by_array):
             a, b = np.asarray(a), np.asarray(b)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# The systems whose fields step on float lanes, and which of the step
+# tables above qualify: Hamiltonian or metric, one channel, and kernels of
+# arithmetic, the power 2, sin, cos and sqrt only.
+LANE_SYSTEMS = {
+    "pendulum-cos": pendulum_system,
+    "pendulum-const": lambda: pendulum_system(gamma_coupling="const"),
+    "metric": polar_metric_system,
+    "metric:custom": STEP_CASES["metric:custom"][0],
+    "hamiltonian:custom": HISTORY_SYSTEMS["hamiltonian:custom"][0],
+    # sqrt, pi and a common subexpression of the noise matrix.
+    "metric:sqrt-pi": lambda: metric_from_expressions(
+        [["1", "0"], ["0", "1 + q1**2"]], ["pi*sqrt(1 + q1**2)*sin(q2)"], 2),
+    "hamiltonian:sqrt-pi": lambda: hamiltonian_from_expression(
+        "p1**2/2 + p2**2/2 + cos(q1)*sqrt(2 + q2**2) + pi*q2",
+        ["sin(q1)*q2"], 2),
+}
+LANE_STEP_CASES = {"hamiltonian", "hamiltonian:custom", "metric",
+                   "metric:custom", "eq15_literal"}
+LANE_HISTORY_SYSTEMS = {"hamiltonian:custom", "const"}
+
+
+def _lane_rows(fields, q, x, h, damp, coef, inc):
+    """fields.lanes on each row of the (P, n) stacks, one step each, as the
+    (q, x) stacks `fields.step` returns."""
+    n = q.shape[-1]
+    rows = np.array([fields.lanes(qi.tolist(), xi.tolist(), h, [damp],
+                                  [coef], None if inc is None
+                                  else [float(inc[i, 0])])
+                     for i, (qi, xi) in enumerate(zip(q, x))])
+    return rows[:, :n], rows[:, n:]
+
+
+class TestFloatLanes:
+    """Where `assemble_hp_fields` builds float lanes, `integrate_paths`
+    steps on them, and they give `SdeFields.step`'s bits."""
+
+    def test_qualifying_systems(self):
+        def has_lanes(make, literal=False):
+            return assemble_hp_fields(make(), REFERENCE,
+                                      eq15_literal=literal).lanes is not None
+
+        assert all(has_lanes(make) for make in LANE_SYSTEMS.values())
+        assert {name for name, case in STEP_CASES.items()
+                if has_lanes(case[0], case[1])} == LANE_STEP_CASES
+        assert {name for name, case in HISTORY_SYSTEMS.items()
+                if has_lanes(case[0])} == LANE_HISTORY_SYSTEMS
+
+    @pytest.mark.parametrize("params", [REFERENCE, CLASSICAL],
+                             ids=["reference", "classical"])
+    @pytest.mark.parametrize("name", sorted(
+        {f"step:{c}" for c in LANE_STEP_CASES}
+        | {f"history:{c}" for c in LANE_HISTORY_SYSTEMS}
+        | {f"lanes:{c}" for c in LANE_SYSTEMS}))
+    def test_lane_step_is_the_step_bitwise(self, name, params):
+        # On TestOneChannelNoise's inputs, +-0.0 included, driven and
+        # drift-only, at h = 1e-4 and at h = 0.
+        table, case = name.split(":", 1)
+        if table == "step":
+            make, literal = STEP_CASES[case][:2]
+        elif table == "history":
+            make, literal = HISTORY_SYSTEMS[case][0], False
+        else:
+            make, literal = LANE_SYSTEMS[case], False
+        sys = make()
+        fields = assemble_hp_fields(sys, params, eq15_literal=literal)
+        rng = np.random.default_rng(28)
+        P, n = 64, sys.dim
+        q = _signed_zeros(rng, rng.uniform(-2.0, 2.0, (P, n)))
+        if fields.carried == "qv":  # polar: r > 0
+            q[:, 0] = rng.uniform(0.5, 2.0, P)
+        x = _signed_zeros(rng, rng.normal(size=(P, n)))
+        inc = _signed_zeros(rng, rng.normal(scale=0.01, size=(P, 1)))
+        damp, coef = float(fields.damping(0.1)), float(fields.noise_scale(0.1))
+        for h in (1e-4, 0.0):
+            for driven in (inc, None):
+                want = fields.step(q, x, h, damp, coef, driven)
+                got = _lane_rows(fields, q, x, h, damp, coef, driven)
+                for a, b in zip(got, want):
+                    assert a.tobytes() == np.asarray(b).tobytes(), (h, driven)
+
+    @staticmethod
+    def _runs(fields, paths, n=600, h=1e-4):
+        sys = fields.system
+        grid = make_grid(0.0, h, n, REFERENCE)
+        q0, p0 = ([1.0], [0.3]) if sys.dim == 1 else ([1.0, 0.2], [0.1, 0.4])
+        return [EulerRun(fields, grid, path(seed, h, n, 1),
+                         initial_state(sys, np.array(q0) * scale, p0),
+                         REFERENCE)
+                for seed, scale, path in zip((11, 12), (1.0, 1.1), paths)]
+
+    @pytest.mark.parametrize("paths", ["driven", "drift-only", "mixed"])
+    @pytest.mark.parametrize("name", list(LANE_SYSTEMS))
+    def test_finite_runs_make_no_numpy_step(self, name, paths):
+        # A counting step in place of fields.step counts every numpy step
+        # of the loop, so a silent fallback from the lanes fails here.  The
+        # histories are those of the numpy loop, lanes=None.
+        zero = lambda seed, h, n, m: zero_path(h, n, m)
+        paths = {"driven": (generate_path, generate_path),
+                 "drift-only": (zero, zero),
+                 "mixed": (generate_path, zero)}[paths]
+        fields = assemble_hp_fields(LANE_SYSTEMS[name](), REFERENCE)
+        calls = {}
+        counted = dataclasses.replace(
+            fields, step=_counted(calls, "step", fields.step))
+        lanes = integrate_paths(self._runs(counted, paths))
+        assert calls == {}
+        numpy_only = dataclasses.replace(counted, lanes=None)
+        for got, want in zip(lanes, integrate_paths(self._runs(numpy_only,
+                                                               paths))):
+            for c in "qpv":
+                assert getattr(got, c).tobytes() == getattr(want, c).tobytes()
+        assert calls == {"step": 600}
+
+    def test_large_batches_take_the_numpy_step(self):
+        # One path at a time, lanes cost P times one path; past
+        # _LANE_PATHS paths the loop steps the stack with numpy.
+        from frachp.integrator import _LANE_PATHS
+        fields = assemble_hp_fields(pendulum_system(), REFERENCE)
+        calls = {}
+        counted = dataclasses.replace(
+            fields, step=_counted(calls, "step", fields.step))
+        grid = make_grid(0.0, 1e-4, 300, REFERENCE)
+        runs = [EulerRun(counted, grid, generate_path(i, 1e-4, 300, 1),
+                         initial_state(fields.system, [1.0], [0.3]),
+                         REFERENCE) for i in range(_LANE_PATHS + 1)]
+        batch = integrate_paths(runs)
+        assert calls == {"step": 300}
+        lanes = integrate_paths(runs[:_LANE_PATHS])
+        assert calls == {"step": 300}
+        for got, want in zip(lanes, batch):
+            for c in "qpv":
+                assert getattr(got, c).tobytes() == getattr(want, c).tobytes()
+
+    def test_hand_built_fields_step_through_their_own_step(self):
+        calls = {}
+        fields = drift_only_fields(lambda p: np.ones_like(p))
+        assert fields.lanes is None
+        fields = dataclasses.replace(
+            fields, step=_counted(calls, "step", fields.step))
+        grid = make_grid(0.0, 0.01, 300, CLASSICAL)
+        traj = integrate(EulerRun(fields, grid, zero_path(0.01, 300, 1),
+                                  PhaseState([0.0], [0.0], [0.0]), CLASSICAL))
+        assert calls == {"step": 300}
+        assert traj.p[-1, 0] == pytest.approx(3.0)
+
+    @staticmethod
+    def _errors(runs):
+        """(type, message, sample, step) of the error of integrate_paths on
+        runs, with their lanes and on the numpy loop alone."""
+        out = []
+        for lanes in (runs[0].fields.lanes, None):
+            fields = dataclasses.replace(runs[0].fields, lanes=lanes)
+            with pytest.raises(Exception) as exc:
+                integrate_paths([dataclasses.replace(run, fields=fields)
+                                 for run in runs])
+            err = exc.value
+            out.append((type(err), str(err), getattr(err, "sample", None),
+                        getattr(err, "step", None)))
+        return out
+
+    def test_division_by_zero_takes_the_numpy_error(self):
+        # r = 1 - 0.5 * 2 = 0.0 exactly at step 1, where the geodesic
+        # divides by r: a ZeroDivisionError on a lane, inf or NaN in numpy.
+        sys = polar_metric_system()
+        fields = assemble_hp_fields(sys, CLASSICAL)
+        with pytest.raises(ZeroDivisionError):
+            fields.lanes([1.0, 0.0], [-2.0, 0.0], 0.5, [0.0] * 2, [1.0] * 2,
+                         None)
+        grid = make_grid(0.0, 0.5, 4, CLASSICAL)
+        runs = [EulerRun(fields, grid, zero_path(0.5, 4, 1),
+                         initial_state(sys, [1.0, 0.0], p0), CLASSICAL)
+                for p0 in ([0.5, 0.0], [-2.0, 0.0])]
+        with_lanes, numpy_only = self._errors(runs)
+        assert with_lanes == numpy_only
+        assert numpy_only[0] is NotPositiveDefinite
+        assert "at step 1 " in numpy_only[1] and numpy_only[1].endswith(
+            "on path 1")
+
+    def test_sin_of_inf_takes_the_numpy_error(self):
+        # An infinite increment makes p inf at step 1 and q inf at step 2,
+        # whose sin raises ValueError on a lane and is NaN in numpy.
+        sys = pendulum_system()
+        fields = assemble_hp_fields(sys, REFERENCE)
+        h, n = 1e-4, 300
+        inc = np.zeros((n, 1))
+        inc[0] = np.inf
+        with pytest.raises(ValueError, match="math domain error"):
+            fields.lanes([1.0], [0.3], h, [0.0] * 3, [1.0] * 3,
+                         inc[:3, 0].tolist())
+        grid = make_grid(0.0, h, n, REFERENCE)
+        runs = [EulerRun(fields, grid, path, initial_state(sys, [1.0], [0.3]),
+                         REFERENCE)
+                for path in (generate_path(3, h, n, 1), WienerPath(h, inc))]
+        with_lanes, numpy_only = self._errors(runs)
+        assert with_lanes == numpy_only
+        assert numpy_only[0] is NumericalBlowup
+        assert numpy_only[3] == 1 and numpy_only[1].endswith("on path 1")
 
 
 class TestStationarity:
