@@ -107,21 +107,30 @@ def _fd_partial(f, which: int):
 # Kernels: one per-entry text, bound to numpy arrays or rendered on floats
 # ---------------------------------------------------------------------------
 
-def _compile(spec: dict, numpy_names) -> Callable:
-    """The numpy function of a kernel record, with its numpy names bound.
+def _compile(spec: dict) -> Callable:
+    """The numpy function of a kernel record.
 
     spec holds "args", the names of the columns of each array argument
     (..., n_i); "subs", [name, text] pairs computed in order; "shape", the
     tail of the value; and "entries", the text of each of its row-major
-    entries, or None for a zero.  The function reads the columns the texts
-    use as x[..., j] and writes each entry into a zeroed output, so a zero
-    entry stays +0.0.  Its `spec` attribute is the record, which
+    entries, or None for a zero.  Every other name the texts use is bound
+    to numpy's attribute of that name (sin, arctan, pi, e), so a record
+    carries all it needs; a name numpy lacks raises InvalidArgument here,
+    not NameError at the first call.  The function reads the columns the
+    texts use as x[..., j] and writes each entry into a zeroed output, so
+    a zero entry stays +0.0.  Its `spec` attribute is the record, which
     `assemble_hp_fields` renders as a float lane.
     """
     groups, subs = spec["args"], spec["subs"]
     entries, shape = spec["entries"], tuple(spec["shape"])
-    used = set(re.findall(r"[A-Za-z_]\w*", " ".join(
+    # Names, not the e of 1e-3 nor the e3 of 2.5e3.
+    used = set(re.findall(r"(?<![\w.])[A-Za-z_]\w*", " ".join(
         [t for _, t in subs] + [e for e in entries if e is not None])))
+    free = used - {x for g in groups for x in g} - {x for x, _ in subs}
+    lacking = sorted(name for name in free if not hasattr(np, name))
+    if lacking:
+        raise InvalidArgument(f"spec={spec!r} names {lacking}: not columns, "
+                              f"subs or numpy names")
     body = [f"{x} = _x{i}[..., {j}]" for i, group in enumerate(groups)
             for j, x in enumerate(group) if x in used]
     body += [f"{x} = {t}" for x, t in subs]
@@ -132,8 +141,7 @@ def _compile(spec: dict, numpy_names) -> Callable:
             body.append(f"_out[{at}] = {e}")
     source = "".join(f"    {line}\n" for line in body)
     args = ", ".join(f"_x{i}" for i in range(len(groups)))
-    namespace = {"_zeros": np.zeros,
-                 **{name: getattr(np, name) for name in numpy_names}}
+    namespace = {"_zeros": np.zeros, **{x: getattr(np, x) for x in free}}
     exec(f"def kernel({args}):\n{source}    return _out\n", namespace)
     kernel = namespace["kernel"]
     kernel.spec = spec
@@ -143,7 +151,7 @@ def _compile(spec: dict, numpy_names) -> Callable:
 def _builtin(args, shape, *entries) -> Callable:
     """A built-in kernel of arguments `args`, such as ["q1"], ["p1"]."""
     return _compile({"args": list(args), "subs": [], "shape": list(shape),
-                     "entries": list(entries)}, ("sin", "cos"))
+                     "entries": list(entries)})
 
 
 # numpy's float64 sin, cos and sqrt give math's bits on the CPUs measured
@@ -309,7 +317,7 @@ class NoiseCoupling:
     @classmethod
     def cos_q(cls) -> "NoiseCoupling":
         """The pendulum coupling gamma(q) = cos q on a 1-d configuration."""
-        return cls((lambda q: np.cos(q[..., 0]),),
+        return cls((_builtin([["q1"]], [], "cos(q1)"),),
                    (_builtin([["q1"]], [1], "-sin(q1)"),))
 
 
@@ -791,12 +799,12 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
 # Built-in systems
 # ---------------------------------------------------------------------------
 
-def _builtin_coupling(name: str, cos: NoiseCoupling,
+def _builtin_coupling(name: str, cos: Callable[[], NoiseCoupling],
                       dim: int) -> NoiseCoupling:
-    """The "cos" coupling given, or the noise-free "const" one on q of
-    dimension dim."""
+    """The "cos" coupling that cos() builds, or the noise-free "const" one
+    on q of dimension dim; only the coupling named is built."""
     if name == "cos":
-        return cos
+        return cos()
     if name == "const":
         return NoiseCoupling.constant([1.0], dim)
     raise InvalidArgument(f"gamma_coupling={name!r} is not 'cos' or 'const'")
@@ -805,12 +813,8 @@ def _builtin_coupling(name: str, cos: NoiseCoupling,
 def _pendulum_parts(gamma_coupling: str):
     """(L, coupling) shared by both pendulum builders: L(q, v) = v^2/2 -
     cos q."""
-
-    def lagrangian(q, v):
-        return 0.5 * v[..., 0] ** 2 - np.cos(q[..., 0])
-
-    return lagrangian, _builtin_coupling(gamma_coupling,
-                                         NoiseCoupling.cos_q(), 1)
+    return (_builtin([["q1"], ["v1"]], [], "0.5*v1**2 - cos(q1)"),
+            _builtin_coupling(gamma_coupling, NoiseCoupling.cos_q, 1))
 
 
 def pendulum_system(gamma_coupling: str = "cos") -> HamiltonianSystem:
@@ -820,13 +824,10 @@ def pendulum_system(gamma_coupling: str = "cos") -> HamiltonianSystem:
     off).
     """
     lagrangian, noise = _pendulum_parts(gamma_coupling)
-
-    def h_fn(q, p):
-        return 0.5 * p[..., 0] ** 2 + np.cos(q[..., 0])
-
-    grad_q = _builtin([["q1"], ["p1"]], [1], "-sin(q1)")
-    grad_p = _builtin([["q1"], ["p1"]], [1], "p1")
-    return HamiltonianSystem(1, h_fn, noise, grad_q=grad_q, grad_p=grad_p,
+    qp = [["q1"], ["p1"]]
+    return HamiltonianSystem(1, _builtin(qp, [], "0.5*p1**2 + cos(q1)"),
+                             noise, grad_q=_builtin(qp, [1], "-sin(q1)"),
+                             grad_p=_builtin(qp, [1], "p1"),
                              lagrangian=lagrangian)
 
 
@@ -835,18 +836,11 @@ def pendulum_lagrangian_system(gamma_coupling: str = "cos"
     """The pendulum as a Lagrangian system, L = v^2/2 - cos q; the coupling
     as for `pendulum_system`."""
     lagrangian, noise = _pendulum_parts(gamma_coupling)
-
-    def grad_q(q, v):
-        return np.sin(q)
-
-    def grad_v(q, v):
-        return np.array(v, dtype=float)
-
-    def v_hessian(q, v):
-        return np.ones(np.shape(v) + (1,))
-
-    return LagrangianSystem(1, lagrangian, noise, grad_q=grad_q,
-                            grad_v=grad_v, v_hessian=v_hessian)
+    qv = [["q1"], ["v1"]]
+    return LagrangianSystem(1, lagrangian, noise,
+                            grad_q=_builtin(qv, [1], "sin(q1)"),
+                            grad_v=_builtin(qv, [1], "v1"),
+                            v_hessian=_builtin(qv, [1, 1], "1"))
 
 
 def polar_metric_system(gamma_coupling: str = "cos") -> MetricSystem:
@@ -861,11 +855,11 @@ def polar_metric_system(gamma_coupling: str = "cos") -> MetricSystem:
     metric_grad = _builtin(qs, [2, 2, 2], *[None] * 6, "2*q1", None)
     # Gamma^1_22 = -r, Gamma^2_12 = Gamma^2_21 = 1/r
     geodesic = _builtin(qv, [2], "q1*v2**2", "-2*v1*v2/q1")
-    cos_theta_noise = _builtin(qs, [2, 1], None,  # g^-1 grad cos(theta)
-                               "-sin(q2)/q1**2")
-    cos_theta = NoiseCoupling((lambda q: np.cos(q[..., 1]),),
-                              (_builtin(qs, [2], None, "-sin(q2)"),))
-    noise = _builtin_coupling(gamma_coupling, cos_theta, 2)
+    noise = _builtin_coupling(gamma_coupling, lambda: NoiseCoupling(
+        (_builtin(qs, [], "cos(q2)"),),
+        (_builtin(qs, [2], None, "-sin(q2)"),)), 2)
     return MetricSystem(
         2, metric, noise, metric_grad=metric_grad, geodesic=geodesic,
-        noise_matrix=cos_theta_noise if noise is cos_theta else None)
+        noise_matrix=(_builtin(qs, [2, 1], None,  # g^-1 grad cos(theta)
+                               "-sin(q2)/q1**2")
+                      if gamma_coupling == "cos" else None))

@@ -2,7 +2,7 @@
 
 Coordinates are named q1..qn and p1..pn; gradients are produced by symbolic
 differentiation, so custom systems satisfy the same analytic-gradient
-checks as the built-ins.  Only deriving a system's kernel sources imports
+checks as the built-ins.  Only deriving a system's kernel records imports
 sympy, and `_cached` keeps them on disk, so a rerun of a text skips sympy.
 """
 
@@ -64,18 +64,18 @@ def _symbols(prefix: str, n: int):
     return sympy.symbols(f"{prefix}1:{n + 1}")
 
 
-def _source(args, exprs, shape: tuple, cse: bool = False) -> list:
-    """[kernel record, numpy names] of a function of arrays (..., n_i) whose
-    columns are `args`: a tuple of symbols for one array, or of such tuples.
+def _source(args, exprs, shape: tuple, cse: bool = False) -> dict:
+    """The kernel record of a function of arrays (..., n_i) whose columns
+    are `args`: a tuple of symbols for one array, or of such tuples.
 
     `exprs` are the row-major entries of its (...) + shape value.  Each
     entry is recorded in the text sympy's NumPyPrinter gives it under
     `lambdify(..., modules=[np])`, after the common subexpressions that
     lambdify's `cse=True` takes if `cse`.  Rational entries (0, 1, 1/3)
     are literals, and zero ones are None.  `_compile` (`dynamics`) binds
-    the record to numpy, so each entry is the numpy expression lambdify
-    runs, and only the printer's text runs; the float lanes render the
-    same text.
+    the numpy names the text uses, such as sin, arctan, pi and e, so each
+    entry is the numpy expression lambdify runs, and only the printer's
+    text runs; the float lanes render the same text.
     """
     import sympy
     from sympy.printing.numpy import NumPyPrinter
@@ -84,21 +84,21 @@ def _source(args, exprs, shape: tuple, cse: bool = False) -> list:
     printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
                             "allow_unknown_functions": True,
                             "user_functions": {}})  # as lambdify sets it
-    kernel = {"args": [[str(x) for x in group] for group in groups],
-              "subs": [[str(x), printer.doprint(e)] for x, e in subs],
-              "shape": list(shape),
-              "entries": [printer.doprint(e) if e != 0 else None
-                          for e in exprs]}
-    return [kernel, sorted(printer.module_imports["numpy"])]
+    return {"args": [[str(x) for x in group] for group in groups],
+            "subs": [[str(x), printer.doprint(e)] for x, e in subs],
+            "shape": list(shape),
+            "entries": [printer.doprint(e) if e != 0 else None
+                        for e in exprs]}
 
 
 def _cached(key: list, derive) -> dict:
-    """derive()'s kernel sources for `key`, from a sound cache entry or
+    """derive()'s kernel records for `key`, from a sound cache entry or
     derived and stored.  An entry's key adds sympy's release file and this
     module's digest; it is read only if it and its directory are the
     user's and not group- or world-writable.  A bad cache is a quiet miss.
-    An entry holds kernel records, not code: `_compile` turns them into
-    numpy functions, and float lanes, when it loads them."""
+    An entry holds kernel records only, not code nor the names they use:
+    `_compile` turns each into a numpy function, binding the numpy names
+    its text uses, when the system is assembled."""
     try:  # on no sympy, a numpy dim (for json) or no home: derive only
         init = Path(importlib.util.find_spec("sympy").origin)  # unimported
         key = [*key, init.with_name("release.py").read_text("utf-8"),
@@ -135,16 +135,16 @@ def _cached(key: list, derive) -> dict:
 
 
 def _noise_sources(gammas, qs) -> list:
-    """Sources of couplings gamma_a(qs), then of their symbolic gradients."""
+    """Records of couplings gamma_a(qs), then of their symbolic gradients."""
     return [[_source(qs, [e], ()) for e in gammas],
             [_source(qs, [e.diff(q) for q in qs], (len(qs),)) for e in gammas]]
 
 
 def _assemble(cls, dim: int, sources: dict):
-    """The `cls` system whose kernels `sources` holds by field name."""
-    noise = NoiseCoupling(*([_compile(*k) for k in part]
+    """The `cls` system whose kernel records `sources` holds by name."""
+    noise = NoiseCoupling(*([_compile(k) for k in part]
                             for part in sources["noise"]))
-    return cls(dim, noise=noise, **{name: _compile(*k) for name, k
+    return cls(dim, noise=noise, **{name: _compile(k) for name, k
                                     in sources.items() if name != "noise"})
 
 
@@ -170,7 +170,7 @@ def hamiltonian_from_expression(h_expr: str, gamma_exprs: list[str],
 
 
 def _closed_forms(g, gammas, qs) -> dict:
-    """Sources of the geodesic and noise_matrix of a MetricSystem with
+    """Records of the geodesic and noise_matrix of a MetricSystem with
     metric g(qs) and couplings gammas, as sympy derives them once.
 
     -Gamma^i_jk v^j v^k = -g^il (d_k g_lj - d_l g_jk / 2) v^j v^k, and the

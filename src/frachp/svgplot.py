@@ -4,7 +4,8 @@ Output is byte-stable for fixed data: the viewBox is computed from data
 bounds rounded outward to 2 significant digits, and the polyline points
 are space-separated pixel pairs with the bytes of "%.2f,%.2f", formatted
 in numpy where `_points` can prove those bytes and by Python's `%`
-elsewhere.  The title is XML-escaped; empty, unequal or overflowing data raise.
+elsewhere.  The title is XML-escaped; data that is empty, not 1-d, unequal
+or overflowing raises.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ def orbit_svg(xs, ys, title: str = "") -> str:
     """SVG document with the (xs, ys) orbit as a single polyline."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.size == 0 or xs.shape != ys.shape:
+    if xs.ndim != 1 or xs.size == 0 or xs.shape != ys.shape:
         raise InvalidArgument(f"xs={xs.shape}, ys={ys.shape}: an orbit needs "
-                              f"equal shapes, one point or more")
+                              f"1-d data of one length, one point or more")
     stride = 1
     if xs.size > MAX_POINTS:
         stride = int(math.ceil(xs.size / MAX_POINTS))

@@ -443,7 +443,10 @@ class TestSimulateCommand:
         ([0.0, 1.0], [-1e308, 1e308], r"^ys="),
         ([], [], r"^xs=\(0,\), ys=\(0,\)"),
         ([0.0, 1.0, 2.0], [1.0], r"^xs=\(3,\), ys=\(1,\)"),
-    ], ids=["span-overflows", "bound-overflows", "ys", "empty", "unequal"])
+        ([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [4.0, 9.0]],
+         r"^xs=\(2, 2\), ys=\(2, 2\)"),
+    ], ids=["span-overflows", "bound-overflows", "ys", "empty", "unequal",
+            "2-d"])
     def test_orbit_range_overflow_writes_no_svg(self, tmp_path, xs, ys,
                                                 match):
         # Finite data whose rounded bounds or span are not finite floats

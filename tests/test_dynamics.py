@@ -501,6 +501,73 @@ class TestNoiseCouplingChecks:
         assert not coupling.grad_matrix(np.array([0.3, 0.4])).any()
 
 
+# Each built-in kernel record and the numpy formula it replaced.
+BUILTIN_KERNELS = {
+    "pendulum-hamiltonian": (
+        lambda: pendulum_system().hamiltonian,
+        lambda q, p: 0.5 * p[..., 0] ** 2 + np.cos(q[..., 0])),
+    "pendulum-lagrangian": (  # both pendulums share it
+        lambda: pendulum_system().lagrangian,
+        lambda q, v: 0.5 * v[..., 0] ** 2 - np.cos(q[..., 0])),
+    "cos_q-gamma": (lambda: NoiseCoupling.cos_q().gamma[0],
+                    lambda q: np.cos(q[..., 0])),
+    "polar-gamma": (lambda: polar_metric_system().noise.gamma[0],
+                    lambda q: np.cos(q[..., 1])),
+    "lagrangian-grad_q": (lambda: pendulum_lagrangian_system().grad_q,
+                          lambda q, v: np.sin(q)),
+    "lagrangian-grad_v": (lambda: pendulum_lagrangian_system().grad_v,
+                          lambda q, v: np.array(v, dtype=float)),
+    "lagrangian-v_hessian": (lambda: pendulum_lagrangian_system().v_hessian,
+                             lambda q, v: np.ones(np.shape(v) + (1,))),
+}
+
+
+class TestBuiltinKernelRecords:
+    """Built-in kernels are kernel records with the bits of the numpy
+    formulas they replaced, and a record binds every numpy name its text
+    uses."""
+
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300,
+                        0.7, -2.3, 1e-300, 3.0, -1.0])
+
+    @staticmethod
+    def _assert_bitwise(kernel, formula, arrays):
+        # One sample, the (P, n) stack and an (N+1, P, n) history.
+        for layout in (lambda a: a[5], lambda a: a,
+                       lambda a: a.reshape((3, 4, a.shape[-1]))):
+            xs = [layout(a) for a in arrays]
+            with np.errstate(all="ignore"):
+                got = np.asarray(kernel(*xs))
+                want = np.asarray(formula(*xs), dtype=float)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), xs
+
+    @pytest.mark.parametrize("make, formula", BUILTIN_KERNELS.values(),
+                             ids=BUILTIN_KERNELS.keys())
+    def test_matches_the_numpy_formula_bitwise(self, make, formula):
+        kernel = make()
+        n = len(kernel.spec["args"][0])
+        columns = [np.roll(self.SPECIAL, 5 * j) for j in range(2 * n)]
+        arrays = [np.stack(columns[i * n:(i + 1) * n], axis=-1)
+                  for i in range(len(kernel.spec["args"]))]
+        self._assert_bitwise(kernel, formula, arrays)
+
+    def test_record_binds_the_numpy_names_it_uses(self):
+        from frachp.dynamics import _builtin
+        kernel = _builtin([["q1", "q2"]], [2], "sqrt(q1)*pi - 2.5e3",
+                          "arctan(q2/e)")
+        q = np.stack([self.SPECIAL, np.roll(self.SPECIAL, 3)], axis=-1)
+        self._assert_bitwise(kernel, lambda q: np.stack(
+            [np.sqrt(q[..., 0]) * np.pi - 2.5e3,
+             np.arctan(q[..., 1] / np.e)], axis=-1), [q])
+
+    def test_record_naming_no_numpy_name_fails_to_compile(self):
+        from frachp.dynamics import _builtin
+        with pytest.raises(InvalidArgument,
+                           match=r"^spec=.* names \['arcsinh2'\]"):
+            _builtin([["q1"]], [1], "arcsinh2(q1) + sin(q1)")
+
+
 class TestExpressionSystems:
     def test_custom_hamiltonian(self):
         from frachp.exprsys import hamiltonian_from_expression
@@ -545,7 +612,7 @@ class TestExpressionSystems:
         qs = sympy.symbols("q1:3")
         exprs = [sympy.sympify(t) for t in texts]
         q = np.random.default_rng(4).uniform(-2.0, 2.0, (9, 2))
-        kernel = _compile(*_source(qs, exprs, (len(exprs),)))
+        kernel = _compile(_source(qs, exprs, (len(exprs),)))
         got = kernel(q)
         every = sympy.lambdify(qs, exprs, modules="numpy")(q[:, 0], q[:, 1])
         for j, want in enumerate(every):
@@ -570,7 +637,7 @@ class TestExpressionSystems:
         import sympy
         from frachp.exprsys import _compile, _source
         groups = (args,) if isinstance(args[0], sympy.Symbol) else args
-        kernel = _compile(*_source(args, exprs, shape, cse=cse))
+        kernel = _compile(_source(args, exprs, shape, cse=cse))
         oracle = sympy.lambdify([x for g in groups for x in g], exprs,
                                 modules="numpy", cse=cse)
         for layout in (lambda a: a[3], lambda a: a,

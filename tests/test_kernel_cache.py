@@ -139,10 +139,11 @@ def test_builtin_systems_import_no_expression_code():
 
 
 def _poison(entry: Path, key=None):
-    """Rewrite a cache entry so that each of its kernels raises, under
-    its own key or `key`."""
+    """Rewrite a cache entry so that compiling any of its kernel records
+    raises, naming `entry_ran`, under its own key or `key`."""
     data = json.loads(entry.read_text())
-    bad = ["def kernel(*x):\n    raise AssertionError('entry ran')\n", []]
+    bad = {"args": [["q1"]], "subs": [], "shape": [],
+           "entries": ["entry_ran(q1)"]}
     data["kernels"] = {name: ([[bad] * len(part) for part in v]
                               if name == "noise" else bad)
                        for name, v in data["kernels"].items()}
