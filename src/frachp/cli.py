@@ -3,12 +3,19 @@
 Every command resolves its configuration, writes its outputs into the run
 directory together with a `run_manifest` that is sufficient to reproduce
 the run byte for byte.
+
+`volterra` runs on the modules this one imports (`config`, `core`,
+`errors`, `fracint`, `noise`, `specfun`).  The Euler commands also run
+the HP group, `dynamics`, `integrator` and `svgplot`, which `build_system`
+loads on its first call; reading one of the group's names here, as
+`frachp.cli.integrate`, loads it too.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import math
 import sys
 from pathlib import Path
@@ -18,22 +25,50 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, config_lines, parse_config
 from .core import FractionalParams, TimeGrid, Trajectory, make_grid
-from .dynamics import (assemble_hp_fields, pendulum_system,
-                       polar_metric_system)
 from .errors import FracHPError
 from .fracint import VolterraCoefficients, volterra_paths
-from .integrator import (EulerRun, initial_state, integrate,
-                         integrate_paths, stationarity_ratio,
-                         strong_convergence_order)
 from .noise import generate_path, spawn_substream, zero_path
-from .svgplot import write_orbit
 
 STATIONARITY_GATE = 1e-3
+
+# The HP group: module -> the names the Euler commands call from it.
+_HP_GROUP = {
+    "dynamics": ("assemble_hp_fields", "pendulum_system",
+                 "polar_metric_system"),
+    "integrator": ("EulerRun", "initial_state", "integrate",
+                   "integrate_paths", "stationarity_ratio",
+                   "strong_convergence_order"),
+    "svgplot": ("write_orbit",),
+}
+_HP_NAMES = frozenset(name for names in _HP_GROUP.values()
+                      for name in names)
+
+
+def _load_hp_group() -> None:
+    """Import the HP group and bind each of its names not bound yet, so a
+    name patched here before stays patched."""
+    scope = globals()
+    if _HP_NAMES <= scope.keys():
+        return
+    for module, names in _HP_GROUP.items():
+        owner = importlib.import_module(f"{__package__}.{module}")
+        for name in names:
+            scope.setdefault(name, getattr(owner, name))
+
+
+def __getattr__(name: str):
+    """An HP group name, read before any Euler command ran (PEP 562)."""
+    if name not in _HP_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    _load_hp_group()
+    return globals()[name]
 
 
 def build_system(cfg: RunConfig):
     """The system `cfg.system` names; RunConfig has checked the name and
-    that a custom system has its expression."""
+    that a custom system has its expression.  Loads the HP group."""
+    _load_hp_group()
     if cfg.system == "pendulum":
         return pendulum_system(gamma_coupling=cfg.gamma)
     if cfg.system == "metric:polar":

@@ -28,6 +28,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from types import MappingProxyType
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -107,8 +108,13 @@ def _fd_partial(f, which: int):
 # Kernels: one per-entry text, bound to numpy arrays or rendered on floats
 # ---------------------------------------------------------------------------
 
+# Kernel record content -> its numpy function, shared by every system of
+# the process that holds an equal record.
+_KERNELS: dict = {}
+
+
 def _compile(spec: dict) -> Callable:
-    """The numpy function of a kernel record.
+    """The numpy function of a kernel record, compiled once per process.
 
     spec holds "args", the names of the columns of each array argument
     (..., n_i); "subs", [name, text] pairs computed in order; "shape", the
@@ -118,11 +124,17 @@ def _compile(spec: dict) -> Callable:
     carries all it needs; a name numpy lacks raises InvalidArgument here,
     not NameError at the first call.  The function reads the columns the
     texts use as x[..., j] and writes each entry into a zeroed output, so
-    a zero entry stays +0.0.  Its `spec` attribute is the record, which
-    `assemble_hp_fields` renders as a float lane.
+    a zero entry stays +0.0.  Its `spec` attribute is a read-only copy of
+    the record, of tuples, which `assemble_hp_fields` renders as a float
+    lane.  Equal records give the one function, and a record that fails
+    is not kept.
     """
-    groups, subs = spec["args"], spec["subs"]
-    entries, shape = spec["entries"], tuple(spec["shape"])
+    key = (tuple(map(tuple, spec["args"])), tuple(map(tuple, spec["subs"])),
+           tuple(spec["shape"]), tuple(spec["entries"]))
+    kernel = _KERNELS.get(key)
+    if kernel is not None:
+        return kernel
+    groups, subs, shape, entries = key
     # Names, not the e of 1e-3 nor the e3 of 2.5e3.
     used = set(re.findall(r"(?<![\w.])[A-Za-z_]\w*", " ".join(
         [t for _, t in subs] + [e for e in entries if e is not None])))
@@ -144,7 +156,9 @@ def _compile(spec: dict) -> Callable:
     namespace = {"_zeros": np.zeros, **{x: getattr(np, x) for x in free}}
     exec(f"def kernel({args}):\n{source}    return _out\n", namespace)
     kernel = namespace["kernel"]
-    kernel.spec = spec
+    kernel.spec = MappingProxyType(dict(zip(
+        ("args", "subs", "shape", "entries"), key)))
+    _KERNELS[key] = kernel
     return kernel
 
 
@@ -237,26 +251,41 @@ def _lane_step(n: int, velocity: str, force: str, kernels: dict):
             names.update(zip(group, lane))
         names.update((name, f"{role}_{name}") for name, _ in spec["subs"])
         nodes = [_lane_node(ast.parse(text or "0.0", mode="eval").body, names)
-                 for text in [t for _, t in spec["subs"]] + spec["entries"]]
+                 for text in [*(t for _, t in spec["subs"]),
+                              *spec["entries"]]]
         if None in nodes:
             return None
         lane = [ast.unparse(node) for node in nodes]
         subs[role] = [f"            {names[name]} = {text}"
                       for (name, _), text in zip(spec["subs"], lane)]
         entries[role] = lane[len(spec["subs"]):]
-    terms = [{"x": x, **{role: e[j] for role, e in entries.items()}}
-             for j, x in enumerate(xs)]
-    drift = [f"{q} + h * ({velocity.format(**t)})" for q, t in zip(qs, terms)]
-    drift += [f"{x} + h * ({force.format(**t)})" for x, t in zip(xs, terms)]
-    driven = drift[:n] + [f"{moved} + (c * ({t['C']})) * w"
-                          for moved, t in zip(drift[n:], terms)]
+
+    def branch(roles) -> tuple[str, str]:
+        """The subs and the new state of the loop that evaluates the
+        kernels `roles` (C only where increments drive the step); an
+        entry text used twice or more, such as the pendulum's -sin(q_0)
+        in F and C, is computed once into a temporary."""
+        used = [e for role in roles for e in entries[role]]
+        shared = {e: f"t_{k}" for k, e in enumerate(dict.fromkeys(
+            e for e in used if used.count(e) > 1 and not isinstance(
+                ast.parse(e, mode="eval").body, (ast.Name, ast.Constant))))}
+        lines = [line for role in roles for line in subs[role]]
+        lines += [f"            {t} = {e}" for e, t in shared.items()]
+        terms = [{"x": x, **{role: shared.get(entries[role][j],
+                                               entries[role][j])
+                             for role in roles}} for j, x in enumerate(xs)]
+        state = [f"{q} + h * ({velocity.format(**t)})"
+                 for q, t in zip(qs, terms)]
+        state += [f"{x} + h * ({force.format(**t)})"
+                  + (f" + (c * ({t['C']})) * w" if "C" in roles else "")
+                  for x, t in zip(xs, terms)]
+        return "\n".join(lines), ", ".join(state)
+
+    drift_subs, drift = branch([role for role in entries if role != "C"])
+    driven_subs, driven = branch(list(entries))
     text = _LANE_STEP.format(
-        state=", ".join(qs + xs), drift=", ".join(drift),
-        driven=", ".join(driven),
-        drift_subs="\n".join(line for role in subs if role != "C"
-                             for line in subs[role]),
-        driven_subs="\n".join(line for lines in subs.values()
-                              for line in lines))
+        state=", ".join(qs + xs), drift=drift, driven=driven,
+        drift_subs=drift_subs, driven_subs=driven_subs)
     namespace = {**_LANE_CONSTANTS,
                  **{name: getattr(math, name) for name in _LANE_CALLS}}
     exec(text, namespace)

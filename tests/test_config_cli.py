@@ -751,3 +751,109 @@ class TestVolterraCommand:
 def test_missing_config_file_is_an_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+# The names `frachp` exported when its __init__ imported every module.
+PUBLIC_NAMES = [
+    "EulerRun", "FractionalParams", "HamiltonianSystem", "LagrangianSystem",
+    "MetricSystem", "NoiseCoupling", "PhaseState", "SampledFunction",
+    "SdeFields", "TimeGrid", "Trajectory", "VolterraCoefficients",
+    "WienerPath", "action_derivative", "assemble_hp_fields", "christoffel",
+    "coarsen", "core", "dynamics", "errors", "evaluate_action", "fracint",
+    "fractional_wiener_integral", "gamma", "generate_path",
+    "hp_noise_coefficient", "initial_state", "integrate", "integrate_paths",
+    "integrator", "invert_legendre", "legendre_transform", "make_grid",
+    "noise", "pendulum_lagrangian_system", "pendulum_system",
+    "polar_metric_system", "power_kernel", "random_admissible_perturbation",
+    "rl_integral", "spawn_substream", "specfun", "stationarity_ratio",
+    "step_weights", "strong_convergence_order", "volterra_paths",
+    "zero_path"]
+HP_GROUP = ["frachp.dynamics", "frachp.integrator", "frachp.svgplot"]
+
+
+class TestStartup:
+    """`frachp volterra` loads no module of the HP group; the HP commands
+    and the package's names load theirs on first use.  Each case runs in
+    a fresh interpreter."""
+
+    @staticmethod
+    def _fresh(code: str) -> str:
+        src = str(Path(frachp.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stderr == ""
+        return run.stdout
+
+    def test_volterra_loads_no_hp_module(self, tmp_path):
+        cfg_path, _ = small_config(tmp_path, beta=0.5, h=0.01, n_steps=20,
+                                   n_paths=2, mu=0.1, sigma=0.3)
+        code = ("import contextlib, io, sys\n"
+                "from frachp import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = cli.main(['volterra', '--config', "
+                f"{str(cfg_path)!r}])\n"
+                "print(code, sorted(m for m in sys.modules if m == 'sympy'"
+                " or m.startswith('frachp.')))\n")
+        assert self._fresh(code) == (
+            "0 ['frachp.cli', 'frachp.config', 'frachp.core', "
+            "'frachp.errors', 'frachp.fracint', 'frachp.noise', "
+            "'frachp.specfun']\n")
+        assert (tmp_path / "out" / "summary.csv").is_file()
+
+    def test_build_system_loads_the_hp_group(self):
+        code = ("import sys\n"
+                "from frachp.cli import build_system\n"
+                "from frachp.config import parse_config\n"
+                f"build_system(parse_config({REFERENCE_TEXT!r}))\n"
+                f"print([m in sys.modules for m in {HP_GROUP!r}])\n")
+        assert self._fresh(code) == "[True, True, True]\n"
+
+    def test_public_names_are_their_owners_objects(self):
+        code = ("import importlib, sys, frachp\n"
+                "assert not [m for m in sys.modules"
+                " if m.startswith('frachp.')]\n"
+                "star = {}\n"
+                "exec('from frachp import *', star)\n"
+                "listed = dir(frachp)\n"
+                "for name in frachp.__all__:\n"
+                "    obj = getattr(frachp, name)\n"
+                "    assert star[name] is obj and name in listed, name\n"
+                "    if isinstance(obj, type(sys)):\n"
+                "        assert obj.__name__ == 'frachp.' + name, name\n"
+                "    else:\n"
+                "        owner = importlib.import_module(obj.__module__)\n"
+                "        assert owner.__name__.startswith('frachp.'), name\n"
+                "        assert getattr(owner, name) is obj, name\n"
+                "print(frachp.__all__)\n")
+        assert self._fresh(code) == f"{PUBLIC_NAMES!r}\n"
+
+    def test_unknown_names_raise_attribute_error(self):
+        code = ("import frachp, frachp.cli as cli\n"
+                "for module in (frachp, cli):\n"
+                "    try:\n"
+                "        module.no_such_name\n"
+                "    except AttributeError as exc:\n"
+                "        print(exc)\n"
+                "print(hasattr(frachp, 'cli_main'), hasattr(cli, 'gamma'))\n")
+        assert self._fresh(code) == (
+            "module 'frachp' has no attribute 'no_such_name'\n"
+            "module 'frachp.cli' has no attribute 'no_such_name'\n"
+            "False False\n")
+
+    def test_name_patched_before_the_first_hp_command_stays(self, tmp_path):
+        # A name bound on frachp.cli before the group loads is not
+        # overwritten by the group's own object.
+        cfg_path, _ = small_config(tmp_path, n_steps=50, plot="false")
+        code = ("import contextlib, io\n"
+                "from frachp import cli\n"
+                "from frachp.integrator import integrate_paths\n"
+                "calls = []\n"
+                "cli.integrate_paths = (lambda runs: calls.append(len(runs))"
+                " or integrate_paths(runs))\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = cli.main(['simulate', '--config', "
+                f"{str(cfg_path)!r}])\n"
+                "print(code, calls, cli.EulerRun.__module__)\n")
+        assert self._fresh(code) == "0 [2] frachp.integrator\n"

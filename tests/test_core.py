@@ -266,9 +266,13 @@ def test_invalid_argument_is_a_frachp_error(call, name):
 
 # The only raises of an error outside the hierarchy, as (module, function,
 # class): parse_config turns _parse_bool's ValueError into a ParseError,
-# and _formulation's TypeError is a caller passing a non-system object.
+# _formulation's TypeError is a caller passing a non-system object, and a
+# module __getattr__ must raise AttributeError for an unknown name (PEP
+# 562), which hasattr and `from frachp import fracint` rely on.
 RAISES_OUTSIDE_HIERARCHY = {("config", "_parse_bool", "ValueError"),
-                            ("dynamics", "_formulation", "TypeError")}
+                            ("dynamics", "_formulation", "TypeError"),
+                            ("__init__", "__getattr__", "AttributeError"),
+                            ("cli", "__getattr__", "AttributeError")}
 
 
 def _raise_calls(node, where):

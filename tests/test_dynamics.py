@@ -563,9 +563,34 @@ class TestBuiltinKernelRecords:
 
     def test_record_naming_no_numpy_name_fails_to_compile(self):
         from frachp.dynamics import _builtin
-        with pytest.raises(InvalidArgument,
-                           match=r"^spec=.* names \['arcsinh2'\]"):
-            _builtin([["q1"]], [1], "arcsinh2(q1) + sin(q1)")
+        for _ in range(2):  # a record that fails is not kept
+            with pytest.raises(InvalidArgument,
+                               match=r"^spec=.* names \['arcsinh2'\]"):
+                _builtin([["q1"]], [1], "arcsinh2(q1) + sin(q1)")
+
+    @pytest.mark.parametrize("make", [pendulum_system,
+                                      pendulum_lagrangian_system,
+                                      polar_metric_system])
+    def test_equal_records_compile_once(self, make):
+        first, second = make(), make()
+        names = ("hamiltonian", "lagrangian", "grad_q", "grad_p", "grad_v",
+                 "v_hessian", "metric", "metric_grad", "geodesic",
+                 "noise_matrix")
+        kernels = [(getattr(first, a), getattr(second, a)) for a in names
+                   if hasattr(getattr(first, a, None), "spec")]
+        kernels += list(zip(first.noise.gamma + first.noise.gamma_grad,
+                            second.noise.gamma + second.noise.gamma_grad))
+        assert len(kernels) >= 5 and all(a is b for a, b in kernels)
+        n = first.dim
+        q = np.stack([np.roll(self.SPECIAL, j) for j in range(n)], axis=-1)
+        x = np.roll(q, 5, axis=0)
+        with np.errstate(all="ignore"):
+            for a, b in kernels:
+                args = (q, x)[:len(a.spec["args"])]
+                assert a(*args).tobytes() == b(*args).tobytes()
+        assert isinstance(first.noise.gamma[0].spec["entries"], tuple)
+        with pytest.raises(TypeError):
+            first.noise.gamma[0].spec["entries"] = ("q1",)
 
 
 class TestExpressionSystems:

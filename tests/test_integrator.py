@@ -1553,6 +1553,18 @@ class TestFloatLanes:
                 assert getattr(got, c).tobytes() == getattr(want, c).tobytes()
         assert calls == {"step": 600}
 
+    def test_pendulum_lane_takes_one_sin_per_step(self, monkeypatch):
+        # grad_q and the cos coupling's gradient are both -sin(q1): the
+        # lane text evaluates that entry once per step, driven or not.
+        calls = []
+        sin = math.sin
+        monkeypatch.setattr(math, "sin", lambda a: calls.append(a) or sin(a))
+        lanes = assemble_hp_fields(pendulum_system(), REFERENCE).lanes
+        for inc in ([0.01, -0.02, 0.03], None):
+            calls.clear()
+            lanes([1.0], [0.3], 1e-4, [0.1] * 3, [1.0] * 3, inc)
+            assert len(calls) == 3, inc
+
     def test_large_batches_take_the_numpy_step(self):
         # One path at a time, lanes cost P times one path; past
         # _LANE_PATHS paths the loop steps the stack with numpy.
