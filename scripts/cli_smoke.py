@@ -1,0 +1,74 @@
+"""Run each `frachp` command once on a tiny config and check what it wrote.
+
+    PYTHONPATH=src python3 scripts/cli_smoke.py     # python -m frachp.cli
+    python3 scripts/cli_smoke.py frachp             # the console script
+
+The arguments, if any, are the command that runs frachp.  simulate,
+convergence, action-check and volterra must each exit 0 and write a
+non-empty run manifest and the files FILES names.  Then `frachp volterra`
+runs once more in a fresh interpreter through `cli.main`, which fails if a
+module of the HP group is in `sys.modules` after `main` returns, however it
+was loaded (an `importlib.import_module` load included).  Prints one line
+per check and exits 1 on the first failure.
+"""
+
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUN = "alpha = 0.6\nbeta = 0.3\nt_eval = 0.8\nh = 0.001\nn_steps = 300\n"
+CONFIGS = {
+    "simulate": "system = pendulum\n" + RUN,
+    "convergence": "system = pendulum\nalpha = 1\nbeta = 1\nt_eval = 10\n"
+                   "h = 0.002\nlevels = 3\nn_paths = 4\nt_end = 0.4\n",
+    "action-check": "system = pendulum\n" + RUN + "gamma = const\n",
+    "volterra": "system = pendulum\nalpha = 0.6\nbeta = 0.5\nt_eval = 0.8\n"
+                "h = 0.001\nn_steps = 200\nn_paths = 4\nsigma = 0.2\n",
+}
+FILES = {
+    "simulate": ["trajectory.csv", "trajectory_deterministic.csv",
+                 "phase_qp.svg", "p_vs_n_noisy.svg"],
+    "convergence": ["convergence.csv"],
+    "action-check": [],
+    "volterra": ["summary.csv", "path_0003.csv"],
+}
+HP_GROUP = ("frachp.dynamics", "frachp.integrator", "frachp.svgplot")
+STARTUP = f"""\
+import sys
+from frachp.cli import main
+code = main(sys.argv[1:])
+loaded = [m for m in {HP_GROUP!r} if m in sys.modules]
+if loaded:
+    sys.exit(f"frachp volterra loaded {{loaded}}")
+sys.exit(code)
+"""
+
+
+def fail(message: str) -> None:
+    print(f"FAIL {message}")
+    sys.exit(1)
+
+
+def main(frachp: list[str]) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, text in CONFIGS.items():
+            cfg, out = work / f"{name}.cfg", work / f"out-{name}"
+            cfg.write_text(text, encoding="utf-8")
+            args = [name, "--config", str(cfg), "--out", str(out)]
+            if subprocess.run([*frachp, *args]).returncode != 0:
+                fail(f"{name} exited non-zero")
+            for f in ["run_manifest", *FILES[name]]:
+                if not (out / f).is_file() or (out / f).stat().st_size == 0:
+                    fail(f"{name} wrote no {f}")
+            print(f"ok   {name}")
+        args = ["volterra", "--config", str(work / "volterra.cfg"),
+                "--out", str(work / "out-startup")]
+        if subprocess.run([sys.executable, "-c", STARTUP, *args]).returncode:
+            fail("volterra start-up")
+        print("ok   volterra loads no HP module")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:] or [sys.executable, "-m", "frachp.cli"])

@@ -109,8 +109,9 @@ def _fd_partial(f, which: int):
 # ---------------------------------------------------------------------------
 
 # Kernel record content -> its numpy function, shared by every system of
-# the process that holds an equal record.
+# the process that holds an equal record; and a term's source -> its maker.
 _KERNELS: dict = {}
+_TERMS: dict = {}
 
 
 def _compile(spec: dict) -> Callable:
@@ -229,11 +230,12 @@ def _lane_step(n: int, velocity: str, force: str, kernels: dict):
     """The Euler step of `SdeFields.step` on one path's Python floats, for
     rows of coefficients, or None if a kernel has no lane form.
 
-    velocity and force are templates of entry j of the formulation's terms
-    in {x} (x_j) and the entries {V} and {F} of its kernels; kernels maps
-    V, F and C, the noise column, to the callables.  The text unrolls the
-    n components in the step's term order: q + h (velocity), then
-    x + h (force), then + (c (column)) w, with a zero entry as 0.0.
+    velocity and force are the formulation record's templates, rendered
+    for entry j with {y} as x_j (y is x wherever lanes run) and {K} as
+    entry j of kernel K; kernels maps them and C, the noise column, to the
+    callables.  The text unrolls the n components in the step's term
+    order: q + h (velocity), then x + h (force), then + (c (column)) w,
+    with a zero entry as 0.0.
     lanes(q, x, h, damp, coef, inc) takes one path's q and x as n floats,
     h, and lists of damp, coef and increments (inc=None: drift-only), and
     returns the flat list of each row's q and x.
@@ -271,7 +273,7 @@ def _lane_step(n: int, velocity: str, force: str, kernels: dict):
                 ast.parse(e, mode="eval").body, (ast.Name, ast.Constant))))}
         lines = [line for role in roles for line in subs[role]]
         lines += [f"            {t} = {e}" for e, t in shared.items()]
-        terms = [{"x": x, **{role: shared.get(entries[role][j],
+        terms = [{"y": x, **{role: shared.get(entries[role][j],
                                                entries[role][j])
                              for role in roles}} for j, x in enumerate(xs)]
         state = [f"{q} + h * ({velocity.format(**t)})"
@@ -620,78 +622,77 @@ def _christoffel(g_inv, dg) -> np.ndarray:
 # Formulations
 # ---------------------------------------------------------------------------
 
-def _second(q, x):  # y_of, velocity or from_p where it returns x
+def _second(q, x):  # y_of or from_p where it returns x
     return x
 
 
 @dataclass(frozen=True)
 class _Formulation:
     """The rules of one system type: the components (q, x) `SdeFields.step`
-    carries, x being the variable the noise drives; y_of(q, x), the y that
-    velocity(q, y) and force(q, y, damp) read (p for a Hamiltonian system,
-    else v, which a Lagrangian one solves for from p); noise_matrix(q) and
-    noise_column(q), its column 0 as (..., n), which the step reads when
-    m = 1; the completion (q, x) -> (v, p) of `complete_state`;
-    from_p(q, p), the x of a state of momentum p; and, where y is x, the
-    lane form of velocity and force: entry j of each as a template over
-    {x} and the entries {V} and {F} of the kernels, with the kernels V, F
-    and C, the noise column, that `_lane_step` renders (else None)."""
+    carries, x being the variable the noise drives; y_of(q, x), the y the
+    terms read (p for a Hamiltonian system, else v, which a Lagrangian one
+    solves for from p); velocity and force, the one statement of its Euler
+    terms, as templates over {y}, the damping d and the value {K} of
+    kernels[K] at (q, y), which `assemble_hp_fields` renders on arrays and
+    `_lane_step` on floats; kernels, whose C is the noise column (..., n)
+    that the step reads when m = 1; noise_matrix(q); the completion
+    (q, x) -> (v, p) of `complete_state`; and from_p(q, p), the x of a
+    state of momentum p."""
 
     carried: str
     y_of: Callable
-    velocity: Callable
-    force: Callable
+    velocity: str
+    force: str
+    kernels: dict
     noise_matrix: Callable
-    noise_column: Callable
     complete: Callable
     from_p: Callable
-    lane: Optional[tuple] = None
 
 
 def _formulation(sys: SystemSpec) -> _Formulation:
     """The formulation record of a system, by its type."""
     if isinstance(sys, HamiltonianSystem):
-        def force(q, p, damp):  # bit for bit -grad_q + damp p
-            return damp * p - sys.grad_q(q, p)
-
         def complete(q, p):
             return np.asarray(sys.grad_p(q, p), dtype=float), p
 
-        return _Formulation("qp", _second, sys.grad_p, force,
-                            sys.noise.grad_matrix, sys.noise.gamma_grad[0],
-                            complete, _second,
-                            ("{V}", "d * {x} - ({F})",
-                             {"V": sys.grad_p, "F": sys.grad_q,
-                              "C": sys.noise.gamma_grad[0]}))
+        return _Formulation("qp", _second, "{V}", "d * {y} - ({F})",
+                            {"V": sys.grad_p, "F": sys.grad_q,
+                             "C": sys.noise.gamma_grad[0]},
+                            sys.noise.grad_matrix, complete, _second)
     if isinstance(sys, LagrangianSystem):
-        def force(q, v, damp):
-            base = np.asarray(sys.grad_q(q, v), dtype=float)
-            return base + damp * np.asarray(sys.grad_v(q, v), dtype=float)
-
         def complete(q, p):
             return invert_legendre(sys, q, p), p
 
-        return _Formulation("qp", partial(invert_legendre, sys), _second,
-                            force, sys.noise.grad_matrix,
-                            sys.noise.gamma_grad[0], complete, _second)
+        return _Formulation("qp", partial(invert_legendre, sys), "{y}",
+                            "({F}) + d * ({P})",
+                            {"F": sys.grad_q, "P": sys.grad_v,
+                             "C": sys.noise.gamma_grad[0]},
+                            sys.noise.grad_matrix, complete, _second)
     if isinstance(sys, MetricSystem):
-        def force(q, v, damp):
-            return sys.geodesic(q, v) - damp * v
-
         def complete(q, v):
             return v, (sys.metric_at(q) @ v[..., None])[..., 0]
-
-        def noise_column(q):
-            return sys.noise_matrix(q)[..., 0]
 
         def from_p(q, p):
             return np.linalg.solve(sys.metric_at(q), p)
 
-        return _Formulation("qv", _second, _second, force, sys.noise_matrix,
-                            noise_column, complete, from_p,
-                            ("{x}", "({F}) - d * {x}",
-                             {"F": sys.geodesic, "C": sys.noise_matrix}))
+        spec = getattr(sys.noise_matrix, "spec", {"shape": ()})
+        column = (_compile({**spec, "shape": spec["shape"][:1]})
+                  if spec["shape"][1:] == (1,)  # m = 1: column 0's record
+                  else lambda q: sys.noise_matrix(q)[..., 0])
+        return _Formulation("qv", _second, "{y}", "({F}) - d * {y}",
+                            {"F": sys.geodesic, "C": column},
+                            sys.noise_matrix, complete, from_p)
     raise TypeError(f"unsupported system type {type(sys)!r}")
+
+
+def _on_arrays(template: str, kernels: dict, args: str) -> Callable:
+    """A term's template as a numpy function of `args`: {y} is the array
+    y, and a kernel K is the call K(q, y).  Each text compiles once per
+    process, into a maker that binds the kernels."""
+    text = template.format(y="y", **{k: f"{k}(q, y)" for k in kernels})
+    source = f"lambda {', '.join(kernels)}: lambda {args}: {text}"
+    make = _TERMS.get(source) or _TERMS.setdefault(source, eval(source))
+    return make(*kernels.values())
 
 
 # ---------------------------------------------------------------------------
@@ -724,24 +725,20 @@ class SdeFields:
     at the left endpoint s; both take arrays of s, so a caller takes them
     once over a grid.
 
-    drift_q, drift_p and diffusion_p, the terms step composes, are the
-    formulation record's velocity, force and noise_matrix: y is p for the
-    Hamiltonian formulation and v for the others, drift_q and drift_p
-    return (..., n), diffusion_p the (..., n, m) noise matrix, and q never
-    carries noise.  None checks g; a run checks every q it visits.  The
-    system owns dim and noise.m, the record of its type gives these terms
-    and `carried`, and params is the triple the coefficients use.
+    drift_q(q, y) and drift_p(q, y, damp), which step composes, are the
+    record's velocity and force templates rendered on numpy arrays, and
+    return (..., n); diffusion_p is its (..., n, m) noise matrix, and q
+    never carries noise.  None checks g; a run checks every q it visits.
 
     step.unchecked is the same step without the width check, which
     `integrate_paths` calls once `EulerRun` has checked the path.  lanes,
     if not None, is that step on one path's Python floats over a block of
-    rows (see `_lane_step`), with `step`'s bits wherever no float
-    operation raises.  `assemble_hp_fields` builds it for a Hamiltonian
-    or metric system with one channel whose every kernel the step calls
-    (grad_p, grad_q and the coupling gradient, or geodesic and
-    noise_matrix) is a kernel record that uses only numbers, + - * /, the
-    power 2, sin, cos and sqrt: the built-in pendulum and polar metric,
-    and such expression systems.
+    rows, rendered from the same templates (see `_lane_step`), with
+    `step`'s bits wherever no float operation raises.  A system gets lanes
+    when its y is x (Hamiltonian or metric), it has one channel, and its
+    templates' kernels and noise column are kernel records that use only
+    numbers, + - * /, the power 2, sin, cos and sqrt: the built-in
+    pendulum and polar metric, and such expression systems.
     """
 
     step: Callable
@@ -777,8 +774,9 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
     another system it raises InvalidArgument.
     """
     form, damping = _formulation(sys), partial(_alpha_drift_factor, params)
-    y_of, velocity, force = form.y_of, form.velocity, form.force
-    noise_matrix = form.noise_matrix
+    y_of, noise_matrix = form.y_of, form.noise_matrix
+    velocity = _on_arrays(form.velocity, form.kernels, "q, y")
+    force = _on_arrays(form.force, form.kernels, "q, y, d")
     if eq15_literal:
         if form.carried != "qv":  # not the metric-velocity form
             raise InvalidArgument(
@@ -793,15 +791,13 @@ def assemble_hp_fields(sys: SystemSpec, params: FractionalParams,
             return hp_noise_coefficient(params, s)
 
     channels = (sys.noise.m,)  # the last axis of the increments
-    lanes = None
+    lanes = (_lane_step(sys.dim, form.velocity, form.force, form.kernels)
+             if sys.noise.m == 1 and y_of is _second else None)
     if sys.noise.m == 1:  # one term: a product, not a matmul
-        column = form.noise_column
+        column = form.kernels["C"]
 
         def noise_term(q, coef, inc):
             return (coef * column(q)) * inc
-
-        if form.lane is not None:
-            lanes = _lane_step(sys.dim, *form.lane)
     else:  # m terms, summed as BLAS sums them
         def noise_term(q, coef, inc):
             return ((coef * noise_matrix(q)) @ inc[..., None])[..., 0]

@@ -456,6 +456,10 @@ def random_admissible_perturbation(grid: TimeGrid, dim: int, seed: int):
     dq is a short sine series in the normalized time, so it is C^1 and
     admissible; the triple is normalized to unit sup norm.
     """
+    check_whole("dim", dim)
+    check_whole("seed", seed)
+    if dim < 1:
+        raise InvalidArgument(f"dim={dim} must be >= 1")
     n_modes = 3  # the modes of _perturbation_bases
     u = _uniforms(seed, 0, 3 * n_modes * dim).reshape(3, dim, n_modes)
     coeff = 2.0 * u - 1.0

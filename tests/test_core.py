@@ -17,6 +17,7 @@ from frachp.errors import (FracHPError, GridReachesSingularity,
 from frachp.fracint import (SampledFunction, VolterraCoefficients,
                             fractional_wiener_integral, rl_integral)
 from frachp.integrator import (EulerRun, initial_state, integrate,
+                               random_admissible_perturbation,
                                stationarity_ratio, strong_convergence_order)
 from frachp.noise import coarsen, generate_path, spawn_substream, zero_path
 from frachp.specfun import gamma, power_kernel
@@ -187,6 +188,10 @@ def _stationarity(n_perturbations):
                               run.path, n_perturbations)
 
 
+def _perturbation(dim=1, seed=0):
+    return random_admissible_perturbation(TimeGrid(0.0, 0.1, 10), dim, seed)
+
+
 def _convergence(levels=3, n_paths=2):
     sys = pendulum_system()
     params = FractionalParams(1.0, 1.0, 10.0)
@@ -236,6 +241,11 @@ INVALID_ARGUMENTS = {
     "NoiseCoupling gamma": (lambda: NoiseCoupling((np.cos,), ()), "gamma"),
     "n_perturbations": (lambda: _stationarity(0), "n_perturbations"),
     "n_perturbations=1.5": (lambda: _stationarity(1.5), "n_perturbations"),
+    "perturbation dim=0": (lambda: _perturbation(dim=0), "dim"),
+    "perturbation dim=-1": (lambda: _perturbation(dim=-1), "dim"),
+    "perturbation dim=1.5": (lambda: _perturbation(dim=1.5), "dim"),
+    "perturbation seed=2.7": (lambda: _perturbation(seed=2.7), "seed"),
+    "perturbation seed=True": (lambda: _perturbation(seed=True), "seed"),
     "zero_path channels=0": (lambda: zero_path(0.1, 10, 0), "channels"),
     "zero_path channels=-1": (lambda: zero_path(0.1, 10, -1), "channels"),
     "FractionalParams alpha": (lambda: FractionalParams(0.0, 0.5, 1.0),

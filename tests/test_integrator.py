@@ -931,6 +931,92 @@ class TestFormulationDispatch:
             assert str(exc.value) == want
 
 
+def _polar_lagrangian():
+    """The polar plane as a LagrangianSystem, L = (v1^2 + q1^2 v2^2)/2,
+    with closed-form gradients and the cos(q2) coupling."""
+    def pair(a, b):
+        return np.stack(np.broadcast_arrays(a, b), axis=-1)
+
+    return LagrangianSystem(
+        2,
+        lambda q, v: 0.5 * (v[..., 0] ** 2 + q[..., 0] ** 2 * v[..., 1] ** 2),
+        NoiseCoupling((lambda q: np.cos(q[..., 1]),),
+                      (lambda q: pair(0.0, -np.sin(q[..., 1])),)),
+        grad_q=lambda q, v: pair(q[..., 0] * v[..., 1] ** 2, 0.0),
+        grad_v=lambda q, v: pair(v[..., 0], q[..., 0] ** 2 * v[..., 1]),
+        v_hessian=lambda q, v: pair(pair(1.0, 0.0),
+                                    pair(0.0, q[..., 0] ** 2)))
+
+
+# The polar plane in each formulation: the same Lagrangian (v1^2 + q1^2
+# v2^2)/2, its Hamiltonian (p1^2 + p2^2/q1^2)/2 and its metric diag(1, q1^2).
+POLAR_FORMS = {
+    "hamiltonian": lambda: hamiltonian_from_expression(
+        "(p1**2 + p2**2/q1**2)/2", ["cos(q2)"], 2),
+    "lagrangian": _polar_lagrangian,
+    "metric": polar_metric_system,
+}
+
+
+def _polar_terminal_p(form, params, h, n):
+    """p at t = n h of the polar plane in formulation `form` on a zero path
+    from q0 = (1, 0), p0 = (0, 0.5)."""
+    sys = POLAR_FORMS[form]()
+    run = EulerRun(assemble_hp_fields(sys, params),
+                   make_grid(0.0, h, n, params), zero_path(h, n, 1),
+                   initial_state(sys, [1.0, 0.0], [0.0, 0.5]), params)
+    return integrate(run).p[-1]
+
+
+class TestFormulationsAgree:
+    """The three formulations of one Lagrangian step to the same motion.
+
+    Grid: from 0 to t = 0.7, 0.1 short of t_eval = 0.8 (the reference
+    triple's), at h = 1e-3 or 2e-3, so each test runs in under a second.
+    """
+
+    def test_hamiltonian_and_lagrangian_routes_agree_fractionally(self):
+        # Both routes make the same Euler step in exact arithmetic: a
+        # Newton step from v = p solves the linear dL/dv(q, v) = p, which
+        # gives v = dH/dp, and dL/dq at that v is -dH/dq.  So they differ
+        # by rounding alone, ~N eps |p| = 700 * 2.2e-16 * 0.2 ~ 3e-14;
+        # 1e-12 leaves a factor 30 (measured: 6e-17).
+        ham, lag = (_polar_terminal_p(form, REFERENCE, 1e-3, 700)
+                    for form in ("hamiltonian", "lagrangian"))
+        np.testing.assert_allclose(lag, ham, rtol=0.0, atol=1e-12)
+        # The damping d = (alpha - 1)/(t_eval - s) scales p_theta by
+        # ((t_eval - t)/t_eval)^(1 - alpha); Euler gets it to O(h).
+        assert ham[1] == pytest.approx(0.5 * (0.1 / 0.8) ** 0.4, rel=2e-3)
+
+    def test_metric_route_agrees_to_first_order_classically(self):
+        # At alpha = beta = 1 (no damping) the metric route carries v, not
+        # p, so its Euler step differs from the others' by O(h) a step and
+        # its end by O(h): halving h must halve the gap.  A ratio within
+        # 0.1 of 2 tells first order (measured 1.997) from zeroth (1) and
+        # second (4).
+        params = FractionalParams(1.0, 1.0, 0.8)
+        gaps = []
+        for h, n in ((2e-3, 350), (1e-3, 700)):
+            ends = {form: _polar_terminal_p(form, params, h, n)
+                    for form in POLAR_FORMS}
+            np.testing.assert_allclose(ends["lagrangian"], ends["hamiltonian"],
+                                       rtol=0.0, atol=1e-12)
+            gaps.append(np.abs(ends["metric"] - ends["hamiltonian"]).max())
+        assert 0.0 < gaps[1] < 1e-2 * 1e-3  # measured 9.3e-6
+        assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.1)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 22: the metric force damps v by -d v, while the "
+        "Hamiltonian and Lagrangian forces give +d v, so for alpha != 1 the "
+        "metric route ends at p = (0.491, 1.146) against (0.0569, 0.2179)"))
+    def test_metric_route_damps_as_the_others_fractionally(self):
+        # The gap allowed is 100 times the classical first-order one at
+        # this h (9.3e-6); the sign error makes it 0.93.
+        ham, metric = (_polar_terminal_p(form, REFERENCE, 1e-3, 700)
+                       for form in ("hamiltonian", "metric"))
+        np.testing.assert_allclose(metric, ham, rtol=0.0, atol=1e-3)
+
+
 class TestMetricEvaluations:
     """A run evaluates the metric once, over every q it visits."""
 
