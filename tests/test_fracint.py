@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import re
 
@@ -235,6 +236,37 @@ class TestVolterra:
         coeffs = VolterraCoefficients(mu=0.05, sigma=0.3, x0=1.0)
         x = volterra_paths(coeffs, 0.4, grid, inc)
         assert np.array_equal(x, volterra_paths(coeffs, 0.4, grid, inc))
+
+    @pytest.mark.parametrize("n, digest", [
+        (1001, "f688ac79da0992a8fb8e1e836673908b"
+               "00679efebb6d3f21efb11db2e98cfa03"),
+        (4 * fracint._BLOCK + 3, "e15d499a5c9b37b14131dc48e53bd6fd"
+                                 "baf085a7cae0fa1a1cd679c23de41d75"),
+    ])
+    def test_output_bytes_are_pinned(self, n, digest):
+        # Golden sha256 of X over many blocks and folds of every size the
+        # grid reaches: the direct loop's matvecs and the FFT products, to
+        # the bit.
+        grid = TimeGrid(0.0, 1e-3, n)
+        inc = np.vstack([
+            generate_path(spawn_substream(24, i), 1e-3, n, 1)
+            .increments[:, 0] for i in range(8)])
+        x = volterra_paths(COEFFICIENTS["constant"], 0.3, grid, inc)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == digest
+
+    def test_interleaved_calls_match_calls_alone(self):
+        # Each call owns its buffers: calls of other shapes in between
+        # leave no trace in the bits.
+        coeffs = COEFFICIENTS["constant"]
+        shapes = [(5, 4 * fracint._BLOCK + 3), (1, fracint._BLOCK - 1),
+                  (8, 2 * fracint._BLOCK + 1), (3, 1)]
+        cases = [self._ensemble(n, n_paths) for n_paths, n in shapes]
+        alone = [volterra_paths(coeffs, 0.3, grid, inc)
+                 for grid, inc in cases]
+        for order in (range(4), (3, 0, 2, 1, 0, 3)):
+            for i in order:
+                assert np.array_equal(
+                    volterra_paths(coeffs, 0.3, *cases[i]), alone[i])
 
     def test_no_dynamics_across_folds(self):
         # Many blocks, so the FFT folds run; zero sources fold to exactly 0.

@@ -70,6 +70,14 @@ def test_normal_inv_cdf_pinned():
         "287366d9f0b01a18b3db4621ea5ef0d10728dde913ecffd2b1bb63b5933edf91")
 
 
+def test_generate_path_pinned():
+    # Golden sha256 of a 3-channel table over an odd step count: the
+    # counters, the normals and the scaling by sqrt(h), to the bit.
+    path = generate_path(2025, 0.01, 777, 3)
+    assert hashlib.sha256(path.increments.tobytes()).hexdigest() == (
+        "ed0ab891b04ef1760b55e25263101742487e0185702858312d6ca80b686cd534")
+
+
 @pytest.mark.parametrize("shape", [(5,), (5, 1, 1)])
 def test_wiener_table_must_be_2d(shape):
     # A 1-D table used to fail later, with an IndexError from `channels`.
@@ -151,6 +159,32 @@ class TestSpawnSubstream:
         rng = np.random.default_rng(0)
         for s in rng.integers(0, 2 ** 63, size=1000):
             assert spawn_substream(int(s), 0) != spawn_substream(int(s), 1)
+
+    # Child seeds at indices 0, 63 and 2**40, for seeds at the edges of
+    # the 64-bit wrap, as Python and numpy integers.
+    @pytest.mark.parametrize("seed, children", [
+        (0, [15388598648594725369, 30237139133491901,
+             13494130784414819841]),
+        (-1, [13608412451125358996, 9595981085522689516,
+              17745374172141867368]),
+        (2 ** 63, [8190084633585348210, 6152476760588735101,
+                   16409578389204777756]),
+        (2 ** 64 - 1, [13608412451125358996, 9595981085522689516,
+                       17745374172141867368]),
+        (np.int64(-1), [13608412451125358996, 9595981085522689516,
+                        17745374172141867368]),
+        (np.int64(2 ** 63 - 1), [15343687550378153929, 13240458151981394134,
+                                 3350914516879228864]),
+        (np.uint64(2 ** 63), [8190084633585348210, 6152476760588735101,
+                              16409578389204777756]),
+        (np.uint64(2 ** 64 - 1), [13608412451125358996, 9595981085522689516,
+                                  17745374172141867368]),
+    ], ids=["0", "-1", "2**63", "2**64-1", "int64(-1)", "int64(2**63-1)",
+            "uint64(2**63)", "uint64(2**64-1)"])
+    def test_pinned(self, seed, children):
+        got = [spawn_substream(seed, i) for i in (0, 63, 2 ** 40)]
+        assert got == children
+        assert all(type(c) is int for c in got)
 
     def test_stream_independence(self):
         a = generate_path(spawn_substream(5, 0), 1.0, 10_000, 1)
