@@ -11,7 +11,8 @@ kernel diverges at the endpoint.
 
 The Volterra demo's history sums are causal convolutions on the uniform
 grid; `volterra_paths` sums them by divide-and-conquer FFT products, in
-O(P N log^2 N) for P paths of N steps.
+O(P N log^2 N) for P paths of N steps, its direct loop on block buffers
+and views made once per call.
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ def volterra_paths(coeffs: VolterraCoefficients, beta: float, grid: TimeGrid,
     one FFT product over all paths.  That is O(P N log^2 N) and exact up
     to FFT rounding.
 
+    The direct loop copies each block's X and dW into (P, _BLOCK) buffers,
+    and step j reads views made once per call: X_j, the history X[:, :j]
+    and (X dW)[:, :j], and the weight tails a[n - j:] and b[n - j:].  A
+    view holds the numbers of the slice of X it replaces in the same order,
+    with another row stride only, so the matvecs give the same bits.
+
     X is tested once, after the recursion: if some X is not finite,
     NumericalBlowup names the first grid index at which one is, and the
     lowest path that is not finite there.  A finite X has no bound, unlike
@@ -153,11 +160,23 @@ def volterra_paths(coeffs: VolterraCoefficients, beta: float, grid: TimeGrid,
     a, b = mu * wd, sigma * ws
 
     x = np.full((inc.shape[0], n + 1), float(coeffs.x0))
+    # One block's X, X dW and dW, and the views that step j of a block
+    # reads (to finish X dW at j - 1, then X_j), made once per call.
+    xb, xi, db = (np.empty((inc.shape[0], _BLOCK)) for _ in range(3))
+    steps = [(xb[:, j - 1], db[:, j - 1], xi[:, j - 1], xb[:, j],
+              xb[:, :j], xi[:, :j], a[n - j:], b[n - j:])
+             for j in range(1, min(_BLOCK, n + 1))]
     spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     with np.errstate(all="ignore"):  # an overflow is reported below
         for lo in range(0, n + 1, _BLOCK):
             end = min(lo + _BLOCK, n + 1)
-            _solve_block(x, inc, a, b, lo, end)
+            k = end - lo - 1           # the steps after the block's first
+            xb[:, :k + 1] = x[:, lo:end]
+            db[:, :k] = inc[:, lo:end - 1]
+            for prev, dw, x_dw, col, hist, x_dw_hist, a_j, b_j in steps[:k]:
+                np.multiply(prev, dw, out=x_dw)
+                col += hist @ a_j + x_dw_hist @ b_j
+            x[:, lo:end] = xb[:, :k + 1]
             if end <= n:
                 runs = end // _BLOCK
                 span = _BLOCK * (runs & -runs)  # the aligned run ending here
@@ -172,23 +191,6 @@ def volterra_paths(coeffs: VolterraCoefficients, beta: float, grid: TimeGrid,
             m, f"non-finite X at step {m} (s = {s:.6g}) on path {path}", s,
             path)
     return x
-
-
-def _solve_block(x: np.ndarray, inc: np.ndarray, a: np.ndarray,
-                 b: np.ndarray, lo: int, end: int) -> None:
-    """Finish X at the points [lo, end), whose history before lo is in X.
-
-    Target m adds the steps [lo, m) of its own block by two dot products
-    over contiguous slices of the weight rows a = mu wd and b = sigma ws.
-    """
-    n = inc.shape[1]
-    x_inc = np.empty((x.shape[0], end - lo))   # X_j dW_j of the block
-    for m in range(lo, end):
-        if m > lo:
-            k = slice(n - m + lo, n)
-            x[:, m] += x[:, lo:m] @ a[k] + x_inc[:, :m - lo] @ b[k]
-        if m < n:
-            x_inc[:, m - lo] = x[:, m] * inc[:, m]
 
 
 def _fold_history(x: np.ndarray, inc: np.ndarray, mu: float, sigma: float,

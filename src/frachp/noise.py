@@ -9,6 +9,10 @@ changing any of them is a format break.
   * normals: Acklam's rational approximation of the inverse normal CDF
     (max relative error ~1.15e-9), one uniform draw per increment
   * increments are laid out row-major: counter k = step*channels + channel
+
+The splitmix64 rounds run in place on one uint64 array, whose arithmetic
+wraps modulo 2^64 without a warning, so no errstate guards them;
+`spawn_substream` takes the same rounds on Python ints masked to 64 bits.
 """
 
 from __future__ import annotations
@@ -23,29 +27,28 @@ from .errors import GridMismatch, InvalidArgument
 
 RNG_VERSION = "frachp-rng-v1"
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_SUBSTREAM_SALT = np.uint64(0x3C79AC492BA7B653)
-
-
-def _finalize(z: np.ndarray) -> np.ndarray:
-    """splitmix64 output function on uint64 input (vectorized)."""
-    z = np.asarray(z, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+_M64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_SUBSTREAM_SALT = 0x3C79AC492BA7B653
 
 
 def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """`count` uniforms in (0, 1) from counters start..start+count-1."""
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + counters * _GOLDEN
-    bits = _finalize(state)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += int(seed) & _M64
+    t = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):  # splitmix64's output
+        z ^= np.right_shift(z, shift, out=t)
+        z *= mix
+    z ^= np.right_shift(z, 31, out=t)
     # 53 random bits, shifted into the open interval (0, 1).
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    u = np.right_shift(z, 11, out=t).astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 # Acklam inverse normal CDF coefficients.
@@ -63,6 +66,16 @@ _ACK_D = (7.784695709041462e-03, 3.224671290700398e-01,
 _ACK_SPLIT = 0.02425
 
 
+def _horner(x: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """coeffs[0] x^k + ... + coeffs[k] by Horner's rule, in one new array."""
+    out = coeffs[0] * x
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x
+    out += coeffs[-1]
+    return out
+
+
 def normal_inv_cdf(u: np.ndarray) -> np.ndarray:
     """Inverse standard normal CDF, Acklam's rational approximation.
 
@@ -70,21 +83,20 @@ def normal_inv_cdf(u: np.ndarray) -> np.ndarray:
     draws in the tails are then patched with the tail rational.
     """
     u = np.asarray(u, dtype=float)
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    q = u - 0.5
+    flat = u.ravel()
+    q = flat - 0.5
     r = q * q
-    num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    out = np.divide(num * q, den, out=np.empty_like(u))
-    tail = np.flatnonzero((u < _ACK_SPLIT) | (u > 1.0 - _ACK_SPLIT))
-    t = u.flat[tail]
+    out = _horner(r, _ACK_A)
+    out *= q
+    out /= _horner(r, _ACK_B + (1.0,))
+    tail = np.flatnonzero((flat < _ACK_SPLIT) | (flat > 1.0 - _ACK_SPLIT))
+    t = flat[tail]
     low = t < 0.5
     q = np.sqrt(-2.0 * np.log(np.where(low, t, 1.0 - t)))
-    num = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-           + c[5])
-    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    out.flat[tail] = np.where(low, 1.0, -1.0) * num / den
-    return out
+    num = _horner(q, _ACK_C)
+    num /= _horner(q, _ACK_D + (1.0,))
+    out[tail] = np.where(low, num, -num)
+    return out.reshape(u.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +153,9 @@ def generate_path(seed: int, h: float, n_steps: int,
     """Deterministic Wiener increment table for (seed, h, n_steps, channels)."""
     check_whole("seed", seed)
     _check_table(h, n_steps, channels)
-    u = _uniforms(seed, 0, n_steps * channels)
-    inc = normal_inv_cdf(u).reshape(n_steps, channels) * np.sqrt(h)
-    return WienerPath(h, inc)
+    inc = normal_inv_cdf(_uniforms(seed, 0, n_steps * channels))
+    inc *= np.sqrt(h)
+    return WienerPath(h, inc.reshape(n_steps, channels))
 
 
 def zero_path(h: float, n_steps: int, channels: int = 1) -> WienerPath:
@@ -190,9 +202,9 @@ def spawn_substream(seed: int, index: int) -> int:
     """Deterministic child seed for per-trajectory streams."""
     check_whole("seed", seed)
     check_whole("index", index)
-    base = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) ^ _SUBSTREAM_SALT
-    with np.errstate(over="ignore"):
-        child = _finalize(
-            base + np.uint64(int(index) & 0xFFFFFFFFFFFFFFFF) * _MIX2)
-    return int(child)
+    z = (((int(seed) & _M64) ^ _SUBSTREAM_SALT)
+         + (int(index) & _M64) * _MIX2) & _M64
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):  # splitmix64's output
+        z = ((z ^ (z >> shift)) * mix) & _M64
+    return z ^ (z >> 31)
 
