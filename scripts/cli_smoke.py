@@ -5,7 +5,10 @@
 
 The arguments, if any, are the command that runs frachp.  simulate,
 convergence, action-check and volterra must each exit 0 and write a
-non-empty run manifest and the files FILES names.  Then `frachp volterra`
+non-empty run manifest and the files FILES names.  Each then reruns from
+the config part of its own manifest (the lines before `code_version`)
+into a fresh --out, and must write every CSV and SVG byte for byte again,
+and a manifest that differs only in `out`.  Then `frachp volterra`
 runs once more in a fresh interpreter through `cli.main`, which fails if a
 module of the HP group is in `sys.modules` after `main` returns, however it
 was loaded (an `importlib.import_module` load included).  Prints one line
@@ -50,6 +53,33 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
+def outputs(out: Path) -> dict:
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())
+            if f.suffix in (".csv", ".svg")}
+
+
+def manifest(out: Path) -> list[str]:
+    return [line for line in
+            (out / "run_manifest").read_text(encoding="utf-8").splitlines()
+            if not line.startswith("out = ")]
+
+
+def rerun(frachp: list[str], name: str, out: Path) -> None:
+    """Rerun `name` from the config part of out's manifest."""
+    text = (out / "run_manifest").read_text(encoding="utf-8")
+    cfg, again = out.with_suffix(".rerun.cfg"), out.with_suffix(".rerun")
+    cfg.write_text(text.split("\ncode_version = ", 1)[0] + "\n",
+                   encoding="utf-8")
+    args = [name, "--config", str(cfg), "--out", str(again)]
+    if subprocess.run([*frachp, *args]).returncode != 0:
+        fail(f"{name} rerun from its manifest exited non-zero")
+    if outputs(again) != outputs(out):
+        fail(f"{name} rerun from its manifest wrote other CSV/SVG bytes")
+    if manifest(again) != manifest(out):
+        fail(f"{name} rerun from its manifest wrote another manifest")
+    print(f"ok   {name} reruns from its manifest")
+
+
 def main(frachp: list[str]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -63,6 +93,7 @@ def main(frachp: list[str]) -> None:
                 if not (out / f).is_file() or (out / f).stat().st_size == 0:
                     fail(f"{name} wrote no {f}")
             print(f"ok   {name}")
+            rerun(frachp, name, out)
         args = ["volterra", "--config", str(work / "volterra.cfg"),
                 "--out", str(work / "out-startup")]
         if subprocess.run([sys.executable, "-c", STARTUP, *args]).returncode:

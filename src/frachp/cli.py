@@ -24,9 +24,9 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_lines, parse_config
-from .core import FractionalParams, TimeGrid, Trajectory, make_grid
+from .core import TimeGrid, Trajectory, make_grid
 from .errors import FracHPError
-from .fracint import VolterraCoefficients, volterra_paths
+from .fracint import volterra_paths
 from .noise import generate_path, spawn_substream, zero_path
 
 STATIONARITY_GATE = 1e-3
@@ -147,21 +147,20 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
                               *traj.q.T, *traj.p.T, *traj.v.T])
 
 
-def _hp_run(cfg: RunConfig):
-    """Params, grid, system, fields and initial state of the configured run."""
-    params = FractionalParams(cfg.alpha, cfg.beta, cfg.t_eval)
-    grid = make_grid(0.0, cfg.h, cfg.n_steps, params)
+def _hp_fields(cfg: RunConfig):
+    """The configured system's fields and initial state."""
     system = build_system(cfg)
-    fields = assemble_hp_fields(system, params,
+    fields = assemble_hp_fields(system, cfg.params,
                                 eq15_literal=cfg.eq15_literal)
-    return params, grid, system, fields, initial_state(system, cfg.q0, cfg.p0)
+    return fields, initial_state(system, cfg.q0, cfg.p0)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    params, grid, system, fields, init = _hp_run(cfg)
-    m = system.noise.m
+    grid = make_grid(0.0, cfg.h, cfg.n_steps, cfg.params)
+    fields, init = _hp_fields(cfg)
+    m = fields.system.noise.m
     noisy, det = integrate_paths([
-        EulerRun(fields, grid, path, init, params)
+        EulerRun(fields, grid, path, init, cfg.params)
         for path in (generate_path(cfg.seed, cfg.h, cfg.n_steps, m),
                      zero_path(cfg.h, cfg.n_steps, m))])
     outdir = _outdir(cfg)
@@ -183,11 +182,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_convergence(cfg: RunConfig) -> int:
-    params = FractionalParams(cfg.alpha, cfg.beta, cfg.t_eval)
-    system = build_system(cfg)
-    fields = assemble_hp_fields(system, params,
-                                eq15_literal=cfg.eq15_literal)
-    init = initial_state(system, cfg.q0, p0=cfg.p0)
+    fields, init = _hp_fields(cfg)
     slope, hs, errors = strong_convergence_order(
         fields, init, base_h=cfg.h, levels=cfg.levels,
         n_paths=cfg.n_paths, seed=cfg.seed, t_end=cfg.t_end)
@@ -199,8 +194,9 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
 
 def cmd_action_check(cfg: RunConfig) -> int:
-    params, grid, system, fields, init = _hp_run(cfg)
-    m = system.noise.m
+    grid = make_grid(0.0, cfg.h, cfg.n_steps, cfg.params)
+    fields, init = _hp_fields(cfg)
+    system, params, m = fields.system, cfg.params, fields.system.noise.m
 
     if cfg.gamma == "const":
         path = zero_path(cfg.h, cfg.n_steps, m)
@@ -236,12 +232,11 @@ def cmd_action_check(cfg: RunConfig) -> int:
 
 def cmd_volterra(cfg: RunConfig) -> int:
     grid = TimeGrid(0.0, cfg.h, cfg.n_steps)
-    coeffs = VolterraCoefficients(mu=cfg.mu, sigma=cfg.sigma, x0=cfg.x0)
     inc = np.empty((cfg.n_paths, cfg.n_steps))
     for i in range(cfg.n_paths):
         inc[i] = generate_path(spawn_substream(cfg.seed, i), cfg.h,
                                cfg.n_steps, 1).increments[:, 0]
-    x = volterra_paths(coeffs, cfg.beta, grid, inc)
+    x = volterra_paths(cfg.coeffs, cfg.beta, grid, inc)
     x_t = x[:, -1]
     mean = float(np.mean(x_t))
     var = float(np.var(x_t, ddof=1)) if cfg.n_paths > 1 else 0.0

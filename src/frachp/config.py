@@ -13,8 +13,11 @@ from .core import FractionalParams, TimeGrid
 from .errors import InvalidArgument, MissingKey, ParseError, UnknownKey
 from .fracint import VolterraCoefficients
 
-# The `system` names `cli.build_system` builds.
-_SYSTEMS = ("pendulum", "metric:polar", "hamiltonian:custom", "metric:custom")
+# The `system` names `cli.build_system` builds -> the expression key each
+# one requires, or None.
+_SYSTEMS = {"pendulum": None, "metric:polar": None,
+            "hamiltonian:custom": "hamiltonian_expr",
+            "metric:custom": "metric_expr"}
 
 
 def _parse_bool(text: str) -> bool:
@@ -37,7 +40,9 @@ def _parse_exprs(text: str) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class RunConfig:
     """One run's settings.  The fields are the config schema: each is a key,
-    parsed by its declared type, and required when it has no default."""
+    parsed by its declared type, and required when it has no default.
+    `params` and `coeffs`, not keys, are the run's FractionalParams and
+    VolterraCoefficients."""
 
     system: str
     alpha: float
@@ -71,17 +76,18 @@ class RunConfig:
                 raise ParseError(f"{f.name}={v} must be finite")
         # The library types own the range rules of the values they hold.
         try:
-            FractionalParams(self.alpha, self.beta, self.t_eval)
+            object.__setattr__(self, "params", FractionalParams(
+                self.alpha, self.beta, self.t_eval))
             TimeGrid(0.0, self.h, self.n_steps)
-            VolterraCoefficients(self.mu, self.sigma, self.x0)
+            object.__setattr__(self, "coeffs", VolterraCoefficients(
+                self.mu, self.sigma, self.x0))
         except InvalidArgument as exc:
             raise ParseError(str(exc)) from None
         if self.system not in _SYSTEMS:
             raise ParseError(f"unknown system {self.system!r}")
-        for system, key in (("hamiltonian:custom", "hamiltonian_expr"),
-                            ("metric:custom", "metric_expr")):
-            if self.system == system and not getattr(self, key):
-                raise ParseError(f"{system} needs {key}")
+        key = _SYSTEMS[self.system]
+        if key and not getattr(self, key):
+            raise ParseError(f"{self.system} needs {key}")
         # Keys that no library type holds.
         if not self.t_end > 0.0:
             raise ParseError(f"t_end={self.t_end} must be positive")
@@ -95,13 +101,14 @@ class RunConfig:
             raise ParseError(f"gamma={self.gamma!r} must be cos or const")
 
 
-_PARSERS = {
-    float: float,
-    int: int,
-    str: str,
-    bool: _parse_bool,
-    tuple[float, ...]: _parse_vector,
-    tuple[str, ...]: _parse_exprs,
+# Key type -> (parse, format): its text rule, read and written.
+_TYPES = {
+    float: (float, str),
+    int: (int, str),
+    str: (str, str),
+    bool: (_parse_bool, lambda v: "true" if v else "false"),
+    tuple[float, ...]: (_parse_vector, lambda v: ",".join(map(str, v))),
+    tuple[str, ...]: (_parse_exprs, ";".join),
 }
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -127,7 +134,7 @@ def parse_config(text: str) -> RunConfig:
                              f"and line {lineno}")
         seen[key] = lineno
         try:
-            values[key] = _PARSERS[_FIELDS[key].type](val)
+            values[key] = _TYPES[_FIELDS[key].type][0](val)
         except (ValueError, TypeError) as exc:
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}")
     for key, f in _FIELDS.items():
@@ -139,16 +146,7 @@ def parse_config(text: str) -> RunConfig:
 
 def config_lines(cfg: RunConfig, extra: dict | None = None) -> str:
     """Serialize a config (plus extra entries) back to key = value text."""
-    parts = []
-    for key, f in _FIELDS.items():
-        v = getattr(cfg, key)
-        if f.type is bool:
-            v = "true" if v else "false"
-        elif f.type == tuple[str, ...]:
-            v = ";".join(v)
-        elif f.type == tuple[float, ...]:
-            v = ",".join(str(x) for x in v)
-        parts.append(f"{key} = {v}")
-    for key, v in (extra or {}).items():
-        parts.append(f"{key} = {v}")
+    parts = [f"{key} = {_TYPES[f.type][1](getattr(cfg, key))}"
+             for key, f in _FIELDS.items()]
+    parts += [f"{key} = {v}" for key, v in (extra or {}).items()]
     return "\n".join(parts) + "\n"

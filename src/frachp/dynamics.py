@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import ast
 import math
-import re
 from dataclasses import dataclass, field
 from functools import partial
 from types import MappingProxyType
@@ -136,9 +135,10 @@ def _compile(spec: dict) -> Callable:
     if kernel is not None:
         return kernel
     groups, subs, shape, entries = key
-    # Names, not the e of 1e-3 nor the e3 of 2.5e3.
-    used = set(re.findall(r"(?<![\w.])[A-Za-z_]\w*", " ".join(
-        [t for _, t in subs] + [e for e in entries if e is not None])))
+    used = {node.id for text in [t for _, t in subs] + list(entries)
+            if text is not None
+            for node in ast.walk(ast.parse(text, mode="eval"))
+            if isinstance(node, ast.Name)}
     free = used - {x for g in groups for x in g} - {x for x, _ in subs}
     lacking = sorted(name for name in free if not hasattr(np, name))
     if lacking:
@@ -583,8 +583,8 @@ def system_lagrangian(sys: SystemSpec, q, v):
             return _call_batched(sys.grad_p, "grad_p", q.shape[:-1],
                                  (sys.dim,), q, p)
 
-        p = _newton(grad_p, lambda q, p: central_gradient(
-            lambda x: grad_p(q, x), p), q, v, "Jacobian of grad_p H")
+        p = _newton(grad_p, _fd_partial(grad_p, 1), q, v,
+                    "Jacobian of grad_p H")
         out = (np.einsum("...i,...i->...", p, v)
                - _call_batched(sys.hamiltonian, "hamiltonian", batch, (),
                                q, p))

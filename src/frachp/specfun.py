@@ -2,8 +2,11 @@
 formula in the package, and the kernels' exact per-step integrals.
 
 The gamma function is a Lanczos approximation (g = 7, 9 coefficients), good
-to about 15 significant digits for positive real arguments, so there is no
-special-function dependency.
+to about 15 significant digits for positive real arguments.  It is kept
+rather than `math.gamma` because every pinned output with alpha != beta or
+beta != 1 was recorded with it: the two differ, by up to 3.5e-15
+relative, at ~90 % of uniform x in (0.01, 3), 0.6 and 0.3 among them, so a
+switch would move those pins.
 """
 
 from __future__ import annotations

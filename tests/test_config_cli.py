@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -9,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import frachp
 from frachp.cli import _write_csv, main, write_trajectory_csv
-from frachp.config import RunConfig, config_lines, parse_config
+from frachp.config import (_SYSTEMS, _TYPES, RunConfig, config_lines,
+                           parse_config)
 from frachp.core import TimeGrid, Trajectory, make_grid
 from frachp.errors import (ConfigError, InvalidArgument, MissingKey,
                            ParseError, UnknownKey)
@@ -59,6 +61,58 @@ def small_config(tmp_path, name="run.cfg", **overrides):
     cfg_path = tmp_path / name
     cfg_path.write_text(text, encoding="utf-8")
     return cfg_path, base
+
+
+# Values each key type's text rule must carry: finite floats (the config
+# rejects the others), vectors of at least one entry (no text reads as an
+# empty one), and text that is one stripped line with no comment; an
+# expression list's items hold no ";" either.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                              exclude_characters="#"),
+                max_size=12).map(str.strip)
+_EXPRS = st.lists(_TEXT.map(lambda t: t.replace(";", "")).filter(bool),
+                  max_size=3).map(tuple)
+_VECTORS = st.lists(_FINITE, min_size=1, max_size=3).map(tuple)
+_KEY_TYPE_VALUES = {float: _FINITE, int: st.integers(), str: _TEXT,
+                    bool: st.booleans(), tuple[float, ...]: _VECTORS,
+                    tuple[str, ...]: _EXPRS}
+_TYPED_VALUES = st.one_of(*(st.tuples(st.just(kind), values)
+                            for kind, values in _KEY_TYPE_VALUES.items()))
+
+
+def _bits(v):
+    """v with its type, and each float as its IEEE bytes: -0.0 is not 0.0."""
+    if isinstance(v, tuple):
+        return tuple(map(_bits, v))
+    return type(v), struct.pack("<d", v) if isinstance(v, float) else v
+
+
+def _valid(kwargs) -> bool:
+    try:
+        RunConfig(**kwargs)
+    except ParseError:  # a custom system drawn with an empty expression
+        return False
+    return True
+
+
+_CONFIGS = st.fixed_dictionaries({
+    "system": st.sampled_from(sorted(_SYSTEMS)),
+    "alpha": st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    "beta": st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    "t_eval": _POSITIVE, "h": _POSITIVE, "t_end": _POSITIVE,
+    "x0": _POSITIVE,
+    "mu": st.floats(min_value=0.0, allow_infinity=False),
+    "sigma": st.floats(min_value=0.0, allow_infinity=False),
+    "n_steps": st.integers(min_value=1), "seed": st.integers(),
+    "n_paths": st.integers(min_value=1), "dim": st.integers(min_value=1),
+    "levels": st.integers(min_value=3),
+    "q0": _VECTORS, "p0": _VECTORS, "out": _TEXT,
+    "plot": st.booleans(), "eq15_literal": st.booleans(),
+    "gamma": st.sampled_from(["cos", "const"]),
+    "hamiltonian_expr": _TEXT, "metric_expr": _TEXT, "gamma_expr": _EXPRS,
+}).filter(_valid).map(lambda kwargs: RunConfig(**kwargs))
 
 
 class TestParseConfig:
@@ -139,10 +193,32 @@ class TestParseConfig:
         cfg = parse_config(REFERENCE_TEXT + "q0 = 1.0, 2.0\np0 = 0.5, -0.5\n")
         assert cfg.q0 == (1.0, 2.0) and cfg.p0 == (0.5, -0.5)
 
-    def test_roundtrip_through_serializer(self):
-        cfg = parse_config(REFERENCE_TEXT + "plot = false\ngamma = const\n")
+    def test_every_key_type_has_a_text_rule(self):
+        kinds = {f.type for f in dataclasses.fields(RunConfig)}
+        assert kinds == set(_TYPES) == set(_KEY_TYPE_VALUES)
+
+    @example((float, -0.0))
+    @example((float, 5e-324))
+    @example((float, 1e308))
+    @example((float, 0.1))
+    @example((tuple[float, ...], (-0.0, 5e-324, 0.1)))
+    @example((bool, False))
+    @example((tuple[str, ...], ("cos(q1)", "q1*q2")))
+    @example((tuple[str, ...], ()))
+    @settings(max_examples=300, deadline=None)
+    @given(_TYPED_VALUES)
+    def test_key_type_roundtrips_bit_for_bit(self, typed):
+        kind, value = typed
+        parse, format = _TYPES[kind]
+        assert _bits(parse(format(value))) == _bits(value)
+
+    @example(parse_config(REFERENCE_TEXT + "plot = false\ngamma = const\n"))
+    @settings(max_examples=100, deadline=None)
+    @given(_CONFIGS)
+    def test_roundtrip_through_serializer(self, cfg):
         again = parse_config(config_lines(cfg))
         assert again == cfg
+        assert config_lines(again) == config_lines(cfg)
 
 
 @pytest.mark.parametrize("command", ["volterra", "simulate"])
