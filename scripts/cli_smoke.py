@@ -8,7 +8,10 @@ convergence, action-check and volterra must each exit 0 and write a
 non-empty run manifest and the files FILES names.  Each then reruns from
 the config part of its own manifest (the lines before `code_version`)
 into a fresh --out, and must write every CSV and SVG byte for byte again,
-and a manifest that differs only in `out`.  Then `frachp volterra`
+and a manifest that differs only in `out`.  `simulate` with an `--out`
+ending in `x#y`, which its manifest could not hold (`#` starts a
+comment), must exit 1 with one stderr line and no traceback, and create
+nothing.  Then `frachp volterra`
 runs once more in a fresh interpreter through `cli.main`, which fails if a
 module of the HP group is in `sys.modules` after `main` returns, however it
 was loaded (an `importlib.import_module` load included).  Prints one line
@@ -80,6 +83,21 @@ def rerun(frachp: list[str], name: str, out: Path) -> None:
     print(f"ok   {name} reruns from its manifest")
 
 
+def rejects_comment_in_out(frachp: list[str], work: Path) -> None:
+    """simulate with an --out that reads back as another path."""
+    before = sorted(work.iterdir())
+    args = ["simulate", "--config", str(work / "simulate.cfg"),
+            "--out", str(work / "out-x#y")]
+    run = subprocess.run([*frachp, *args], capture_output=True, text=True)
+    if (run.returncode != 1 or len(run.stderr.splitlines()) != 1
+            or "Traceback" in run.stderr):
+        fail(f"simulate --out .../out-x#y: exit {run.returncode}, "
+             f"stderr {run.stderr!r}")
+    if sorted(work.iterdir()) != before:
+        fail("simulate --out .../out-x#y created a file or directory")
+    print("ok   simulate rejects --out .../out-x#y")
+
+
 def main(frachp: list[str]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -94,6 +112,7 @@ def main(frachp: list[str]) -> None:
                     fail(f"{name} wrote no {f}")
             print(f"ok   {name}")
             rerun(frachp, name, out)
+        rejects_comment_in_out(frachp, work)
         args = ["volterra", "--config", str(work / "volterra.cfg"),
                 "--out", str(work / "out-startup")]
         if subprocess.run([sys.executable, "-c", STARTUP, *args]).returncode:

@@ -28,8 +28,8 @@ _EXPORTS = {
                    "initial_state", "integrate", "integrate_paths",
                    "random_admissible_perturbation", "stationarity_ratio",
                    "strong_convergence_order"),
-    "noise": ("WienerPath", "coarsen", "generate_path", "spawn_substream",
-              "zero_path"),
+    "noise": ("WienerPath", "coarsen", "generate_path", "generate_paths",
+              "spawn_substream", "zero_path"),
     "specfun": ("gamma", "hp_noise_coefficient", "power_kernel",
                 "step_weights"),
 }

@@ -27,7 +27,8 @@ from .config import RunConfig, config_lines, parse_config
 from .core import TimeGrid, Trajectory, make_grid
 from .errors import FracHPError
 from .fracint import volterra_paths
-from .noise import generate_path, spawn_substream, zero_path
+from .noise import (WienerPath, generate_path, generate_paths,
+                    spawn_substream, zero_path)
 
 STATIONARITY_GATE = 1e-3
 
@@ -213,8 +214,9 @@ def cmd_action_check(cfg: RunConfig) -> int:
         return 0 if ok else 1
 
     # Noisy case: expectation statistics, reported but not gated.
-    paths = [generate_path(spawn_substream(cfg.seed, i), cfg.h, cfg.n_steps,
-                           m) for i in range(cfg.n_paths)]
+    seeds = [spawn_substream(cfg.seed, i) for i in range(cfg.n_paths)]
+    paths = [WienerPath(cfg.h, inc)
+             for inc in generate_paths(seeds, cfg.h, cfg.n_steps, m)]
     trajs = integrate_paths([EulerRun(fields, grid, path, init, params)
                              for path in paths])
     ratios = np.array([
@@ -232,10 +234,8 @@ def cmd_action_check(cfg: RunConfig) -> int:
 
 def cmd_volterra(cfg: RunConfig) -> int:
     grid = TimeGrid(0.0, cfg.h, cfg.n_steps)
-    inc = np.empty((cfg.n_paths, cfg.n_steps))
-    for i in range(cfg.n_paths):
-        inc[i] = generate_path(spawn_substream(cfg.seed, i), cfg.h,
-                               cfg.n_steps, 1).increments[:, 0]
+    seeds = [spawn_substream(cfg.seed, i) for i in range(cfg.n_paths)]
+    inc = generate_paths(seeds, cfg.h, cfg.n_steps)[:, :, 0]
     x = volterra_paths(cfg.coeffs, cfg.beta, grid, inc)
     x_t = x[:, -1]
     mean = float(np.mean(x_t))

@@ -40,7 +40,8 @@ def _parse_exprs(text: str) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class RunConfig:
     """One run's settings.  The fields are the config schema: each is a key,
-    parsed by its declared type, and required when it has no default.
+    parsed by its declared type, and required when it has no default; a
+    value whose config line would not read back equal raises ParseError.
     `params` and `coeffs`, not keys, are the run's FractionalParams and
     VolterraCoefficients."""
 
@@ -74,6 +75,9 @@ class RunConfig:
             floats = {float: (v,), tuple[float, ...]: v}.get(f.type, ())
             if not all(map(math.isfinite, floats)):
                 raise ParseError(f"{f.name}={v} must be finite")
+            if not _reads_back(f.type, v):
+                raise ParseError(f"{f.name}={v!r} does not read back from "
+                                 f"the config line it is written as")
         # The library types own the range rules of the values they hold.
         try:
             object.__setattr__(self, "params", FractionalParams(
@@ -110,6 +114,21 @@ _TYPES = {
     tuple[float, ...]: (_parse_vector, lambda v: ",".join(map(str, v))),
     tuple[str, ...]: (_parse_exprs, ";".join),
 }
+
+
+def _reads_back(kind, value) -> bool:
+    """Whether `value`, written as a config line's value by its key type's
+    rule, is read back equal: one UTF-8 line with no comment and no
+    surrounding whitespace, that parses to `value`."""
+    parse, write = _TYPES[kind]
+    try:
+        text = write(value)
+        text.encode("utf-8")
+        return ("#" not in text and text == text.strip()
+                and len(text.splitlines()) <= 1 and parse(text) == value)
+    except (ValueError, TypeError):
+        return False
+
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 

@@ -22,7 +22,7 @@ from .dynamics import (SdeFields, SystemSpec, _formulation, complete_state,
                        system_lagrangian)
 from .errors import (GridMismatch, InvalidArgument, NotApplicable,
                      NumericalBlowup, SampleError)
-from .noise import (WienerPath, _uniforms, coarsen, generate_path,
+from .noise import (WienerPath, _uniforms, coarsen, generate_paths,
                     spawn_substream)
 from .specfun import gamma, step_weights
 
@@ -320,8 +320,9 @@ def strong_convergence_order(fields: SdeFields, initial: PhaseState,
 
     grids = [make_grid(0.0, base_h * 2 ** l, n_fine // 2 ** l, fields.params)
              for l in range(levels)]
-    fine = [generate_path(spawn_substream(seed, i), base_h, n_fine,
-                          fields.system.noise.m) for i in range(n_paths)]
+    seeds = [spawn_substream(seed, i) for i in range(n_paths)]
+    fine = [WienerPath(base_h, inc) for inc in generate_paths(
+        seeds, base_h, n_fine, fields.system.noise.m)]
 
     def terminals(level: int) -> list:
         """Terminal (q, p) of every path on the grid of this level."""

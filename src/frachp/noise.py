@@ -10,6 +10,13 @@ changing any of them is a format break.
     (max relative error ~1.15e-9), one uniform draw per increment
   * increments are laid out row-major: counter k = step*channels + channel
 
+`generate_paths` draws the tables of many seeds at once: its counters form
+a (seed, counter) grid, taken in passes of about `_DRAWS` draws (as many
+whole seeds as fit, and at least one), so each pass's arrays stay in cache
+and the per-call cost is paid once per pass, not once per seed.  Row i is
+`generate_path(seeds[i], ...)`'s table bit for bit; `generate_path` is its
+one-seed call.
+
 The splitmix64 rounds run in place on one uint64 array, whose arithmetic
 wraps modulo 2^64 without a warning, so no errstate guards them;
 `spawn_substream` takes the same rounds on Python ints masked to 64 bits.
@@ -32,13 +39,20 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _SUBSTREAM_SALT = 0x3C79AC492BA7B653
+# Draws per pass of generate_paths: few passes pay the per-call cost, and
+# a pass's temporaries (256 KiB each) stay in cache.
+_DRAWS = 1 << 15
 
 
-def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """`count` uniforms in (0, 1) from counters start..start+count-1."""
+def _uniforms(seed, start: int, count: int) -> np.ndarray:
+    """`count` uniforms in (0, 1) from counters start..start+count-1 of
+    stream `seed`, an int, or one row per seed of a (P, 1) uint64 column."""
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= _GOLDEN
-    z += int(seed) & _M64
+    if isinstance(seed, np.ndarray):
+        z = z + seed
+    else:
+        z += int(seed) & _M64
     t = np.empty_like(z)
     for shift, mix in ((30, _MIX1), (27, _MIX2)):  # splitmix64's output
         z ^= np.right_shift(z, shift, out=t)
@@ -148,14 +162,36 @@ def _check_table(h: float, n_steps: int, channels: int) -> None:
         raise InvalidArgument(f"channels={channels} must be >= 1")
 
 
+def generate_paths(seeds, h: float, n_steps: int,
+                   channels: int = 1) -> np.ndarray:
+    """Deterministic Wiener increment tables of many seeds, as one
+    (len(seeds), n_steps, channels) array whose row i is
+    `generate_path(seeds[i], h, n_steps, channels).increments`.
+
+    Every seed and the table are checked before any draw.  The draws are
+    taken max(1, _DRAWS // (n_steps * channels)) seeds per pass.
+    """
+    seeds = list(seeds)
+    for seed in seeds:
+        check_whole("seed", seed)
+    _check_table(h, n_steps, channels)
+    column = np.array([int(seed) & _M64 for seed in seeds],
+                      dtype=np.uint64).reshape(-1, 1)
+    draws = n_steps * channels
+    out = np.empty((len(seeds), draws))
+    per_pass = max(1, _DRAWS // draws)
+    scale = np.sqrt(h)
+    for lo in range(0, len(seeds), per_pass):
+        rows = slice(lo, lo + per_pass)
+        np.multiply(normal_inv_cdf(_uniforms(column[rows], 0, draws)), scale,
+                    out=out[rows])
+    return out.reshape(len(seeds), n_steps, channels)
+
+
 def generate_path(seed: int, h: float, n_steps: int,
                   channels: int = 1) -> WienerPath:
     """Deterministic Wiener increment table for (seed, h, n_steps, channels)."""
-    check_whole("seed", seed)
-    _check_table(h, n_steps, channels)
-    inc = normal_inv_cdf(_uniforms(seed, 0, n_steps * channels))
-    inc *= np.sqrt(h)
-    return WienerPath(h, inc.reshape(n_steps, channels))
+    return WienerPath(h, generate_paths([seed], h, n_steps, channels)[0])
 
 
 def zero_path(h: float, n_steps: int, channels: int = 1) -> WienerPath:

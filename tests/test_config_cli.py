@@ -89,15 +89,7 @@ def _bits(v):
     return type(v), struct.pack("<d", v) if isinstance(v, float) else v
 
 
-def _valid(kwargs) -> bool:
-    try:
-        RunConfig(**kwargs)
-    except ParseError:  # a custom system drawn with an empty expression
-        return False
-    return True
-
-
-_CONFIGS = st.fixed_dictionaries({
+_CONFIG_KWARGS = st.fixed_dictionaries({
     "system": st.sampled_from(sorted(_SYSTEMS)),
     "alpha": st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
     "beta": st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
@@ -112,7 +104,22 @@ _CONFIGS = st.fixed_dictionaries({
     "plot": st.booleans(), "eq15_literal": st.booleans(),
     "gamma": st.sampled_from(["cos", "const"]),
     "hamiltonian_expr": _TEXT, "metric_expr": _TEXT, "gamma_expr": _EXPRS,
-}).filter(_valid).map(lambda kwargs: RunConfig(**kwargs))
+})
+# At most one key given a value its text rule may not carry: text with a
+# comment, a line break or surrounding whitespace, an expression list with
+# such an item, an empty item or a ";", or an empty vector.
+_LOOSE_TEXT = st.text(st.sampled_from("ab1 #;,=\t\n\r\x85\u2028"),
+                      max_size=6)
+_LOOSE_VALUES = {
+    "out": _LOOSE_TEXT, "hamiltonian_expr": _LOOSE_TEXT,
+    "metric_expr": _LOOSE_TEXT,
+    "gamma_expr": st.lists(_LOOSE_TEXT, max_size=3).map(tuple),
+    "q0": st.lists(_FINITE, max_size=2).map(tuple),
+    "p0": st.lists(_FINITE, max_size=2).map(tuple)}
+_LOOSE = st.one_of(st.just({}), *(st.fixed_dictionaries({key: values})
+                                  for key, values in _LOOSE_VALUES.items()))
+_REFERENCE_KWARGS = dataclasses.asdict(
+    parse_config(REFERENCE_TEXT + "plot = false\ngamma = const\n"))
 
 
 class TestParseConfig:
@@ -212,10 +219,18 @@ class TestParseConfig:
         parse, format = _TYPES[kind]
         assert _bits(parse(format(value))) == _bits(value)
 
-    @example(parse_config(REFERENCE_TEXT + "plot = false\ngamma = const\n"))
-    @settings(max_examples=100, deadline=None)
-    @given(_CONFIGS)
-    def test_roundtrip_through_serializer(self, cfg):
+    @example(_REFERENCE_KWARGS, {})
+    @example(_REFERENCE_KWARGS, {"out": "a#b"})
+    @example(_REFERENCE_KWARGS, {"q0": ()})
+    @settings(max_examples=300, deadline=None)
+    @given(_CONFIG_KWARGS, _LOOSE)
+    def test_roundtrip_through_serializer(self, kwargs, loose):
+        # A config either raises ParseError, or is written as text that
+        # reads back as the same config.
+        try:
+            cfg = RunConfig(**{**kwargs, **loose})
+        except ParseError:
+            return
         again = parse_config(config_lines(cfg))
         assert again == cfg
         assert config_lines(again) == config_lines(cfg)
@@ -236,6 +251,31 @@ def test_config_rule_names_key(tmp_path, capsys, command, line):
                      if not row.startswith(f"{key} ")) + f"\n{line}\n"
     assert_cli_rejects(tmp_path, capsys, command, text,
                        rf"^frachp {command}: error: {key}=")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("out", "a#b"), ("out", " a"), ("out", "a\nb"), ("out", "a\udcff"),
+    ("hamiltonian_expr", "p1**2/2 # H"), ("metric_expr", "1\r"),
+    ("gamma_expr", ("cos(q1) ",)), ("gamma_expr", ("cos(q1);q1",)),
+    ("gamma_expr", ("cos(q1)", "")), ("q0", ()), ("p0", ()),
+])
+def test_config_holds_only_values_that_read_back(key, value):
+    # `out = a#b` used to be written to the manifest and read back as
+    # `out = a`, and `q0 = ` was written and then rejected on reading.
+    with pytest.raises(ParseError, match=rf"^{key}=.* does not read back"):
+        RunConfig(system="pendulum", alpha=0.6, beta=0.3, t_eval=0.8,
+                  **{key: value})
+
+
+def test_out_with_a_comment_is_rejected(tmp_path, capsys):
+    cfg_path, _ = small_config(tmp_path)
+    out = tmp_path / "x#y"
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("frachp simulate: error: out=")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 @pytest.mark.parametrize("command", ["volterra", "simulate"])
@@ -837,9 +877,9 @@ PUBLIC_NAMES = [
     "WienerPath", "action_derivative", "assemble_hp_fields", "christoffel",
     "coarsen", "core", "dynamics", "errors", "evaluate_action", "fracint",
     "fractional_wiener_integral", "gamma", "generate_path",
-    "hp_noise_coefficient", "initial_state", "integrate", "integrate_paths",
-    "integrator", "invert_legendre", "legendre_transform", "make_grid",
-    "noise", "pendulum_lagrangian_system", "pendulum_system",
+    "generate_paths", "hp_noise_coefficient", "initial_state", "integrate",
+    "integrate_paths", "integrator", "invert_legendre", "legendre_transform",
+    "make_grid", "noise", "pendulum_lagrangian_system", "pendulum_system",
     "polar_metric_system", "power_kernel", "random_admissible_perturbation",
     "rl_integral", "spawn_substream", "specfun", "stationarity_ratio",
     "step_weights", "strong_convergence_order", "volterra_paths",

@@ -6,9 +6,9 @@ import pytest
 
 from frachp.core import TimeGrid
 from frachp.errors import InvalidArgument
-from frachp.noise import (_ACK_SPLIT, WienerPath, _uniforms, coarsen,
-                          generate_path, normal_inv_cdf, spawn_substream,
-                          zero_path)
+from frachp.noise import (_ACK_SPLIT, _DRAWS, WienerPath, _uniforms, coarsen,
+                          generate_path, generate_paths, normal_inv_cdf,
+                          spawn_substream, zero_path)
 
 from ._reference import ks_statistic
 
@@ -56,6 +56,46 @@ class TestGeneratePath:
             generate_path(1, 0.1, 0, 1)
         with pytest.raises(ValueError):
             generate_path(1, 0.1, 10, 0)
+
+
+class TestGeneratePaths:
+    """The many-seed draw against one generate_path per seed, bit for bit,
+    across the edges of its passes."""
+
+    @pytest.mark.parametrize("n_paths, n_steps, channels", [
+        (64, 4000, 1),      # 8 seeds per pass
+        (11, 4000, 1),      # a last pass of 3 seeds
+        (5, 7, 3),          # one short pass
+        (3, 20000, 2),      # a table longer than a pass: one seed each
+    ])
+    def test_rows_are_generate_path(self, n_paths, n_steps, channels):
+        seeds = [spawn_substream(7, i) for i in range(n_paths)]
+        seeds[:3] = [-1, np.int64(2), np.uint64(2 ** 64 - 1)]
+        got = generate_paths(seeds, 0.01, n_steps, channels)
+        assert got.shape == (n_paths, n_steps, channels)
+        want = np.stack([generate_path(s, 0.01, n_steps, channels).increments
+                         for s in seeds])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        again = generate_paths(iter(seeds), 0.01, n_steps, channels)
+        assert np.array_equal(again.view(np.uint64), got.view(np.uint64))
+
+    def test_pass_sizes(self):
+        assert _DRAWS // 4000 == 8 and 20000 * 2 > _DRAWS
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_every_seed_is_checked(self, where):
+        seeds = [1, 2, 3, 4, 5]
+        seeds[where] = 2.5
+        with pytest.raises(InvalidArgument,
+                           match=r"^seed=2.5 must be a whole number$"):
+            generate_paths(seeds, 0.01, 10, 2)
+
+    def test_no_seeds(self):
+        # As integrate_paths(()) returns (): an empty batch, not an error.
+        got = generate_paths([], 0.01, 10, 2)
+        assert got.shape == (0, 10, 2) and got.dtype == np.float64
+        with pytest.raises(InvalidArgument, match="^h=0.0 "):
+            generate_paths([], 0.0, 10, 2)
 
 
 def test_normal_inv_cdf_pinned():
