@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from types import MappingProxyType
 from typing import Callable, Optional, Union
 
@@ -207,6 +207,11 @@ def _lane_node(node, names: dict):
     return None
 
 
+# Lane record (n, the templates and each kernel's record) -> the maker
+# lanes(P) of its batch functions, or None where a kernel has no lane
+# form; a maker compiles each P once.
+_LANES: dict = {}
+
 _LANE_STEP = """\
 def lanes(q, x, h, damp, coef, inc):
     {state} = *q, *x
@@ -214,84 +219,121 @@ def lanes(q, x, h, damp, coef, inc):
     push = rows.extend
     if inc is None:
         for d in damp:
-{drift_subs}
-            {state} = {drift}
+{drift}
             push(({state}))
     else:
-        for d, c, w in zip(damp, coef, inc):
-{driven_subs}
-            {state} = {driven}
+        for d, c, ({w},) in zip(damp, coef, inc):
+{driven}
             push(({state}))
     return rows
 """
 
 
-def _lane_step(n: int, velocity: str, force: str, kernels: dict):
-    """The Euler step of `SdeFields.step` on one path's Python floats, for
-    rows of coefficients, or None if a kernel has no lane form.
+def _lane_path(i: int, n: int, velocity: str, force: str, specs: dict,
+               parsed: dict):
+    """Path i of a batch on float lanes: its q and x names, and the lines
+    of the drift-only and of the driven loop that set them to the step's
+    new (q, x) from w{i}, its increment; None if a kernel has no lane form.
 
-    velocity and force are the formulation record's templates, rendered
-    for entry j with {y} as x_j (y is x wherever lanes run) and {K} as
-    entry j of kernel K; kernels maps them and C, the noise column, to the
-    callables.  The text unrolls the n components in the step's term
-    order: q + h (velocity), then x + h (force), then + (c (column)) w,
-    with a zero entry as 0.0.
-    lanes(q, x, h, damp, coef, inc) takes one path's q and x as n floats,
-    h, and lists of damp, coef and increments (inc=None: drift-only), and
-    returns the flat list of each row's q and x.
+    Each kernel's lane names map renames its columns to path i's q{i}_j
+    and x{i}_j and its subs to {K}{i}_name, and `_lane_node` renders its
+    parsed texts through that map.  The lines unroll the n components in
+    the step's term order: q + h (velocity), then x + h (force), then
+    + (c (column)) w, with a zero entry as 0.0.
     """
-    qs, xs = [f"q_{j}" for j in range(n)], [f"x_{j}" for j in range(n)]
+    qs, xs = [f"q{i}_{j}" for j in range(n)], [f"x{i}_{j}" for j in range(n)]
     entries, subs = {}, {}
-    for role, kernel in kernels.items():
-        spec = getattr(kernel, "spec", None)
-        if (spec is None or len(spec["args"]) != (1 if role == "C" else 2)
-                or any(len(a) != n for a in (spec["entries"],
-                                             *spec["args"]))):
-            return None
+    for role, spec in specs.items():
         names = {c: c for c in _LANE_CONSTANTS}
         for group, lane in zip(spec["args"], (qs, xs)):  # C reads q only
             names.update(zip(group, lane))
-        names.update((name, f"{role}_{name}") for name, _ in spec["subs"])
-        nodes = [_lane_node(ast.parse(text or "0.0", mode="eval").body, names)
-                 for text in [*(t for _, t in spec["subs"]),
-                              *spec["entries"]]]
+        names.update((name, f"{role}{i}_{name}") for name, _ in spec["subs"])
+        nodes = [_lane_node(node, names) for node in parsed[role]]
         if None in nodes:
             return None
         lane = [ast.unparse(node) for node in nodes]
-        subs[role] = [f"            {names[name]} = {text}"
+        subs[role] = [f"{names[name]} = {text}"
                       for (name, _), text in zip(spec["subs"], lane)]
         entries[role] = lane[len(spec["subs"]):]
 
-    def branch(roles) -> tuple[str, str]:
-        """The subs and the new state of the loop that evaluates the
-        kernels `roles` (C only where increments drive the step); an
-        entry text used twice or more, such as the pendulum's -sin(q_0)
-        in F and C, is computed once into a temporary."""
+    def branch(roles) -> list:
+        """The lines of the loop that evaluates the kernels `roles` (C
+        only where increments drive the step); an entry text used twice
+        or more, such as the pendulum's -sin(q{i}_0) in F and C, is
+        computed once into a temporary."""
         used = [e for role in roles for e in entries[role]]
-        shared = {e: f"t_{k}" for k, e in enumerate(dict.fromkeys(
+        shared = {e: f"t{i}_{k}" for k, e in enumerate(dict.fromkeys(
             e for e in used if used.count(e) > 1 and not isinstance(
                 ast.parse(e, mode="eval").body, (ast.Name, ast.Constant))))}
         lines = [line for role in roles for line in subs[role]]
-        lines += [f"            {t} = {e}" for e, t in shared.items()]
+        lines += [f"{t} = {e}" for e, t in shared.items()]
         terms = [{"y": x, **{role: shared.get(entries[role][j],
                                                entries[role][j])
                              for role in roles}} for j, x in enumerate(xs)]
         state = [f"{q} + h * ({velocity.format(**t)})"
                  for q, t in zip(qs, terms)]
         state += [f"{x} + h * ({force.format(**t)})"
-                  + (f" + (c * ({t['C']})) * w" if "C" in roles else "")
+                  + (f" + (c * ({t['C']})) * w{i}" if "C" in roles else "")
                   for x, t in zip(xs, terms)]
-        return "\n".join(lines), ", ".join(state)
+        return lines + [f"{', '.join(qs + xs)} = {', '.join(state)}"]
 
-    drift_subs, drift = branch([role for role in entries if role != "C"])
-    driven_subs, driven = branch(list(entries))
-    text = _LANE_STEP.format(
-        state=", ".join(qs + xs), drift=drift, driven=driven,
-        drift_subs=drift_subs, driven_subs=driven_subs)
-    namespace = {**_LANE_CONSTANTS,
-                 **{name: getattr(math, name) for name in _LANE_CALLS}}
-    exec(text, namespace)
-    return namespace["lanes"]
+    return (qs, xs, branch([role for role in entries if role != "C"]),
+            branch(list(entries)))
+
+
+def _lane_step(n: int, velocity: str, force: str, kernels: dict):
+    """The maker lanes(P) of the Euler step of `SdeFields.step` on the
+    Python floats of a batch of P paths, for rows of coefficients, or None
+    if a kernel has no lane form.
+
+    velocity and force are the formulation record's templates, rendered
+    for entry j with {y} as x_j (y is x wherever lanes run) and {K} as
+    entry j of kernel K; kernels maps them and C, the noise column, to the
+    callables.  lanes(P) is one loop over the rows that in each row
+    advances every path, each by `_lane_path`'s lines, and pushes all
+    their new (q, x) together.  It is compiled once per process for each
+    lane record and P, and an equal record gives the one maker.
+    lanes(P)(q, x, h, damp, coef, inc) takes the P paths' q and x as
+    P * n floats each, path by path, h, lists of damp and coef, and rows
+    of the P paths' increments (inc=None: drift-only), and returns the
+    flat list of each row's q of every path, then x of every path: 2nP
+    floats a row, 256 x 2n x P over one of the integrator's blocks.
+    """
+    specs = {role: getattr(kernel, "spec", None)
+             for role, kernel in kernels.items()}
+    if any(spec is None or len(spec["args"]) != (1 if role == "C" else 2)
+           or any(len(a) != n for a in (spec["entries"], *spec["args"]))
+           for role, spec in specs.items()):
+        return None
+    record = (n, velocity, force, tuple((role, tuple(spec.values()))
+                                        for role, spec in specs.items()))
+    if record in _LANES:
+        return _LANES[record]
+    parsed = {role: [ast.parse(text or "0.0", mode="eval").body
+                     for text in [*(t for _, t in spec["subs"]),
+                                  *spec["entries"]]]
+              for role, spec in specs.items()}
+    path = partial(_lane_path, n=n, velocity=velocity, force=force,
+                   specs=specs, parsed=parsed)
+
+    @cache
+    def lanes(P: int) -> Callable:
+        paths = [path(i) for i in range(P)]
+        text = _LANE_STEP.format(
+            state=", ".join([v for qs, *_ in paths for v in qs]
+                            + [v for _, xs, *_ in paths for v in xs]),
+            w=", ".join(f"w{i}" for i in range(P)),
+            drift="\n".join(f"            {line}"
+                            for *_, drift, _ in paths for line in drift),
+            driven="\n".join(f"            {line}"
+                             for *_, driven in paths for line in driven))
+        namespace = {**_LANE_CONSTANTS,
+                     **{name: getattr(math, name) for name in _LANE_CALLS}}
+        exec(text, namespace)
+        return namespace["lanes"]
+
+    _LANES[record] = None if path(0) is None else lanes
+    return _LANES[record]
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +774,11 @@ class SdeFields:
 
     step.unchecked is the same step without the width check, which
     `integrate_paths` calls once `EulerRun` has checked the path.  lanes,
-    if not None, is that step on one path's Python floats over a block of
-    rows, rendered from the same templates (see `_lane_step`), with
-    `step`'s bits wherever no float operation raises.  A system gets lanes
+    if not None, makes lanes(P), that step on the Python floats of a batch
+    of P paths over a block of rows, one loop over the rows that advances
+    every path in each, rendered from the same templates (see
+    `_lane_step`) and compiled once per process for each P, with `step`'s
+    bits wherever no float operation raises.  A system gets lanes
     when its y is x (Hamiltonian or metric), it has one channel, and its
     templates' kernels and noise column are kernel records that use only
     numbers, + - * /, the power 2, sin, cos and sqrt: the built-in

@@ -28,9 +28,12 @@ from .specfun import gamma, step_weights
 
 BLOWUP_LIMIT = 1e12
 _BLOWUP_BLOCK = 256  # steps of the Euler loop written and tested at once
-# Float lanes step one path at a time, so their cost grows with P, while
-# the numpy step's barely does: at N = 2000 they were faster up to P = 16
-# and slower from P = 32 (pendulum) or P = 24 (polar metric) on.
+# A batch's float lanes cost about P times one path, while the numpy
+# step's cost barely grows with P.  At N = 2000, in 10 alternating pairs
+# on one CPU, pendulum lanes beat numpy at P = 16, 24 and 32 (7.3, 10.8
+# and 14.1 against 16.7, 17.4 and 17.7 ms), but polar-metric lanes only at
+# P = 16 (21.2 against 27.8 ms; 32.8 against 31.6 ms at P = 24 and 44.3
+# against 34.8 ms at P = 32, slower in 10 of 10 pairs).
 _LANE_PATHS = 16
 
 
@@ -153,22 +156,23 @@ def _complete_history(states: np.ndarray, fields: SdeFields, last: int,
 def _lane_block(lanes, stepped, start: int, stop: int, h: float, damp,
                 coef, inc) -> bool:
     """Step rows start+1..stop of the (N+1, P, n) histories in `stepped`
-    with the float lanes of `SdeFields`, on the (N, P, 1) increments inc
-    (None: drift-only), and write them; False if a lane raises where numpy
-    gives inf or NaN: a float division by zero, or math's sin, cos or sqrt
-    outside its domain.  The paths run one at a time, each written before
-    the next, so one path's floats are alive at once."""
-    d, c = damp[start:stop].tolist(), coef[start:stop].tolist()
-    paths = zip(*(a[start].tolist() for a in stepped))  # each path's (q, x)
-    for i, (q, x) in enumerate(paths):
-        w = None if inc is None else inc[start:stop, i, 0].tolist()
-        try:
-            rows = lanes(q, x, h, d, c, w)
-        except (ArithmeticError, ValueError):
-            return False
-        rows = np.array(rows).reshape(stop - start, len(stepped), -1)
-        for j, a in enumerate(stepped):
-            a[start + 1:stop + 1, i] = rows[:, j]
+    with lanes, the float-lane step of `SdeFields` for P paths, on the
+    (N, P, 1) increments inc (None: drift-only), and write them; False if
+    a lane raises where numpy gives inf or NaN: a float division by zero,
+    or math's sin, cos or sqrt outside its domain.  One call steps every
+    path over the block's rows, so the block's rows x 2n x P floats (up to
+    _BLOWUP_BLOCK x 2n x P) are alive at once."""
+    q, x = (a[start].ravel().tolist() for a in stepped)
+    w = None if inc is None else inc[start:stop, :, 0].tolist()
+    try:
+        rows = lanes(q, x, h, damp[start:stop].tolist(),
+                     coef[start:stop].tolist(), w)
+    except (ArithmeticError, ValueError):
+        return False
+    rows = np.array(rows, dtype=float).reshape(
+        stop - start, len(stepped), *stepped[0].shape[1:])
+    for j, a in enumerate(stepped):
+        a[start + 1:stop + 1] = rows[:, j]
     return True
 
 
@@ -193,11 +197,12 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     which for a metric system also checks g at every q visited.
 
     Where `fields.lanes` is not None and P is at most _LANE_PATHS, each
-    block of _BLOWUP_BLOCK steps runs every path as a lane of Python
-    floats, with the step's bits; a block in which a lane raises (a
-    division by zero, math's sin, cos or sqrt outside its domain) is
-    redone from its first row with the numpy step, so every outcome,
-    error included, is the numpy loop's.
+    block of _BLOWUP_BLOCK steps is one call of `fields.lanes(P)`, which
+    steps every path as a lane of Python floats, with the step's bits, and
+    holds the block's _BLOWUP_BLOCK x 2n x P floats at once; a block in
+    which a lane raises (a division by zero, math's sin, cos or sqrt
+    outside its domain) is redone from its first row with the numpy step,
+    so every outcome, error included, is the numpy loop's.
 
     The loop runs with numpy floating-point warnings off and tests for a
     blow-up once every _BLOWUP_BLOCK steps; the error is still the one of
@@ -222,7 +227,9 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     fields, grid = first.fields, first.grid
     # EulerRun has checked each path's width: step without the check.
     step = getattr(fields.step, "unchecked", fields.step)
-    lanes = fields.lanes if len(runs) <= _LANE_PATHS else None
+    lanes = (fields.lanes(len(runs))
+             if fields.lanes is not None and len(runs) <= _LANE_PATHS
+             else None)
     # h and each step's coefficients go to the step as 0-d arrays, which
     # multiply an array faster than a Python float or a numpy scalar does
     # and give the same bits.

@@ -1547,15 +1547,12 @@ LANE_STEP_CASES = {"hamiltonian", "hamiltonian:custom", "metric",
 LANE_HISTORY_SYSTEMS = {"hamiltonian:custom", "const"}
 
 
-def _lane_rows(fields, q, x, h, damp, coef, inc):
-    """fields.lanes on each row of the (P, n) stacks, one step each, as the
-    (q, x) stacks `fields.step` returns."""
-    n = q.shape[-1]
-    rows = np.array([fields.lanes(qi.tolist(), xi.tolist(), h, [damp],
-                                  [coef], None if inc is None
-                                  else [float(inc[i, 0])])
-                     for i, (qi, xi) in enumerate(zip(q, x))])
-    return rows[:, :n], rows[:, n:]
+def _lane_rows(lanes, q, x, h, damp, coef, inc):
+    """lanes, a batch function of `SdeFields.lanes`, on the (P, n) stacks
+    of q and x, one step each, as the (q, x) stacks `fields.step` returns."""
+    rows = lanes(q.ravel().tolist(), x.ravel().tolist(), h, [damp], [coef],
+                 None if inc is None else [inc[:, 0].tolist()])
+    return np.array(rows).reshape(2, *q.shape)
 
 
 class TestFloatLanes:
@@ -1602,9 +1599,17 @@ class TestFloatLanes:
         for h in (1e-4, 0.0):
             for driven in (inc, None):
                 want = fields.step(q, x, h, damp, coef, driven)
-                got = _lane_rows(fields, q, x, h, damp, coef, driven)
-                for a, b in zip(got, want):
-                    assert a.tobytes() == np.asarray(b).tobytes(), (h, driven)
+                # The 64 rows as one batch, and each as a batch of one.
+                batch = _lane_rows(fields.lanes(P), q, x, h, damp, coef,
+                                   driven)
+                alone = np.concatenate([_lane_rows(
+                    fields.lanes(1), q[i:i + 1], x[i:i + 1], h, damp, coef,
+                    None if driven is None else driven[i:i + 1])
+                    for i in range(P)], axis=1)
+                for got in (batch, alone):
+                    for a, b in zip(got, want):
+                        assert a.tobytes() == np.asarray(b).tobytes(), (
+                            h, driven)
 
     @staticmethod
     def _runs(fields, paths, n=600, h=1e-4):
@@ -1641,19 +1646,36 @@ class TestFloatLanes:
 
     def test_pendulum_lane_takes_one_sin_per_step(self, monkeypatch):
         # grad_q and the cos coupling's gradient are both -sin(q1): the
-        # lane text evaluates that entry once per step, driven or not.
+        # lane text evaluates that entry once per path per row, driven or
+        # not.
+        lanes = assemble_hp_fields(pendulum_system(), REFERENCE).lanes(2)
         calls = []
         sin = math.sin
-        monkeypatch.setattr(math, "sin", lambda a: calls.append(a) or sin(a))
-        lanes = assemble_hp_fields(pendulum_system(), REFERENCE).lanes
-        for inc in ([0.01, -0.02, 0.03], None):
+        monkeypatch.setitem(lanes.__globals__, "sin",
+                            lambda a: calls.append(a) or sin(a))
+        for inc in ([[0.01, 0.02], [-0.02, 0.01], [0.03, 0.0]], None):
             calls.clear()
-            lanes([1.0], [0.3], 1e-4, [0.1] * 3, [1.0] * 3, inc)
-            assert len(calls) == 3, inc
+            lanes([1.0, 0.5], [0.3, 0.2], 1e-4, [0.1] * 3, [1.0] * 3, inc)
+            assert len(calls) == 6, inc
+
+    def test_equal_systems_share_their_lanes(self, monkeypatch):
+        # Rendered and compiled once per process: a second assembly of an
+        # equal system compiles no new lane text.
+        from frachp import dynamics
+        for make in (pendulum_system, polar_metric_system):
+            first = assemble_hp_fields(make(), REFERENCE).lanes
+            batch = first(16)
+            texts = []
+            monkeypatch.setattr(dynamics, "exec", lambda text, ns: (
+                texts.append(text) or exec(text, ns)), raising=False)
+            again = assemble_hp_fields(make(), CLASSICAL).lanes
+            assert again is first and again(16) is batch
+            assert texts == []
+            monkeypatch.undo()
 
     def test_large_batches_take_the_numpy_step(self):
-        # One path at a time, lanes cost P times one path; past
-        # _LANE_PATHS paths the loop steps the stack with numpy.
+        # A batch's lanes cost about P times one path; past _LANE_PATHS
+        # paths the loop steps the stack with numpy.
         from frachp.integrator import _LANE_PATHS
         fields = assemble_hp_fields(pendulum_system(), REFERENCE)
         calls = {}
@@ -1704,8 +1726,8 @@ class TestFloatLanes:
         sys = polar_metric_system()
         fields = assemble_hp_fields(sys, CLASSICAL)
         with pytest.raises(ZeroDivisionError):
-            fields.lanes([1.0, 0.0], [-2.0, 0.0], 0.5, [0.0] * 2, [1.0] * 2,
-                         None)
+            fields.lanes(1)([1.0, 0.0], [-2.0, 0.0], 0.5, [0.0] * 2,
+                            [1.0] * 2, None)
         grid = make_grid(0.0, 0.5, 4, CLASSICAL)
         runs = [EulerRun(fields, grid, zero_path(0.5, 4, 1),
                          initial_state(sys, [1.0, 0.0], p0), CLASSICAL)
@@ -1725,8 +1747,8 @@ class TestFloatLanes:
         inc = np.zeros((n, 1))
         inc[0] = np.inf
         with pytest.raises(ValueError, match="math domain error"):
-            fields.lanes([1.0], [0.3], h, [0.0] * 3, [1.0] * 3,
-                         inc[:3, 0].tolist())
+            fields.lanes(1)([1.0], [0.3], h, [0.0] * 3, [1.0] * 3,
+                            inc[:3].tolist())
         grid = make_grid(0.0, h, n, REFERENCE)
         runs = [EulerRun(fields, grid, path, initial_state(sys, [1.0], [0.3]),
                          REFERENCE)
@@ -1735,6 +1757,52 @@ class TestFloatLanes:
         assert with_lanes == numpy_only
         assert numpy_only[0] is NumericalBlowup
         assert numpy_only[3] == 1 and numpy_only[1].endswith("on path 1")
+
+    def test_division_by_zero_on_path_9_of_16_takes_the_numpy_error(self):
+        # Path 9's r falls by 2**-7 per step from 1.0 to 0.0 exactly at
+        # step 128, in the middle of the first block; the step from there
+        # divides by r.  The other paths move away from r = 0.
+        sys = polar_metric_system()
+        fields = assemble_hp_fields(sys, CLASSICAL)
+        h, n = 2.0 ** -7, 200
+        grid = make_grid(0.0, h, n, CLASSICAL)
+        runs = [EulerRun(fields, grid, zero_path(h, n, 1),
+                         initial_state(sys, [1.0, 0.0], p0), CLASSICAL)
+                for p0 in ([[0.5, 0.1 * i] for i in range(9)] + [[-1.0, 0.0]]
+                           + [[0.5, -0.1 * i] for i in range(6)])]
+        q = np.tile([1.0, 0.0], (16, 1))
+        q[9, 0] = 0.0
+        with pytest.raises(ZeroDivisionError):
+            fields.lanes(16)(q.ravel().tolist(), [-1.0, 0.0] * 16, h, [0.0],
+                             [1.0], None)
+        with_lanes, numpy_only = self._errors(runs)
+        assert with_lanes == numpy_only
+        assert numpy_only[0] is NotPositiveDefinite
+        assert "at step 128 " in numpy_only[1] and numpy_only[1].endswith(
+            "on path 9")
+
+    def test_sin_of_inf_on_path_9_of_16_takes_the_numpy_error(self):
+        # Path 9's increment at step 150 is infinite: its p is inf at step
+        # 151, and the lane raises at the sin of its q, inf at step 152.
+        sys = pendulum_system()
+        fields = assemble_hp_fields(sys, REFERENCE)
+        h, n = 1e-4, 300
+        paths = [generate_path(i, h, n, 1) for i in range(16)]
+        inc = paths[9].increments.copy()
+        inc[150] = np.inf
+        paths[9] = WienerPath(h, inc)
+        grid = make_grid(0.0, h, n, REFERENCE)
+        runs = [EulerRun(fields, grid, path, initial_state(sys, [1.0], [0.3]),
+                         REFERENCE) for path in paths]
+        rows = np.zeros((3, 16))
+        rows[0, 9] = np.inf
+        with pytest.raises(ValueError, match="math domain error"):
+            fields.lanes(16)([1.0] * 16, [0.3] * 16, h, [0.0] * 3, [1.0] * 3,
+                             rows.tolist())
+        with_lanes, numpy_only = self._errors(runs)
+        assert with_lanes == numpy_only
+        assert numpy_only[0] is NumericalBlowup
+        assert numpy_only[3] == 151 and numpy_only[1].endswith("on path 9")
 
 
 class TestStationarity:
