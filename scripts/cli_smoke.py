@@ -5,7 +5,9 @@
 
 The arguments, if any, are the command that runs frachp.  simulate,
 convergence, action-check and volterra must each exit 0 and write a
-non-empty run manifest and the files FILES names.  Each then reruns from
+non-empty run manifest and the files FILES names, and every field of
+every CSV it wrote must be its own value printed again: "%d" in a `step`
+or `n_paths` column, "%.17g" elsewhere.  Each then reruns from
 the config part of its own manifest (the lines before `code_version`)
 into a fresh --out, and must write every CSV and SVG byte for byte again,
 and a manifest that differs only in `out`.  `simulate` with an `--out`
@@ -39,6 +41,7 @@ FILES = {
     "action-check": [],
     "volterra": ["summary.csv", "path_0003.csv"],
 }
+INT_COLUMNS = ("step", "n_paths")
 HP_GROUP = ("frachp.dynamics", "frachp.integrator", "frachp.svgplot")
 STARTUP = f"""\
 import sys
@@ -59,6 +62,23 @@ def fail(message: str) -> None:
 def outputs(out: Path) -> dict:
     return {f.name: f.read_bytes() for f in sorted(out.iterdir())
             if f.suffix in (".csv", ".svg")}
+
+
+def check_fields(name: str, out: Path) -> None:
+    """Each field of out's CSVs is the text of the value it reads as."""
+    for path in sorted(out.glob("*.csv")):
+        header, *rows = path.read_text(encoding="ascii").splitlines()
+        formats = [("%d", int) if column in INT_COLUMNS else ("%.17g", float)
+                   for column in header.split(",")]
+        for line, row in enumerate(rows, 2):
+            fields = row.split(",")
+            if len(fields) != len(formats):
+                fail(f"{name} {path.name} line {line}: {len(fields)} fields")
+            for (fmt, kind), field in zip(formats, fields):
+                if fmt % kind(field) != field:
+                    fail(f"{name} {path.name} line {line}: {field!r} is not "
+                         f"{fmt} of its own value")
+    print(f"ok   {name} CSV fields are their values' text")
 
 
 def manifest(out: Path) -> list[str]:
@@ -111,6 +131,7 @@ def main(frachp: list[str]) -> None:
                 if not (out / f).is_file() or (out / f).stat().st_size == 0:
                     fail(f"{name} wrote no {f}")
             print(f"ok   {name}")
+            check_fields(name, out)
             rerun(frachp, name, out)
         rejects_comment_in_out(frachp, work)
         args = ["volterra", "--config", str(work / "volterra.cfg"),

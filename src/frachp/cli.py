@@ -97,7 +97,141 @@ def _write_manifest(cfg: RunConfig, outdir: Path, extra: dict | None = None):
     (outdir / "run_manifest").write_text(body, encoding="utf-8")
 
 
-_CSV_CHUNK = 1024  # rows formatted by one % operation
+_CSV_ROWS = 512  # rows laid out per block; a block's words stay in cache
+
+
+def _words(texts) -> np.ndarray:
+    """One row of uint32 words per text: the text right-aligned in 4 bytes
+    per word, NUL before it."""
+    size = 4 * -(-max(map(len, texts)) // 4)
+    return np.frombuffer(b"".join(t.rjust(size, b"\0") for t in texts),
+                         dtype=np.uint32).reshape(len(texts), -1)
+
+
+def _digit_words() -> np.ndarray:
+    """The digits of 0..9999 as one word each, in three runs of 10,000:
+    all four, then leading zeros as NUL, then trailing zeros as NUL (0 is
+    all NUL in the last two)."""
+    digits = np.empty((3, 10_000, 4), dtype=np.uint8)
+    for j in range(4):  # digit j is n // 10**(3 - j) % 10
+        digits[:, :, j] = np.tile(
+            np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).repeat(
+                10 ** (3 - j)), 10 ** j)
+        digits[1, :10 ** (3 - j), j] = 0  # a leading zero of n < 10**(3-j)
+        digits[2, ::10 ** (4 - j), j] = 0  # a trailing zero if 10**(4-j) | n
+    return digits.view(np.uint32).ravel()
+
+
+def _split(t: float) -> tuple:
+    """t and its high and low halves of 26 bits, for Dekker's product."""
+    hi = 134217729.0 * t - (134217729.0 * t - t)
+    return t, hi, t - hi
+
+
+# The tables below are built from Python numbers: in a fresh interpreter
+# the first call of each numpy operation raised resident memory by ~128
+# KiB, which a command that writes no CSV would carry for nothing.
+# Exact 10**k, k = 0..22, split.
+_TEN, _TEN_HI, _TEN_LO = map(np.array, zip(*(_split(float(10 ** k))
+                                              for k in range(23))))
+# Row k = 16 - e of a value with 17-digit decimal exponent e; rows 23 and
+# 24 are the values left to "%.17g" and to "%d".
+_E = [16 - k for k in range(23)] + [-1, -1]
+_BEFORE = [e + 1 if e >= 0 else int(e < -4) for e in _E]  # digits before .
+_DIV = np.array([10 ** (17 - b) for b in _BEFORE])
+_MUL = np.array([10 ** b for b in _BEFORE])
+_POINT = np.array([ord(".") if b else 0 for b in _BEFORE], dtype=np.uint8)
+_EXP = _words([b"e-%02d" % -e if e < -4 else b"" for e in _E])[:, 0]
+# The text before the digits of a value with none before the point: "0."
+# and the zeros after it, or the format of a value left to %.
+_LEADS = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in _E[:23]]
+_DIGITS = np.concatenate([_digit_words(),
+                          _words(_LEADS + [b"%.17g", b"%d"]).ravel()])
+# _OFFSET[j][k]: where in _DIGITS word j of the part before the point
+# looks up its four digits.  A word at or before the first digit drops
+# leading zeros; one after it keeps them.  With no digit before the point,
+# words 2 and 3 hold row k's text of _LEADS instead.
+_OFFSET = np.array([[30_000 + 2 * k + j - 2 if b == 0 and j >= 2
+                     else 10_000 if 4 * j <= 16 - b else 0
+                     for k, b in enumerate(_BEFORE)] for j in range(4)])
+_SEP = _words([b",", b"\n"])[:, 0]
+
+
+def _four_digit_words(n: np.ndarray):
+    """n < 10**16 as four numbers of four digits, the highest first."""
+    hi = n // 10 ** 8
+    lo = n - hi * 10 ** 8
+    hi_hi = hi // 10 ** 4
+    lo_hi = lo // 10 ** 4
+    return hi_hi, hi - hi_hi * 10 ** 4, lo_hi, lo - lo_hi * 10 ** 4
+
+
+def _csv_rows(block, is_int, words) -> bytes:
+    """The CSV lines of `block`, equal-length columns, each value as
+    "%.17g" (as "%d" where `is_int`).
+
+    A value with 1e-6 <= |x| < 1e16 (2**53 for an int) is laid out in
+    numpy: D, its 17 significant digits, is the exact product |x| 10**k,
+    hi + lo by Dekker's two-product, rounded as hi + rint(lo), which ties
+    to even as % does because hi >= 1e16 is even.  A k from log10 that
+    leaves the product outside [1e16, 1e17) is retried once at k +- 1.
+    Each value fills its 12 words of `words`, the (rows, columns, 12)
+    buffer of `_write_csv`: sign, the digits before the point (or "0." and
+    zeros), the point and the first digit after it, the other 16 digits
+    after it, exponent and separator (set by `_write_csv`), with NUL for
+    every unused or stripped byte.  Any other value (0, subnormal, NaN,
+    inf, out of range) gets its text from % one at a time.
+    """
+    x = np.column_stack(block).astype(float, copy=False)
+    v = np.abs(x)
+    ok = ((v >= 1e-6) & (v < np.where(is_int, 2.0 ** 53, 1e16))).ravel()
+    v = v.ravel()
+    v[~ok] = 1.0
+    k = np.minimum(16 - np.floor(np.log10(v)).astype(np.intp), 22)
+    split = 134217729.0 * v
+    v_hi = split - (split - v)
+    v_lo = v - v_hi
+    for _ in range(2):
+        ten_hi, ten_lo = _TEN_HI[k], _TEN_LO[k]
+        hi = v * _TEN[k]
+        lo = (((v_hi * ten_hi - hi) + v_hi * ten_lo + v_lo * ten_hi)
+              + v_lo * ten_lo)
+        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+        if not (low | high).any():
+            break
+        k = np.clip(k + low - high, 0, 22)
+    else:
+        ok &= ~(low | high)
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    k -= carry
+    bad = ~ok
+    digits[bad] = 0
+    k[bad] = 23 + np.broadcast_to(is_int, x.shape).ravel()[bad]
+    whole, frac = np.divmod(digits, _DIV[k])
+    frac *= _MUL[k]  # the digits after the point, left-aligned in 17
+    first = frac // 10 ** 16
+    t = words.reshape(-1, 12)
+    for j, n in enumerate(_four_digit_words(whole)):
+        t[:, 1 + j] = _DIGITS[n + _OFFSET[j][k]]
+    zeros_after = np.ones(len(t), dtype=bool)
+    for j, n in reversed(list(enumerate(
+            _four_digit_words(frac - first * 10 ** 16)))):
+        t[:, 6 + j] = _DIGITS[n + 20_000 * zeros_after]
+        zeros_after &= n == 0
+    t[:, 10] = _EXP[k]
+    text = t.view(np.uint8)
+    text[:, 0] = np.signbit(x).ravel() * ok * ord("-")
+    after = frac != 0
+    text[:, 20] = _POINT[k] * after
+    text[:, 21] = (first + ord("0")) * after
+    out = t.tobytes().translate(None, b"\0")
+    if bad.any():
+        rows, cols = np.nonzero(bad.reshape(x.shape))
+        out %= tuple(block[j][i] for i, j in zip(rows, cols))
+    return out
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
@@ -105,39 +239,20 @@ def _write_csv(path: Path, header: str, columns) -> None:
     each line ending in "\\n": an integer column prints as "%d" (a step or
     path count), a float column as "%.17g" (exact).
 
-    Rows go out in chunks of _CSV_CHUNK, each formatted by one % over a
-    flat list.  A float column whose float64 bytes equal an earlier
-    column's is not formatted again: the earlier column's text of the
-    chunk is printed through "%s" in both places.
+    Rows go out in blocks of _CSV_ROWS, laid out by `_csv_rows` in numpy
+    where its exact arithmetic reaches, with % per value elsewhere.
     """
     cols = [c if c.dtype.kind in "iu" else c.astype(float, copy=False)
             for c in map(np.asarray, columns)]
-    width = len(cols)
-    # first[j]: the first float column with column j's bytes, else j.
-    first = list(range(width))
-    for j, c in enumerate(cols):
-        if c.dtype.kind == "f":
-            first[j] = next(i for i in range(j + 1)
-                            if cols[i].dtype.kind == "f"
-                            and np.array_equal(cols[i].view(np.uint64),
-                                               c.view(np.uint64)))
-    shared = {i for j, i in enumerate(first) if i != j}
-    row = ",".join("%s" if i in shared
-                   else "%d" if cols[i].dtype.kind in "iu" else "%.17g"
-                   for i in first) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(cols[0]), _CSV_CHUNK):
-            part = {i: cols[i][lo:lo + _CSV_CHUNK].tolist()
-                    for i in set(first)}
-            for i in shared:
-                part[i] = ("%.17g\n" * len(part[i])
-                           % tuple(part[i])).splitlines()
-            rows = len(part[0])
-            flat = [None] * (rows * width)
-            for j, i in enumerate(first):
-                flat[j::width] = part[i]
-            fh.write(row * rows % tuple(flat))
+    is_int = np.array([c.dtype.kind in "iu" for c in cols])
+    n_rows, width = len(cols[0]), len(cols)
+    words = np.zeros((min(n_rows, _CSV_ROWS), width, 12), dtype=np.uint32)
+    words[:, :, 11] = _SEP[(np.arange(width) == width - 1).astype(int)]
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for lo in range(0, n_rows, _CSV_ROWS):
+            block = [c[lo:lo + _CSV_ROWS] for c in cols]
+            fh.write(_csv_rows(block, is_int, words[:len(block[0])]))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:

@@ -20,8 +20,8 @@ from .core import (FractionalParams, PhaseState, TimeGrid, Trajectory,
                    check_singularity_guard, check_whole, make_grid)
 from .dynamics import (SdeFields, SystemSpec, _formulation, complete_state,
                        system_lagrangian)
-from .errors import (GridMismatch, InvalidArgument, NotApplicable,
-                     NumericalBlowup, SampleError)
+from .errors import (BatchShapeError, GridMismatch, InvalidArgument,
+                     NotApplicable, NumericalBlowup, SampleError)
 from .noise import (WienerPath, _uniforms, coarsen, generate_paths,
                     spawn_substream)
 from .specfun import gamma, step_weights
@@ -153,6 +153,45 @@ def _complete_history(states: np.ndarray, fields: SdeFields, last: int,
         raise
 
 
+def _check_rows(fields: SdeFields, q, x, driven: bool) -> None:
+    """Raise BatchShapeError unless each call of the step's formulation
+    record (y_of, the kernels of its terms, then the noise column or
+    matrix if `driven`) gives on the (P, n) stacks q and x, row for row,
+    the bits it gives on that row alone, as the array contract of
+    `frachp.dynamics` asks; the step composes them by elementwise
+    arithmetic, which steps each row as alone.  The error names the first
+    call and the first path that differ.  A call that raises on the stack
+    is left to the loop."""
+    form = _formulation(fields.system)
+    noise = (("noise column", form.kernels["C"])
+             if fields.system.noise.m == 1 else
+             ("noise matrix", form.noise_matrix))
+    try:  # the stack's calls; one that raises is the loop's to report
+        y = form.y_of(q, x)
+        calls = [("y_of", form.y_of, (q, x), y)] + [
+            (f"kernel {key}", fn, (q, y), fn(q, y))
+            for key, fn in form.kernels.items() if key != "C"]
+        if driven:
+            calls.append((*noise, (q,), noise[1](q)))
+    except Exception:
+        return
+    for role, fn, args, whole in calls:
+        alone = [np.asarray(fn(*(a[i:i + 1] for a in args)), dtype=float)
+                 for i in range(len(q))]
+        try:
+            rows = np.broadcast_to(np.asarray(whole, dtype=float),
+                                   (len(q),) + alone[0].shape[1:])
+        except ValueError:
+            rows = None
+        for i, one in enumerate(alone):
+            if rows is None or rows[i].tobytes() != one[0].tobytes():
+                name = getattr(fn, "__qualname__", repr(fn))
+                raise BatchShapeError(
+                    f"{role} {name} gives path {i} of a batch of {len(q)} "
+                    f"other bits than that path alone; it must map "
+                    f"(..., n) to (...) + its tail row by row")
+
+
 def _lane_block(lanes, stepped, start: int, stop: int, h: float, damp,
                 coef, inc) -> bool:
     """Step rows start+1..stop of the (N+1, P, n) histories in `stepped`
@@ -191,7 +230,12 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     noise_scale(s) are taken once over the left endpoints of all steps,
     and each step gets them, and h, as 0-d arrays.  The step is
     `fields.step` without its width check (`step.unchecked`), since
-    EulerRun has checked each path.
+    EulerRun has checked each path.  Once per call with P > 1, at the
+    first block on the numpy step whose rows differ, each call the step
+    makes is compared on the stack with the same call on each row alone,
+    bit for bit, and a difference raises BatchShapeError (`_check_rows`):
+    a callable that reads one row for all, as `q.flat[0]` does, would
+    otherwise step every path but the one it reads wrongly, unseen.
     The component no step carries (v, or p = g(q) v) is filled by one
     `complete_state` call over the run's time-major (N+1, P, n) history,
     which for a metric system also checks g at every q visited.
@@ -251,6 +295,7 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
     # Rows 1..last are completed: all of them, or those up to the first
     # stepped row that is not finite or huge, or up to a failed step.
     last, failure = n, None
+    unchecked = batch  # the numpy step's rows are not checked yet
     with np.errstate(all="ignore"):
         for start in range(0, n, _BLOWUP_BLOCK):
             stop = min(start + _BLOWUP_BLOCK, n)
@@ -258,6 +303,9 @@ def integrate_paths(runs: Sequence[EulerRun]) -> tuple[Trajectory, ...]:
                     lanes, stepped, start, stop, grid.h, damp, coef,
                     inc if driven else None):
                 rows, state = [], tuple(a[start] for a in stepped)
+                if unchecked and any((a != a[:1]).any() for a in state):
+                    _check_rows(fields, *state, driven)
+                    unchecked = False
                 for k in range(start, stop):
                     try:
                         state = step(*state, h, damp[k, ...], coef[k, ...],

@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
+import math
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +388,80 @@ class TestWriteCsv:
         _write_csv(tmp_path / "c.csv", "h,mean_error", [hs, errors])
         assert (tmp_path / "c.csv").read_bytes() == row_rule_bytes(
             "h,mean_error", "%.17g,%.17g", np.column_stack([hs, errors]))
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _signed(values):
+    return st.builds(lambda x, neg: -x if neg else x, values, st.booleans())
+
+
+def _tie(k: int, j: int) -> float:
+    """An odd M times 2**-(k+1), M * 5**k in [2e16, 2e17) and M < 2**53:
+    x 10**k is an integer plus one half in [1e16, 1e17), so x has 18
+    significant digits, the last a 5, and %.17g rounds it to even."""
+    lo = -(-2 * 10 ** 16 // 5 ** k)
+    hi = min(-(-2 * 10 ** 17 // 5 ** k), 2 ** 53)
+    return math.ldexp(lo + (lo + 1) % 2 + 2 * (j % ((hi - lo) // 2)),
+                      -(k + 1))
+
+
+def _near_ten(j: int, up: bool, step: bool) -> float:
+    """10**j correctly rounded, or the double next to it, up or down:
+    where a log10 estimate of the decimal exponent is off by one."""
+    p = float(10 ** j) if j >= 0 else 1 / 10 ** -j
+    return float(np.nextafter(p, np.inf if up else 0.0)) if step else p
+
+
+_NEAR_TEN = st.builds(_near_ten, st.integers(-7, 17), st.booleans(),
+                      st.booleans())
+_TIES = st.builds(_tie, st.integers(1, 22), st.integers(0, 2 ** 60))
+_SPECIALS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+_SUBNORMALS = st.integers(1, 2 ** 52 - 1).map(_double)
+_RAW = st.integers(0, 2 ** 64 - 1).map(_double)
+_FLOATS = st.one_of(_RAW, _signed(_NEAR_TEN), _signed(_TIES), _SPECIALS,
+                    _signed(_SUBNORMALS), st.floats(1e-7, 1e17),
+                    st.floats(allow_nan=True, allow_infinity=True))
+_INTS = st.one_of(st.integers(-2 ** 53 - 4, -2 ** 53 + 4),
+                  st.integers(2 ** 53 - 4, 2 ** 53 + 4),
+                  st.integers(-10 ** 6, 10 ** 6),
+                  st.integers(-2 ** 63, 2 ** 63 - 1))
+
+
+class TestCsvFormat:
+    """Each field of the writer is the text of `%` on its value: "%.17g",
+    or "%d" in an integer column, whether numpy or % laid it out."""
+
+    @staticmethod
+    def _lines(columns):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.csv"
+            _write_csv(path, "i,x,y", columns)
+            return path.read_bytes().decode("ascii").splitlines()[1:]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_INTS, _FLOATS), min_size=1, max_size=30))
+    def test_fields_are_the_percent_text(self, rows):
+        ints, xs = zip(*rows)
+        got = self._lines([np.array(ints, dtype=np.int64), np.array(xs),
+                           np.array(xs[::-1])])
+        assert got == ["%d,%.17g,%.17g" % (i, x, y)
+                       for (i, x), y in zip(rows, xs[::-1])]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 22), st.integers(0, 2 ** 60)),
+                    min_size=1, max_size=40))
+    def test_ties_round_to_even(self, draws):
+        xs = [_tie(k, j) for k, j in draws]
+        for x in xs:  # the strategy makes ties: 18 digits, the last a 5
+            digits = Decimal(x).as_tuple().digits
+            assert (len(digits), digits[-1]) == (18, 5), x
+        got = self._lines([np.arange(len(xs)), np.array(xs),
+                           -np.array(xs)])
+        assert got == ["%d,%.17g,%.17g" % (i, x, -x)
+                       for i, x in enumerate(xs)]
 
 
 class TestSimulateCommand:

@@ -27,7 +27,8 @@ from frachp.integrator import (BLOWUP_LIMIT, EulerRun, action_derivative,
                                initial_state, integrate, integrate_paths,
                                random_admissible_perturbation,
                                stationarity_ratio, strong_convergence_order)
-from frachp.noise import WienerPath, generate_path, zero_path
+from frachp.noise import (WienerPath, generate_path, generate_paths,
+                          spawn_substream, zero_path)
 from frachp.specfun import step_weights
 
 from ._reference import action_reference, rk4_terminal
@@ -968,6 +969,73 @@ def _polar_terminal_p(form, params, h, n):
     return integrate(run).p[-1]
 
 
+def _linear_moments(fields, grid, omega2, sigma, q0, p0):
+    """Exact mean and covariance of the Euler scheme's terminal (q, p) for
+    H = p^2/2 + omega2 q^2/2 and gamma(q) = sigma q: the noise is additive
+    and the step is the linear map q' = q + h p, p' = p + h (d_k p -
+    omega2 q) + c_k sigma dW_k, so m' = A_k m and C' = A_k C A_k^T +
+    h c_k^2 sigma^2 e_p e_p^T, with d_k and c_k the fields' damping and
+    noise scale at s_k."""
+    h, s = grid.h, grid.points[:-1]
+    damp = np.broadcast_to(fields.damping(s), s.shape)
+    coef = np.broadcast_to(fields.noise_scale(s), s.shape)
+    m, cov = np.array([q0, p0], dtype=float), np.zeros((2, 2))
+    for d, c in zip(damp, coef):
+        a = np.array([[1.0, h], [-h * omega2, 1.0 + h * d]])
+        m, cov = a @ m, a @ cov @ a.T
+        cov[1, 1] += h * (c * sigma) ** 2
+    return m, cov
+
+
+def _moment_z_scores(sys, params, omega2, q0, p0, paths=1500, n=300,
+                     h=1e-3):
+    """z-scores of the sample means and variances of the terminal (q, x),
+    x the carried p or v, of `paths` runs with gamma = 0.5 q1, against
+    `_linear_moments`; the terminal state is exactly Gaussian."""
+    fields = assemble_hp_fields(sys, params)
+    grid = make_grid(0.0, h, n, params)
+    init = initial_state(sys, [q0], [p0])
+    seeds = [spawn_substream(2309, i) for i in range(paths)]
+    runs = [EulerRun(fields, grid, WienerPath(h, inc), init, params)
+            for inc in generate_paths(seeds, h, n, 1)]
+    end = np.array([[t.q[-1, 0], getattr(t, fields.carried[1])[-1, 0]]
+                    for t in integrate_paths(runs)])
+    m, cov = _linear_moments(fields, grid, omega2, 0.5, q0, p0)
+    var = np.diag(cov)
+    return np.concatenate([
+        (end.mean(axis=0) - m) / np.sqrt(var / paths),
+        (end.var(axis=0, ddof=1) / var - 1.0) / np.sqrt(2.0 / (paths - 1))])
+
+
+def _linear_hamiltonian(omega2):
+    return HamiltonianSystem(
+        1, lambda q, p: 0.5 * (p[..., 0] ** 2 + omega2 * q[..., 0] ** 2),
+        NoiseCoupling((lambda q: 0.5 * q[..., 0],),
+                      (lambda q: np.full(np.shape(q), 0.5),)),
+        grad_q=lambda q, p: omega2 * q, grad_p=lambda q, p: p)
+
+
+class TestLinearLangevinMoments:
+    """The linear fractional Langevin equation against its exact moments.
+
+    The oscillator (omega^2 = 4, from q0 = 1) and the free particle (from
+    p0 = 1), 1500 paths of 300 steps of h = 1e-3: each sample mean and
+    sample variance of the terminal (q, p) lies within 5 standard errors
+    of the scheme's own moments, at alpha = beta = 1 and at alpha = 0.6,
+    beta = 0.3, t_eval = 0.8, where the damping and the noise scale act.
+    """
+
+    @pytest.mark.parametrize("params", [CLASSICAL, REFERENCE],
+                             ids=["classical", "fractional"])
+    @pytest.mark.parametrize("omega2, q0, p0", [(4.0, 1.0, 0.0),
+                                                (0.0, 0.0, 1.0)],
+                             ids=["oscillator", "free"])
+    def test_hamiltonian_route(self, omega2, q0, p0, params):
+        z = _moment_z_scores(_linear_hamiltonian(omega2), params, omega2,
+                             q0, p0)
+        assert np.all(np.abs(z) <= 5.0), z
+
+
 class TestFormulationsAgree:
     """The three formulations of one Lagrangian step to the same motion.
 
@@ -1015,6 +1083,20 @@ class TestFormulationsAgree:
         ham, metric = (_polar_terminal_p(form, REFERENCE, 1e-3, 700)
                        for form in ("hamiltonian", "metric"))
         np.testing.assert_allclose(metric, ham, rtol=0.0, atol=1e-3)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 22: with g = 1 the metric route is the free particle "
+        "with p = v, but it damps v by -d v, so its terminal (q, v) lies "
+        "hundreds of standard errors from the moments of the scheme"))
+    def test_flat_metric_free_particle_has_the_linear_moments(self):
+        flat = MetricSystem(
+            1, lambda q: np.ones(np.shape(q) + (1,)),
+            NoiseCoupling((lambda q: 0.5 * q[..., 0],),
+                          (lambda q: np.full(np.shape(q), 0.5),)),
+            metric_grad=lambda q: np.zeros(np.shape(q) + (1, 1)),
+            geodesic=lambda q, v: np.zeros(np.shape(v)))
+        z = _moment_z_scores(flat, REFERENCE, 0.0, 0.0, 1.0)
+        assert np.all(np.abs(z) <= 5.0), z
 
 
 class TestMetricEvaluations:
@@ -1157,6 +1239,51 @@ class TestIntegratePaths:
             assert np.all(np.isfinite(traj.p))
         with pytest.raises(AssertionError, match="noise evaluated"):
             integrate_paths(runs)
+
+    @staticmethod
+    def _row_zero_reader(role):
+        # -sin of q's first entry, broadcast: right on one path, and path
+        # 0's value for every path of a batch.
+        def reads_row_zero(q, p=None):
+            return np.full(np.shape(q), -math.sin(q.flat[0]))
+
+        base = pendulum_system()
+        grad_q, column = base.grad_q, base.noise.gamma_grad[0]
+        if role == "grad_q":
+            grad_q = reads_row_zero
+        else:
+            column = reads_row_zero
+        return HamiltonianSystem(1, base.hamiltonian,
+                                 NoiseCoupling(base.noise.gamma, (column,)),
+                                 grad_q=grad_q, grad_p=base.grad_p)
+
+    @pytest.mark.parametrize("role, call", [("grad_q", "kernel F"),
+                                            ("gamma_grad", "noise column")])
+    def test_row_zero_reader_is_caught(self, role, call):
+        runs = self._runs(self._row_zero_reader(role))
+        integrate(runs[1])  # alone, the reader is right
+        with pytest.raises(BatchShapeError,
+                           match=rf"^{call} .*reads_row_zero gives path 1 "
+                                 rf"of a batch of 3 other bits"):
+            integrate_paths(runs)
+
+    def test_row_zero_reader_is_caught_once_twins_part(self):
+        # simulate's batch: a noisy and a drift-only path from one state.
+        # Their rows are equal until the noise parts them, so the check
+        # falls at the second block.  A drift-only batch never evaluates
+        # the noise column, so it is never checked.
+        sys = self._row_zero_reader("gamma_grad")
+        fields = assemble_hp_fields(sys, REFERENCE)
+        grid = make_grid(0.0, 1e-3, 300, REFERENCE)
+        init = initial_state(sys, [1.0], p0=[0.0])
+        twins = [EulerRun(fields, grid, path, init, REFERENCE)
+                 for path in (generate_path(5, 1e-3, 300, 1),
+                              zero_path(1e-3, 300, 1))]
+        with pytest.raises(BatchShapeError, match="path 1 of a batch of 2"):
+            integrate_paths(twins)
+        zero = dataclasses.replace(twins[0], path=twins[1].path,
+                                   initial=initial_state(sys, [0.5], [0.0]))
+        integrate_paths([twins[1], zero])
 
     def test_runs_must_share_grid_and_fields(self):
         sys = pendulum_system()
